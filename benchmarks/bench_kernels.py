@@ -28,12 +28,12 @@ def bench_single_solves(sizes, repeat):
         bv = np.exp(x) * np.sin(y)
 
         def run(backend):
-            solve_dirichlet(g, p, bv, tol=1e-10, backend=backend)  # warm
+            solve_dirichlet(g, p, bv, tol=1e-10, method="cg", backend=backend)  # warm
             best = np.inf
             sol = None
             for _ in range(repeat):
                 t0 = time.perf_counter()
-                sol = solve_dirichlet(g, p, bv, tol=1e-10, backend=backend)
+                sol = solve_dirichlet(g, p, bv, tol=1e-10, method="cg", backend=backend)
                 best = min(best, time.perf_counter() - t0)
             return best, sol.values
 
@@ -57,11 +57,11 @@ def bench_base_solution_batch(repeat):
     print(f"\nbase-solution batch: {basis.n} Dirichlet solves on a "
           f"{basis.tilde_grid.nx}x{basis.tilde_grid.ny} grid")
     for backend in (["numpy", "numba"] if HAVE_NUMBA else ["numpy"]):
-        compute_base_solutions(basis, backend=backend)  # warm
+        compute_base_solutions(basis, method="cg", backend=backend)  # warm
         best = np.inf
         for _ in range(repeat):
             t0 = time.perf_counter()
-            compute_base_solutions(basis, backend=backend)
+            compute_base_solutions(basis, method="cg", backend=backend)
             best = min(best, time.perf_counter() - t0)
         print(f"  {backend:>6}: {best:.3f} s")
 

@@ -27,7 +27,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import SIDES, BoundaryPartition, Grid2D, Rect, boundary_partition, build_grid
-from .poisson import solve_dirichlet
+from .poisson import normal_stencil, solve_dirichlet, solve_interior
+
+# Right-hand sides per batched direct solve: bounds the transform work space.
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class BaseSolutionSet:
     basis: BoundaryBasis
     fields: np.ndarray = field(repr=False)
     solver_tol: float = 1e-10
-    method: str = "cg"
+    method: str = "direct"
 
     def __post_init__(self):
         self.fields.setflags(write=False)
@@ -108,14 +111,17 @@ class BaseSolutionSet:
 
 
 def compute_base_solutions(basis: BoundaryBasis, tol: float = 1e-10,
-                           method: str = "cg", backend: str | None = None,
+                           method: str = "direct", backend: str | None = None,
                            threads: int = 1) -> BaseSolutionSet:
     """Solve the Dirichlet problem for every basis function.
 
-    Solves are independent; ``threads`` > 1 runs them on a thread pool (the
-    CG kernel releases the GIL).  Failures carry the basis index.
+    ``direct`` writes all boundary data into the stack at once and solves
+    it ``CHUNK`` right-hand sides per batched transform.  ``cg`` solves one
+    at a time; ``threads`` > 1 runs those on a thread pool (the CG kernel
+    releases the GIL).  CG failures carry the basis index.
     """
     grid, part = basis.tilde_grid, basis.tilde_partition
+    n = basis.n
 
     def solve_one(k: int) -> np.ndarray:
         try:
@@ -125,8 +131,14 @@ def compute_base_solutions(basis: BoundaryBasis, tol: float = 1e-10,
             raise type(exc)(f"base solution {k}: {exc}") from exc
         return fld.values
 
-    n = basis.n
-    if threads > 1 and n > 1:
+    if method == "direct":
+        walk = np.arange(part.n_boundary)
+        lo, hi = basis.support[:, :1], basis.support[:, 1:]
+        stack = np.zeros((n,) + grid.shape)
+        stack[:, part.nodes[:, 1], part.nodes[:, 0]] = (walk >= lo) & (walk < hi)
+        for start in range(0, n, CHUNK):
+            solve_interior(stack[start:start + CHUNK])
+    elif threads > 1 and n > 1:
         first = solve_one(0)  # warm the kernel once before fanning out
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rest = list(pool.map(solve_one, range(1, n)))
@@ -248,26 +260,6 @@ def _lattice_offsets(tilde: Grid2D, omega: Grid2D) -> tuple[int, int]:
     return oi, oj
 
 
-def _normal_stencil(partition: BoundaryPartition, order: int):
-    """Per-Γ-node index/coefficient arrays of the one-sided normal difference."""
-    h = partition.grid.h
-    sides, _ = partition.gamma_normals()
-    steps = {"bottom": (0, 1), "top": (0, -1), "left": (1, 0), "right": (-1, 0)}
-    npts = order + 1
-    ii = np.empty((partition.m, npts), dtype=np.int64)
-    jj = np.empty((partition.m, npts), dtype=np.int64)
-    for k, ((i, j), side) in enumerate(zip(partition.gamma_nodes, sides)):
-        di, dj = steps[side]
-        for p in range(npts):
-            ii[k, p] = i + p * di
-            jj[k, p] = j + p * dj
-    if order == 1:
-        coeffs = np.array([1.0 / h, -1.0 / h])
-    else:
-        coeffs = np.array([3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)])
-    return ii, jj, coeffs
-
-
 def assemble_system(base_set: BaseSolutionSet, omega_partition: BoundaryPartition,
                     reg_mode: str = "gram", norm_order: int = 2) -> DiscreteSystem:
     """Evaluate base solutions on Γ and build the penalty operator."""
@@ -284,7 +276,7 @@ def assemble_system(base_set: BaseSolutionSet, omega_partition: BoundaryPartitio
     gj = omega_partition.gamma_nodes[:, 1] + oj
     a_mat = fields[:, gj, gi].T.copy()  # (m, n)
 
-    ii, jj, coeffs = _normal_stencil(omega_partition, norm_order)
+    ii, jj, coeffs = normal_stencil(omega_partition, norm_order)
     b_mat = np.zeros_like(a_mat)
     for p, c in enumerate(coeffs):
         b_mat += c * fields[:, jj[:, p] + oj, ii[:, p] + oi].T

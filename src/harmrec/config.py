@@ -10,6 +10,7 @@ runs of one config into different directories emit byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +43,7 @@ DEFAULTS: dict = {
     "w_f": 1.0,
     "w_g": 1.0,
     "norm_order": 2,
-    "solver": "cg",
+    "solver": "direct",
     "solver_tol": 1e-10,
     "threshold": 0.5,
     "tau0": 0.49,
@@ -120,11 +121,20 @@ def _check_sides(value, key):
         raise ValidationError(f"{key} repeats a side")
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - set(DEFAULTS)
     if unknown:
         raise ValidationError(f"unknown config key(s): {sorted(unknown)}")
     merged = {**DEFAULTS, **raw}
+    for key, default in DEFAULTS.items():
+        kind = int if isinstance(default, int) else (int, float)
+        if isinstance(default, (int, float)) and not _is_number(merged[key], kind):
+            what = "an integer" if kind is int else "a finite number"
+            raise ValidationError(f"{key} must be {what}, got {merged[key]!r}")
 
     if not (merged["x0"] < merged["x1"] and merged["y0"] < merged["y1"]):
         raise ValidationError("domain rectangle is degenerate")
@@ -141,7 +151,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _check_sides(merged["gamma_sides"], "gamma_sides")
     if len(set(merged["gamma_sides"])) == 4:
         raise ValidationError("gamma_sides covering all four sides is degenerate")
-    if merged["padding_layers"] < 1 or merged["padding_layers"] != int(merged["padding_layers"]):
+    if merged["padding_layers"] < 1:
         raise ValidationError("padding_layers must be a positive integer")
     if merged["basis_kind"] not in ("hat", "indicator"):
         raise ValidationError(f"unknown basis_kind {merged['basis_kind']!r}")
@@ -155,8 +165,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ValidationError(f"unknown noise_model {merged['noise_model']!r}")
     if merged["alpha_rule"] not in ("a_priori", "fixed"):
         raise ValidationError(f"unknown alpha_rule {merged['alpha_rule']!r}")
-    if merged["alpha_rule"] == "fixed" and (merged["alpha_fixed"] is None
-                                            or merged["alpha_fixed"] <= 0):
+    if merged["alpha_rule"] == "fixed" and merged["alpha_fixed"] <= 0:
         raise ValidationError("alpha_rule 'fixed' needs a positive alpha_fixed")
     if merged["reg_mode"] not in ("gram", "diagonal"):
         raise ValidationError(f"unknown reg_mode {merged['reg_mode']!r}")
@@ -174,8 +183,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ValidationError("tau0 must lie in (0, 1)")
     if merged["exclusion_band"] < 0:
         raise ValidationError("exclusion_band cannot be negative")
-    if any(e <= 0 for e in merged["eps_levels"]):
-        raise ValidationError("eps_levels must be positive")
+    levels, seeds = merged["eps_levels"], merged["seeds"]
+    if not isinstance(levels, (list, tuple)) or not all(_is_number(e) and e > 0 for e in levels):
+        raise ValidationError("eps_levels must be a list of positive numbers")
+    if not (isinstance(seeds, (list, tuple)) and seeds
+            and all(_is_number(s, int) for s in seeds)):
+        raise ValidationError("seeds must be a nonempty list of integers")
     for sides in merged["tau_gamma_sets"]:
         _check_sides(sides, "tau_gamma_sets entry")
         if len(set(sides)) == 4:

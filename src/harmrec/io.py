@@ -5,8 +5,8 @@ i, 17 significant digits.  Boundary data CSV: header ``x,y,f,g`` with a JSON
 sidecar holding noise metadata.  Matrix CSV: plain rows of values with a
 JSON sidecar ``{"rows": ..., "cols": ...}``.
 
-All writers format floats with ``%.17g`` and emit JSON with sorted keys, so
-identical inputs produce byte-identical files.
+All writers format floats with ``%.17g`` and emit strict JSON (no NaN or
+Infinity) with sorted keys, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import SolverError
 from .forward import CauchyData
 from .grid import Grid2D
 from .poisson import ScalarField
@@ -36,7 +37,12 @@ def _json_default(obj):
 
 
 def dump_json(path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    """Write strict JSON; a NaN or infinity is a numerical failure."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=_json_default)
+    except ValueError as exc:
+        raise SolverError(f"{Path(path).name}: {exc}") from exc
     Path(path).write_text(text + "\n")
 
 

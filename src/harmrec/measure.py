@@ -90,7 +90,7 @@ class LevelContour:
 
 
 def compute_indicate(grid: Grid2D, partition: BoundaryPartition,
-                     tol: float = 1e-10, method: str = "cg",
+                     tol: float = 1e-10, method: str = "direct",
                      exclusion_band: int = 3) -> IndicateField:
     """Solve for the exponent field of the partition's Γ."""
     if partition.m == 0:

@@ -78,6 +78,23 @@ def test_threaded_solves_match_serial():
     assert np.array_equal(threaded.fields, base_set.fields)
 
 
+def test_hat_stack_matches_sparse_reference_for_any_chunk(spsolve_dirichlet, monkeypatch):
+    import harmrec.basis
+
+    omega = Rect(0, 0, 1, 0.75)  # non-square, 11 x 9 enlarged nodes
+    basis = build_basis(omega.padded(1 / 8), 1 / 8, "hat", omega_rect=omega)
+    assert basis.n == 36 and basis.n % harmrec.basis.CHUNK  # last chunk is partial
+    nodes = basis.tilde_partition.nodes
+    data = np.zeros((basis.n,) + basis.tilde_grid.shape)
+    for k in range(basis.n):
+        data[k, nodes[:, 1], nodes[:, 0]] = basis.boundary_values(k)
+    fields = compute_base_solutions(basis).fields
+    assert np.abs(fields - spsolve_dirichlet(data)).max() <= 1e-12
+    for chunk in (1, 5, 36, 100):
+        monkeypatch.setattr(harmrec.basis, "CHUNK", chunk)
+        assert np.array_equal(compute_base_solutions(basis).fields, fields)
+
+
 def test_assembly_shapes_and_row_sums():
     basis, base_set, grid, part = _small_setup()
     sys = assemble_system(base_set, part)

@@ -157,3 +157,36 @@ def test_summary_json_sorted_and_deterministic(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
     for name in ("summary.json", "u_star.csv", "tau.svg", "tau_contour.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_numeric_keys_type_checked(tmp_path, capsys):
+    for bad in ({"h": "x"}, {"seed": True}, {"noise_level": None},
+                {"h": float("nan")}, {"alpha_c": float("inf")},
+                {"padding_layers": 1.5}, {"eps_levels": [0.1, "a", 0.01]},
+                {"seeds": [1, 2.5]}):
+        with pytest.raises(ValidationError, match="must be"):
+            validate_config(bad)
+    assert validate_config({"x1": 2, "h": 0.5}).to_dict()["x1"] == 2
+    cfg = _write_cfg(tmp_path, h="x")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+
+
+def test_cli_sweep_rejects_empty_seeds(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, eps_levels=[1e-1, 1e-2, 1e-3], seeds=[])
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+    assert not (out / "sweep.json").exists()
+
+
+def test_cli_non_finite_json_artifact_exit_3(tmp_path, capsys, monkeypatch):
+    import harmrec.evaluate
+
+    monkeypatch.setattr(harmrec.evaluate, "spearman_rank", lambda *a: float("nan"))
+    cfg = _write_cfg(tmp_path, eps_levels=[1e-1, 1e-2, 1e-3], seeds=[1])
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "numerical" and "sweep.json" in error["message"]
+    assert not (out / "sweep.json").exists()

@@ -1,14 +1,15 @@
 """Regression lock on the reference reconstruction.
 
-The golden field was produced by the one-side reference preset with the
-kernel backend pinned to numpy (the backend whose arithmetic does not depend
-on numba's presence).  Regenerate after an intentional numerical change with
+The golden field was produced by the one-side reference preset on the
+default ``direct`` solver, whose base solutions are exact (DST-I) and so do
+not depend on numba or ``HARMREC_NO_NUMBA``.  Regenerate after an
+intentional numerical change with
 
-    HARMREC_NO_NUMBA=1 python -c "
+    python -c "
     from harmrec import resolve_config, io
     from harmrec.pipeline import run_experiment
     res = run_experiment(resolve_config(preset='paper-sec5-one-side'))
-    io.write_field_csv('tests/golden/u_star_one_side_numpy.csv',
+    io.write_field_csv('tests/golden/u_star_one_side.csv',
                        res['result'].u_star)"
 
 The comparison tolerance is far below any physically meaningful scale but
@@ -24,11 +25,10 @@ from harmrec import resolve_config
 from harmrec.io import read_field_csv
 from harmrec.pipeline import run_experiment
 
-GOLDEN = Path(__file__).parent / "golden" / "u_star_one_side_numpy.csv"
+GOLDEN = Path(__file__).parent / "golden" / "u_star_one_side.csv"
 
 
-def test_reference_reconstruction_matches_golden(monkeypatch):
-    monkeypatch.setenv("HARMREC_NO_NUMBA", "1")
+def test_reference_reconstruction_matches_golden():
     cfg = resolve_config(preset="paper-sec5-one-side")
     res = run_experiment(cfg)
     u_star = res["result"].u_star
