@@ -149,28 +149,9 @@ def compute_base_solutions(basis: BoundaryBasis, tol: float = 1e-10,
 
 
 def tangential_d1(partition: BoundaryPartition) -> np.ndarray:
-    """First-difference operator along Γ, (m, m).
-
-    Central differences inside each contiguous Γ run, one-sided at run
-    endpoints, zero for an isolated node.  Arc-length spacing is h
-    everywhere, including across corners inside a run.
-    """
-    m, h = partition.m, partition.grid.h
-    d1 = np.zeros((m, m))
-    for run in partition.gamma_runs():
-        if len(run) < 2:
-            continue
-        for pos, row in enumerate(run):
-            if pos == 0:
-                d1[row, run[1]] += 1.0 / h
-                d1[row, run[0]] -= 1.0 / h
-            elif pos == len(run) - 1:
-                d1[row, run[-1]] += 1.0 / h
-                d1[row, run[-2]] -= 1.0 / h
-            else:
-                d1[row, run[pos + 1]] += 0.5 / h
-                d1[row, run[pos - 1]] -= 0.5 / h
-    return d1
+    """First-difference operator along Γ, (m, m); cached on the partition
+    (see :attr:`BoundaryPartition.tangential_d1`)."""
+    return partition.tangential_d1
 
 
 def discrete_norms(values: np.ndarray, partition: BoundaryPartition,
@@ -186,7 +167,7 @@ def discrete_norms(values: np.ndarray, partition: BoundaryPartition,
         raise ValidationError(f"expected {partition.m} values on Γ, got {v.shape}")
     w = partition.gamma_sigma
     l2sq_v = float(w @ (v * v))
-    dv = tangential_d1(partition) @ v
+    dv = partition.tangential_d1 @ v
     h1 = float(np.sqrt(l2sq_v + w @ (dv * dv)))
     if g is None:
         l2 = float(np.sqrt(l2sq_v))
@@ -301,7 +282,7 @@ def assemble_system(base_set: BaseSolutionSet, omega_partition: BoundaryPartitio
         B=b_mat,
         C=c_op,
         sigma=omega_partition.gamma_sigma.copy(),
-        D1=tangential_d1(omega_partition),
+        D1=omega_partition.tangential_d1,
         reg_mode=reg_mode,
         h=h,
         reg_factor=factor,

@@ -146,12 +146,11 @@ def envelope_check(err: ScalarField, tau: IndicateField, eps: float,
     )
 
 
-def rate_fit(errors_at_point: list[tuple[float, float]], point_tau: float | None = None) -> float:
+def rate_fit(errors_at_point: list[tuple[float, float]]) -> float:
     """Least-squares slope of log err against log eps.
 
     Needs at least 3 levels spanning at least two decades, all errors
-    positive.  ``point_tau`` is accepted for symmetry with reports but does
-    not affect the fit.
+    positive.
     """
     if len(errors_at_point) < 3:
         raise ValidationError("rate fit needs at least 3 noise levels")

@@ -17,6 +17,7 @@ once in that sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,9 +122,6 @@ class Grid2D:
         """(X, Y) coordinate arrays of shape (ny, nx)."""
         return np.meshgrid(self.xs, self.ys)
 
-    def flat_index(self, i: int, j: int) -> int:
-        return j * self.nx + i
-
 
 def build_grid(rect: Rect, h: float) -> Grid2D:
     """Build the uniform grid with spacing ``h``; ``h`` must divide both extents."""
@@ -179,8 +177,6 @@ class BoundaryPartition:
                  so sum(sigma) equals the perimeter.
     gamma_mask   bool per node, True on the measurement sides (corner nodes
                  of a flagged side included).
-    side_labels  per-node side name with the corner tie-break of
-                 :func:`_side_of_node` (bottom/top own the corners).
     gamma_sigma  trapezoid weights restricted to Γ: each node receives h/2
                  per *flagged* incident segment, so a run endpoint gets h/2
                  and sum(gamma_sigma) equals the arc length of Γ.
@@ -191,12 +187,10 @@ class BoundaryPartition:
     nodes: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
     gamma_mask: np.ndarray = field(repr=False)
-    side_labels: np.ndarray = field(repr=False)
     gamma_sigma: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.nodes, self.sigma, self.gamma_mask,
-                    self.side_labels, self.gamma_sigma):
+        for arr in (self.nodes, self.sigma, self.gamma_mask, self.gamma_sigma):
             arr.setflags(write=False)
 
     @property
@@ -271,6 +265,32 @@ class BoundaryPartition:
             runs.append(np.array(current))
         return runs
 
+    @cached_property
+    def tangential_d1(self) -> np.ndarray:
+        """First-difference operator along Γ, (m, m), built once and read-only.
+
+        Central differences inside each contiguous Γ run, one-sided at run
+        endpoints, zero for an isolated node.  Arc-length spacing is h
+        everywhere, including across corners inside a run.
+        """
+        m, h = self.m, self.grid.h
+        d1 = np.zeros((m, m))
+        for run in self.gamma_runs():
+            if len(run) < 2:
+                continue
+            for pos, row in enumerate(run):
+                if pos == 0:
+                    d1[row, run[1]] += 1.0 / h
+                    d1[row, run[0]] -= 1.0 / h
+                elif pos == len(run) - 1:
+                    d1[row, run[-1]] += 1.0 / h
+                    d1[row, run[-2]] -= 1.0 / h
+                else:
+                    d1[row, run[pos + 1]] += 0.5 / h
+                    d1[row, run[pos - 1]] -= 0.5 / h
+        d1.setflags(write=False)
+        return d1
+
 
 def boundary_partition(grid: Grid2D, gamma_sides) -> BoundaryPartition:
     """Enumerate the boundary and flag the measurement sides Γ.
@@ -291,7 +311,6 @@ def boundary_partition(grid: Grid2D, gamma_sides) -> BoundaryPartition:
     k = len(nodes)
     sigma = np.full(k, h)
 
-    labels = np.array([_side_of_node(int(i), int(j), nx, ny) for i, j in nodes])
     mask = np.array(
         [bool(_node_sides(int(i), int(j), nx, ny) & sides) for i, j in nodes]
     )
@@ -315,6 +334,5 @@ def boundary_partition(grid: Grid2D, gamma_sides) -> BoundaryPartition:
         nodes=nodes,
         sigma=sigma,
         gamma_mask=mask,
-        side_labels=labels,
         gamma_sigma=gamma_sigma[mask],
     )

@@ -36,14 +36,19 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def dump_json(path, obj) -> None:
-    """Write strict JSON; a NaN or infinity is a numerical failure."""
+def json_text(obj, name: str) -> str:
+    """Strict JSON text of ``obj``; a NaN or infinity is a numerical failure
+    of the artifact ``name``."""
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                          default=_json_default)
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=_json_default) + "\n"
     except ValueError as exc:
-        raise SolverError(f"{Path(path).name}: {exc}") from exc
-    Path(path).write_text(text + "\n")
+        raise SolverError(f"{name}: {exc}") from exc
+
+
+def dump_json(path, obj) -> None:
+    """Write strict JSON (see :func:`json_text`)."""
+    Path(path).write_text(json_text(obj, Path(path).name))
 
 
 def field_csv_text(fld: ScalarField) -> str:

@@ -19,9 +19,9 @@ from . import evaluate as ev
 from . import io as hio
 from . import svg
 from .basis import (BaseSolutionSet, DiscreteSystem, assemble_system,
-                    build_basis, compute_base_solutions, discrete_norms)
+                    build_basis, compute_base_solutions)
 from .config import ExperimentConfig
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
 from .measure import IndicateField, compute_indicate, reliable_region
@@ -72,8 +72,8 @@ def build_state(cfg: ExperimentConfig, threads: int = 1) -> PipelineState:
 def _reconstruct_for(state: PipelineState, level: float, seed: int) -> tuple[CauchyData, ReconstructionResult]:
     cfg = state.cfg
     data = add_noise(state.clean_data, level, seed, cfg["noise_model"])
-    result = reconstruct(state.system, data, tik_config(cfg), state.base_set,
-                         state.grid)
+    result, = reconstruct(state.system, [data], tik_config(cfg),
+                          state.base_set, state.grid)
     return data, result
 
 
@@ -134,6 +134,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     }
 
     if out_dir is not None:
+        # A numerical failure must leave no partial bundle behind.  Fields
+        # are finite by construction (ScalarField); vectors are not.
+        hio.json_text(summary, "summary.json")
+        if not all(np.isfinite(v).all() for v in (result.b, data.f, data.g)):
+            raise SolverError("non-finite coefficients or boundary data")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         hio.write_field_csv(out / "u_star.csv", result.u_star)
@@ -225,10 +230,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     err_by_level = {lv: np.zeros(len(probe_nodes)) for lv in levels}
     c_fits = []
     reg_norms = {lv: [] for lv in levels}
+    tik = tik_config(cfg)
+    exact = cfg.exact_solution()
     for lv in levels:
-        for seed in seeds:
-            data, result = _reconstruct_for(state, lv, seed)
-            err = ev.pointwise_error(result.u_star, cfg.exact_solution())
+        datas = [add_noise(state.clean_data, lv, seed, cfg["noise_model"])
+                 for seed in seeds]
+        results = reconstruct(state.system, datas, tik, state.base_set, state.grid)
+        for seed, result in zip(seeds, results):
+            err = ev.pointwise_error(result.u_star, exact)
             vals = np.array([err.values[j, i] for i, j in probe_nodes])
             err_by_level[lv] += vals / len(seeds)
             reg_norms[lv].append(result.reg_norm)
@@ -268,6 +277,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
         "reg_norm_log_slope": reg_slope,
     }
     if out_dir is not None:
+        hio.json_text(summary, "sweep.json")  # probes.csv holds the same values
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         lines = ["x,y,tau,err,slope"]

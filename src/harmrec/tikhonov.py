@@ -12,6 +12,12 @@ equations is deliberately avoided because the column space is nearly
 degenerate by the nature of the problem.  The stacked condition number is
 reported alongside the solution.
 
+The stacked matrix depends on the data only through alpha, and alpha only
+through the noise level, so ``reconstruct`` fits a batch of data sets that
+share one noise level with a single SVD least-squares solve whose
+right-hand side is a matrix, one column per data set.  A noise sweep costs
+one solve per level, whatever the number of seeds.
+
 The a-priori regularization weight follows alpha = c * (eps^2 + h^2): the
 basis truncation term of the full rule is not observable, so it is dropped
 and compensated by tying the basis size to h in the presets.
@@ -83,37 +89,58 @@ def _penalty_factor(sys: DiscreteSystem) -> np.ndarray:
     return (np.sqrt(evals)[:, None]) * evecs.T
 
 
-def _stacked_solve(sys: DiscreteSystem, data: CauchyData, cfg: TikhonovConfig,
-                   alpha: float) -> tuple[np.ndarray, float]:
-    if len(data.f) != sys.m:
+def _batch(sys: DiscreteSystem, datas: list[CauchyData],
+           cfg: TikhonovConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Alpha and the (m, k) data matrices f, g of a batch of k data sets.
+
+    The a-priori rule makes alpha a function of the noise level, so a batch
+    must share one level to share the stacked matrix.
+    """
+    if not datas:
+        raise ValidationError("need at least one data set to fit")
+    levels = {data.noise_level for data in datas}
+    if len(levels) > 1:
         raise ValidationError(
-            f"data has {len(data.f)} measurement points, system expects {sys.m}"
+            f"a batched fit needs one noise level, got {sorted(levels)}"
         )
+    for data in datas:
+        if len(data.f) != sys.m:
+            raise ValidationError(
+                f"data has {len(data.f)} measurement points, system expects {sys.m}"
+            )
+    f = np.column_stack([data.f for data in datas])
+    g = np.column_stack([data.g for data in datas])
+    return cfg.resolve_alpha(datas[0].noise_level, sys.h), f, g
+
+
+def _stacked_solve(sys: DiscreteSystem, f: np.ndarray, g: np.ndarray,
+                   cfg: TikhonovConfig, alpha: float) -> tuple[np.ndarray, float]:
+    """(k, n) minimizers for the k data columns of f and g, and the stacked
+    condition number."""
     w_f, w_g = cfg.data_weights
-    s12 = np.sqrt(sys.sigma)
+    s12 = np.sqrt(sys.sigma)[:, None]
     blocks, rhs = [], []
     if w_f > 0:
         wf = np.sqrt(w_f)
-        blocks.append(wf * s12[:, None] * sys.A)
-        rhs.append(wf * s12 * data.f)
-        d1a = sys.D1 @ sys.A
-        blocks.append(wf * s12[:, None] * d1a)
-        rhs.append(wf * s12 * (sys.D1 @ data.f))
+        blocks.append(wf * s12 * sys.A)
+        rhs.append(wf * s12 * f)
+        blocks.append(wf * s12 * (sys.D1 @ sys.A))
+        rhs.append(wf * s12 * (sys.D1 @ f))
     if w_g > 0:
         wg = np.sqrt(w_g)
-        blocks.append(wg * s12[:, None] * sys.B)
-        rhs.append(wg * s12 * data.g)
+        blocks.append(wg * s12 * sys.B)
+        rhs.append(wg * s12 * g)
     factor = _penalty_factor(sys)
     blocks.append(np.sqrt(alpha) * factor)
-    rhs.append(np.zeros(factor.shape[0]))
+    rhs.append(np.zeros((factor.shape[0], f.shape[1])))
     m_stack = np.vstack(blocks)
-    d_stack = np.concatenate(rhs)
+    d_stack = np.vstack(rhs)
 
     # Coefficients the cost cannot see (all-zero columns) are pinned to 0;
     # the reduced problem is solved by SVD-based least squares, which under
     # residual numerical rank deficiency returns the minimum-norm minimizer.
     visible = np.abs(m_stack).max(axis=0) > 0.0
-    b = np.zeros(sys.n)
+    b = np.zeros((f.shape[1], sys.n))
     if not visible.any():
         return b, float("inf")
     try:
@@ -121,7 +148,7 @@ def _stacked_solve(sys: DiscreteSystem, data: CauchyData, cfg: TikhonovConfig,
                                              rcond=None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"least-squares solve failed: {exc}") from exc
-    b[visible] = b_vis
+    b[:, visible] = b_vis.T
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
     return b, cond
 
@@ -133,9 +160,9 @@ def minimize(sys: DiscreteSystem, data: CauchyData, cfg: TikhonovConfig) -> np.n
     level (the realized graph-norm error grows like level/h and would
     over-regularize) and the system's grid spacing.
     """
-    alpha = cfg.resolve_alpha(data.noise_level, sys.h)
-    b, _ = _stacked_solve(sys, data, cfg, alpha)
-    return b
+    alpha, f, g = _batch(sys, [data], cfg)
+    b, _ = _stacked_solve(sys, f, g, cfg, alpha)
+    return b[0]
 
 
 @dataclass(frozen=True)
@@ -153,37 +180,50 @@ class ReconstructionResult:
 
 
 def reconstruct_field(b: np.ndarray, base_set: BaseSolutionSet,
-                      omega_grid: Grid2D) -> ScalarField:
-    """Combine base solutions with coefficients ``b``, restricted to the grid."""
+                      omega_grid: Grid2D) -> ScalarField | list[ScalarField]:
+    """Combine base solutions with coefficients, restricted to the grid.
+
+    ``b`` of shape (n,) gives one field; (k, n) gives a list of k fields.
+    """
     b = np.asarray(b, dtype=float)
-    if b.shape != (base_set.n,):
+    if b.shape[-1:] != (base_set.n,) or b.ndim > 2:
         raise ValidationError(f"expected {base_set.n} coefficients, got {b.shape}")
     oi, oj = _lattice_offsets(base_set.basis.tilde_grid, omega_grid)
-    sub = base_set.fields[:, oj:oj + omega_grid.ny, oi:oi + omega_grid.nx]
-    values = np.tensordot(b, sub, axes=(0, 0))
-    return ScalarField(grid=omega_grid, values=values)
+    fields = base_set.fields
+    values = (np.atleast_2d(b) @ fields.reshape(base_set.n, -1)).reshape(
+        -1, *fields.shape[1:])[:, oj:oj + omega_grid.ny, oi:oi + omega_grid.nx]
+    out = [ScalarField(grid=omega_grid, values=v) for v in values]
+    return out[0] if b.ndim == 1 else out
 
 
-def reconstruct(sys: DiscreteSystem, data: CauchyData, cfg: TikhonovConfig,
-                base_set: BaseSolutionSet, omega_grid: Grid2D) -> ReconstructionResult:
-    """Full solve: coefficients, field on the grid, and fit diagnostics."""
-    from .basis import discrete_norms
-
-    alpha = cfg.resolve_alpha(data.noise_level, sys.h)
-    b, cond = _stacked_solve(sys, data, cfg, alpha)
-    u_star = reconstruct_field(b, base_set, omega_grid)
-    res_f, _ = discrete_norms(sys.A @ b - data.f, data.partition)
-    _, res_g = discrete_norms(np.zeros(sys.m), data.partition, sys.B @ b - data.g)
+def reconstruct(sys: DiscreteSystem, datas: list[CauchyData], cfg: TikhonovConfig,
+                base_set: BaseSolutionSet,
+                omega_grid: Grid2D) -> list[ReconstructionResult]:
+    """Full solve for data sets sharing one noise level: per data set the
+    coefficients, the field on the grid, and the fit diagnostics."""
+    alpha, f, g = _batch(sys, datas, cfg)
+    b, cond = _stacked_solve(sys, f, g, cfg, alpha)
+    u_stars = reconstruct_field(b, base_set, omega_grid)
+    # Graph norm of the f residual and quadrature norm of the g residual,
+    # one column per data set.
+    r_f = sys.A @ b.T - f
+    r_g = sys.B @ b.T - g
+    dr_f = sys.D1 @ r_f
+    res_f = np.sqrt(sys.sigma @ (r_f * r_f) + sys.sigma @ (dr_f * dr_f))
+    res_g = np.sqrt(sys.sigma @ (r_g * r_g))
     if sys.reg_mode == "diagonal":
-        reg = float(np.linalg.norm(sys.C * b))
+        reg = np.linalg.norm(sys.C * b, axis=1)
     else:
-        reg = float(np.sqrt(max(b @ (sys.C @ b), 0.0)))
-    return ReconstructionResult(
-        b=b,
-        u_star=u_star,
-        residual_f=res_f,
-        residual_g=res_g,
-        reg_norm=reg,
-        alpha_used=alpha,
-        condition_estimate=cond,
-    )
+        reg = np.sqrt(np.maximum(((b @ sys.C.T) * b).sum(axis=1), 0.0))
+    return [
+        ReconstructionResult(
+            b=b[k],
+            u_star=u_stars[k],
+            residual_f=float(res_f[k]),
+            residual_g=float(res_g[k]),
+            reg_norm=float(reg[k]),
+            alpha_used=alpha,
+            condition_estimate=cond,
+        )
+        for k in range(len(datas))
+    ]

@@ -190,3 +190,15 @@ def test_cli_non_finite_json_artifact_exit_3(tmp_path, capsys, monkeypatch):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "numerical" and "sweep.json" in error["message"]
     assert not (out / "sweep.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_run_numerical_failure_leaves_no_artifacts(tmp_path, capsys):
+    # exp(400 x) overflows the fit: the run must fail before writing anything
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exact_a": 400, "h": 0.125, "padding_layers": 1}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "numerical"
+    assert not out.exists() or not any(out.iterdir())

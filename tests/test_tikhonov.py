@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from harmrec import (CauchyData, Constant, DiscreteSystem, Rect,
-                     TikhonovConfig, ValidationError, assemble_system,
-                     boundary_partition, build_basis, build_grid,
-                     compute_base_solutions, minimize, reconstruct,
-                     reconstruct_field, select_alpha, trace_cauchy)
+from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, Rect,
+                     TikhonovConfig, ValidationError, add_noise,
+                     assemble_system, boundary_partition, build_basis,
+                     build_grid, compute_base_solutions, discrete_norms,
+                     minimize, reconstruct, reconstruct_field, run_sweep,
+                     select_alpha, trace_cauchy, validate_config)
 from harmrec.basis import BoundaryBasis
 from harmrec.grid import SIDES
 from harmrec.tikhonov import _penalty_factor
@@ -66,13 +67,13 @@ def test_zero_data_gives_zero_coefficients():
     assert abs(b[0]) < 1e-12
 
 
-def _pipeline_pieces(h=1 / 8, method="direct"):
+def _pipeline_pieces(h=1 / 8, method="direct", reg_mode="gram"):
     omega = Rect(0, 0, 1, 1)
     basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
     base_set = compute_base_solutions(basis, tol=1e-11, method=method)
     grid = build_grid(omega, h)
     part = boundary_partition(grid, ["bottom"])
-    sys = assemble_system(base_set, part)
+    sys = assemble_system(base_set, part, reg_mode=reg_mode)
     return basis, base_set, grid, part, sys
 
 
@@ -81,7 +82,7 @@ def test_noiseless_constant_reconstruction():
     data = trace_cauchy(Constant(1.0), part)
     alpha = 1e-6
     cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
-    result = reconstruct(sys, data, cfg, base_set, grid)
+    result, = reconstruct(sys, [data], cfg, base_set, grid)
     # cost at the all-ones comparison vector bounds the optimum:
     # penalty of the constant-one trace is the perimeter (value term only)
     assert result.residual_f**2 + result.residual_g**2 <= 4.0 * alpha * 1.01
@@ -89,9 +90,9 @@ def test_noiseless_constant_reconstruction():
     # deviation there reflects the operator's ~1e16 conditioning, not alpha
     assert np.abs(result.u_star.values - 1.0).max() < 5e-3
     # near-zero regularization tightens toward the direct solve limit
-    tight = reconstruct(sys, data,
-                        TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-12),
-                        base_set, grid)
+    tight, = reconstruct(sys, [data],
+                         TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-12),
+                         base_set, grid)
     assert np.abs(tight.u_star.values - 1.0).max() < 1e-3
     # close to the measured side the fit is sharp
     assert np.abs(tight.u_star.values[:3, :] - 1.0).max() < 1e-6
@@ -150,7 +151,7 @@ def test_residuals_monotone_in_alpha():
     prev_res, prev_reg = -1.0, np.inf
     for alpha in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
         cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
-        r = reconstruct(sys, noisy, cfg, base_set, grid)
+        r, = reconstruct(sys, [noisy], cfg, base_set, grid)
         res = r.residual_f**2 + r.residual_g**2
         assert res >= prev_res - 1e-12
         assert r.reg_norm <= prev_reg + 1e-9
@@ -159,14 +160,12 @@ def test_residuals_monotone_in_alpha():
 
 def test_residual_decay_with_grid_refinement():
     # noiseless data, alpha = c*(eps^2 + h^2) with eps = 0: residuals shrink
-    from harmrec import ExpCos
-
     totals = []
     for h in (1 / 8, 1 / 16, 1 / 32):
         _, base_set, grid, part, sys = _pipeline_pieces(h=h)
         data = trace_cauchy(ExpCos(2.0, 0.1), part)
         cfg = TikhonovConfig(alpha_rule="a_priori", alpha_c=1.0)
-        r = reconstruct(sys, data, cfg, base_set, grid)
+        r, = reconstruct(sys, [data], cfg, base_set, grid)
         totals.append(r.residual_f + r.residual_g)
     assert totals[0] > totals[1] > totals[2]
 
@@ -188,3 +187,74 @@ def test_data_length_mismatch_rejected():
                      f=np.zeros(3), g=np.zeros(3))
     with pytest.raises(ValidationError):
         minimize(sys, bad, TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-6))
+
+
+def _noisy_batch(part, level=0.05, seeds=(1, 2, 3)):
+    clean = trace_cauchy(ExpCos(2.0, 0.1), part)
+    return [add_noise(clean, level, seed) for seed in seeds]
+
+
+def _rel(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def test_batched_fit_matches_single_fits():
+    _, base_set, grid, part, sys = _pipeline_pieces()
+    datas = _noisy_batch(part)
+    cfg = TikhonovConfig()
+    batch = reconstruct(sys, datas, cfg, base_set, grid)
+    assert len(batch) == len(datas)
+    for data, r in zip(datas, batch):
+        single, = reconstruct(sys, [data], cfg, base_set, grid)
+        assert _rel(r.b, single.b) <= 1e-12
+        assert _rel(r.u_star.values, single.u_star.values) <= 1e-12
+        for name in ("residual_f", "residual_g", "reg_norm"):
+            assert _rel(getattr(r, name), getattr(single, name)) <= 1e-12
+        assert r.alpha_used == single.alpha_used
+    # distinct data give distinct fits: the columns are not mixed up
+    assert _rel(batch[0].b, batch[1].b) > 1e-6
+
+
+@pytest.mark.parametrize("reg_mode", ["gram", "diagonal"])
+def test_batched_norms_match_discrete_norms(reg_mode):
+    _, base_set, grid, part, sys = _pipeline_pieces(reg_mode=reg_mode)
+    datas = _noisy_batch(part)
+    for data, r in zip(datas, reconstruct(sys, datas, TikhonovConfig(),
+                                          base_set, grid)):
+        res_f, _ = discrete_norms(sys.A @ r.b - data.f, part)
+        _, res_g = discrete_norms(np.zeros(sys.m), part, sys.B @ r.b - data.g)
+        if reg_mode == "diagonal":
+            reg = np.linalg.norm(sys.C * r.b)
+        else:
+            reg = np.sqrt(r.b @ (sys.C @ r.b))
+        assert _rel(r.residual_f, res_f) <= 1e-12
+        assert _rel(r.residual_g, res_g) <= 1e-12
+        assert _rel(r.reg_norm, reg) <= 1e-12
+
+
+def test_batch_needs_one_noise_level():
+    _, base_set, grid, part, sys = _pipeline_pieces()
+    mixed = _noisy_batch(part, level=0.05) + _noisy_batch(part, level=0.01)
+    with pytest.raises(ValidationError, match="one noise level"):
+        reconstruct(sys, mixed, TikhonovConfig(), base_set, grid)
+    with pytest.raises(ValidationError):
+        reconstruct(sys, [], TikhonovConfig(), base_set, grid)
+
+
+def test_sweep_makes_one_lstsq_per_noise_level(monkeypatch):
+    import harmrec.tikhonov
+
+    lstsq = harmrec.tikhonov.np.linalg.lstsq
+    rhs_shapes = []
+
+    def counting_lstsq(a, b, *args, **kwargs):
+        rhs_shapes.append(np.shape(b))
+        return lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(harmrec.tikhonov.np.linalg, "lstsq", counting_lstsq)
+    cfg = validate_config({"h": 1 / 16, "padding_layers": 1,
+                           "eps_levels": [1e-1, 1e-2, 1e-3],
+                           "seeds": [1, 2, 3, 4]})
+    run_sweep(cfg)
+    assert len(rhs_shapes) == 3
+    assert all(shape[1:] == (4,) for shape in rhs_shapes)
