@@ -10,7 +10,7 @@ harmonic measure of the measurement arc.
 
 from .basis import (BaseSolutionSet, BoundaryBasis, DiscreteSystem,
                     assemble_system, build_basis, compute_base_solutions,
-                    discrete_norms, tangential_d1)
+                    discrete_norms)
 from .config import DEFAULTS, PRESETS, ExperimentConfig, resolve_config, validate_config
 from .errors import SolverError, ValidationError
 from .evaluate import (EnvelopeReport, RegionStats, envelope_check,

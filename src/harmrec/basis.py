@@ -20,7 +20,6 @@ with arc-length spacing h: the squared penalty norm of a trace v is
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,26 +110,15 @@ class BaseSolutionSet:
 
 
 def compute_base_solutions(basis: BoundaryBasis, tol: float = 1e-10,
-                           method: str = "direct", backend: str | None = None,
-                           threads: int = 1) -> BaseSolutionSet:
+                           method: str = "direct") -> BaseSolutionSet:
     """Solve the Dirichlet problem for every basis function.
 
     ``direct`` writes all boundary data into the stack at once and solves
     it ``CHUNK`` right-hand sides per batched transform.  ``cg`` solves one
-    at a time; ``threads`` > 1 runs those on a thread pool (the CG kernel
-    releases the GIL).  CG failures carry the basis index.
+    at a time; its failures carry the basis index.
     """
     grid, part = basis.tilde_grid, basis.tilde_partition
     n = basis.n
-
-    def solve_one(k: int) -> np.ndarray:
-        try:
-            fld = solve_dirichlet(grid, part, basis.boundary_values(k),
-                                  tol=tol, method=method, backend=backend)
-        except Exception as exc:
-            raise type(exc)(f"base solution {k}: {exc}") from exc
-        return fld.values
-
     if method == "direct":
         walk = np.arange(part.n_boundary)
         lo, hi = basis.support[:, :1], basis.support[:, 1:]
@@ -138,20 +126,17 @@ def compute_base_solutions(basis: BoundaryBasis, tol: float = 1e-10,
         stack[:, part.nodes[:, 1], part.nodes[:, 0]] = (walk >= lo) & (walk < hi)
         for start in range(0, n, CHUNK):
             solve_interior(stack[start:start + CHUNK])
-    elif threads > 1 and n > 1:
-        first = solve_one(0)  # warm the kernel once before fanning out
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rest = list(pool.map(solve_one, range(1, n)))
-        stack = np.stack([first] + rest)
     else:
-        stack = np.stack([solve_one(k) for k in range(n)])
+        fields = []
+        for k in range(n):
+            try:
+                fld = solve_dirichlet(grid, part, basis.boundary_values(k),
+                                      tol=tol, method=method)
+            except Exception as exc:
+                raise type(exc)(f"base solution {k}: {exc}") from exc
+            fields.append(fld.values)
+        stack = np.stack(fields)
     return BaseSolutionSet(basis=basis, fields=stack, solver_tol=tol, method=method)
-
-
-def tangential_d1(partition: BoundaryPartition) -> np.ndarray:
-    """First-difference operator along Γ, (m, m); cached on the partition
-    (see :attr:`BoundaryPartition.tangential_d1`)."""
-    return partition.tangential_d1
 
 
 def discrete_norms(values: np.ndarray, partition: BoundaryPartition,

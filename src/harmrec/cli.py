@@ -19,8 +19,15 @@ from .errors import SolverError, ValidationError
 from .pipeline import run_experiment, run_sweep, run_tau
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a validation error, not usage text."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="harmrec")
+    p = _Parser(prog="harmrec")
     sub = p.add_subparsers(dest="command", required=True)
     for name, desc in (
         ("run", "reconstruct once and emit the artifact bundle"),
@@ -33,8 +40,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--preset", help="named preset to start from")
         cmd.add_argument("--out", default="out", help="artifact directory")
         cmd.add_argument("--seed", type=int, help="override the config seed")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="threads for independent solves")
     return p
 
 
@@ -106,8 +111,7 @@ def _run_checks() -> int:
     data_1d = CauchyData(partition=None, points=np.zeros((1, 2)),
                          f=np.array([1.0]), g=np.array([0.0]))
     b = minimize(sys_1d, data_1d,
-                 TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha,
-                                reg_mode="diagonal"))
+                 TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha))
     check("scalar ridge solution is 1/(1+alpha)",
           abs(b[0] - 1.0 / (1.0 + alpha)) < 1e-12, f"b={b[0]:.15g}")
 
@@ -119,8 +123,8 @@ def _run_checks() -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.command == "check":
             return _run_checks()
         overrides = {}
@@ -129,11 +133,11 @@ def main(argv=None) -> int:
         cfg = resolve_config(preset=args.preset, config_path=args.config,
                              overrides=overrides)
         if args.command == "run":
-            run_experiment(cfg, out_dir=args.out, threads=args.threads)
+            run_experiment(cfg, out_dir=args.out)
         elif args.command == "tau":
             run_tau(cfg, out_dir=args.out)
         elif args.command == "sweep":
-            run_sweep(cfg, out_dir=args.out, threads=args.threads)
+            run_sweep(cfg, out_dir=args.out)
         return 0
     except ValidationError as exc:
         return _fail("validation", exc, 2)

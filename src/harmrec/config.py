@@ -112,7 +112,8 @@ class ExperimentConfig:
 
 
 def _check_sides(value, key):
-    if not isinstance(value, (list, tuple)) or not value:
+    if (not isinstance(value, (list, tuple)) or not value
+            or not all(isinstance(s, str) for s in value)):
         raise ValidationError(f"{key} must be a nonempty list of side names")
     bad = set(value) - set(SIDES)
     if bad:
@@ -159,6 +160,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ValidationError("arcs_per_side must be at least 1")
     if merged["exact"] not in ("exp_cos", "harmonic_poly", "constant"):
         raise ValidationError(f"unknown exact kind {merged['exact']!r}")
+    coeffs = merged["exact_coeffs"]
+    if not isinstance(coeffs, (list, tuple)) or not all(_is_number(c) for c in coeffs):
+        raise ValidationError("exact_coeffs must be a list of finite numbers")
     if merged["noise_level"] < 0:
         raise ValidationError("noise_level cannot be negative")
     if merged["noise_model"] not in ("uniform", "gaussian"):
@@ -189,7 +193,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not (isinstance(seeds, (list, tuple)) and seeds
             and all(_is_number(s, int) for s in seeds)):
         raise ValidationError("seeds must be a nonempty list of integers")
-    for sides in merged["tau_gamma_sets"]:
+    side_sets = merged["tau_gamma_sets"]
+    if not isinstance(side_sets, (list, tuple)) or not side_sets:
+        raise ValidationError("tau_gamma_sets must be a nonempty list of side lists")
+    for sides in side_sets:
         _check_sides(sides, "tau_gamma_sets entry")
         if len(set(sides)) == 4:
             raise ValidationError("tau_gamma_sets entry covering all sides is degenerate")

@@ -2,8 +2,7 @@
 
 Grid field CSV: header ``x,y,value``, one node per row, row-major by j then
 i, 17 significant digits.  Boundary data CSV: header ``x,y,f,g`` with a JSON
-sidecar holding noise metadata.  Matrix CSV: plain rows of values with a
-JSON sidecar ``{"rows": ..., "cols": ...}``.
+sidecar holding noise metadata.  Vector CSV: a header, then one value per row.
 
 All writers format floats with ``%.17g`` and emit strict JSON (no NaN or
 Infinity) with sorted keys, so identical inputs produce byte-identical files.
@@ -83,21 +82,6 @@ def write_cauchy_csv(path, data: CauchyData, sidecar_path=None) -> None:
             "model": data.noise_model,
             "realized_eps": data.realized_eps,
         })
-
-
-def read_cauchy_arrays(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, f, g) from a boundary-data CSV."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    raw = np.atleast_2d(raw)
-    return raw[:, :2], raw[:, 2], raw[:, 3]
-
-
-def write_matrix_csv(path, mat: np.ndarray, sidecar_path=None) -> None:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    lines = [",".join(_fmt(v) for v in row) for row in mat]
-    Path(path).write_text("\n".join(lines) + "\n")
-    if sidecar_path is not None:
-        dump_json(sidecar_path, {"rows": mat.shape[0], "cols": mat.shape[1]})
 
 
 def write_vector_csv(path, vec: np.ndarray, header: str = "b") -> None:

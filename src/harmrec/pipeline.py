@@ -46,18 +46,17 @@ def tik_config(cfg: ExperimentConfig) -> TikhonovConfig:
         alpha_rule=cfg["alpha_rule"],
         alpha_c=cfg["alpha_c"],
         alpha_fixed=cfg["alpha_fixed"],
-        reg_mode=cfg["reg_mode"],
         data_weights=(cfg["w_f"], cfg["w_g"]),
     )
 
 
-def build_state(cfg: ExperimentConfig, threads: int = 1) -> PipelineState:
+def build_state(cfg: ExperimentConfig) -> PipelineState:
     grid = build_grid(cfg.rect, cfg["h"])
     partition = boundary_partition(grid, cfg["gamma_sides"])
     basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"],
                         omega_rect=cfg.rect, arcs_per_side=cfg["arcs_per_side"])
     base_set = compute_base_solutions(basis, tol=cfg["solver_tol"],
-                                      method=cfg["solver"], threads=threads)
+                                      method=cfg["solver"])
     system = assemble_system(base_set, partition, reg_mode=cfg["reg_mode"],
                              norm_order=cfg["norm_order"])
     tau = compute_indicate(grid, partition, tol=cfg["solver_tol"],
@@ -78,10 +77,10 @@ def _reconstruct_for(state: PipelineState, level: float, seed: int) -> tuple[Cau
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None,
-                   threads: int = 1, state: PipelineState | None = None) -> dict:
+                   state: PipelineState | None = None) -> dict:
     """One reconstruction; writes the artifact bundle when out_dir is given."""
     if state is None:
-        state = build_state(cfg, threads=threads)
+        state = build_state(cfg)
     data, result = _reconstruct_for(state, cfg["noise_level"], cfg["seed"])
     exact = cfg.exact_solution()
     exact_field = sample_exact(exact, state.grid)
@@ -207,7 +206,7 @@ def run_tau(cfg: ExperimentConfig, out_dir=None) -> dict:
     return summary
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
+def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Noise-level/seed sweep reusing one assembled system.
 
     Probes are auto-selected to span the certified exponent band (see
@@ -221,7 +220,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> dict:
     seeds = list(cfg["seeds"])
     if len(levels) < 3:
         raise ValidationError("sweep needs at least 3 eps levels")
-    state = build_state(cfg, threads=threads)
+    state = build_state(cfg)
     g = state.grid
     t = state.tau.tau.values
 

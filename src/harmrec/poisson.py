@@ -1,16 +1,16 @@
 """Second-order 5-point Dirichlet solver and discrete normal derivatives.
 
 The solver treats the h²-scaled system (stencil weights 4 / -1), which is
-symmetric positive definite on the interior unknowns.  Two backends sit
+symmetric positive definite on the interior unknowns.  Two methods sit
 behind one contract:
 
 * ``method="direct"`` (default): exact solve in the type-I discrete sine
   basis, which diagonalises the operator on a rectangle (Buzbee, Golub and
   Nielson, SIAM J. Numer. Anal. 7, 1970).  :func:`solve_interior` takes a
   leading batch axis, so many right-hand sides cost one transform pair.
-* ``method="cg"``: matrix-free conjugate gradients, see
-  :mod:`harmrec.kernels`.  Residual tolerance is relative to the boundary
-  load (clamped at 1 from below).
+* ``method="cg"``: matrix-free conjugate gradients (:func:`cg_dirichlet`),
+  one right-hand side at a time.  Residual tolerance is relative to the
+  boundary load (clamped at 1 from below).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from scipy.fft import dstn
 
 from .errors import SolverError, ValidationError
 from .grid import BoundaryPartition, Grid2D
-from .kernels import cg_dirichlet, stencil_residual
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ class ScalarField:
                 f"field shape {v.shape} does not match grid shape {self.grid.shape}"
             )
         if not np.isfinite(v).all():
-            raise ValidationError("field contains non-finite values")
+            raise SolverError("field contains non-finite values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -85,9 +84,62 @@ def solve_interior(u: np.ndarray) -> None:
                               overwrite_x=True)
 
 
+def stencil_residual(values: np.ndarray) -> np.ndarray:
+    """Interior residual of the h²-scaled 5-point stencil, shape (ny-2, nx-2)."""
+    return (
+        4.0 * values[1:-1, 1:-1]
+        - values[1:-1, :-2]
+        - values[1:-1, 2:]
+        - values[:-2, 1:-1]
+        - values[2:, 1:-1]
+    )
+
+
+def cg_dirichlet(u: np.ndarray, tol: float, max_iter: int) -> tuple[int, float]:
+    """Run CG on the interior of ``u`` in place; the rim holds the data.
+
+    The system is the h²-scaled interior stencil
+    ``4*u[j,i] - u[j,i-1] - u[j,i+1] - u[j-1,i] - u[j+1,i] = 0``; ``u``
+    arrives with its interior zeroed.  Iteration stops once the l2 residual
+    drops below ``tol * max(1, |b|_inf)``, with ``b`` the initial residual
+    (the boundary-data load vector).  Returns (iterations, achieved l2
+    residual); the caller decides whether the residual is acceptable.
+    """
+    inner = (slice(1, -1), slice(1, -1))
+    r = np.zeros_like(u)
+    r[inner] = (
+        u[1:-1, :-2] + u[1:-1, 2:] + u[:-2, 1:-1] + u[2:, 1:-1] - 4.0 * u[inner]
+    )
+    stop = tol * max(1.0, np.abs(r).max())
+    rs = float(np.dot(r.ravel(), r.ravel()))
+    if np.sqrt(rs) <= stop:
+        return 0, np.sqrt(rs)
+    p = r.copy()
+    ap = np.zeros_like(u)
+    it = 0
+    while it < max_iter:
+        it += 1
+        ap[inner] = (
+            4.0 * p[inner] - p[1:-1, :-2] - p[1:-1, 2:] - p[:-2, 1:-1] - p[2:, 1:-1]
+        )
+        pap = float(np.dot(ap.ravel(), p.ravel()))
+        if pap <= 0.0:
+            break
+        alpha = rs / pap
+        u[inner] += alpha * p[inner]
+        r -= alpha * ap
+        rs_new = float(np.dot(r.ravel(), r.ravel()))
+        if np.sqrt(rs_new) <= stop:
+            return it, np.sqrt(rs_new)
+        p *= rs_new / rs
+        p += r
+        rs = rs_new
+    return it, np.sqrt(rs)
+
+
 def solve_dirichlet(grid: Grid2D, partition: BoundaryPartition,
                     boundary_values: np.ndarray, tol: float = 1e-10,
-                    method: str = "direct", backend: str | None = None) -> ScalarField:
+                    method: str = "direct") -> ScalarField:
     """Solve the discrete Laplace equation with the given Dirichlet data.
 
     Boundary nodes of the result carry the data exactly; interior nodes
@@ -107,7 +159,7 @@ def solve_dirichlet(grid: Grid2D, partition: BoundaryPartition,
         # Same load norm the kernel uses for its relative stopping rule.
         load_inf = float(np.abs(stencil_residual(u)).max())
         max_iter = 40 * max(grid.nx, grid.ny) + 200
-        iters, res = cg_dirichlet(u, tol, max_iter, backend=backend)
+        iters, res = cg_dirichlet(u, tol, max_iter)
         stop = tol * max(1.0, load_inf)
         if res > stop:
             raise SolverError(

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from harmrec import (ExpCos, Rect, ValidationError, assemble_system,
+from harmrec import (ExpCos, Rect, SolverError, ValidationError, assemble_system,
                      boundary_partition, build_basis, build_grid,
-                     compute_base_solutions, discrete_norms, tangential_d1)
+                     compute_base_solutions, discrete_norms)
 from harmrec.basis import BoundaryBasis
 from harmrec.grid import SIDES
 
@@ -72,10 +72,15 @@ def test_base_solutions_partition_of_unity_and_max_principle():
     assert base_set.fields.max() < 1.0 + 1e-11
 
 
-def test_threaded_solves_match_serial():
-    basis, base_set, _, _ = _small_setup(method="cg")
-    threaded = compute_base_solutions(basis, tol=1e-11, method="cg", threads=4)
-    assert np.array_equal(threaded.fields, base_set.fields)
+def test_cg_base_solutions_match_direct(monkeypatch):
+    import harmrec.poisson
+
+    basis, cg_set, _, _ = _small_setup(method="cg")
+    _, direct_set, _, _ = _small_setup()
+    assert np.abs(cg_set.fields - direct_set.fields).max() < 1e-9
+    monkeypatch.setattr(harmrec.poisson, "cg_dirichlet", lambda *a: (3, 1.0))
+    with pytest.raises(SolverError, match="base solution 0:"):
+        compute_base_solutions(basis, method="cg")
 
 
 def test_hat_stack_matches_sparse_reference_for_any_chunk(spsolve_dirichlet, monkeypatch):
@@ -178,7 +183,7 @@ def test_discrete_norms_g_channel():
 
 def test_tangential_d1_constant_and_linear():
     part = boundary_partition(build_grid(Rect(0, 0, 1, 1), 1 / 8), ["bottom"])
-    d1 = tangential_d1(part)
+    d1 = part.tangential_d1
     assert np.abs(d1 @ np.ones(part.m)).max() < 1e-13
     x = part.gamma_points[:, 0]
     assert np.abs(d1 @ x - 1.0).max() < 1e-12

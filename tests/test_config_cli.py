@@ -202,3 +202,42 @@ def test_cli_run_numerical_failure_leaves_no_artifacts(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "numerical"
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_overflow_is_numerical_exit_3(tmp_path, capsys, command):
+    # exp(800 x) overflows to a non-finite field: a numerical failure, not a
+    # validation one, although the config is valid
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exact_a": 800, "h": 0.125, "padding_layers": 1}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "numerical"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["run", "--threads", "2"], ["run", "--bogus"],
+                                  ["run", "--seed", "x"], ["frob"]])
+def test_cli_bad_flags_print_json_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err, parse_constant=pytest.fail)["error"]
+    assert error["type"] == "validation"
+
+
+@pytest.mark.parametrize("command", ["run", "tau", "sweep"])
+@pytest.mark.parametrize("text", [
+    '{"tau_gamma_sets": 5}',
+    '{"exact": "harmonic_poly", "exact_coeffs": "ab"}',
+    '{"exact": "harmonic_poly", "exact_coeffs": [0, 1e400]}',
+    '{"gamma_sides": ["bottom", [1]]}',
+])
+def test_cli_bad_list_keys_exit_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+    assert not out.exists()

@@ -1,9 +1,9 @@
 """Regression lock on the reference reconstruction.
 
 The golden field was produced by the one-side reference preset on the
-default ``direct`` solver, whose base solutions are exact (DST-I) and so do
-not depend on numba or ``HARMREC_NO_NUMBA``.  Regenerate after an
-intentional numerical change with
+default ``direct`` solver, whose base solutions are exact (DST-I), so it
+locks the discrete reconstruction rather than an iterative solver's
+leftover error.  Regenerate after an intentional numerical change with
 
     python -c "
     from harmrec import resolve_config, io

@@ -36,21 +36,12 @@ def test_cauchy_csv_and_sidecar(tmp_path):
     part = boundary_partition(build_grid(Rect(0, 0, 1, 1), 0.25), ["bottom"])
     data = trace_cauchy(Constant(1.0), part)
     hio.write_cauchy_csv(tmp_path / "d.csv", data, tmp_path / "d.json")
-    pts, f, g = hio.read_cauchy_arrays(tmp_path / "d.csv")
-    assert np.array_equal(pts, data.points)
-    assert np.array_equal(f, data.f)
+    raw = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(raw[:, :2], data.points)
+    assert np.array_equal(raw[:, 2], data.f)
     meta = json.loads((tmp_path / "d.json").read_text())
     assert meta == {"noise_level": 0.0, "seed": 0, "model": "uniform",
                     "realized_eps": 0.0}
-
-
-def test_matrix_csv_with_sidecar(tmp_path):
-    m = np.arange(6.0).reshape(2, 3)
-    hio.write_matrix_csv(tmp_path / "m.csv", m, tmp_path / "m.json")
-    meta = json.loads((tmp_path / "m.json").read_text())
-    assert meta == {"rows": 2, "cols": 3}
-    rows = (tmp_path / "m.csv").read_text().strip().splitlines()
-    assert len(rows) == 2 and rows[0].split(",")[2] == "2"
 
 
 def test_vector_csv(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from harmrec import (HarmonicPoly, Rect, SolverError, ValidationError,
                      boundary_partition, build_grid, laplacian_residual,
                      normal_derivative, sample_exact, solve_dirichlet)
-from harmrec.poisson import ScalarField, solve_interior
+from harmrec.poisson import ScalarField, cg_dirichlet, solve_interior
 
 
 def boundary_values(fld, part):
@@ -165,6 +165,16 @@ def test_mirror_symmetric_data_gives_mirror_symmetric_field():
     assert np.abs(sol - sol[:, ::-1]).max() < 1e-10
 
 
+def test_cg_reports_iterations_and_residual():
+    xg, yg = build_grid(Rect(0, 0, 1, 1), 1 / 16).meshgrid()
+    u = np.exp(xg) * np.sin(yg)
+    u[1:-1, 1:-1] = 0.0  # rim holds the data
+    iters, res = cg_dirichlet(u.copy(), 1e-10, max_iter=2)
+    assert iters == 2 and res > 1e-10
+    iters, res = cg_dirichlet(u.copy(), 1e-10, max_iter=5000)
+    assert res <= 1e-10 * max(1.0, np.abs(u).max()) * 3
+
+
 def test_nonconvergence_raises_with_residual(monkeypatch):
     import harmrec.poisson as poisson
 
@@ -180,5 +190,5 @@ def test_field_validation():
     g = build_grid(Rect(0, 0, 1, 1), 0.5)
     with pytest.raises(ValidationError):
         ScalarField(grid=g, values=np.zeros((2, 2)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(SolverError):
         ScalarField(grid=g, values=np.full(g.shape, np.nan))

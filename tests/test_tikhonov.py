@@ -54,15 +54,13 @@ def _scalar_data(f, g):
 
 def test_scalar_ridge_closed_form():
     for alpha in (1e-3, 1e-1, 1.0):
-        cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha,
-                             reg_mode="diagonal")
+        cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
         b = minimize(_scalar_system(), _scalar_data(1.0, 0.0), cfg)
         assert abs(b[0] - 1.0 / (1.0 + alpha)) < 1e-12
 
 
 def test_zero_data_gives_zero_coefficients():
-    cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-4,
-                         reg_mode="diagonal")
+    cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-4)
     b = minimize(_scalar_system(), _scalar_data(0.0, 0.0), cfg)
     assert abs(b[0]) < 1e-12
 
