@@ -24,8 +24,7 @@ from .measure import (IndicateField, LevelContour, annulus_tau,
                       compute_indicate, rectangle_series_tau, reliable_region,
                       two_constants_bound)
 from .pipeline import build_state, run_experiment, run_sweep, run_tau
-from .poisson import (ScalarField, laplacian_residual, normal_derivative,
-                      solve_dirichlet)
+from .poisson import ScalarField, laplacian_residual, solve_dirichlet
 from .rng import Xorshift64Star
 from .tikhonov import (ReconstructionResult, TikhonovConfig, minimize,
                        reconstruct, reconstruct_field, select_alpha)

@@ -98,8 +98,6 @@ class BaseSolutionSet:
 
     basis: BoundaryBasis
     fields: np.ndarray = field(repr=False)
-    solver_tol: float = 1e-10
-    method: str = "direct"
 
     def __post_init__(self):
         self.fields.setflags(write=False)
@@ -136,7 +134,7 @@ def compute_base_solutions(basis: BoundaryBasis, tol: float = 1e-10,
                 raise type(exc)(f"base solution {k}: {exc}") from exc
             fields.append(fld.values)
         stack = np.stack(fields)
-    return BaseSolutionSet(basis=basis, fields=stack, solver_tol=tol, method=method)
+    return BaseSolutionSet(basis=basis, fields=stack)
 
 
 def discrete_norms(values: np.ndarray, partition: BoundaryPartition,

@@ -16,47 +16,87 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .forward import Constant, ExactSolution, ExpCos, HarmonicPoly
-from .grid import SIDES, Rect
+from .grid import SIDES, Rect, build_grid
 
-DEFAULTS: dict = {
-    "x0": 0.0,
-    "y0": 0.0,
-    "x1": 1.0,
-    "y1": 1.0,
-    "h": 1.0 / 64.0,
-    "gamma_sides": ["bottom"],
-    "padding_layers": 4,
-    "basis_kind": "hat",
-    "arcs_per_side": 1,
-    "exact": "exp_cos",
-    "exact_a": 4.0,
-    "exact_shift": 0.2,
-    "exact_value": 1.0,
-    "exact_coeffs": [0.0, 0.0, 1.0],
-    "noise_level": 0.01,
-    "noise_model": "uniform",
-    "seed": 1,
-    "alpha_rule": "a_priori",
-    "alpha_c": 1.0,
-    "alpha_fixed": 1e-6,
-    "reg_mode": "gram",
-    "w_f": 1.0,
-    "w_g": 1.0,
-    "norm_order": 2,
-    "solver": "direct",
-    "solver_tol": 1e-10,
-    "threshold": 0.5,
-    "tau0": 0.49,
-    "exclusion_band": 3,
-    "eps_levels": [1e-1, 1e-2, 1e-3],
-    "seeds": [1, 2, 3],
-    "tau_gamma_sets": [
-        ["bottom"],
-        ["bottom", "top"],
-        ["bottom", "left"],
-        ["bottom", "top", "left"],
-    ],
+
+def _finite(value, kind=(int, float)) -> bool:
+    """A number of ``kind`` (never a bool) whose float value is finite."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _number(what: str, test=lambda v: True, kind=(int, float)):
+    return what, lambda v: _finite(v, kind) and test(v)
+
+
+def _one_of(*choices):
+    return f"one of {list(choices)}", lambda v: v in choices
+
+
+def _list_of(test, nonempty: bool = False):
+    return lambda v: (isinstance(v, (list, tuple)) and (bool(v) or not nonempty)
+                      and all(test(x) for x in v))
+
+
+def _side_list(value) -> bool:
+    """Distinct known side names, at least one and not all four."""
+    return (_list_of(lambda s: isinstance(s, str) and s in SIDES)(value)
+            and 0 < len(set(value)) == len(value) < len(SIDES))
+
+
+_SIDE_LIST = ("a nonempty list of distinct side names, not all four", _side_list)
+_NUMBER = _number("a finite number")
+_NONNEGATIVE = _number("a nonnegative number", lambda v: v >= 0)
+_POSITIVE_INT = _number("a positive integer", lambda v: v >= 1, int)
+
+# key -> (default, (what the value must be, test)).  The rules joining several
+# keys (rectangle and spacing, alpha_fixed, w_f/w_g) are in validate_config.
+_KEYS: dict = {
+    "x0": (0.0, _NUMBER),
+    "y0": (0.0, _NUMBER),
+    "x1": (1.0, _NUMBER),
+    "y1": (1.0, _NUMBER),
+    "h": (1.0 / 64.0, _NUMBER),
+    "gamma_sides": (["bottom"], _SIDE_LIST),
+    "padding_layers": (4, _POSITIVE_INT),
+    "basis_kind": ("hat", _one_of("hat", "indicator")),
+    "arcs_per_side": (1, _POSITIVE_INT),
+    "exact": ("exp_cos", _one_of("exp_cos", "harmonic_poly", "constant")),
+    "exact_a": (4.0, _NUMBER),
+    "exact_shift": (0.2, _NUMBER),
+    "exact_value": (1.0, _NUMBER),
+    "exact_coeffs": ([0.0, 0.0, 1.0], ("a list of finite numbers", _list_of(_finite))),
+    "noise_level": (0.01, _NONNEGATIVE),
+    "noise_model": ("uniform", _one_of("uniform", "gaussian")),
+    "seed": (1, _number("an integer", kind=int)),
+    "alpha_rule": ("a_priori", _one_of("a_priori", "fixed")),
+    "alpha_c": (1.0, _NUMBER),
+    "alpha_fixed": (1e-6, _NUMBER),
+    "reg_mode": ("gram", _one_of("gram", "diagonal")),
+    "w_f": (1.0, _NONNEGATIVE),
+    "w_g": (1.0, _NONNEGATIVE),
+    "norm_order": (2, _number("1 or 2", lambda v: v in (1, 2), int)),
+    "solver": ("direct", _one_of("cg", "direct")),
+    "solver_tol": (1e-10, _number("a positive number", lambda v: v > 0)),
+    "threshold": (0.5, _number("a number in (0, 1]", lambda v: 0 < v <= 1)),
+    "tau0": (0.49, _number("a number in (0, 1)", lambda v: 0 < v < 1)),
+    "eps_levels": ([1e-1, 1e-2, 1e-3], ("a list of positive numbers",
+                                        _list_of(lambda e: _finite(e) and e > 0))),
+    "seeds": ([1, 2, 3], ("a nonempty list of integers",
+                          _list_of(lambda s: _finite(s, int), nonempty=True))),
+    "tau_gamma_sets": (
+        [["bottom"], ["bottom", "top"], ["bottom", "left"], ["bottom", "top", "left"]],
+        (f"a nonempty list of side lists, each {_SIDE_LIST[0]}",
+         _list_of(_side_list, nonempty=True)),
+    ),
 }
+
+DEFAULTS: dict = {key: default for key, (default, _) in _KEYS.items()}
+
 
 # Reference experiment presets: unit square, exp_cos(4, 0.2) truth, 1% noise,
 # h = 1/64, one padding layer so the enlarged boundary carries 264 hats.
@@ -111,96 +151,24 @@ class ExperimentConfig:
         raise ValidationError(f"unknown exact solution kind {kind!r}")
 
 
-def _check_sides(value, key):
-    if (not isinstance(value, (list, tuple)) or not value
-            or not all(isinstance(s, str) for s in value)):
-        raise ValidationError(f"{key} must be a nonempty list of side names")
-    bad = set(value) - set(SIDES)
-    if bad:
-        raise ValidationError(f"{key} contains unknown side name(s): {sorted(bad)}")
-    if len(set(value)) != len(value):
-        raise ValidationError(f"{key} repeats a side")
-
-
-def _is_number(value, kind=(int, float)) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def validate_config(raw: dict) -> ExperimentConfig:
-    unknown = set(raw) - set(DEFAULTS)
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ValidationError(f"unknown config key(s): {sorted(unknown)}")
     merged = {**DEFAULTS, **raw}
-    for key, default in DEFAULTS.items():
-        kind = int if isinstance(default, int) else (int, float)
-        if isinstance(default, (int, float)) and not _is_number(merged[key], kind):
-            what = "an integer" if kind is int else "a finite number"
+    for key, (_, (what, test)) in _KEYS.items():
+        if not test(merged[key]):
             raise ValidationError(f"{key} must be {what}, got {merged[key]!r}")
-
-    if not (merged["x0"] < merged["x1"] and merged["y0"] < merged["y1"]):
-        raise ValidationError("domain rectangle is degenerate")
-    if merged["h"] <= 0:
-        raise ValidationError("h must be positive")
-    for axis, length in (("x", merged["x1"] - merged["x0"]),
-                         ("y", merged["y1"] - merged["y0"])):
-        n = length / merged["h"]
-        if abs(n - round(n)) > 1e-9 * max(1.0, n) or round(n) < 2:
-            raise ValidationError(
-                f"h={merged['h']} must divide the {axis}-extent {length} "
-                "into at least 2 intervals"
-            )
-    _check_sides(merged["gamma_sides"], "gamma_sides")
-    if len(set(merged["gamma_sides"])) == 4:
-        raise ValidationError("gamma_sides covering all four sides is degenerate")
-    if merged["padding_layers"] < 1:
-        raise ValidationError("padding_layers must be a positive integer")
-    if merged["basis_kind"] not in ("hat", "indicator"):
-        raise ValidationError(f"unknown basis_kind {merged['basis_kind']!r}")
-    if merged["arcs_per_side"] < 1:
-        raise ValidationError("arcs_per_side must be at least 1")
-    if merged["exact"] not in ("exp_cos", "harmonic_poly", "constant"):
-        raise ValidationError(f"unknown exact kind {merged['exact']!r}")
-    coeffs = merged["exact_coeffs"]
-    if not isinstance(coeffs, (list, tuple)) or not all(_is_number(c) for c in coeffs):
-        raise ValidationError("exact_coeffs must be a list of finite numbers")
-    if merged["noise_level"] < 0:
-        raise ValidationError("noise_level cannot be negative")
-    if merged["noise_model"] not in ("uniform", "gaussian"):
-        raise ValidationError(f"unknown noise_model {merged['noise_model']!r}")
-    if merged["alpha_rule"] not in ("a_priori", "fixed"):
-        raise ValidationError(f"unknown alpha_rule {merged['alpha_rule']!r}")
+    cfg = ExperimentConfig(raw=merged)
+    grid = build_grid(cfg.rect, merged["h"])
+    if min(grid.nx, grid.ny) < 3:
+        raise ValidationError(
+            f"h={merged['h']} must divide each extent into at least 2 intervals")
     if merged["alpha_rule"] == "fixed" and merged["alpha_fixed"] <= 0:
         raise ValidationError("alpha_rule 'fixed' needs a positive alpha_fixed")
-    if merged["reg_mode"] not in ("gram", "diagonal"):
-        raise ValidationError(f"unknown reg_mode {merged['reg_mode']!r}")
-    if merged["w_f"] < 0 or merged["w_g"] < 0 or (merged["w_f"] == 0 and merged["w_g"] == 0):
-        raise ValidationError("w_f/w_g must be nonnegative and not both zero")
-    if merged["norm_order"] not in (1, 2):
-        raise ValidationError("norm_order must be 1 or 2")
-    if merged["solver"] not in ("cg", "direct"):
-        raise ValidationError(f"unknown solver {merged['solver']!r}")
-    if merged["solver_tol"] <= 0:
-        raise ValidationError("solver_tol must be positive")
-    if not (0.0 < merged["threshold"] <= 1.0):
-        raise ValidationError("threshold must lie in (0, 1]")
-    if not (0.0 < merged["tau0"] < 1.0):
-        raise ValidationError("tau0 must lie in (0, 1)")
-    if merged["exclusion_band"] < 0:
-        raise ValidationError("exclusion_band cannot be negative")
-    levels, seeds = merged["eps_levels"], merged["seeds"]
-    if not isinstance(levels, (list, tuple)) or not all(_is_number(e) and e > 0 for e in levels):
-        raise ValidationError("eps_levels must be a list of positive numbers")
-    if not (isinstance(seeds, (list, tuple)) and seeds
-            and all(_is_number(s, int) for s in seeds)):
-        raise ValidationError("seeds must be a nonempty list of integers")
-    side_sets = merged["tau_gamma_sets"]
-    if not isinstance(side_sets, (list, tuple)) or not side_sets:
-        raise ValidationError("tau_gamma_sets must be a nonempty list of side lists")
-    for sides in side_sets:
-        _check_sides(sides, "tau_gamma_sets entry")
-        if len(set(sides)) == 4:
-            raise ValidationError("tau_gamma_sets entry covering all sides is degenerate")
-    return ExperimentConfig(raw=merged)
+    if merged["w_f"] == 0 and merged["w_g"] == 0:
+        raise ValidationError("w_f and w_g must not both be zero")
+    return cfg
 
 
 def resolve_config(preset: str | None = None, config_path=None,

@@ -16,6 +16,7 @@ once in that sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -57,10 +58,6 @@ class Rect:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    @property
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
-
     def strictly_contains(self, other: "Rect") -> bool:
         return (
             self.x0 < other.x0
@@ -75,7 +72,7 @@ class Rect:
 
 def _divisions(length: float, h: float, axis: str) -> int:
     n_real = length / h
-    n = int(round(n_real))
+    n = int(round(n_real)) if math.isfinite(n_real) else 0
     if n < 1 or abs(n_real - n) > 1e-9 * max(1.0, abs(n_real)):
         raise ValidationError(
             f"spacing h={h} does not divide the {axis}-extent {length} "
@@ -99,19 +96,12 @@ class Grid2D:
         return (self.ny, self.nx)
 
     @property
-    def n_nodes(self) -> int:
-        return self.nx * self.ny
-
-    @property
     def xs(self) -> np.ndarray:
         return self.rect.x0 + self.h * np.arange(self.nx)
 
     @property
     def ys(self) -> np.ndarray:
         return self.rect.y0 + self.h * np.arange(self.ny)
-
-    def node_xy(self, i: int, j: int) -> tuple[float, float]:
-        return (self.rect.x0 + i * self.h, self.rect.y0 + j * self.h)
 
     def nearest_node(self, x: float, y: float) -> tuple[int, int]:
         i = int(round((x - self.rect.x0) / self.h))

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import SolverError
 from .forward import CauchyData
-from .grid import Grid2D
 from .poisson import ScalarField
 
 
@@ -62,12 +61,6 @@ def field_csv_text(fld: ScalarField) -> str:
 
 def write_field_csv(path, fld: ScalarField) -> None:
     Path(path).write_text(field_csv_text(fld))
-
-
-def read_field_csv(path, grid: Grid2D) -> ScalarField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    values = data[:, 2].reshape(grid.ny, grid.nx)
-    return ScalarField(grid=grid, values=values)
 
 
 def write_cauchy_csv(path, data: CauchyData, sidecar_path=None) -> None:

@@ -28,18 +28,17 @@ from .grid import SIDES, BoundaryPartition, Grid2D
 from .poisson import ScalarField, solve_dirichlet
 
 
+# Node layers around each Γ endpoint skipped when comparing against the series
+# oracle: the boundary data jump there and pointwise accuracy degrades.
+ORACLE_EXCLUSION_BAND = 3
+
+
 @dataclass(frozen=True)
 class IndicateField:
-    """Exponent field tau on a grid, with the Γ partition it certifies.
-
-    exclusion_band: number of node layers around each Γ endpoint that are
-    skipped when comparing against the series oracle; the boundary data are
-    discontinuous at the endpoints and pointwise accuracy degrades there.
-    """
+    """Exponent field tau on a grid, with the Γ partition it certifies."""
 
     tau: ScalarField
     gamma: BoundaryPartition
-    exclusion_band: int = 3
 
     @property
     def grid(self) -> Grid2D:
@@ -62,7 +61,7 @@ class IndicateField:
         return np.array(pts) if pts else np.empty((0, 2))
 
     def oracle_comparison_mask(self) -> np.ndarray:
-        """Interior nodes at distance >= exclusion_band*h from every Γ endpoint."""
+        """Interior nodes at least ORACLE_EXCLUSION_BAND*h from every Γ endpoint."""
         g = self.grid
         mask = np.zeros(g.shape, dtype=bool)
         mask[1:-1, 1:-1] = True
@@ -74,7 +73,7 @@ class IndicateField:
                 + (yg[..., None] - endpoints[:, 1]) ** 2,
                 axis=-1,
             )
-            mask &= dist2 >= (self.exclusion_band * g.h) ** 2
+            mask &= dist2 >= (ORACLE_EXCLUSION_BAND * g.h) ** 2
         return mask
 
 
@@ -90,8 +89,7 @@ class LevelContour:
 
 
 def compute_indicate(grid: Grid2D, partition: BoundaryPartition,
-                     tol: float = 1e-10, method: str = "direct",
-                     exclusion_band: int = 3) -> IndicateField:
+                     tol: float = 1e-10, method: str = "direct") -> IndicateField:
     """Solve for the exponent field of the partition's Γ."""
     if partition.m == 0:
         raise ValidationError("Γ must be nonempty")
@@ -103,7 +101,7 @@ def compute_indicate(grid: Grid2D, partition: BoundaryPartition,
     bv = partition.gamma_mask.astype(float)
     fld = solve_dirichlet(grid, partition, bv, tol=tol, method=method)
     _check_indicate(fld, partition, tol)
-    return IndicateField(tau=fld, gamma=partition, exclusion_band=exclusion_band)
+    return IndicateField(tau=fld, gamma=partition)
 
 
 def _check_indicate(fld: ScalarField, partition: BoundaryPartition, tol: float):

@@ -60,8 +60,7 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
     system = assemble_system(base_set, partition, reg_mode=cfg["reg_mode"],
                              norm_order=cfg["norm_order"])
     tau = compute_indicate(grid, partition, tol=cfg["solver_tol"],
-                           method=cfg["solver"],
-                           exclusion_band=cfg["exclusion_band"])
+                           method=cfg["solver"])
     clean = trace_cauchy(cfg.exact_solution(), partition)
     return PipelineState(cfg=cfg, grid=grid, partition=partition,
                          base_set=base_set, system=system, tau=tau,
@@ -181,8 +180,7 @@ def run_tau(cfg: ExperimentConfig, out_dir=None) -> dict:
     for sides in cfg["tau_gamma_sets"]:
         partition = boundary_partition(grid, sides)
         ind = compute_indicate(grid, partition, tol=cfg["solver_tol"],
-                               method=cfg["solver"],
-                               exclusion_band=cfg["exclusion_band"])
+                               method=cfg["solver"])
         _, contour = reliable_region(ind, cfg["threshold"])
         tag = "-".join(sorted(sides))
         panel = {

@@ -179,37 +179,15 @@ def laplacian_residual(fld: ScalarField) -> float:
     return float(np.abs(stencil_residual(fld.values)).max())
 
 
-_STEPS = {"bottom": (0, 1), "top": (0, -1), "left": (1, 0), "right": (-1, 0)}
-
-
 def normal_stencil(partition: BoundaryPartition, order: int):
     """One-sided outward normal difference at every Γ node: (m, order + 1)
     column and row indices stepping into the domain, and their weights."""
     h = partition.grid.h
-    sides, _ = partition.gamma_normals()
-    step = np.array([_STEPS[s] for s in sides], dtype=np.int64).reshape(-1, 2)
+    _, normals = partition.gamma_normals()
+    step = -normals.reshape(-1, 2).astype(np.int64)  # inward, one node
     p = np.arange(order + 1)
     ii = partition.gamma_nodes[:, :1] + p * step[:, :1]
     jj = partition.gamma_nodes[:, 1:] + p * step[:, 1:]
     if order == 1:
         return ii, jj, np.array([1.0, -1.0]) / h
     return ii, jj, np.array([3.0, -4.0, 1.0]) / (2 * h)
-
-
-def normal_derivative(fld: ScalarField, partition: BoundaryPartition,
-                      order: int = 2) -> np.ndarray:
-    """Outward normal derivative at every Γ node, one-sided into the domain.
-
-    order 1: two-point difference, O(h); order 2: three-point difference,
-    O(h²).  At a corner the normal follows the side that put the node into Γ
-    (vertical sides win ties, see BoundaryPartition.gamma_normals).
-    """
-    if order not in (1, 2):
-        raise ValidationError(f"difference order must be 1 or 2, got {order}")
-    grid = fld.grid
-    if partition.grid != grid:
-        raise ValidationError("field and partition live on different grids")
-    if grid.nx < order + 1 or grid.ny < order + 1:
-        raise ValidationError(f"grid too small for an order-{order} one-sided stencil")
-    ii, jj, coeffs = normal_stencil(partition, order)
-    return fld.values[jj, ii] @ coeffs

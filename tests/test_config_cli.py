@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,15 @@ FAST = {
 def test_defaults_validate():
     cfg = validate_config({})
     assert cfg.to_dict() == DEFAULTS
+
+
+def test_readme_config_table_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n\n")[1]
+    keys = set()
+    for row in table.splitlines()[2:]:
+        keys.update(k.strip(" `") for k in row.split("|")[1].split(","))
+    assert keys == set(DEFAULTS)
 
 
 def test_unknown_keys_rejected():
@@ -233,6 +243,8 @@ def test_cli_bad_flags_print_json_error(capsys, argv):
     '{"exact": "harmonic_poly", "exact_coeffs": "ab"}',
     '{"exact": "harmonic_poly", "exact_coeffs": [0, 1e400]}',
     '{"gamma_sides": ["bottom", [1]]}',
+    '{"x1": 1e308}',
+    '{"x0": -1e308, "x1": 1e308}',
 ])
 def test_cli_bad_list_keys_exit_2(tmp_path, capsys, command, text):
     cfg = tmp_path / "cfg.json"

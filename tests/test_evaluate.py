@@ -103,7 +103,7 @@ def test_reliability_summary_split(tau16):
     assert stats.inside_max < stats.outside_max
     assert stats.inside_median < stats.outside_median
     assert stats.median_ratio < 1.0
-    assert stats.inside_count + stats.outside_count == g.n_nodes
+    assert stats.inside_count + stats.outside_count == g.nx * g.ny
 
 
 def test_reliability_summary_empty_outside(tau16):

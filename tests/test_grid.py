@@ -23,13 +23,14 @@ def test_build_grid_rejects_nondivisible_spacing():
         build_grid(Rect(0, 0, 1, 1), 0.3)
     with pytest.raises(ValidationError, match="y"):
         build_grid(Rect(0, 0, 1, 0.5), 0.2)  # 0.2 divides x-extent 1, not 0.5
+    with pytest.raises(ValidationError, match="x"):
+        build_grid(Rect(0, 0, 1e308, 1), 1 / 64)  # 1e308 / h overflows to inf
 
 
 def test_node_coordinate_roundtrip():
     g = build_grid(Rect(-0.25, 0.5, 1.75, 1.5), 0.125)
-    for j in range(g.ny):
-        for i in range(g.nx):
-            x, y = g.node_xy(i, j)
+    for j, y in enumerate(g.ys):
+        for i, x in enumerate(g.xs):
             assert g.nearest_node(x, y) == (i, j)
 
 
