@@ -54,13 +54,14 @@ _NONNEGATIVE = _number("a nonnegative number", lambda v: v >= 0)
 _POSITIVE_INT = _number("a positive integer", lambda v: v >= 1, int)
 
 # key -> (default, (what the value must be, test)).  The rules joining several
-# keys (rectangle and spacing, alpha_fixed, w_f/w_g) are in validate_config.
+# keys (rectangle, spacing and stack size, alpha_fixed, w_f/w_g) are in
+# validate_config.
 _KEYS: dict = {
     "x0": (0.0, _NUMBER),
     "y0": (0.0, _NUMBER),
     "x1": (1.0, _NUMBER),
     "y1": (1.0, _NUMBER),
-    "h": (1.0 / 64.0, _NUMBER),
+    "h": (1.0 / 64.0, _number("a positive number", lambda v: v > 0)),
     "gamma_sides": (["bottom"], _SIDE_LIST),
     "padding_layers": (4, _POSITIVE_INT),
     "basis_kind": ("hat", _one_of("hat", "indicator")),
@@ -96,6 +97,22 @@ _KEYS: dict = {
 }
 
 DEFAULTS: dict = {key: default for key, (default, _) in _KEYS.items()}
+
+# Largest dense base-solution stack (n_basis x enlarged-grid nodes x 8 B) a
+# config may ask for.  The presets need about 0.55 GB at h = 1/256.
+MAX_STACK_BYTES = 4e9
+
+
+def _stack_bytes(r: dict) -> float:
+    """Size of the base-solution stack from the keys alone, exact for hats
+    and an upper bound for indicators; a float, so no extent overflows."""
+    pad = 2 * r["padding_layers"] + 1
+    nx = (r["x1"] - r["x0"]) / r["h"] + pad
+    ny = (r["y1"] - r["y0"]) / r["h"] + pad
+    n_basis = 2 * (nx + ny) - 4
+    if r["basis_kind"] == "indicator":
+        n_basis = min(n_basis, 4 * r["arcs_per_side"])
+    return 8.0 * n_basis * nx * ny
 
 
 # Reference experiment presets: unit square, exp_cos(4, 0.2) truth, 1% noise,
@@ -160,7 +177,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if not test(merged[key]):
             raise ValidationError(f"{key} must be {what}, got {merged[key]!r}")
     cfg = ExperimentConfig(raw=merged)
-    grid = build_grid(cfg.rect, merged["h"])
+    rect = cfg.rect  # a degenerate rectangle is reported before its size
+    size = _stack_bytes(merged)
+    if size > MAX_STACK_BYTES:
+        raise ValidationError(
+            f"the base-solution stack would need {size / 1e9:.3g} GB (n_basis x "
+            f"enlarged-grid nodes x 8 B), over the {MAX_STACK_BYTES / 1e9:g} GB limit")
+    grid = build_grid(rect, merged["h"])
     if min(grid.nx, grid.ny) < 3:
         raise ValidationError(
             f"h={merged['h']} must divide each extent into at least 2 intervals")

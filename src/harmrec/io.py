@@ -51,11 +51,11 @@ def dump_json(path, obj) -> None:
 
 def field_csv_text(fld: ScalarField) -> str:
     g = fld.grid
-    xs, ys = g.xs, g.ys
+    xs = [_fmt(x) + "," for x in g.xs.tolist()]
     lines = ["x,y,value"]
-    for j in range(g.ny):
-        for i in range(g.nx):
-            lines.append(f"{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(fld.values[j, i])}")
+    for y, row in zip(g.ys.tolist(), fld.values.tolist()):
+        y_col = _fmt(y) + ","
+        lines.extend(f"{x}{y_col}{v:.17g}" for x, v in zip(xs, row))
     return "\n".join(lines) + "\n"
 
 

@@ -63,7 +63,6 @@ class TikhonovConfig:
     alpha_rule: str = "a_priori"
     alpha_c: float = 1.0
     alpha_fixed: float | None = None
-    reg_mode: str = "gram"  # unread: the fit follows DiscreteSystem.reg_mode
     data_weights: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):

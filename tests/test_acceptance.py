@@ -108,8 +108,7 @@ def test_criterion_5_ridge_closed_form():
                            C=np.array([1.0]), sigma=np.array([1.0]),
                            D1=np.array([[0.0]]), reg_mode="diagonal", h=1.0)
     alpha = 1e-3
-    cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha,
-                         reg_mode="diagonal")
+    cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
     b1 = minimize(sys1d, CauchyData(partition=None, points=np.zeros((1, 2)),
                                     f=np.array([1.0]), g=np.array([0.0])), cfg)
     b0 = minimize(sys1d, CauchyData(partition=None, points=np.zeros((1, 2)),

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from harmrec import DEFAULTS, PRESETS, ValidationError, resolve_config, validate_config
+from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.cli import main
+from harmrec.config import MAX_STACK_BYTES, _stack_bytes
 
 FAST = {
     "h": 1 / 8,
@@ -253,3 +255,41 @@ def test_cli_bad_list_keys_exit_2(tmp_path, capsys, command, text):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "tau", "sweep"])
+@pytest.mark.parametrize("x1", [1e300, 64.0])
+def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, x1):
+    # x1 = 64 builds a 4105 x 73 enlarged grid whose stack needs about 20 GB
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x1": x1}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err, parse_constant=pytest.fail)["error"]
+    assert error["type"] == "validation" and "GB limit" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_presets_validate_at_h_256(preset):
+    cfg = resolve_config(preset=preset, overrides={"h": 1 / 256})
+    assert 0.5e9 < _stack_bytes(cfg.raw) < 0.6e9 < MAX_STACK_BYTES
+
+
+@pytest.mark.parametrize("extra", [
+    {"h": 0.25},
+    {"h": 0.125, "x1": 1.5, "y0": -0.25, "padding_layers": 2},
+    {"h": 0.125, "basis_kind": "indicator", "arcs_per_side": 3},
+    {"h": 0.25, "basis_kind": "indicator", "arcs_per_side": 100},
+])
+def test_stack_size_estimate_bounds_the_stack(extra):
+    cfg = validate_config(extra)
+    basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"],
+                        omega_rect=cfg.rect, arcs_per_side=cfg["arcs_per_side"])
+    nbytes = compute_base_solutions(basis).fields.nbytes
+    if cfg["basis_kind"] == "hat":
+        assert _stack_bytes(cfg.raw) == pytest.approx(nbytes, rel=1e-12)
+    else:
+        assert nbytes <= _stack_bytes(cfg.raw)

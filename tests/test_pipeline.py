@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from harmrec import validate_config
-from harmrec.evaluate import envelope_check, pointwise_error
+from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
 from harmrec.forward import add_noise
 from harmrec.pipeline import (_reconstruct_for, build_state, run_experiment,
-                              run_tau)
+                              run_sweep, run_tau, tik_config)
+from harmrec.tikhonov import reconstruct
 
 FAST = {
     "h": 1 / 16,
@@ -81,3 +82,28 @@ def test_alpha_follows_noise_level(fast_state):
     a_big = tc.resolve_alpha(data_big.noise_level, fast_state.system.h)
     a_small = tc.resolve_alpha(data_small.noise_level, fast_state.system.h)
     assert a_big > a_small > 0
+
+
+def test_sweep_matches_per_seed_envelope_reports():
+    # the sweep's array evaluation against one pointwise_error and
+    # envelope_check per (level, seed); eps 2.0 has no envelope
+    seeds = [1, 2, 3]
+    cfg = validate_config({**FAST, "eps_levels": [0.1, 0.01, 0.001, 2.0],
+                           "seeds": seeds})
+    sweep = run_sweep(cfg)
+    state = build_state(cfg)
+    nodes = auto_probe_nodes(state.tau)
+    c_fits = []
+    for lv in cfg["eps_levels"]:
+        datas = [add_noise(state.clean_data, lv, s, cfg["noise_model"]) for s in seeds]
+        results = reconstruct(state.system, datas, tik_config(cfg),
+                              state.base_set, state.grid)
+        mean = np.zeros(len(nodes))
+        for seed, r in zip(seeds, results):
+            err = pointwise_error(r.u_star, cfg.exact_solution())
+            mean += np.array([err.values[j, i] for i, j in nodes]) / len(seeds)
+            if 0 < lv < 1:
+                c_fits.append({"eps": lv, "seed": seed,
+                               "c_fit": envelope_check(err, state.tau, lv).c_fit})
+    assert sweep["envelope_c_fits"] == c_fits
+    assert [p["err"] for p in sweep["probes"]] == mean.tolist()
