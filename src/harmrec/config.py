@@ -54,7 +54,7 @@ _NONNEGATIVE = _number("a nonnegative number", lambda v: v >= 0)
 _POSITIVE_INT = _number("a positive integer", lambda v: v >= 1, int)
 
 # key -> (default, (what the value must be, test)).  The rules joining several
-# keys (rectangle, spacing and stack size, alpha_fixed, w_f/w_g) are in
+# keys (rectangle, spacing and grid size, alpha_fixed, w_f/w_g) are in
 # validate_config.
 _KEYS: dict = {
     "x0": (0.0, _NUMBER),
@@ -98,21 +98,37 @@ _KEYS: dict = {
 
 DEFAULTS: dict = {key: default for key, (default, _) in _KEYS.items()}
 
-# Largest dense base-solution stack (n_basis x enlarged-grid nodes x 8 B) a
-# config may ask for.  The presets need about 0.55 GB at h = 1/256.
-MAX_STACK_BYTES = 4e9
+# Largest dense array a config may ask for: one field on the domain grid
+# (checked by validate_config, so for every command) or the base-solution
+# stack, n_basis x enlarged-grid nodes x 8 B (checked by check_stack_size,
+# so only where the stack is built).  The presets need about 0.55 GB of stack
+# at h = 1/256.
+MAX_ARRAY_BYTES = 4e9
+
+
+def _nodes(r: dict, layers) -> tuple[float, float]:
+    """Node counts along x and y of the grid padded by ``layers`` a side,
+    from the keys alone; floats, so that no extent or count overflows."""
+    extra = 2.0 * layers + 1
+    return ((r["x1"] - r["x0"]) / r["h"] + extra,
+            (r["y1"] - r["y0"]) / r["h"] + extra)
 
 
 def _stack_bytes(r: dict) -> float:
-    """Size of the base-solution stack from the keys alone, exact for hats
-    and an upper bound for indicators; a float, so no extent overflows."""
-    pad = 2 * r["padding_layers"] + 1
-    nx = (r["x1"] - r["x0"]) / r["h"] + pad
-    ny = (r["y1"] - r["y0"]) / r["h"] + pad
-    n_basis = 2 * (nx + ny) - 4
+    """Size of the base-solution stack, exact for hats and an upper bound
+    for indicators."""
+    nx, ny = _nodes(r, r["padding_layers"])
+    n_basis = 2.0 * (nx + ny) - 4
     if r["basis_kind"] == "indicator":
-        n_basis = min(n_basis, 4 * r["arcs_per_side"])
+        n_basis = min(n_basis, 4.0 * r["arcs_per_side"])
     return 8.0 * n_basis * nx * ny
+
+
+def _check_size(what: str, size: float) -> None:
+    if not size <= MAX_ARRAY_BYTES:
+        raise ValidationError(
+            f"{what} would need {size / 1e9:.3g} GB, over the "
+            f"{MAX_ARRAY_BYTES / 1e9:g} GB limit")
 
 
 # Reference experiment presets: unit square, exp_cos(4, 0.2) truth, 1% noise,
@@ -178,11 +194,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ValidationError(f"{key} must be {what}, got {merged[key]!r}")
     cfg = ExperimentConfig(raw=merged)
     rect = cfg.rect  # a degenerate rectangle is reported before its size
-    size = _stack_bytes(merged)
-    if size > MAX_STACK_BYTES:
-        raise ValidationError(
-            f"the base-solution stack would need {size / 1e9:.3g} GB (n_basis x "
-            f"enlarged-grid nodes x 8 B), over the {MAX_STACK_BYTES / 1e9:g} GB limit")
+    _check_size("one field on the grid", 8.0 * math.prod(_nodes(merged, 0)))
     grid = build_grid(rect, merged["h"])
     if min(grid.nx, grid.ny) < 3:
         raise ValidationError(
@@ -192,6 +204,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if merged["w_f"] == 0 and merged["w_g"] == 0:
         raise ValidationError("w_f and w_g must not both be zero")
     return cfg
+
+
+def check_stack_size(cfg: ExperimentConfig) -> None:
+    """Reject, before any allocation, a config whose dense base-solution
+    stack would exceed MAX_ARRAY_BYTES."""
+    _check_size("the base-solution stack (n_basis x enlarged-grid nodes x 8 B)",
+                _stack_bytes(cfg.raw))
 
 
 def resolve_config(preset: str | None = None, config_path=None,

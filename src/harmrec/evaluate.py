@@ -74,6 +74,18 @@ def _interior_mask(shape: tuple[int, int], margin: int) -> np.ndarray:
     return mask
 
 
+def envelope_c_fit(err_values: np.ndarray, tau_values: np.ndarray,
+                   eps: float) -> np.ndarray:
+    """C = max |err| / eps^tau over the interior nodes, per error field.
+
+    ``err_values`` has shape (..., ny, nx) with any leading axes; the result
+    has the leading shape (0-d for one field).
+    """
+    inner = (Ellipsis,) + (slice(INTERIOR_MARGIN, -INTERIOR_MARGIN),) * 2
+    ratio = err_values[inner] / eps ** tau_values[inner]
+    return ratio.max(axis=(-2, -1), initial=0.0)
+
+
 @dataclass(frozen=True)
 class EnvelopeReport:
     """Fitted envelope constant and its violations.
@@ -119,8 +131,7 @@ def envelope_check(err: ScalarField, tau: IndicateField, eps: float,
     e = err.values
     mask = _interior_mask(err.grid.shape, INTERIOR_MARGIN)
     bound_unit = eps ** t
-    ratio = e[mask] / bound_unit[mask]
-    c_fit = float(ratio.max(initial=0.0))
+    c_fit = float(envelope_c_fit(e, t, eps))
     c_ref = c_max if c_max is not None else c_fit
     viol = (e > c_ref * bound_unit) & mask
     locations = []

@@ -20,7 +20,7 @@ from . import io as hio
 from . import svg
 from .basis import (BaseSolutionSet, DiscreteSystem, assemble_system,
                     build_basis, compute_base_solutions)
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_stack_size
 from .errors import SolverError, ValidationError
 from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
@@ -51,6 +51,7 @@ def tik_config(cfg: ExperimentConfig) -> TikhonovConfig:
 
 
 def build_state(cfg: ExperimentConfig) -> PipelineState:
+    check_stack_size(cfg)
     grid = build_grid(cfg.rect, cfg["h"])
     partition = boundary_partition(grid, cfg["gamma_sides"])
     basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"],
@@ -225,10 +226,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     probe_nodes = ev.auto_probe_nodes(state.tau)
     pi, pj = np.array(probe_nodes).T
 
-    # The error field and envelope constant of ev.pointwise_error and
-    # ev.envelope_check, for all seeds of a level in one array operation.
+    # The error fields of all seeds of a level are one (seeds, ny, nx) stack.
     exact_values = sample_exact(cfg.exact_solution(), g).values
-    inner = (slice(None),) + (slice(ev.INTERIOR_MARGIN, -ev.INTERIOR_MARGIN),) * 2
     err_by_level = {lv: np.zeros(len(probe_nodes)) for lv in levels}
     c_fits = []
     reg_norms = {lv: [] for lv in levels}
@@ -242,10 +241,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
             err_by_level[lv] += vals / len(seeds)
         reg_norms[lv] += [r.reg_norm for r in results]
         if 0.0 < lv < 1.0:
-            ratio = err[inner] / lv ** t[inner[1:]]
-            c_max = ratio.reshape(len(seeds), -1).max(axis=1, initial=0.0)
+            c_fit = ev.envelope_c_fit(err, t, lv)
             c_fits += [{"eps": lv, "seed": seed, "c_fit": c}
-                       for seed, c in zip(seeds, c_max.tolist())]
+                       for seed, c in zip(seeds, c_fit.tolist())]
 
     probes = []
     for k, (i, j) in enumerate(probe_nodes):

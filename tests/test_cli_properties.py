@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from harmrec import DEFAULTS, SIDES, ValidationError, validate_config
 from harmrec.cli import main
+from harmrec.config import check_stack_size
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -30,9 +31,13 @@ json_values = st.recursive(
 @given(st.dictionaries(st.sampled_from(sorted(DEFAULTS)), json_values, max_size=4))
 @example({"x1": 1e308})
 @example({"x0": -1e308, "x1": 1e308})
+@example({"padding_layers": 10**308})
+@example({"basis_kind": "indicator", "arcs_per_side": 10**308,
+          "padding_layers": 10**308})
 def test_validate_config_returns_or_raises_validation_error(raw):
+    # and so does the stack-size check that run and sweep add
     try:
-        validate_config(raw)
+        check_stack_size(validate_config(raw))
     except ValidationError:
         pass
 

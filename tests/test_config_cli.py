@@ -6,7 +6,7 @@ import pytest
 from harmrec import DEFAULTS, PRESETS, ValidationError, resolve_config, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.cli import main
-from harmrec.config import MAX_STACK_BYTES, _stack_bytes
+from harmrec.config import MAX_ARRAY_BYTES, _stack_bytes
 
 FAST = {
     "h": 1 / 8,
@@ -257,12 +257,9 @@ def test_cli_bad_list_keys_exit_2(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "tau", "sweep"])
-@pytest.mark.parametrize("x1", [1e300, 64.0])
-def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, x1):
-    # x1 = 64 builds a 4105 x 73 enlarged grid whose stack needs about 20 GB
+def _expect_size_error(tmp_path, capsys, command, raw):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"x1": x1}))
+    cfg.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -272,10 +269,35 @@ def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, x1):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "tau", "sweep"])
+def test_cli_rejects_unbuildable_grid_exit_2(tmp_path, capsys, command):
+    _expect_size_error(tmp_path, capsys, command, {"x1": 1e300})
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("raw", [
+    {"x1": 64.0},  # a 4105 x 73 enlarged grid, about 20 GB of stack
+    {"padding_layers": 10**308},
+    {"basis_kind": "indicator", "arcs_per_side": 10**308, "padding_layers": 10**308},
+])
+def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, raw):
+    _expect_size_error(tmp_path, capsys, command, raw)
+
+
+def test_cli_tau_builds_no_stack(tmp_path):
+    # about 4.5 GB of stack that tau never builds
+    raw = {"h": 1 / 512, "tau_gamma_sets": [["bottom"]]}
+    assert _stack_bytes(validate_config(raw).raw) > MAX_ARRAY_BYTES
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["tau", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "tau_bottom.svg").exists()
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_presets_validate_at_h_256(preset):
     cfg = resolve_config(preset=preset, overrides={"h": 1 / 256})
-    assert 0.5e9 < _stack_bytes(cfg.raw) < 0.6e9 < MAX_STACK_BYTES
+    assert 0.5e9 < _stack_bytes(cfg.raw) < 0.6e9 < MAX_ARRAY_BYTES
 
 
 @pytest.mark.parametrize("extra", [

@@ -5,7 +5,7 @@ from harmrec import (Constant, Rect, ValidationError, boundary_partition,
                      build_grid, compute_indicate, envelope_check,
                      pointwise_error, rate_fit, reliability_summary,
                      sample_exact, spearman_rank)
-from harmrec.evaluate import auto_probe_nodes
+from harmrec.evaluate import auto_probe_nodes, envelope_c_fit
 from harmrec.poisson import ScalarField
 
 
@@ -54,6 +54,21 @@ def test_envelope_definitional_bound(tau16):
     inner = (slice(3, -3), slice(3, -3))
     assert (bound[inner] >= err.values[inner] - 1e-12).all()
     assert rep.violations == 0
+
+
+def test_envelope_c_fit_per_field_of_a_stack(tau16):
+    # the batched constant of the sweep is the c_fit of each field's report,
+    # to the bit; the (2, 3) leading axes and a zero field included
+    g = tau16.grid
+    rng = np.random.default_rng(1)
+    stack = np.abs(rng.normal(size=(2, 3) + g.shape)) * 10.0 ** rng.integers(-8, 8, (2, 3, 1, 1))
+    stack[1, 2] = 0.0
+    c_fit = envelope_c_fit(stack, tau16.tau.values, 0.03)
+    assert c_fit.shape == (2, 3)
+    for k in np.ndindex(2, 3):
+        err = ScalarField(grid=g, values=stack[k])
+        assert c_fit[k] == envelope_check(err, tau16, 0.03).c_fit
+    assert c_fit[1, 2] == 0.0
 
 
 def test_envelope_counts_violations(tau16):

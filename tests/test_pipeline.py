@@ -84,8 +84,8 @@ def test_alpha_follows_noise_level(fast_state):
     assert a_big > a_small > 0
 
 
-def test_sweep_matches_per_seed_envelope_reports():
-    # the sweep's array evaluation against one pointwise_error and
+def test_sweep_matches_per_seed_evaluation():
+    # the sweep's (seeds, ny, nx) error stack against one pointwise_error and
     # envelope_check per (level, seed); eps 2.0 has no envelope
     seeds = [1, 2, 3]
     cfg = validate_config({**FAST, "eps_levels": [0.1, 0.01, 0.001, 2.0],
