@@ -9,8 +9,7 @@ harmonic measure of the measurement arc.
 """
 
 from .basis import (BaseSolutionSet, BoundaryBasis, DiscreteSystem,
-                    assemble_system, build_basis, compute_base_solutions,
-                    discrete_norms)
+                    assemble_system, build_basis, compute_base_solutions)
 from .config import DEFAULTS, PRESETS, ExperimentConfig, resolve_config, validate_config
 from .errors import SolverError, ValidationError
 from .evaluate import (EnvelopeReport, RegionStats, envelope_check,

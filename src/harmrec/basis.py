@@ -10,12 +10,15 @@ functions.  Two basis kinds:
 * ``indicator`` — characteristic functions of a disjoint cover of the
   boundary by contiguous arcs (``arcs_per_side`` arcs per geometric side).
 
-Assembly evaluates every base solution on the measurement arc (values and
-outward normal differences) and builds the smoothness penalty from the
-traces on the *inner* rectangle's boundary, treated as a closed polyline
-with arc-length spacing h: the squared penalty norm of a trace v is
-``sum h*(v^2 + (D1 v)^2 + (D2 v)^2)`` with circulant central differences
-(corner nodes included, no smoothing).
+Assembly evaluates every base solution on the measurement arc: values, and
+second-order one-sided outward normal differences.  It builds the smoothness
+penalty from the traces on the *inner* rectangle's boundary, treated as a
+closed polyline with arc-length spacing h: the squared penalty norm of a
+trace v is ``sum h*(v^2 + (D1 v)^2 + (D2 v)^2)`` with circulant central
+differences (corner nodes included, no smoothing).  The penalty is held as
+its factor ``F = sqrt(h) [V; D1 V; D2 V]``, V the traces of the base
+solutions, so that the penalty norm of coefficients b is ``|F b|`` and the
+fit never forms the squared matrix ``F^T F``.
 """
 
 from __future__ import annotations
@@ -137,46 +140,19 @@ def compute_base_solutions(basis: BoundaryBasis, tol: float = 1e-10,
     return BaseSolutionSet(basis=basis, fields=stack)
 
 
-def discrete_norms(values: np.ndarray, partition: BoundaryPartition,
-                   g: np.ndarray | None = None) -> tuple[float, float]:
-    """(graph norm of ``values``, quadrature norm) over Γ.
-
-    The first component is ``sqrt(sum σ v² + sum σ (D1 v)²)`` with the
-    Γ-restricted trapezoid weights; the second is the plain weighted l2 norm
-    of ``g`` when given, else of ``values``.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.shape != (partition.m,):
-        raise ValidationError(f"expected {partition.m} values on Γ, got {v.shape}")
-    w = partition.gamma_sigma
-    l2sq_v = float(w @ (v * v))
-    dv = partition.tangential_d1 @ v
-    h1 = float(np.sqrt(l2sq_v + w @ (dv * dv)))
-    if g is None:
-        l2 = float(np.sqrt(l2sq_v))
-    else:
-        gv = np.asarray(g, dtype=float)
-        if gv.shape != (partition.m,):
-            raise ValidationError(f"expected {partition.m} values on Γ, got {gv.shape}")
-        l2 = float(np.sqrt(w @ (gv * gv)))
-    return h1, l2
-
-
 @dataclass(frozen=True)
 class DiscreteSystem:
     """Assembled measurement and penalty operators.
 
-    A           (m, n) base-solution values at the Γ nodes.
-    B           (m, n) outward normal differences at the Γ nodes.
-    C           penalty: (n,) per-basis trace norms in "diagonal" mode, or
-                the full (n, n) positive-semidefinite Gram matrix in "gram"
-                mode.
-    sigma       (m,) Γ quadrature weights.
-    D1          (m, m) tangential difference operator on Γ.
-    reg_factor  optional (k, n) matrix with F^T F = C (gram mode); solving
-                with the factor avoids squaring the conditioning through C.
+    A      (m, n) base-solution values at the Γ nodes.
+    B      (m, n) outward normal differences at the Γ nodes.
+    F      (k, n) penalty factor: |F b| is the smoothness norm of the traces
+           of coefficients b on the inner boundary.
+    sigma  (m,) Γ quadrature weights.
+    D1     (m, m) tangential difference operator on Γ.
+    h      grid spacing.
 
-    A basis function whose column is zero in A, B and C alike is invisible
+    A basis function whose column is zero in A, B and F alike is invisible
     to the cost (this happens for hat functions at the four grid corners of
     the enlarged boundary: a corner Dirichlet value couples to no interior
     equation).  The minimizer routine returns exactly zero for such
@@ -185,18 +161,14 @@ class DiscreteSystem:
 
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
-    C: np.ndarray = field(repr=False)
+    F: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
     D1: np.ndarray = field(repr=False)
-    reg_mode: str
     h: float
-    reg_factor: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for arr in (self.A, self.B, self.C, self.sigma, self.D1):
+        for arr in (self.A, self.B, self.F, self.sigma, self.D1):
             arr.setflags(write=False)
-        if self.reg_factor is not None:
-            self.reg_factor.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -224,13 +196,9 @@ def _lattice_offsets(tilde: Grid2D, omega: Grid2D) -> tuple[int, int]:
     return oi, oj
 
 
-def assemble_system(base_set: BaseSolutionSet, omega_partition: BoundaryPartition,
-                    reg_mode: str = "gram", norm_order: int = 2) -> DiscreteSystem:
-    """Evaluate base solutions on Γ and build the penalty operator."""
-    if reg_mode not in ("gram", "diagonal"):
-        raise ValidationError(f"unknown regularizer mode {reg_mode!r}")
-    if norm_order not in (1, 2):
-        raise ValidationError(f"difference order must be 1 or 2, got {norm_order}")
+def assemble_system(base_set: BaseSolutionSet,
+                    omega_partition: BoundaryPartition) -> DiscreteSystem:
+    """Evaluate base solutions on Γ and build the penalty factor."""
     omega = omega_partition.grid
     tilde = base_set.basis.tilde_grid
     oi, oj = _lattice_offsets(tilde, omega)
@@ -240,7 +208,7 @@ def assemble_system(base_set: BaseSolutionSet, omega_partition: BoundaryPartitio
     gj = omega_partition.gamma_nodes[:, 1] + oj
     a_mat = fields[:, gj, gi].T.copy()  # (m, n)
 
-    ii, jj, coeffs = normal_stencil(omega_partition, norm_order)
+    ii, jj, coeffs = normal_stencil(omega_partition)
     b_mat = np.zeros_like(a_mat)
     for p, c in enumerate(coeffs):
         b_mat += c * fields[:, jj[:, p] + oj, ii[:, p] + oi].T
@@ -251,22 +219,12 @@ def assemble_system(base_set: BaseSolutionSet, omega_partition: BoundaryPartitio
     h = omega.h
     d1 = (np.roll(v_tr, -1, axis=0) - np.roll(v_tr, 1, axis=0)) / (2 * h)
     d2 = (np.roll(v_tr, -1, axis=0) - 2 * v_tr + np.roll(v_tr, 1, axis=0)) / (h * h)
-    factor = None
-    if reg_mode == "gram":
-        factor = np.sqrt(h) * np.vstack([v_tr, d1, d2])
-        c_op = factor.T @ factor
-        c_op = 0.5 * (c_op + c_op.T)
-    else:
-        c_op = np.sqrt(h * ((v_tr**2).sum(axis=0) + (d1**2).sum(axis=0)
-                            + (d2**2).sum(axis=0)))
 
     return DiscreteSystem(
         A=a_mat,
         B=b_mat,
-        C=c_op,
+        F=np.sqrt(h) * np.vstack([v_tr, d1, d2]),
         sigma=omega_partition.gamma_sigma.copy(),
         D1=omega_partition.tangential_d1,
-        reg_mode=reg_mode,
         h=h,
-        reg_factor=factor,
     )

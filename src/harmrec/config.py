@@ -77,10 +77,8 @@ _KEYS: dict = {
     "alpha_rule": ("a_priori", _one_of("a_priori", "fixed")),
     "alpha_c": (1.0, _NUMBER),
     "alpha_fixed": (1e-6, _NUMBER),
-    "reg_mode": ("gram", _one_of("gram", "diagonal")),
     "w_f": (1.0, _NONNEGATIVE),
     "w_g": (1.0, _NONNEGATIVE),
-    "norm_order": (2, _number("1 or 2", lambda v: v in (1, 2), int)),
     "solver": ("direct", _one_of("cg", "direct")),
     "solver_tol": (1e-10, _number("a positive number", lambda v: v > 0)),
     "threshold": (0.5, _number("a number in (0, 1]", lambda v: 0 < v <= 1)),

@@ -42,7 +42,8 @@ def auto_probe_nodes(tau: IndicateField, targets=PROBE_TAU_TARGETS,
     ``((tau - target)/0.03)^2 + (distance to domain center)^2`` prefers the
     node matching the target to within about one grid layer and breaks the
     tie along the level set toward the domain center.  Deterministic given
-    the field.
+    the field.  Raises ValidationError when no candidate exists (a grid
+    too coarse for the margin, or a field that misses the band).
     """
     g = tau.grid
     t = tau.tau.values
@@ -53,6 +54,11 @@ def auto_probe_nodes(tau: IndicateField, targets=PROBE_TAU_TARGETS,
     score_base = np.full(g.shape, np.inf)
     score_base[margin:-margin, margin:-margin] = 0.0
     score_base[(t < min(targets)) | (t > max(targets))] = np.inf
+    if np.isinf(score_base).all():
+        raise ValidationError(
+            f"no node {margin} or more layers inside the boundary has an "
+            f"exponent in [{min(targets):g}, {max(targets):g}]: the grid "
+            f"({g.nx} x {g.ny} nodes) is too coarse for probes")
     nodes = []
     for target in targets:
         score = score_base + ((t - target) / 0.03) ** 2 + d2

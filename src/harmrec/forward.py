@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .grid import BoundaryPartition, Grid2D
+from .grid import BoundaryPartition, Grid2D, graph_norm
 from .poisson import ScalarField
 from .rng import Xorshift64Star
 
@@ -144,9 +144,9 @@ def add_noise(data: CauchyData, level: float, seed: int,
     m = len(data.f)
     df = level * np.abs(data.f).max(initial=0.0) * _draws(rng, m, model)
     dg = level * np.abs(data.g).max(initial=0.0) * _draws(rng, m, model)
-    from .basis import discrete_norms  # local import: basis depends on forward types
-
-    h1_df, l2_dg = discrete_norms(df, data.partition, dg)
+    sigma = data.partition.gamma_sigma
+    realized = (graph_norm(sigma, data.partition.tangential_d1, df)
+                + np.sqrt(sigma @ (dg * dg)))
     return replace(
         data,
         f=data.f + df,
@@ -154,5 +154,5 @@ def add_noise(data: CauchyData, level: float, seed: int,
         noise_level=level,
         seed=seed,
         noise_model=model,
-        realized_eps=h1_df + l2_dg,
+        realized_eps=float(realized),
     )

@@ -282,6 +282,14 @@ class BoundaryPartition:
         return d1
 
 
+def graph_norm(sigma: np.ndarray, d1: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Γ graph norm ``sqrt(σ·v² + σ·(D1 v)²)`` of ``v`` (m,), or of each
+    column of ``v`` (m, k), with σ the Γ quadrature weights and D1 the
+    tangential difference operator."""
+    dv = d1 @ v
+    return np.sqrt(sigma @ (v * v) + sigma @ (dv * dv))
+
+
 def boundary_partition(grid: Grid2D, gamma_sides) -> BoundaryPartition:
     """Enumerate the boundary and flag the measurement sides Γ.
 

@@ -58,8 +58,7 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
                         omega_rect=cfg.rect, arcs_per_side=cfg["arcs_per_side"])
     base_set = compute_base_solutions(basis, tol=cfg["solver_tol"],
                                       method=cfg["solver"])
-    system = assemble_system(base_set, partition, reg_mode=cfg["reg_mode"],
-                             norm_order=cfg["norm_order"])
+    system = assemble_system(base_set, partition)
     tau = compute_indicate(grid, partition, tol=cfg["solver_tol"],
                            method=cfg["solver"])
     clean = trace_cauchy(cfg.exact_solution(), partition)
@@ -257,13 +256,20 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
         })
 
     in_range = [p for p in probes if 0.3 <= p["tau"] <= 0.9]
+    slopes = [p["slope"] for p in in_range]
+    taus = [p["tau"] for p in in_range]
+    # A rank correlation needs two distinct values on each side: null when
+    # fewer than two probes are in range or either side is constant.
     spearman = None
-    if len(in_range) >= 2:
-        spearman = ev.spearman_rank([p["slope"] for p in in_range],
-                                    [p["tau"] for p in in_range])
+    if len(set(slopes)) > 1 and len(set(taus)) > 1:
+        spearman = ev.spearman_rank(slopes, taus)
     target = min(probes, key=lambda p: abs(p["tau"] - 0.7))
 
     mean_reg = [float(np.mean(reg_norms[lv])) for lv in levels]
+    if min(mean_reg) <= 0.0:
+        raise SolverError(
+            "the penalty norm is zero at some noise level, so its log-slope "
+            f"is undefined (mean penalty norm by level: {mean_reg})")
     reg_slope = float(np.polyfit(np.log(levels), np.log(mean_reg), 1)[0])
 
     summary = {

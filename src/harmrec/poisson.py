@@ -179,15 +179,13 @@ def laplacian_residual(fld: ScalarField) -> float:
     return float(np.abs(stencil_residual(fld.values)).max())
 
 
-def normal_stencil(partition: BoundaryPartition, order: int):
-    """One-sided outward normal difference at every Γ node: (m, order + 1)
-    column and row indices stepping into the domain, and their weights."""
-    h = partition.grid.h
+def normal_stencil(partition: BoundaryPartition):
+    """Second-order one-sided outward normal difference at every Γ node:
+    (m, 3) column and row indices stepping into the domain, and the weights
+    (3, -4, 1) / (2h)."""
     _, normals = partition.gamma_normals()
     step = -normals.reshape(-1, 2).astype(np.int64)  # inward, one node
-    p = np.arange(order + 1)
+    p = np.arange(3)
     ii = partition.gamma_nodes[:, :1] + p * step[:, :1]
     jj = partition.gamma_nodes[:, 1:] + p * step[:, 1:]
-    if order == 1:
-        return ii, jj, np.array([1.0, -1.0]) / h
-    return ii, jj, np.array([3.0, -4.0, 1.0]) / (2 * h)
+    return ii, jj, np.array([3.0, -4.0, 1.0]) / (2 * partition.grid.h)

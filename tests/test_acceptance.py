@@ -105,8 +105,8 @@ def test_criterion_4_two_constants_sharpness():
 
 def test_criterion_5_ridge_closed_form():
     sys1d = DiscreteSystem(A=np.array([[1.0]]), B=np.array([[0.0]]),
-                           C=np.array([1.0]), sigma=np.array([1.0]),
-                           D1=np.array([[0.0]]), reg_mode="diagonal", h=1.0)
+                           F=np.array([[1.0]]), sigma=np.array([1.0]),
+                           D1=np.array([[0.0]]), h=1.0)
     alpha = 1e-3
     cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
     b1 = minimize(sys1d, CauchyData(partition=None, points=np.zeros((1, 2)),

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from harmrec import (ExpCos, Rect, SolverError, ValidationError, assemble_system,
-                     boundary_partition, build_basis, build_grid,
-                     compute_base_solutions, discrete_norms)
+from harmrec import (ExpCos, Rect, SolverError, ValidationError, add_noise,
+                     assemble_system, boundary_partition, build_basis,
+                     build_grid, compute_base_solutions, trace_cauchy)
 from harmrec.basis import BoundaryBasis
-from harmrec.grid import SIDES
+from harmrec.grid import SIDES, graph_norm
 
 
 def test_hat_count_matches_reference_setup():
@@ -105,7 +107,7 @@ def test_assembly_shapes_and_row_sums():
     sys = assemble_system(base_set, part)
     assert sys.A.shape == (part.m, basis.n)
     assert sys.B.shape == (part.m, basis.n)
-    assert sys.C.shape == (basis.n, basis.n)
+    assert sys.F.shape == (3 * part.n_boundary, basis.n)
     assert np.abs(sys.A.sum(axis=1) - 1.0).max() < basis.n * 1e-11
     assert sys.sigma.shape == (part.m,)
 
@@ -126,18 +128,33 @@ def test_assembly_is_linear_in_basis_data():
     assert np.abs(sys_h.B.sum(axis=1) - sys_a.B[:, 0]).max() < 1e-9
 
 
-def test_gram_penalty_positive_semidefinite():
-    _, base_set, _, part = _small_setup()
-    sys = assemble_system(base_set, part, reg_mode="gram")
-    evals = np.linalg.eigvalsh(sys.C)
-    assert evals.min() >= -1e-10
+def _closed_walk(nx, ny):
+    """(i, j) of the boundary nodes of an nx x ny grid, once round."""
+    return ([(i, 0) for i in range(nx - 1)] + [(nx - 1, j) for j in range(ny - 1)]
+            + [(i, ny - 1) for i in range(nx - 1, 0, -1)]
+            + [(0, j) for j in range(ny - 1, 0, -1)])
 
 
-def test_diagonal_penalty_nonnegative():
-    _, base_set, _, part = _small_setup()
-    sys = assemble_system(base_set, part, reg_mode="diagonal")
-    assert sys.C.ndim == 1
-    assert (sys.C >= 0).all()
+def test_penalty_factor_gives_closed_polyline_trace_norm():
+    # |F b|^2 = sum h (t^2 + (D1 t)^2 + (D2 t)^2) over the inner boundary,
+    # t the trace of the combined base solutions and D1, D2 the circulant
+    # central differences, summed node by node from the stack
+    h = 1 / 8
+    omega = Rect(0, 0, 1, 0.75)  # non-square: 9 x 7 inner nodes
+    basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
+    base_set = compute_base_solutions(basis)
+    part = boundary_partition(build_grid(omega, h), ["bottom"])
+    sys = assemble_system(base_set, part)
+    b = np.random.default_rng(5).normal(size=basis.n)
+    u = np.tensordot(b, base_set.fields, axes=1)
+    t = [u[j + 1, i + 1] for i, j in _closed_walk(9, 7)]  # one padding layer
+    k = len(t)
+    norm2 = 0.0
+    for p in range(k):
+        prev, nxt = t[p - 1], t[(p + 1) % k]
+        norm2 += h * (t[p] ** 2 + ((nxt - prev) / (2 * h)) ** 2
+                      + ((nxt - 2 * t[p] + prev) / h**2) ** 2)
+    assert abs(np.sum((sys.F @ b) ** 2) - norm2) <= 1e-12 * norm2
 
 
 def test_misaligned_grids_rejected():
@@ -148,37 +165,46 @@ def test_misaligned_grids_rejected():
         assemble_system(base_set, shifted)
 
 
+def _graph_norm(part, v):
+    return graph_norm(part.gamma_sigma, part.tangential_d1, v)
+
+
 def test_discrete_norms_constant_on_unit_side():
     part = boundary_partition(build_grid(Rect(0, 0, 1, 1), 1 / 16), ["bottom"])
     c = 1.7
-    h1, l2 = discrete_norms(np.full(part.m, c), part)
-    assert abs(l2 - c) < 1e-12
-    assert abs(h1 - c) < 1e-12
+    assert abs(_graph_norm(part, np.full(part.m, c)) - c) < 1e-12
 
 
 def test_discrete_norms_zero_and_mismatch():
     part = boundary_partition(build_grid(Rect(0, 0, 1, 1), 1 / 8), ["bottom"])
-    h1, l2 = discrete_norms(np.zeros(part.m), part)
-    assert h1 == 0.0 and l2 == 0.0
-    with pytest.raises(ValidationError):
-        discrete_norms(np.zeros(part.m + 1), part)
+    assert _graph_norm(part, np.zeros(part.m)) == 0.0
+    with pytest.raises(ValueError):
+        _graph_norm(part, np.zeros(part.m + 1))
 
 
 def test_discrete_norms_sine_matches_integrals():
-    # int sin^2 = 1/2 and int (pi cos)^2 = pi^2/2 over the unit side
+    # int sin^2 = 1/2 and int (pi cos)^2 = pi^2/2 over the unit side; the
+    # columns of a batch are normed one by one
     part = boundary_partition(build_grid(Rect(0, 0, 1, 1), 1 / 64), ["bottom"])
     x = part.gamma_points[:, 0]
-    h1, _ = discrete_norms(np.sin(np.pi * x), part)
+    h1 = _graph_norm(part, np.sin(np.pi * x))
     target = 0.5 + np.pi**2 / 2
     assert abs(h1**2 - target) / target < 1e-3
+    batch = np.column_stack([np.sin(np.pi * x), np.zeros(part.m), 3.0 * x])
+    singles = [_graph_norm(part, v) for v in batch.T]
+    assert np.abs(_graph_norm(part, batch) - singles).max() <= 1e-14 * max(singles)
 
 
 def test_discrete_norms_g_channel():
+    # the realized data error adds the graph norm of the f perturbation and
+    # the plain quadrature norm of the g perturbation; f = 0 draws no f noise
     part = boundary_partition(build_grid(Rect(0, 0, 1, 1), 1 / 8), ["bottom"])
-    f = np.zeros(part.m)
-    g = np.full(part.m, 2.0)
-    _, l2 = discrete_norms(f, part, g)
-    assert abs(l2 - 2.0) < 1e-12
+    clean = replace(trace_cauchy(ExpCos(2.0, 0.1), part), f=np.zeros(part.m))
+    noisy = add_noise(clean, 0.05, seed=3)
+    dg = noisy.g - clean.g
+    assert np.array_equal(noisy.f, clean.f) and dg.any()
+    expected = np.sqrt(sum(s * d * d for s, d in zip(part.gamma_sigma, dg)))
+    assert abs(noisy.realized_eps - expected) <= 1e-14 * expected
 
 
 def test_tangential_d1_constant_and_linear():
@@ -207,6 +233,5 @@ def test_trace_error_decays_as_h_shrinks():
         b = np.asarray(exact.value(bx, by))
         f_exact = np.asarray(exact.value(part.gamma_points[:, 0],
                                          part.gamma_points[:, 1]))
-        h1, _ = discrete_norms(sys.A @ b - f_exact, part)
-        errs.append(h1)
+        errs.append(_graph_norm(part, sys.A @ b - f_exact))
     assert errs[1] <= errs[0] / 2.0

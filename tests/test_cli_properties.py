@@ -67,10 +67,8 @@ configs = st.fixed_dictionaries({
     "noise_model": st.sampled_from(["uniform", "gaussian"]),
     "alpha_rule": st.sampled_from(["a_priori", "fixed"]),
     "alpha_fixed": st.sampled_from([1e-6, 1e-3, 1e-6, 1e-3, 0]),
-    "reg_mode": st.sampled_from(["gram", "diagonal"]),
     "w_f": st.sampled_from([1.0, 0.0, 1.0, 0.5]),
     "w_g": st.sampled_from([1.0, 0.0, 2.0, 1.0]),
-    "norm_order": st.sampled_from([1, 2, 1, 2, 2.0]),
     "solver": st.sampled_from(["direct", "cg"]),
     "threshold": st.sampled_from([0.5, 1.0, 0.25]),
     "tau0": st.sampled_from([0.49, 0.9]),
@@ -80,10 +78,8 @@ configs = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.sampled_from(["run", "tau", "sweep"]), configs)
-def test_cli_contract_on_generated_configs(command, raw):
+def _check_contract(command, raw) -> int:
+    """Run the CLI on ``raw``; check what it leaves for its exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(raw))
@@ -99,3 +95,20 @@ def test_cli_contract_on_generated_configs(command, raw):
             assert text.count("\n") == 1 and text.endswith("\n")
             error = json.loads(text, parse_constant=pytest.fail)["error"]
             assert error["type"] == ("validation" if code == 2 else "numerical")
+        return code
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(["run", "tau", "sweep"]), configs)
+def test_cli_contract_on_generated_configs(command, raw):
+    _check_contract(command, raw)
+
+
+# Keys that no longer exist: the penalty is always the factored smoothness
+# norm and the normal difference always second order.
+@pytest.mark.parametrize("command", ["run", "tau", "sweep"])
+@pytest.mark.parametrize("raw", [{"reg_mode": "gram"}, {"reg_mode": "diagonal"},
+                                 {"norm_order": 2}, {"norm_order": 1}])
+def test_removed_keys_exit_2(command, raw):
+    assert _check_contract(command, raw) == 2

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -315,3 +318,36 @@ def test_stack_size_estimate_bounds_the_stack(extra):
         assert _stack_bytes(cfg.raw) == pytest.approx(nbytes, rel=1e-12)
     else:
         assert nbytes <= _stack_bytes(cfg.raw)
+
+
+def test_cli_sweep_too_coarse_for_probes_exit_2(tmp_path, capsys):
+    # at h = 1/4 the 3-layer probe margin leaves no interior node
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 0.25}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation" and "too coarse" in error["message"]
+    assert not out.exists()
+
+
+def test_cli_zero_truth_sweep_prints_only_its_error(tmp_path):
+    # zero truth: every fit is zero, so the penalty norm's log-slope is
+    # undefined and the slopes are constant; no library warning may reach
+    # stderr ahead of the one JSON line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exact": "constant", "exact_value": 0.0,
+                               "h": 1 / 16, "padding_layers": 1}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmrec.cli", "sweep", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    error = json.loads(proc.stderr, parse_constant=pytest.fail)["error"]
+    assert error["type"] == "numerical" and "penalty norm" in error["message"]

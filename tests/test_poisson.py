@@ -11,8 +11,8 @@ def boundary_values(fld, part):
     return fld.values[part.nodes[:, 1], part.nodes[:, 0]]
 
 
-def normal_derivative(fld, part, order):
-    ii, jj, coeffs = normal_stencil(part, order)
+def normal_derivative(fld, part):
+    ii, jj, coeffs = normal_stencil(part)
     return fld.values[jj, ii] @ coeffs
 
 
@@ -91,9 +91,8 @@ def test_normal_derivative_linear_field_exact():
     p = boundary_partition(g, ["bottom"])
     _, yg = g.meshgrid()
     fld = ScalarField(grid=g, values=yg.copy())
-    for order in (1, 2):
-        nd = normal_derivative(fld, p, order=order)
-        assert np.abs(nd + 1.0).max() < 1e-13  # outward normal (0,-1)
+    nd = normal_derivative(fld, p)
+    assert np.abs(nd + 1.0).max() < 1e-13  # outward normal (0,-1)
 
 
 def test_normal_derivative_constant_is_zero():
@@ -101,8 +100,7 @@ def test_normal_derivative_constant_is_zero():
     for sides in (["top"], ["left"], ["right"], ["bottom", "right"]):
         p = boundary_partition(g, sides)
         fld = ScalarField(grid=g, values=np.full(g.shape, 3.3))
-        for order in (1, 2):
-            assert np.abs(normal_derivative(fld, p, order=order)).max() < 1e-12
+        assert np.abs(normal_derivative(fld, p)).max() < 1e-12
 
 
 def test_normal_derivative_order_two_converges_quadratically():
@@ -115,7 +113,7 @@ def test_normal_derivative_order_two_converges_quadratically():
         fld = ScalarField(grid=g, values=np.exp(4 * xg) * np.cos(4 * (yg + 0.2)))
         x = p.gamma_points[:, 0]
         expected = 4.0 * np.exp(4 * x) * np.sin(0.8)
-        errs[h] = np.abs(normal_derivative(fld, p, order=2) - expected).max()
+        errs[h] = np.abs(normal_derivative(fld, p) - expected).max()
     assert 3.0 <= errs[1 / 32] / errs[1 / 64] <= 5.0
 
 

@@ -4,11 +4,11 @@ import pytest
 from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, Rect,
                      TikhonovConfig, ValidationError, add_noise,
                      assemble_system, boundary_partition, build_basis,
-                     build_grid, compute_base_solutions, discrete_norms,
+                     build_grid, compute_base_solutions,
                      minimize, reconstruct, reconstruct_field, run_sweep,
                      select_alpha, trace_cauchy, validate_config)
 from harmrec.basis import BoundaryBasis
-from harmrec.grid import SIDES
+from harmrec.grid import SIDES, graph_norm
 from harmrec.tikhonov import _penalty_factor
 
 
@@ -43,8 +43,8 @@ def test_config_weight_validation():
 
 def _scalar_system():
     return DiscreteSystem(A=np.array([[1.0]]), B=np.array([[0.0]]),
-                          C=np.array([1.0]), sigma=np.array([1.0]),
-                          D1=np.array([[0.0]]), reg_mode="diagonal", h=1.0)
+                          F=np.array([[1.0]]), sigma=np.array([1.0]),
+                          D1=np.array([[0.0]]), h=1.0)
 
 
 def _scalar_data(f, g):
@@ -65,13 +65,13 @@ def test_zero_data_gives_zero_coefficients():
     assert abs(b[0]) < 1e-12
 
 
-def _pipeline_pieces(h=1 / 8, method="direct", reg_mode="gram"):
+def _pipeline_pieces(h=1 / 8, method="direct"):
     omega = Rect(0, 0, 1, 1)
     basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
     base_set = compute_base_solutions(basis, tol=1e-11, method=method)
     grid = build_grid(omega, h)
     part = boundary_partition(grid, ["bottom"])
-    sys = assemble_system(base_set, part, reg_mode=reg_mode)
+    sys = assemble_system(base_set, part)
     return basis, base_set, grid, part, sys
 
 
@@ -107,7 +107,7 @@ def test_first_order_optimality():
     rg = sys.B @ b - data.g
     d1 = sys.D1
     grad = (2 * sys.A.T @ (s * rf) + 2 * (d1 @ sys.A).T @ (s * (d1 @ rf))
-            + 2 * sys.B.T @ (s * rg) + 2 * alpha * (sys.C @ b))
+            + 2 * sys.B.T @ (s * rg) + 2 * alpha * sys.F.T @ (sys.F @ b))
     # structurally invisible directions (grid-corner hats) are pinned to 0
     visible = np.abs(sys.A).max(axis=0) + np.abs(sys.B).max(axis=0) > 0
     assert np.linalg.norm(grad[visible]) <= 1e-8 * (1 + np.linalg.norm(b))
@@ -169,14 +169,15 @@ def test_residual_decay_with_grid_refinement():
 
 
 def test_penalty_factor_consistency():
-    _, _, _, _, sys = _pipeline_pieces()
+    basis, _, _, part, sys = _pipeline_pieces()
     f = _penalty_factor(sys)
-    assert np.abs(f.T @ f - sys.C).max() < 1e-9
-    # eigen fallback when no factor is attached
-    bare = DiscreteSystem(A=sys.A, B=sys.B, C=sys.C, sigma=sys.sigma,
-                          D1=sys.D1, reg_mode="gram", h=sys.h)
-    f2 = _penalty_factor(bare)
-    assert np.abs(f2.T @ f2 - sys.C).max() < 1e-7 * max(1.0, np.abs(sys.C).max())
+    assert f is sys.F
+    assert f.shape == (3 * part.n_boundary, basis.n)
+    # the corner hats of the enlarged boundary are invisible to the penalty
+    # as they are to A and B
+    invisible = (np.abs(sys.A).max(axis=0) + np.abs(sys.B).max(axis=0)) == 0
+    assert invisible.sum() == 4
+    assert not np.abs(f[:, invisible]).any()
 
 
 def test_data_length_mismatch_rejected():
@@ -213,18 +214,15 @@ def test_batched_fit_matches_single_fits():
     assert _rel(batch[0].b, batch[1].b) > 1e-6
 
 
-@pytest.mark.parametrize("reg_mode", ["gram", "diagonal"])
-def test_batched_norms_match_discrete_norms(reg_mode):
-    _, base_set, grid, part, sys = _pipeline_pieces(reg_mode=reg_mode)
+def test_batched_norms_match_discrete_norms():
+    _, base_set, grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
     for data, r in zip(datas, reconstruct(sys, datas, TikhonovConfig(),
                                           base_set, grid)):
-        res_f, _ = discrete_norms(sys.A @ r.b - data.f, part)
-        _, res_g = discrete_norms(np.zeros(sys.m), part, sys.B @ r.b - data.g)
-        if reg_mode == "diagonal":
-            reg = np.linalg.norm(sys.C * r.b)
-        else:
-            reg = np.sqrt(r.b @ (sys.C @ r.b))
+        res_f = graph_norm(part.gamma_sigma, part.tangential_d1, sys.A @ r.b - data.f)
+        r_g = sys.B @ r.b - data.g
+        res_g = np.sqrt(np.sum(part.gamma_sigma * r_g**2))
+        reg = np.sqrt(r.b @ (sys.F.T @ (sys.F @ r.b)))
         assert _rel(r.residual_f, res_f) <= 1e-12
         assert _rel(r.residual_g, res_g) <= 1e-12
         assert _rel(r.reg_norm, reg) <= 1e-12
