@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grid import SIDES, BoundaryPartition, Grid2D, Rect, boundary_partition, build_grid
+from .grid import (SIDES, BoundaryPartition, Grid2D, Rect, _boundary_walk, boundary_partition,
+                   build_grid)
 from .poisson import normal_stencil, solve_dirichlet, solve_interior
 
 # Right-hand sides per batched direct solve: bounds the transform work space.
@@ -81,15 +82,16 @@ def build_basis(tilde_rect: Rect, h: float, kind: str = "hat", *,
     else:
         if arcs_per_side < 1:
             raise ValidationError("arcs_per_side must be at least 1")
+        # a side's arcs cover the end nodes of its walk segments; the walk
+        # start, where the left side ends, goes with the bottom side
+        _, seg_side = _boundary_walk(grid.nx, grid.ny)
+        ends = np.r_[0, np.searchsorted(seg_side, [1, 2, 3]) + 1, part.n_boundary]
         support_list = []
-        pos = 0
-        run_lengths = [grid.nx, grid.ny - 1, grid.nx - 1, grid.ny - 2]
-        for length in run_lengths:
-            splits = np.linspace(pos, pos + length, arcs_per_side + 1).round().astype(int)
+        for start, stop in zip(ends[:-1], ends[1:]):
+            splits = np.linspace(start, stop, arcs_per_side + 1).round().astype(int)
             for a, b in zip(splits[:-1], splits[1:]):
                 if b > a:
                     support_list.append((a, b))
-            pos += length
         support = np.array(support_list, dtype=np.int64)
     return BoundaryBasis(tilde_grid=grid, tilde_partition=part, kind=kind,
                          support=support)

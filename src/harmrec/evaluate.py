@@ -139,7 +139,8 @@ def envelope_check(err: ScalarField, tau: IndicateField, eps: float,
     bound_unit = eps ** t
     c_fit = float(envelope_c_fit(e, t, eps))
     c_ref = c_max if c_max is not None else c_fit
-    viol = (e > c_ref * bound_unit) & mask
+    # the same ratio c_fit maximises, so the fitted constant has no violations
+    viol = (e / bound_unit > c_ref) & mask
     locations = []
     if viol.any():
         jj, ii = np.nonzero(viol)

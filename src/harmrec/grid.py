@@ -11,7 +11,9 @@ by every module and must not change.
 Boundary nodes are enumerated once, counterclockwise, starting at
 ``(x0, y0)``: bottom row left-to-right, right column upward, top row
 right-to-left, left column downward.  Each boundary node appears exactly
-once in that sequence.
+once in that sequence, and each segment between consecutive nodes lies on
+one side.  :func:`boundary_partition` derives the Γ mask, weights, normals
+and tangential difference from the side of each segment.
 """
 
 from __future__ import annotations
@@ -26,13 +28,8 @@ from .errors import ValidationError
 
 SIDES = ("bottom", "right", "top", "left")
 
-# Outward unit normals of the four sides of an axis-aligned rectangle.
-SIDE_NORMALS = {
-    "bottom": (0.0, -1.0),
-    "right": (1.0, 0.0),
-    "top": (0.0, 1.0),
-    "left": (-1.0, 0.0),
-}
+# Outward unit normals of the four sides, in SIDES order.
+_NORMALS = np.array([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])
 
 
 @dataclass(frozen=True)
@@ -122,65 +119,49 @@ def build_grid(rect: Rect, h: float) -> Grid2D:
     return Grid2D(rect=rect, h=h, nx=nx, ny=ny)
 
 
-def _boundary_walk(nx: int, ny: int) -> np.ndarray:
-    """Counterclockwise (i, j) pairs of all boundary nodes, each exactly once."""
-    bottom = [(i, 0) for i in range(nx)]
-    right = [(nx - 1, j) for j in range(1, ny)]
-    top = [(i, ny - 1) for i in range(nx - 2, -1, -1)]
-    left = [(0, j) for j in range(ny - 2, 0, -1)]
-    return np.array(bottom + right + top + left, dtype=np.int64)
+def _boundary_walk(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary walk: every boundary node once, counterclockwise from
+    ``(0, 0)``, and the side of each segment.
 
-
-def _side_of_node(i: int, j: int, nx: int, ny: int) -> str:
-    # Corner tie-break: the horizontal sides own their corner nodes, so a
-    # corner's label always points at the side with vertical normal.
-    if j == 0:
-        return "bottom"
-    if j == ny - 1:
-        return "top"
-    if i == 0:
-        return "left"
-    return "right"
-
-
-def _node_sides(i: int, j: int, nx: int, ny: int) -> set[str]:
-    """All sides a boundary node geometrically belongs to (two at corners)."""
-    sides = set()
-    if j == 0:
-        sides.add("bottom")
-    if j == ny - 1:
-        sides.add("top")
-    if i == 0:
-        sides.add("left")
-    if i == nx - 1:
-        sides.add("right")
-    return sides
+    Returns ``(nodes, side)``: ``nodes`` is the (K, 2) int array of (i, j)
+    pairs and ``side[p]`` the index into :data:`SIDES` of the segment from
+    node p to node p + 1 (mod K).  This is the only place that lays out the
+    walk; every other boundary quantity is derived from ``side``.
+    """
+    side = np.repeat(np.arange(4), [nx - 1, ny - 1, nx - 1, ny - 1])
+    steps = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)], dtype=np.int64)[side]
+    nodes = np.concatenate([np.zeros((1, 2), np.int64), np.cumsum(steps[:-1], axis=0)])
+    return nodes, side
 
 
 @dataclass(frozen=True)
 class BoundaryPartition:
-    """Ordered boundary nodes of a grid with quadrature weights and the Γ mask.
+    """Ordered boundary nodes of a grid with the Γ mask, weights and normals.
 
-    nodes        (K, 2) int array of (i, j) pairs, counterclockwise.
-    sigma        full-perimeter trapezoid arc weights; every node gets h
-                 (half a segment from each of its two incident segments),
-                 so sum(sigma) equals the perimeter.
-    gamma_mask   bool per node, True on the measurement sides (corner nodes
-                 of a flagged side included).
-    gamma_sigma  trapezoid weights restricted to Γ: each node receives h/2
-                 per *flagged* incident segment, so a run endpoint gets h/2
-                 and sum(gamma_sigma) equals the arc length of Γ.
+    nodes          (K, 2) int array of (i, j) pairs, counterclockwise.
+    gamma_segments bool per node p: the segment from node p to the next lies
+                   on Γ.  Every array below is derived from it.
+    gamma_mask     bool per node, True when either of the node's segments
+                   lies on Γ (so the corner nodes of a flagged side count).
+    gamma_sigma    trapezoid weights on Γ, (m,): h/2 per flagged segment at
+                   the node, so a run end gets h/2 and sum(gamma_sigma) is
+                   the arc length of Γ.
+    normal_side    (m,) index into SIDES of the side whose outward normal
+                   each Γ node takes: the flagged side of its two segments,
+                   the horizontal one (vertical normal) when both are.
     """
 
     grid: Grid2D
     gamma_sides: frozenset
     nodes: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
+    gamma_segments: np.ndarray = field(repr=False)
     gamma_mask: np.ndarray = field(repr=False)
     gamma_sigma: np.ndarray = field(repr=False)
+    normal_side: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.nodes, self.sigma, self.gamma_mask, self.gamma_sigma):
+        for arr in (self.nodes, self.gamma_segments, self.gamma_mask,
+                    self.gamma_sigma, self.normal_side):
             arr.setflags(write=False)
 
     @property
@@ -206,78 +187,37 @@ class BoundaryPartition:
              self.grid.rect.y0 + g[:, 1] * self.grid.h]
         )
 
+    def gamma_links(self) -> tuple[np.ndarray, np.ndarray]:
+        """(after, before) bool per Γ node: the segment to the next, and
+        from the previous, walk node lies on Γ.  A run end has exactly one."""
+        seg = self.gamma_segments
+        return seg[self.gamma_mask], np.roll(seg, 1)[self.gamma_mask]
+
     def gamma_normals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Outward normal side assignment for every Γ node.
-
-        Returns (sides, normals): sides is an array of side names, normals
-        an (m, 2) float array.  A corner shared by a flagged and an
-        unflagged side takes the flagged side's normal; a corner of two
-        flagged sides takes the vertical normal (bottom/top tie-break).
-        """
-        nx, ny = self.grid.nx, self.grid.ny
-        sides = []
-        for i, j in self.gamma_nodes:
-            label = _side_of_node(int(i), int(j), nx, ny)
-            if label not in self.gamma_sides:
-                incident = _node_sides(int(i), int(j), nx, ny) & self.gamma_sides
-                label = sorted(incident)[0]
-            sides.append(label)
-        sides = np.array(sides)
-        normals = np.array([SIDE_NORMALS[s] for s in sides], dtype=float)
-        return sides, normals
-
-    def gamma_runs(self) -> list[np.ndarray]:
-        """Maximal contiguous runs of Γ nodes along the (circular) boundary walk.
-
-        Each run is an index array into the Γ-node ordering (0..m-1).  Runs
-        are the arcs on which tangential differences are taken; a run may
-        wrap around the start of the walk.
-        """
-        mask = self.gamma_mask
-        k = len(mask)
-        if mask.all():
-            return [np.arange(self.m)]
-        # rotate so the walk starts just after a gap: runs never straddle 0
-        start = 0
-        while mask[(start - 1) % k]:
-            start += 1
-        order = (np.arange(k) + start) % k
-        gamma_pos = np.full(k, -1)
-        gamma_pos[np.where(mask)[0]] = np.arange(self.m)
-        runs, current = [], []
-        for idx in order:
-            if mask[idx]:
-                current.append(gamma_pos[idx])
-            elif current:
-                runs.append(np.array(current))
-                current = []
-        if current:
-            runs.append(np.array(current))
-        return runs
+        """(side names, (m, 2) outward unit normals) of the Γ nodes."""
+        return np.array(SIDES)[self.normal_side], _NORMALS[self.normal_side]
 
     @cached_property
     def tangential_d1(self) -> np.ndarray:
         """First-difference operator along Γ, (m, m), built once and read-only.
 
-        Central differences inside each contiguous Γ run, one-sided at run
-        endpoints, zero for an isolated node.  Arc-length spacing is h
-        everywhere, including across corners inside a run.
+        Central where both of a node's segments lie on Γ, one-sided where
+        only one does.  Arc-length spacing is h everywhere, across corners
+        too; with all four sides flagged Γ is a closed loop and D1 the
+        circulant central difference.
         """
         m, h = self.m, self.grid.h
+        after, before = self.gamma_links()
+        pos = np.cumsum(self.gamma_mask) - 1  # Γ position of each walk node
+        walk = np.flatnonzero(self.gamma_mask)
+        nxt = pos[(walk + 1) % self.n_boundary]
+        prv = pos[walk - 1]
+        rows = np.arange(m)
+        step = np.where(after & before, 0.5 / h, 1.0 / h)
         d1 = np.zeros((m, m))
-        for run in self.gamma_runs():
-            if len(run) < 2:
-                continue
-            for pos, row in enumerate(run):
-                if pos == 0:
-                    d1[row, run[1]] += 1.0 / h
-                    d1[row, run[0]] -= 1.0 / h
-                elif pos == len(run) - 1:
-                    d1[row, run[-1]] += 1.0 / h
-                    d1[row, run[-2]] -= 1.0 / h
-                else:
-                    d1[row, run[pos + 1]] += 0.5 / h
-                    d1[row, run[pos - 1]] -= 0.5 / h
+        d1[rows, rows] = (before.astype(float) - after) / h
+        d1[rows[after], nxt[after]] = step[after]
+        d1[rows[before], prv[before]] = -step[before]
         d1.setflags(write=False)
         return d1
 
@@ -291,7 +231,7 @@ def graph_norm(sigma: np.ndarray, d1: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def boundary_partition(grid: Grid2D, gamma_sides) -> BoundaryPartition:
-    """Enumerate the boundary and flag the measurement sides Γ.
+    """Walk the boundary and flag the measurement sides Γ.
 
     gamma_sides: iterable of side names from {"bottom", "right", "top", "left"}.
     Must be nonempty; Γ is the union of the named whole sides, endpoint
@@ -304,33 +244,22 @@ def boundary_partition(grid: Grid2D, gamma_sides) -> BoundaryPartition:
     if unknown:
         raise ValidationError(f"unknown side name(s): {sorted(unknown)}")
 
-    nx, ny, h = grid.nx, grid.ny, grid.h
-    nodes = _boundary_walk(nx, ny)
-    k = len(nodes)
-    sigma = np.full(k, h)
-
-    mask = np.array(
-        [bool(_node_sides(int(i), int(j), nx, ny) & sides) for i, j in nodes]
-    )
-
-    # Γ-restricted trapezoid weights: h/2 per flagged incident segment.  The
-    # segment after node p (counterclockwise) lies on the side of whichever
-    # side both endpoints share.
-    gamma_sigma = np.zeros(k)
-    for p in range(k):
-        q = (p + 1) % k
-        seg_side = _node_sides(*map(int, nodes[p]), nx, ny) & _node_sides(
-            *map(int, nodes[q]), nx, ny
-        )
-        if seg_side & sides:
-            gamma_sigma[p] += 0.5 * h
-            gamma_sigma[q] += 0.5 * h
-
+    nodes, seg_side = _boundary_walk(grid.nx, grid.ny)
+    after = np.isin(seg_side, [SIDES.index(s) for s in sides])
+    before = np.roll(after, 1)
+    mask = after | before
+    gamma_sigma = 0.5 * grid.h * (after.astype(float) + before)
+    # a node takes the side of the flagged segment after it, unless only the
+    # one before is flagged, or both are and the one after is vertical (odd
+    # index in SIDES): at a corner of two measured sides the horizontal wins
+    own = after & ~(before & (seg_side % 2 == 1))
+    normal_side = np.where(own, seg_side, np.roll(seg_side, 1))
     return BoundaryPartition(
         grid=grid,
         gamma_sides=sides,
         nodes=nodes,
-        sigma=sigma,
+        gamma_segments=after,
         gamma_mask=mask,
         gamma_sigma=gamma_sigma[mask],
+        normal_side=normal_side[mask],
     )

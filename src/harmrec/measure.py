@@ -45,20 +45,10 @@ class IndicateField:
         return self.tau.grid
 
     def gamma_endpoints(self) -> np.ndarray:
-        """(k, 2) coordinates of the corners where Γ meets its complement."""
-        sides = self.gamma.gamma_sides
-        r = self.grid.rect
-        corner_xy = {
-            ("bottom", "left"): (r.x0, r.y0),
-            ("bottom", "right"): (r.x1, r.y0),
-            ("top", "right"): (r.x1, r.y1),
-            ("top", "left"): (r.x0, r.y1),
-        }
-        pts = []
-        for (a, b), xy in corner_xy.items():
-            if (a in sides) != (b in sides):
-                pts.append(xy)
-        return np.array(pts) if pts else np.empty((0, 2))
+        """(k, 2) coordinates of the Γ nodes where Γ meets its complement,
+        the ones with exactly one segment on Γ."""
+        after, before = self.gamma.gamma_links()
+        return self.gamma.gamma_points[after != before]
 
     def oracle_comparison_mask(self) -> np.ndarray:
         """Interior nodes at least ORACLE_EXCLUSION_BAND*h from every Γ endpoint."""

@@ -98,7 +98,7 @@ def _check_contract(command, raw) -> int:
         return code
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.sampled_from(["run", "tau", "sweep"]), configs)
 def test_cli_contract_on_generated_configs(command, raw):

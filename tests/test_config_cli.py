@@ -207,7 +207,7 @@ def test_cli_non_finite_json_artifact_exit_3(tmp_path, capsys, monkeypatch):
     assert not (out / "sweep.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_numerical_failure_leaves_no_artifacts(tmp_path, capsys):
     # exp(400 x) overflows the fit: the run must fail before writing anything
     cfg = tmp_path / "cfg.json"
@@ -219,7 +219,7 @@ def test_cli_run_numerical_failure_leaves_no_artifacts(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_overflow_is_numerical_exit_3(tmp_path, capsys, command):
     # exp(800 x) overflows to a non-finite field: a numerical failure, not a
@@ -333,21 +333,39 @@ def test_cli_sweep_too_coarse_for_probes_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _cli_stderr_line(tmp_path, command, raw):
+    """Run the CLI in a fresh process on config ``raw``; return its exit code
+    and its stderr, checked to be exactly one strict-JSON error line."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmrec.cli", command, "--config", str(cfg),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+    assert not out.exists() or not any(out.iterdir())
+    return proc.returncode, json.loads(proc.stderr, parse_constant=pytest.fail)["error"]
+
+
 def test_cli_zero_truth_sweep_prints_only_its_error(tmp_path):
     # zero truth: every fit is zero, so the penalty norm's log-slope is
     # undefined and the slopes are constant; no library warning may reach
     # stderr ahead of the one JSON line
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"exact": "constant", "exact_value": 0.0,
-                               "h": 1 / 16, "padding_layers": 1}))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "harmrec.cli", "sweep", "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 3
-    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
-    error = json.loads(proc.stderr, parse_constant=pytest.fail)["error"]
+    code, error = _cli_stderr_line(tmp_path, "sweep", {
+        "exact": "constant", "exact_value": 0.0, "h": 1 / 16, "padding_layers": 1})
+    assert code == 3
     assert error["type"] == "numerical" and "penalty norm" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("exact_a", [400, 800])
+def test_cli_overflow_prints_only_its_error(tmp_path, command, exact_a):
+    # exp(a x) overflows (a = 800) or its norms do (a = 400): numpy's
+    # RuntimeWarnings must not reach stderr ahead of the one JSON line
+    code, error = _cli_stderr_line(tmp_path, command, {
+        "exact_a": exact_a, "h": 0.125, "padding_layers": 1})
+    assert code == 3 and error["type"] == "numerical"

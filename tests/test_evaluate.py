@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmrec import (Constant, Rect, ValidationError, boundary_partition,
                      build_grid, compute_indicate, envelope_check,
                      pointwise_error, rate_fit, reliability_summary,
                      sample_exact, spearman_rank)
 from harmrec.evaluate import auto_probe_nodes, envelope_c_fit
+from harmrec.grid import SIDES
 from harmrec.poisson import ScalarField
 
 
@@ -148,3 +151,18 @@ def test_auto_probe_nodes_span_band():
     assert (taus >= 0.3).all() and (taus <= 0.9).all()
     assert taus.max() - taus.min() > 0.4
     assert len(set(nodes)) >= 8
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-6, 0.99),
+       st.lists(st.sampled_from(SIDES), min_size=1, max_size=3, unique=True))
+def test_fitted_envelope_constant_has_no_violations(seed, eps, sides):
+    # c_fit is the largest ratio err / eps^tau, so no node may exceed it;
+    # comparing err against c_fit * eps^tau instead rounds the other way on
+    # about one random field in twenty
+    g = build_grid(Rect(0, 0, 1, 1), 1 / 8)
+    tau = compute_indicate(g, boundary_partition(g, sides))
+    rng = np.random.default_rng(seed)
+    err = ScalarField(grid=g, values=rng.uniform(0.0, 1.0, g.shape) * 10.0 ** rng.integers(-6, 6))
+    rep = envelope_check(err, tau, eps)
+    assert rep.violations == 0 and rep.violation_locations == []

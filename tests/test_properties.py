@@ -1,13 +1,15 @@
-"""Numerical invariants of the Dirichlet solve and the exponent field, as
-properties on small generated grids: any aspect ratio, h from 1/4 to 1/12,
-and any set of measured sides short of all four."""
+"""Numerical invariants of the Dirichlet solve, the normal stencil and the
+exponent field, as properties on small generated grids: any aspect ratio,
+h from 1/4 to 1/12, and any set of measured sides short of all four."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmrec import Rect, boundary_partition, build_grid, compute_indicate, solve_dirichlet
+from harmrec import (HarmonicPoly, Rect, boundary_partition, build_grid, compute_indicate,
+                     sample_exact, solve_dirichlet, trace_cauchy)
 from harmrec.grid import SIDES
+from harmrec.poisson import normal_stencil
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -64,3 +66,32 @@ def test_solve_is_linear_and_obeys_the_maximum_principle(grid, seed):
     for data, u in ((a, ua), (b, ub)):
         slack = 1e-12 * np.abs(data).max()
         assert data.min() - slack <= u.min() and u.max() <= data.max() + slack
+
+
+def _harmonic_poly(seed, degree):
+    """Re Σ c_k z^k, k <= degree, with complex standard normal c_k."""
+    c = np.random.default_rng(seed).normal(size=(2, degree + 1))
+    return HarmonicPoly(coeffs=tuple(c[0] + 1j * c[1]))
+
+
+@PROPERTY
+@given(grids(), st.integers(0, 2**32 - 1))
+def test_solve_reproduces_harmonic_cubics_from_their_rim(grid, seed):
+    # the 5-point stencil annihilates harmonic polynomials through degree 3
+    part = boundary_partition(grid, ["bottom"])
+    u = sample_exact(_harmonic_poly(seed, 3), grid).values
+    sol = solve_dirichlet(grid, part, u[part.nodes[:, 1], part.nodes[:, 0]]).values
+    assert np.abs(sol - u).max() <= 1e-12 * np.abs(u).max()
+
+
+@PROPERTY
+@given(grids(), side_sets, st.integers(0, 2**32 - 1))
+def test_normal_stencil_is_exact_on_harmonic_quadratics(grid, sides, seed):
+    # the one-sided second-order difference along each Γ node's normal, the
+    # vertical one at a corner of two measured sides, is exact on quadratics
+    part = boundary_partition(grid, sides)
+    poly = _harmonic_poly(seed, 2)
+    ii, jj, coeffs = normal_stencil(part)
+    flux = sample_exact(poly, grid).values[jj, ii] @ coeffs
+    g = trace_cauchy(poly, part).g
+    assert np.abs(flux - g).max() <= 1e-11 * np.abs(g).max()
