@@ -8,8 +8,8 @@ base solutions, and certifies where the result can be trusted through the
 harmonic measure of the measurement arc.
 """
 
-from .basis import (BaseSolutionSet, BoundaryBasis, DiscreteSystem,
-                    assemble_system, build_basis, compute_base_solutions)
+from .basis import (BoundaryBasis, DiscreteSystem, assemble_system,
+                    build_basis, compute_base_solutions)
 from .config import DEFAULTS, PRESETS, ExperimentConfig, resolve_config, validate_config
 from .errors import SolverError, ValidationError
 from .evaluate import (EnvelopeReport, RegionStats, envelope_check,

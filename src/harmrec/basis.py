@@ -10,6 +10,10 @@ functions.  Two basis kinds:
 * ``indicator`` — characteristic functions of a disjoint cover of the
   boundary by contiguous arcs (``arcs_per_side`` arcs per geometric side).
 
+No base solution is stored as a field: assembly needs them only at the Γ
+nodes, the normal-stencil nodes and the inner boundary, and those rows are
+sums over arcs of the closed-form rows of :func:`poisson.rim_extension`.
+
 Assembly evaluates every base solution on the measurement arc: values, and
 second-order one-sided outward normal differences.  It builds the smoothness
 penalty from the traces on the *inner* rectangle's boundary, treated as a
@@ -30,34 +34,32 @@ import numpy as np
 from .errors import ValidationError
 from .grid import (SIDES, BoundaryPartition, Grid2D, Rect, _boundary_walk, boundary_partition,
                    build_grid)
-from .poisson import normal_stencil, solve_dirichlet, solve_interior
-
-# Right-hand sides per batched direct solve: bounds the transform work space.
-CHUNK = 32
+from .poisson import normal_stencil, rim_extension
+# Not called here: perfbench/spans.py wraps `basis.solve_dirichlet` by name.
+from .poisson import solve_dirichlet  # noqa: F401
 
 
 @dataclass(frozen=True)
 class BoundaryBasis:
-    """Basis functions on the boundary of the enlarged grid."""
+    """Basis functions on the boundary of the enlarged grid: function k is 1
+    on walk nodes ``support[k, 0]`` to ``support[k, 1] - 1``, 0 elsewhere,
+    and the arcs split the whole walk in order."""
 
     tilde_grid: Grid2D
     tilde_partition: BoundaryPartition = field(repr=False)
     kind: str
-    support: np.ndarray = field(repr=False)  # (n, 2) contiguous walk-index ranges
+    support: np.ndarray = field(repr=False)  # (n, 2) walk-index ranges
 
     def __post_init__(self):
+        lo, hi = self.support.T
+        if not (lo[0] == 0 and hi[-1] == self.tilde_partition.n_boundary
+                and (hi > lo).all() and np.array_equal(lo[1:], hi[:-1])):
+            raise ValidationError("basis arcs must split the boundary walk in order")
         self.support.setflags(write=False)
 
     @property
     def n(self) -> int:
         return len(self.support)
-
-    def boundary_values(self, k: int) -> np.ndarray:
-        """Data of basis function k sampled at the boundary walk nodes."""
-        v = np.zeros(self.tilde_partition.n_boundary)
-        lo, hi = self.support[k]
-        v[lo:hi] = 1.0
-        return v
 
 
 def build_basis(tilde_rect: Rect, h: float, kind: str = "hat", *,
@@ -65,7 +67,7 @@ def build_basis(tilde_rect: Rect, h: float, kind: str = "hat", *,
     """Build the boundary basis on the enlarged rectangle.
 
     The enlarged rectangle must strictly contain ``omega_rect`` and both
-    must live on the same h-lattice (checked again at assembly).
+    must live on the same h-lattice (checked again when sampling).
     """
     if kind not in ("hat", "indicator"):
         raise ValidationError(f"unknown basis kind {kind!r}")
@@ -77,8 +79,7 @@ def build_basis(tilde_rect: Rect, h: float, kind: str = "hat", *,
     grid = build_grid(tilde_rect, h)
     part = boundary_partition(grid, SIDES)
     if kind == "hat":
-        k = part.n_boundary
-        support = np.column_stack([np.arange(k), np.arange(k) + 1])
+        splits = np.arange(part.n_boundary + 1)
     else:
         if arcs_per_side < 1:
             raise ValidationError("arcs_per_side must be at least 1")
@@ -86,60 +87,11 @@ def build_basis(tilde_rect: Rect, h: float, kind: str = "hat", *,
         # start, where the left side ends, goes with the bottom side
         _, seg_side = _boundary_walk(grid.nx, grid.ny)
         ends = np.r_[0, np.searchsorted(seg_side, [1, 2, 3]) + 1, part.n_boundary]
-        support_list = []
-        for start, stop in zip(ends[:-1], ends[1:]):
-            splits = np.linspace(start, stop, arcs_per_side + 1).round().astype(int)
-            for a, b in zip(splits[:-1], splits[1:]):
-                if b > a:
-                    support_list.append((a, b))
-        support = np.array(support_list, dtype=np.int64)
+        splits = np.unique(np.concatenate([np.linspace(a, b, arcs_per_side + 1)
+                                           for a, b in zip(ends[:-1], ends[1:])]).round())
+    support = np.column_stack([splits[:-1], splits[1:]]).astype(np.int64)
     return BoundaryBasis(tilde_grid=grid, tilde_partition=part, kind=kind,
                          support=support)
-
-
-@dataclass(frozen=True)
-class BaseSolutionSet:
-    """Solved harmonic fields, one per basis function, stacked (n, ny, nx)."""
-
-    basis: BoundaryBasis
-    fields: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.fields.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.basis.n
-
-
-def compute_base_solutions(basis: BoundaryBasis, tol: float = 1e-10,
-                           method: str = "direct") -> BaseSolutionSet:
-    """Solve the Dirichlet problem for every basis function.
-
-    ``direct`` writes all boundary data into the stack at once and solves
-    it ``CHUNK`` right-hand sides per batched transform.  ``cg`` solves one
-    at a time; its failures carry the basis index.
-    """
-    grid, part = basis.tilde_grid, basis.tilde_partition
-    n = basis.n
-    if method == "direct":
-        walk = np.arange(part.n_boundary)
-        lo, hi = basis.support[:, :1], basis.support[:, 1:]
-        stack = np.zeros((n,) + grid.shape)
-        stack[:, part.nodes[:, 1], part.nodes[:, 0]] = (walk >= lo) & (walk < hi)
-        for start in range(0, n, CHUNK):
-            solve_interior(stack[start:start + CHUNK])
-    else:
-        fields = []
-        for k in range(n):
-            try:
-                fld = solve_dirichlet(grid, part, basis.boundary_values(k),
-                                      tol=tol, method=method)
-            except Exception as exc:
-                raise type(exc)(f"base solution {k}: {exc}") from exc
-            fields.append(fld.values)
-        stack = np.stack(fields)
-    return BaseSolutionSet(basis=basis, fields=stack)
 
 
 @dataclass(frozen=True)
@@ -198,34 +150,44 @@ def _lattice_offsets(tilde: Grid2D, omega: Grid2D) -> tuple[int, int]:
     return oi, oj
 
 
-def assemble_system(base_set: BaseSolutionSet,
+def compute_base_solutions(basis: BoundaryBasis,
+                           omega_partition: BoundaryPartition) -> np.ndarray:
+    """(3m + K, n) values of the base solutions at the m Γ nodes, then at
+    the first and the second node each Γ node's normal difference steps
+    inward to, then at the K nodes of the inner boundary walk."""
+    oi, oj = _lattice_offsets(basis.tilde_grid, omega_partition.grid)
+    ii, jj, _ = normal_stencil(omega_partition)
+    walk = omega_partition.nodes
+    rows = rim_extension(basis.tilde_partition,
+                         np.concatenate([ii.T.ravel(), walk[:, 0]]) + oi,
+                         np.concatenate([jj.T.ravel(), walk[:, 1]]) + oj)
+    return np.add.reduceat(rows, basis.support[:, 0], axis=1)
+
+
+def assemble_system(rows: np.ndarray,
                     omega_partition: BoundaryPartition) -> DiscreteSystem:
-    """Evaluate base solutions on Γ and build the penalty factor."""
-    omega = omega_partition.grid
-    tilde = base_set.basis.tilde_grid
-    oi, oj = _lattice_offsets(tilde, omega)
-    fields = base_set.fields  # (n, ny_t, nx_t)
-
-    gi = omega_partition.gamma_nodes[:, 0] + oi
-    gj = omega_partition.gamma_nodes[:, 1] + oj
-    a_mat = fields[:, gj, gi].T.copy()  # (m, n)
-
-    ii, jj, coeffs = normal_stencil(omega_partition)
-    b_mat = np.zeros_like(a_mat)
+    """Build A, B and the penalty factor from the rows that
+    :func:`compute_base_solutions` sampled for this partition."""
+    m, k = omega_partition.m, omega_partition.n_boundary
+    if rows.ndim != 2 or rows.shape[0] != 3 * m + k:
+        raise ValidationError(f"expected {3 * m + k} sampled rows, got {rows.shape}")
+    _, _, coeffs = normal_stencil(omega_partition)
+    b_mat = np.zeros((m, rows.shape[1]))
     for p, c in enumerate(coeffs):
-        b_mat += c * fields[:, jj[:, p] + oj, ii[:, p] + oi].T
+        b_mat += c * rows[p * m:(p + 1) * m]
 
     # Penalty from traces on the inner boundary, closed-polyline differences.
-    walk = omega_partition.nodes
-    v_tr = fields[:, walk[:, 1] + oj, walk[:, 0] + oi].T  # (K, n)
-    h = omega.h
+    v_tr = rows[3 * m:]  # (K, n)
+    h = omega_partition.grid.h
     d1 = (np.roll(v_tr, -1, axis=0) - np.roll(v_tr, 1, axis=0)) / (2 * h)
     d2 = (np.roll(v_tr, -1, axis=0) - 2 * v_tr + np.roll(v_tr, 1, axis=0)) / (h * h)
+    f_mat = np.vstack([v_tr, d1, d2])
+    f_mat *= np.sqrt(h)  # in place: F is the largest array of the build
 
     return DiscreteSystem(
-        A=a_mat,
+        A=rows[:m].copy(),
         B=b_mat,
-        F=np.sqrt(h) * np.vstack([v_tr, d1, d2]),
+        F=f_mat,
         sigma=omega_partition.gamma_sigma.copy(),
         D1=omega_partition.tangential_d1,
         h=h,

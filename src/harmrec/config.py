@@ -83,8 +83,8 @@ _KEYS: dict = {
     "solver_tol": (1e-10, _number("a positive number", lambda v: v > 0)),
     "threshold": (0.5, _number("a number in (0, 1]", lambda v: 0 < v <= 1)),
     "tau0": (0.49, _number("a number in (0, 1)", lambda v: 0 < v < 1)),
-    "eps_levels": ([1e-1, 1e-2, 1e-3], ("a list of positive numbers",
-                                        _list_of(lambda e: _finite(e) and e > 0))),
+    "eps_levels": ([1e-1, 1e-2, 1e-3], ("a list of distinct positive numbers", lambda v: (
+        _list_of(lambda e: _finite(e) and e > 0)(v) and len(set(v)) == len(v)))),
     "seeds": ([1, 2, 3], ("a nonempty list of integers",
                           _list_of(lambda s: _finite(s, int), nonempty=True))),
     "tau_gamma_sets": (
@@ -97,10 +97,9 @@ _KEYS: dict = {
 DEFAULTS: dict = {key: default for key, (default, _) in _KEYS.items()}
 
 # Largest dense array a config may ask for: one field on the domain grid
-# (checked by validate_config, so for every command) or the base-solution
-# stack, n_basis x enlarged-grid nodes x 8 B (checked by check_stack_size,
-# so only where the stack is built).  The presets need about 0.55 GB of stack
-# at h = 1/256.
+# (checked by validate_config, so for every command) or the base-solution rows
+# (checked by check_rows_size, so only where they are sampled).  The presets
+# need 15 MB (one side) and 21 MB (two sides) of rows at h = 1/256.
 MAX_ARRAY_BYTES = 4e9
 
 
@@ -112,14 +111,14 @@ def _nodes(r: dict, layers) -> tuple[float, float]:
             (r["y1"] - r["y0"]) / r["h"] + extra)
 
 
-def _stack_bytes(r: dict) -> float:
-    """Size of the base-solution stack, exact for hats and an upper bound
-    for indicators."""
-    nx, ny = _nodes(r, r["padding_layers"])
-    n_basis = 2.0 * (nx + ny) - 4
-    if r["basis_kind"] == "indicator":
-        n_basis = min(n_basis, 4.0 * r["arcs_per_side"])
-    return 8.0 * n_basis * nx * ny
+def _rows_bytes(r: dict) -> float:
+    """Size of the base-solution rows, 3m + K sampled nodes (m on Γ, K on the
+    rim) by the enlarged rim nodes: exact for hats, a bound for indicators."""
+    nx, ny = _nodes(r, 0)
+    sides = r["gamma_sides"]  # each side's nodes, less a corner shared with the one before
+    m = sum((nx, ny)[k % 2] - (SIDES[k - 1] in sides) for k, s in enumerate(SIDES) if s in sides)
+    tx, ty = _nodes(r, r["padding_layers"])
+    return 8.0 * (3 * m + 2 * (nx + ny) - 4) * (2 * (tx + ty) - 4)
 
 
 def _check_size(what: str, size: float) -> None:
@@ -204,11 +203,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def check_stack_size(cfg: ExperimentConfig) -> None:
-    """Reject, before any allocation, a config whose dense base-solution
-    stack would exceed MAX_ARRAY_BYTES."""
-    _check_size("the base-solution stack (n_basis x enlarged-grid nodes x 8 B)",
-                _stack_bytes(cfg.raw))
+def check_rows_size(cfg: ExperimentConfig) -> None:
+    """Reject, before any allocation, a config whose base-solution rows
+    would exceed MAX_ARRAY_BYTES."""
+    _check_size("the base-solution rows (sampled nodes x enlarged rim nodes x 8 B)",
+                _rows_bytes(cfg.raw))
 
 
 def resolve_config(preset: str | None = None, config_path=None,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, ValidationError
 from .forward import CauchyData
 from .poisson import ScalarField
 
@@ -32,6 +32,15 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def out_dir(path) -> Path:
+    """Create the artifact directory; a path that cannot be one is invalid."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory: {exc}") from exc
+    return Path(path)
 
 
 def json_text(obj, name: str) -> str:

@@ -11,16 +11,15 @@ All artifacts are deterministic functions of the configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import evaluate as ev
 from . import io as hio
 from . import svg
-from .basis import (BaseSolutionSet, DiscreteSystem, assemble_system,
+from .basis import (BoundaryBasis, DiscreteSystem, assemble_system,
                     build_basis, compute_base_solutions)
-from .config import ExperimentConfig, check_stack_size
+from .config import ExperimentConfig, check_rows_size
 from .errors import SolverError, ValidationError
 from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
@@ -35,7 +34,7 @@ class PipelineState:
     cfg: ExperimentConfig
     grid: Grid2D
     partition: BoundaryPartition
-    base_set: BaseSolutionSet
+    basis: BoundaryBasis
     system: DiscreteSystem
     tau: IndicateField
     clean_data: CauchyData
@@ -51,19 +50,17 @@ def tik_config(cfg: ExperimentConfig) -> TikhonovConfig:
 
 
 def build_state(cfg: ExperimentConfig) -> PipelineState:
-    check_stack_size(cfg)
+    check_rows_size(cfg)
     grid = build_grid(cfg.rect, cfg["h"])
     partition = boundary_partition(grid, cfg["gamma_sides"])
     basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"],
                         omega_rect=cfg.rect, arcs_per_side=cfg["arcs_per_side"])
-    base_set = compute_base_solutions(basis, tol=cfg["solver_tol"],
-                                      method=cfg["solver"])
-    system = assemble_system(base_set, partition)
+    system = assemble_system(compute_base_solutions(basis, partition), partition)
     tau = compute_indicate(grid, partition, tol=cfg["solver_tol"],
                            method=cfg["solver"])
     clean = trace_cauchy(cfg.exact_solution(), partition)
     return PipelineState(cfg=cfg, grid=grid, partition=partition,
-                         base_set=base_set, system=system, tau=tau,
+                         basis=basis, system=system, tau=tau,
                          clean_data=clean)
 
 
@@ -71,7 +68,7 @@ def _reconstruct_for(state: PipelineState, level: float, seed: int) -> tuple[Cau
     cfg = state.cfg
     data = add_noise(state.clean_data, level, seed, cfg["noise_model"])
     result, = reconstruct(state.system, [data], tik_config(cfg),
-                          state.base_set, state.grid)
+                          state.basis, state.grid)
     return data, result
 
 
@@ -102,7 +99,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     summary = {
         "config": cfg.to_dict(),
         "grid": {"nx": state.grid.nx, "ny": state.grid.ny, "h": state.grid.h},
-        "n_basis": state.base_set.n,
+        "n_basis": state.basis.n,
         "m": state.partition.m,
         "alpha_used": result.alpha_used,
         "condition_estimate": result.condition_estimate,
@@ -137,8 +134,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
         hio.json_text(summary, "summary.json")
         if not all(np.isfinite(v).all() for v in (result.b, data.f, data.g)):
             raise SolverError("non-finite coefficients or boundary data")
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = hio.out_dir(out_dir)
         hio.write_field_csv(out / "u_star.csv", result.u_star)
         hio.write_field_csv(out / "error.csv", err)
         hio.write_field_csv(out / "exact.csv", exact_field)
@@ -171,10 +167,7 @@ def run_tau(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Exponent-field artifacts for every configured measurement-side set."""
     grid = build_grid(cfg.rect, cfg["h"])
     panels = []
-    out = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    out = None if out_dir is None else hio.out_dir(out_dir)
     ci, cj = grid.nearest_node(0.5 * (cfg.rect.x0 + cfg.rect.x1),
                                0.5 * (cfg.rect.y0 + cfg.rect.y1))
     for sides in cfg["tau_gamma_sets"]:
@@ -234,7 +227,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     for lv in levels:
         datas = [add_noise(state.clean_data, lv, seed, cfg["noise_model"])
                  for seed in seeds]
-        results = reconstruct(state.system, datas, tik, state.base_set, state.grid)
+        results = reconstruct(state.system, datas, tik, state.basis, state.grid)
         err = np.abs(np.stack([r.u_star.values for r in results]) - exact_values)
         for vals in err[:, pj, pi]:  # seed by seed: a mean() would round differently
             err_by_level[lv] += vals / len(seeds)
@@ -284,8 +277,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     }
     if out_dir is not None:
         hio.json_text(summary, "sweep.json")  # probes.csv holds the same values
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = hio.out_dir(out_dir)
         lines = ["x,y,tau,err,slope"]
         for p in probes:
             lines.append(",".join(f"{p[k]:.17g}" for k in ("x", "y", "tau", "err", "slope")))

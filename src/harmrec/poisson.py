@@ -1,16 +1,15 @@
 """Second-order 5-point Dirichlet solver and discrete normal derivatives.
 
 The solver treats the h²-scaled system (stencil weights 4 / -1), which is
-symmetric positive definite on the interior unknowns.  Two methods sit
-behind one contract:
-
-* ``method="direct"`` (default): exact solve in the type-I discrete sine
-  basis, which diagonalises the operator on a rectangle (Buzbee, Golub and
-  Nielson, SIAM J. Numer. Anal. 7, 1970).  :func:`solve_interior` takes a
-  leading batch axis, so many right-hand sides cost one transform pair.
-* ``method="cg"``: matrix-free conjugate gradients (:func:`cg_dirichlet`),
-  one right-hand side at a time.  Residual tolerance is relative to the
-  boundary load (clamped at 1 from below).
+symmetric positive definite on the interior unknowns.  On a rectangle the
+type-I discrete sine basis diagonalises it (Hockney, J. ACM 12, 1965;
+Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970), so
+:func:`solve_interior` solves it exactly for a batch of fields, and
+:func:`rim_extension` samples every rim node's harmonic extension at given
+nodes without forming a field.  :func:`solve_dirichlet` also offers
+``method="cg"``: matrix-free conjugate gradients (:func:`cg_dirichlet`), one
+right-hand side at a time, with the residual tolerance relative to the
+boundary load (clamped at 1 from below).
 """
 
 from __future__ import annotations
@@ -65,6 +64,39 @@ def _dst_eigenvalues(my: int, mx: int) -> np.ndarray:
     eig = ly[:, None] + lx[None, :]
     eig.setflags(write=False)
     return eig
+
+
+@lru_cache(maxsize=8)
+def _dst_matrix(n: int) -> np.ndarray:
+    """Orthonormal DST-I matrix of order n, symmetric and its own inverse; the
+    index product is reduced modulo 2(n + 1) so the sine keeps full accuracy."""
+    k = np.arange(1, n + 1)
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
+    s.setflags(write=False)
+    return s
+
+
+def rim_extension(partition: BoundaryPartition, ii: np.ndarray,
+                  jj: np.ndarray) -> np.ndarray:
+    """(P, K) values at the P interior nodes (ii, jj) of the discrete harmonic
+    extensions of the K rim nodes of ``partition``'s grid, in walk order.  A
+    rim node loads only its interior neighbour, so with S the DST-I and Λ the
+    eigenvalues a side's extensions are ``S (S[:, edge] / Λ) S``; corners give 0."""
+    ny, nx = partition.grid.shape
+    my, mx = ny - 2, nx - 2
+    sy, sx, lam = _dst_matrix(my), _dst_matrix(mx), _dst_eigenvalues(my, mx)
+    py, px = jj - 1, ii - 1
+    ni, nj = partition.nodes.T
+    out = np.zeros((len(py), partition.n_boundary))
+    for edge, on in ((0, nj == 0), (my - 1, nj == ny - 1)):  # bottom, top
+        on &= (ni > 0) & (ni < nx - 1)
+        w = sy @ (sy[:, edge, None] / lam)
+        out[:, on] = (sx[px] * w[py]) @ sx[:, ni[on] - 1]
+    for edge, on in ((0, ni == 0), (mx - 1, ni == nx - 1)):  # left, right
+        on &= (nj > 0) & (nj < ny - 1)
+        w = sx @ (sx[:, edge, None] / lam.T)
+        out[:, on] = (sy[py] * w[px]) @ sy[:, nj[on] - 1]
+    return out
 
 
 def solve_interior(u: np.ndarray) -> None:

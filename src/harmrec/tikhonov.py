@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BaseSolutionSet, DiscreteSystem, _lattice_offsets
+from .basis import BoundaryBasis, DiscreteSystem, _lattice_offsets
 from .errors import SolverError, ValidationError
 from .forward import CauchyData
 from .grid import Grid2D, graph_norm
-from .poisson import ScalarField
+from .poisson import ScalarField, solve_interior
 
 
 def select_alpha(eps: float, h: float, rule: str = "a_priori",
@@ -178,31 +178,34 @@ class ReconstructionResult:
         self.b.setflags(write=False)
 
 
-def reconstruct_field(b: np.ndarray, base_set: BaseSolutionSet,
+def reconstruct_field(b: np.ndarray, basis: BoundaryBasis,
                       omega_grid: Grid2D) -> ScalarField | list[ScalarField]:
-    """Combine base solutions with coefficients, restricted to the grid.
-
-    ``b`` of shape (n,) gives one field; (k, n) gives a list of k fields.
+    """Combine base solutions with coefficients, restricted to the grid: the
+    harmonic field whose rim data are the combined basis functions, one
+    batched solve for all.  ``b`` (n,) gives one field, (k, n) a list of k.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape[-1:] != (base_set.n,) or b.ndim > 2:
-        raise ValidationError(f"expected {base_set.n} coefficients, got {b.shape}")
-    oi, oj = _lattice_offsets(base_set.basis.tilde_grid, omega_grid)
-    fields = base_set.fields
-    values = (np.atleast_2d(b) @ fields.reshape(base_set.n, -1)).reshape(
-        -1, *fields.shape[1:])[:, oj:oj + omega_grid.ny, oi:oi + omega_grid.nx]
+    if b.shape[-1:] != (basis.n,) or b.ndim > 2:
+        raise ValidationError(f"expected {basis.n} coefficients, got {b.shape}")
+    oi, oj = _lattice_offsets(basis.tilde_grid, omega_grid)
+    rim = np.repeat(np.atleast_2d(b), np.diff(basis.support).ravel(), axis=1)
+    u = np.zeros(rim.shape[:1] + basis.tilde_grid.shape)
+    walk = basis.tilde_partition.nodes
+    u[:, walk[:, 1], walk[:, 0]] = rim
+    solve_interior(u)
+    values = u[:, oj:oj + omega_grid.ny, oi:oi + omega_grid.nx]
     out = [ScalarField(grid=omega_grid, values=v) for v in values]
     return out[0] if b.ndim == 1 else out
 
 
 def reconstruct(sys: DiscreteSystem, datas: list[CauchyData], cfg: TikhonovConfig,
-                base_set: BaseSolutionSet,
+                basis: BoundaryBasis,
                 omega_grid: Grid2D) -> list[ReconstructionResult]:
     """Full solve for data sets sharing one noise level: per data set the
     coefficients, the field on the grid, and the fit diagnostics."""
     alpha, f, g = _batch(sys, datas, cfg)
     b, cond = _stacked_solve(sys, f, g, cfg, alpha)
-    u_stars = reconstruct_field(b, base_set, omega_grid)
+    u_stars = reconstruct_field(b, basis, omega_grid)
     # Graph norm of the f residual and quadrature norm of the g residual,
     # one column per data set.
     r_g = sys.B @ b.T - g

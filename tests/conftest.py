@@ -33,3 +33,20 @@ def _spsolve_dirichlet(u):
 def spsolve_dirichlet():
     """Independent reference for the Dirichlet solves."""
     return _spsolve_dirichlet
+
+
+def _base_solution_fields(basis):
+    """(n, ny, nx) base solutions of ``basis`` on its enlarged grid, from
+    data written arc by arc from the support ranges and solved by the sparse
+    reference."""
+    walk = basis.tilde_partition.nodes
+    data = np.zeros((basis.n,) + basis.tilde_grid.shape)
+    for k, (lo, hi) in enumerate(basis.support):
+        data[k, walk[lo:hi, 1], walk[lo:hi, 0]] = 1.0
+    return _spsolve_dirichlet(data)
+
+
+@pytest.fixture
+def base_solution_fields():
+    """Independent reference for the base solutions of a basis."""
+    return _base_solution_fields

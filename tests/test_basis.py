@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from harmrec import (ExpCos, Rect, SolverError, ValidationError, add_noise,
+from harmrec import (ExpCos, Rect, ValidationError, add_noise,
                      assemble_system, boundary_partition, build_basis,
-                     build_grid, compute_base_solutions, trace_cauchy)
+                     build_grid, compute_base_solutions, reconstruct_field,
+                     trace_cauchy)
 from harmrec.basis import BoundaryBasis
 from harmrec.grid import SIDES, graph_norm
+from harmrec.poisson import normal_stencil
 
 
 def test_hat_count_matches_reference_setup():
@@ -21,15 +23,27 @@ def test_indicator_four_arcs_partition_boundary():
     tilde = Rect(-0.125, -0.125, 1.125, 1.125)
     basis = build_basis(tilde, 0.125, "indicator", omega_rect=Rect(0, 0, 1, 1))
     assert basis.n == 4
-    total = sum(basis.boundary_values(k) for k in range(basis.n))
-    assert np.array_equal(total, np.ones(basis.tilde_partition.n_boundary))
+    lo, hi = basis.support.T  # consecutive arcs, each walk node in one
+    assert lo[0] == 0 and hi[-1] == basis.tilde_partition.n_boundary
+    assert np.array_equal(lo[1:], hi[:-1]) and (hi > lo).all()
 
 
 def test_hat_data_are_unit_vectors():
     tilde = Rect(-0.25, -0.25, 1.25, 1.25)
     basis = build_basis(tilde, 0.25, "hat", omega_rect=Rect(0, 0, 1, 1))
-    v = basis.boundary_values(3)
-    assert v.sum() == 1.0 and v[3] == 1.0
+    # hat k is 1 at walk node k alone
+    k = np.arange(basis.tilde_partition.n_boundary)
+    assert np.array_equal(basis.support, np.column_stack([k, k + 1]))
+
+
+@pytest.mark.parametrize("support", [[[4, 5], [5, 6]], [[0, 3], [2, 16]],
+                                     [[0, 0], [0, 16]], [[0, 8]], [[8, 16], [0, 8]]])
+def test_basis_arcs_must_split_the_walk(support):
+    tilde_grid = build_grid(Rect(0, 0, 1, 1), 0.25)  # 16 walk nodes
+    tilde_part = boundary_partition(tilde_grid, SIDES)
+    with pytest.raises(ValidationError, match="split the boundary walk"):
+        BoundaryBasis(tilde_grid=tilde_grid, tilde_partition=tilde_part,
+                      kind="indicator", support=np.array(support))
 
 
 def test_strict_containment_required():
@@ -40,14 +54,13 @@ def test_strict_containment_required():
                     omega_rect=Rect(0, 0, 1, 1))
 
 
-def _small_setup(h=1 / 8, pad_layers=1, kind="hat", method="direct"):
+def _small_setup(h=1 / 8, pad_layers=1, kind="hat"):
     omega = Rect(0, 0, 1, 1)
     pad = pad_layers * h
     basis = build_basis(omega.padded(pad), h, kind, omega_rect=omega)
-    base_set = compute_base_solutions(basis, tol=1e-11, method=method)
     grid = build_grid(omega, h)
     part = boundary_partition(grid, ["bottom"])
-    return basis, base_set, grid, part
+    return basis, compute_base_solutions(basis, part), grid, part
 
 
 def test_whole_boundary_arc_gives_constant_one():
@@ -57,54 +70,49 @@ def test_whole_boundary_arc_gives_constant_one():
     basis = BoundaryBasis(tilde_grid=tilde_grid, tilde_partition=tilde_part,
                           kind="indicator",
                           support=np.array([[0, tilde_part.n_boundary]]))
-    base_set = compute_base_solutions(basis, tol=1e-11, method="direct")
-    assert np.abs(base_set.fields[0] - 1.0).max() < 1e-10
-    part = boundary_partition(build_grid(omega, 0.125), ["bottom"])
-    sys = assemble_system(base_set, part)
+    grid = build_grid(omega, 0.125)
+    assert np.abs(reconstruct_field([1.0], basis, grid).values - 1.0).max() < 1e-10
+    part = boundary_partition(grid, ["bottom"])
+    rows = compute_base_solutions(basis, part)
+    assert np.abs(rows - 1.0).max() < 1e-10
+    sys = assemble_system(rows, part)
     assert np.abs(sys.A - 1.0).max() < 1e-10
     assert np.abs(sys.B).max() < 1e-10 / 0.125  # zero up to tol/h
 
 
 def test_base_solutions_partition_of_unity_and_max_principle():
-    basis, base_set, grid, part = _small_setup()
+    # on the sampled rows, and on every base solution rebuilt over the grid
+    basis, rows, grid, part = _small_setup()
     n = basis.n
-    total = base_set.fields.sum(axis=0)
-    assert np.abs(total - 1.0).max() < n * 1e-11
-    assert base_set.fields.min() > -1e-11
-    assert base_set.fields.max() < 1.0 + 1e-11
+    fields = np.stack([f.values for f in reconstruct_field(np.eye(n), basis, grid)])
+    for values, total in ((rows, rows.sum(axis=1)), (fields, fields.sum(axis=0))):
+        assert np.abs(total - 1.0).max() < n * 1e-11
+        assert values.min() > -1e-11
+        assert values.max() < 1.0 + 1e-11
 
 
-def test_cg_base_solutions_match_direct(monkeypatch):
-    import harmrec.poisson
-
-    basis, cg_set, _, _ = _small_setup(method="cg")
-    _, direct_set, _, _ = _small_setup()
-    assert np.abs(cg_set.fields - direct_set.fields).max() < 1e-9
-    monkeypatch.setattr(harmrec.poisson, "cg_dirichlet", lambda *a: (3, 1.0))
-    with pytest.raises(SolverError, match="base solution 0:"):
-        compute_base_solutions(basis, method="cg")
-
-
-def test_hat_stack_matches_sparse_reference_for_any_chunk(spsolve_dirichlet, monkeypatch):
-    import harmrec.basis
-
-    omega = Rect(0, 0, 1, 0.75)  # non-square, 11 x 9 enlarged nodes
-    basis = build_basis(omega.padded(1 / 8), 1 / 8, "hat", omega_rect=omega)
-    assert basis.n == 36 and basis.n % harmrec.basis.CHUNK  # last chunk is partial
-    nodes = basis.tilde_partition.nodes
-    data = np.zeros((basis.n,) + basis.tilde_grid.shape)
-    for k in range(basis.n):
-        data[k, nodes[:, 1], nodes[:, 0]] = basis.boundary_values(k)
-    fields = compute_base_solutions(basis).fields
-    assert np.abs(fields - spsolve_dirichlet(data)).max() <= 1e-12
-    for chunk in (1, 5, 36, 100):
-        monkeypatch.setattr(harmrec.basis, "CHUNK", chunk)
-        assert np.array_equal(compute_base_solutions(basis).fields, fields)
+@pytest.mark.parametrize("kind", ["hat", "indicator"])
+@pytest.mark.parametrize("sides", [["bottom"], ["left", "top"], ["bottom", "right", "top"]])
+def test_base_solution_rows_match_sparse_reference(base_solution_fields, kind, sides):
+    # non-square enlarged grid (13 x 11 nodes, two padding layers): the rows
+    # at the Γ nodes, at the two inward stencil nodes and on the inner walk
+    h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
+    basis = build_basis(omega.padded(2 * h), h, kind, omega_rect=omega,
+                        arcs_per_side=3)
+    assert basis.tilde_grid.shape == (11, 13)
+    part = boundary_partition(build_grid(omega, h), sides)
+    ii, jj, _ = normal_stencil(part)
+    pi = np.concatenate([ii[:, 0], ii[:, 1], ii[:, 2], part.nodes[:, 0]]) + 2
+    pj = np.concatenate([jj[:, 0], jj[:, 1], jj[:, 2], part.nodes[:, 1]]) + 2
+    expected = base_solution_fields(basis)[:, pj, pi].T
+    rows = compute_base_solutions(basis, part)
+    assert rows.shape == (3 * part.m + part.n_boundary, basis.n)
+    assert np.abs(rows - expected).max() <= 1e-12
 
 
 def test_assembly_shapes_and_row_sums():
-    basis, base_set, grid, part = _small_setup()
-    sys = assemble_system(base_set, part)
+    basis, rows, grid, part = _small_setup()
+    sys = assemble_system(rows, part)
     assert sys.A.shape == (part.m, basis.n)
     assert sys.B.shape == (part.m, basis.n)
     assert sys.F.shape == (3 * part.n_boundary, basis.n)
@@ -115,17 +123,15 @@ def test_assembly_shapes_and_row_sums():
 def test_assembly_is_linear_in_basis_data():
     # a two-node arc equals the sum of its two single-node hats
     omega = Rect(0, 0, 1, 1)
-    tilde_grid = build_grid(omega.padded(0.125), 0.125)
-    tilde_part = boundary_partition(tilde_grid, SIDES)
-    hats = BoundaryBasis(tilde_grid=tilde_grid, tilde_partition=tilde_part,
-                         kind="hat", support=np.array([[4, 5], [5, 6]]))
-    arc = BoundaryBasis(tilde_grid=tilde_grid, tilde_partition=tilde_part,
-                        kind="indicator", support=np.array([[4, 6]]))
+    hats = build_basis(omega.padded(0.125), 0.125, "hat", omega_rect=omega)
+    arc = BoundaryBasis(tilde_grid=hats.tilde_grid, tilde_partition=hats.tilde_partition,
+                        kind="indicator",
+                        support=np.array([[0, 4], [4, 6], [6, hats.n]]))
     part = boundary_partition(build_grid(omega, 0.125), ["bottom"])
-    sys_h = assemble_system(compute_base_solutions(hats, method="direct"), part)
-    sys_a = assemble_system(compute_base_solutions(arc, method="direct"), part)
-    assert np.abs(sys_h.A.sum(axis=1) - sys_a.A[:, 0]).max() < 1e-10
-    assert np.abs(sys_h.B.sum(axis=1) - sys_a.B[:, 0]).max() < 1e-9
+    sys_h = assemble_system(compute_base_solutions(hats, part), part)
+    sys_a = assemble_system(compute_base_solutions(arc, part), part)
+    assert np.abs(sys_h.A[:, 4:6].sum(axis=1) - sys_a.A[:, 1]).max() < 1e-10
+    assert np.abs(sys_h.B[:, 4:6].sum(axis=1) - sys_a.B[:, 1]).max() < 1e-9
 
 
 def _closed_walk(nx, ny):
@@ -135,18 +141,17 @@ def _closed_walk(nx, ny):
             + [(0, j) for j in range(ny - 1, 0, -1)])
 
 
-def test_penalty_factor_gives_closed_polyline_trace_norm():
+def test_penalty_factor_gives_closed_polyline_trace_norm(base_solution_fields):
     # |F b|^2 = sum h (t^2 + (D1 t)^2 + (D2 t)^2) over the inner boundary,
     # t the trace of the combined base solutions and D1, D2 the circulant
-    # central differences, summed node by node from the stack
+    # central differences, summed node by node from the sparse reference
     h = 1 / 8
     omega = Rect(0, 0, 1, 0.75)  # non-square: 9 x 7 inner nodes
     basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
-    base_set = compute_base_solutions(basis)
     part = boundary_partition(build_grid(omega, h), ["bottom"])
-    sys = assemble_system(base_set, part)
+    sys = assemble_system(compute_base_solutions(basis, part), part)
     b = np.random.default_rng(5).normal(size=basis.n)
-    u = np.tensordot(b, base_set.fields, axes=1)
+    u = np.tensordot(b, base_solution_fields(basis), axes=1)
     t = [u[j + 1, i + 1] for i, j in _closed_walk(9, 7)]  # one padding layer
     k = len(t)
     norm2 = 0.0
@@ -158,11 +163,15 @@ def test_penalty_factor_gives_closed_polyline_trace_norm():
 
 
 def test_misaligned_grids_rejected():
-    basis, base_set, _, _ = _small_setup(h=1 / 8)
+    basis, rows, _, _ = _small_setup(h=1 / 8)
     shifted = boundary_partition(build_grid(Rect(0.01, 0, 1.01, 1), 1 / 8),
                                  ["bottom"])
     with pytest.raises(ValidationError):
-        assemble_system(base_set, shifted)
+        compute_base_solutions(basis, shifted)
+    # rows sampled for another partition do not fit this one
+    other = boundary_partition(build_grid(Rect(0, 0, 1, 1), 1 / 8), ["bottom", "top"])
+    with pytest.raises(ValidationError, match="sampled rows"):
+        assemble_system(rows, other)
 
 
 def _graph_norm(part, v):
@@ -224,9 +233,8 @@ def test_trace_error_decays_as_h_shrinks():
     for h in (1 / 8, 1 / 16):
         omega = Rect(0, 0, 1, 1)
         basis = build_basis(omega.padded(0.125), h, "hat", omega_rect=omega)
-        base_set = compute_base_solutions(basis, tol=1e-11, method="direct")
         part = boundary_partition(build_grid(omega, h), ["bottom"])
-        sys = assemble_system(base_set, part)
+        sys = assemble_system(compute_base_solutions(basis, part), part)
         walk = basis.tilde_partition.nodes
         bx = basis.tilde_grid.rect.x0 + walk[:, 0] * h
         by = basis.tilde_grid.rect.y0 + walk[:, 1] * h

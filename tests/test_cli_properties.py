@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from harmrec import DEFAULTS, SIDES, ValidationError, validate_config
 from harmrec.cli import main
-from harmrec.config import check_stack_size
+from harmrec.config import check_rows_size
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -35,9 +35,9 @@ json_values = st.recursive(
 @example({"basis_kind": "indicator", "arcs_per_side": 10**308,
           "padding_layers": 10**308})
 def test_validate_config_returns_or_raises_validation_error(raw):
-    # and so does the stack-size check that run and sweep add
+    # and so does the rows-size check that run and sweep add
     try:
-        check_stack_size(validate_config(raw))
+        check_rows_size(validate_config(raw))
     except ValidationError:
         pass
 

@@ -9,7 +9,8 @@ import pytest
 from harmrec import DEFAULTS, PRESETS, ValidationError, resolve_config, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.cli import main
-from harmrec.config import MAX_ARRAY_BYTES, _stack_bytes
+from harmrec.config import MAX_ARRAY_BYTES, _rows_bytes
+from harmrec.grid import boundary_partition, build_grid
 
 FAST = {
     "h": 1 / 8,
@@ -279,7 +280,7 @@ def test_cli_rejects_unbuildable_grid_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("raw", [
-    {"x1": 64.0},  # a 4105 x 73 enlarged grid, about 20 GB of stack
+    {"x1": 256.0},  # 82051 sampled nodes x 32928 rim nodes, about 22 GB of rows
     {"padding_layers": 10**308},
     {"basis_kind": "indicator", "arcs_per_side": 10**308, "padding_layers": 10**308},
 ])
@@ -288,9 +289,9 @@ def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, raw):
 
 
 def test_cli_tau_builds_no_stack(tmp_path):
-    # about 4.5 GB of stack that tau never builds
-    raw = {"h": 1 / 512, "tau_gamma_sets": [["bottom"]]}
-    assert _stack_bytes(validate_config(raw).raw) > MAX_ARRAY_BYTES
+    # about 4.6 GB of base-solution rows, for an enlarged grid tau never builds
+    raw = {"h": 1 / 512, "padding_layers": 20000, "tau_gamma_sets": [["bottom"]]}
+    assert _rows_bytes(validate_config(raw).raw) > MAX_ARRAY_BYTES
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     assert main(["tau", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -300,7 +301,8 @@ def test_cli_tau_builds_no_stack(tmp_path):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_presets_validate_at_h_256(preset):
     cfg = resolve_config(preset=preset, overrides={"h": 1 / 256})
-    assert 0.5e9 < _stack_bytes(cfg.raw) < 0.6e9 < MAX_ARRAY_BYTES
+    # 1795 (one side) or 2566 (two sides) sampled nodes by 1032 rim nodes
+    assert 14e6 < _rows_bytes(cfg.raw) < 22e6 < MAX_ARRAY_BYTES
 
 
 @pytest.mark.parametrize("extra", [
@@ -308,16 +310,20 @@ def test_presets_validate_at_h_256(preset):
     {"h": 0.125, "x1": 1.5, "y0": -0.25, "padding_layers": 2},
     {"h": 0.125, "basis_kind": "indicator", "arcs_per_side": 3},
     {"h": 0.25, "basis_kind": "indicator", "arcs_per_side": 100},
+    {"h": 0.125, "x1": 1.5, "gamma_sides": ["left", "bottom", "right"]},
+    {"h": 0.125, "y1": 1.5, "gamma_sides": ["top", "left"], "padding_layers": 3},
 ])
 def test_stack_size_estimate_bounds_the_stack(extra):
+    # the base-solution rows that check_rows_size bounds
     cfg = validate_config(extra)
     basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"],
                         omega_rect=cfg.rect, arcs_per_side=cfg["arcs_per_side"])
-    nbytes = compute_base_solutions(basis).fields.nbytes
+    part = boundary_partition(build_grid(cfg.rect, cfg["h"]), cfg["gamma_sides"])
+    nbytes = compute_base_solutions(basis, part).nbytes
     if cfg["basis_kind"] == "hat":
-        assert _stack_bytes(cfg.raw) == pytest.approx(nbytes, rel=1e-12)
+        assert _rows_bytes(cfg.raw) == pytest.approx(nbytes, rel=1e-12)
     else:
-        assert nbytes <= _stack_bytes(cfg.raw)
+        assert nbytes <= _rows_bytes(cfg.raw)
 
 
 def test_cli_sweep_too_coarse_for_probes_exit_2(tmp_path, capsys):
@@ -333,7 +339,7 @@ def test_cli_sweep_too_coarse_for_probes_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def _cli_stderr_line(tmp_path, command, raw):
+def _cli_stderr_line(tmp_path, command, raw, out=None):
     """Run the CLI in a fresh process on config ``raw``; return its exit code
     and its stderr, checked to be exactly one strict-JSON error line."""
     cfg = tmp_path / "cfg.json"
@@ -341,13 +347,13 @@ def _cli_stderr_line(tmp_path, command, raw):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "out"
+    out = tmp_path / "out" if out is None else out
     proc = subprocess.run(
         [sys.executable, "-m", "harmrec.cli", command, "--config", str(cfg),
          "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.is_dir() or not any(out.iterdir())
     return proc.returncode, json.loads(proc.stderr, parse_constant=pytest.fail)["error"]
 
 
@@ -369,3 +375,31 @@ def test_cli_overflow_prints_only_its_error(tmp_path, command, exact_a):
     code, error = _cli_stderr_line(tmp_path, command, {
         "exact_a": exact_a, "h": 0.125, "padding_layers": 1})
     assert code == 3 and error["type"] == "numerical"
+
+
+@pytest.mark.parametrize("command", ["run", "tau", "sweep"])
+@pytest.mark.parametrize("sub", [False, True])
+def test_cli_out_that_cannot_be_a_directory_exit_2(tmp_path, command, sub):
+    # --out names a regular file, or a path under one: one JSON line, exit 2,
+    # the file untouched and nothing else written
+    blocker = tmp_path / "out"
+    blocker.write_text("keep\n")
+    code, error = _cli_stderr_line(tmp_path, command,
+                                   {**FAST, "h": 1 / 16, "tau_gamma_sets": [["bottom"]]},
+                                   blocker / "sub" if sub else blocker)
+    assert code == 2
+    assert error["type"] == "validation" and "output directory" in error["message"]
+    assert blocker.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+
+
+def test_cli_repeated_eps_level_exit_2(tmp_path, capsys):
+    # a repeated level would count every seed's error twice at that level
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, "h": 1 / 16, "seeds": [1, 2],
+                               "eps_levels": [0.1, 0.01, 0.001, 0.001]}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "validation" and "eps_levels" in error["message"]
+    assert not out.exists()

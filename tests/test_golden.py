@@ -1,9 +1,9 @@
 """Regression lock on the reference reconstruction.
 
-The golden field was produced by the one-side reference preset on the
-default ``direct`` solver, whose base solutions are exact (DST-I), so it
-locks the discrete reconstruction rather than an iterative solver's
-leftover error.  Regenerate after an intentional numerical change with
+The golden field was produced by the one-side reference preset.  Its base
+solutions are sampled in closed form and its field is one solve, both exact
+in the DST-I basis, so it locks the discrete reconstruction rather than an
+iterative solver's leftover error.  Regenerate after an intentional numerical change with
 
     python -c "
     from harmrec import resolve_config, io

@@ -1,9 +1,11 @@
 """Integration checks of the orchestration layer on a fast configuration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from harmrec import validate_config
+from harmrec import resolve_config, validate_config
 from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
 from harmrec.forward import add_noise
 from harmrec.pipeline import (_reconstruct_for, build_state, run_experiment,
@@ -30,7 +32,7 @@ def test_run_summary_contents(fast_state):
     res = run_experiment(fast_state.cfg, state=fast_state)
     s = res["summary"]
     assert s["m"] == 17
-    assert s["n_basis"] == fast_state.base_set.n
+    assert s["n_basis"] == fast_state.basis.n
     assert s["config"]["h"] == 1 / 16
     assert s["noise"]["realized_eps"] > 0
     assert s["envelope"]["eps"] == 0.02
@@ -97,7 +99,7 @@ def test_sweep_matches_per_seed_evaluation():
     for lv in cfg["eps_levels"]:
         datas = [add_noise(state.clean_data, lv, s, cfg["noise_model"]) for s in seeds]
         results = reconstruct(state.system, datas, tik_config(cfg),
-                              state.base_set, state.grid)
+                              state.basis, state.grid)
         mean = np.zeros(len(nodes))
         for seed, r in zip(seeds, results):
             err = pointwise_error(r.u_star, cfg.exact_solution())
@@ -107,3 +109,16 @@ def test_sweep_matches_per_seed_evaluation():
                                "c_fit": envelope_check(err, state.tau, lv).c_fit})
     assert sweep["envelope_c_fits"] == c_fits
     assert [p["err"] for p in sweep["probes"]] == mean.tolist()
+
+
+def test_build_state_memory_at_h_128():
+    # no (n, ny, nx) stack of base solutions (it alone was 71 MB here): the
+    # largest arrays are the sampled rows (3.7 MB) and the penalty factor (6.4 MB)
+    cfg = resolve_config(preset="paper-sec5-one-side", overrides={"h": 1 / 128})
+    tracemalloc.start()
+    try:
+        build_state(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6

@@ -65,22 +65,21 @@ def test_zero_data_gives_zero_coefficients():
     assert abs(b[0]) < 1e-12
 
 
-def _pipeline_pieces(h=1 / 8, method="direct"):
+def _pipeline_pieces(h=1 / 8):
     omega = Rect(0, 0, 1, 1)
     basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
-    base_set = compute_base_solutions(basis, tol=1e-11, method=method)
     grid = build_grid(omega, h)
     part = boundary_partition(grid, ["bottom"])
-    sys = assemble_system(base_set, part)
-    return basis, base_set, grid, part, sys
+    sys = assemble_system(compute_base_solutions(basis, part), part)
+    return basis, grid, part, sys
 
 
 def test_noiseless_constant_reconstruction():
-    _, base_set, grid, part, sys = _pipeline_pieces()
+    basis, grid, part, sys = _pipeline_pieces()
     data = trace_cauchy(Constant(1.0), part)
     alpha = 1e-6
     cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
-    result, = reconstruct(sys, [data], cfg, base_set, grid)
+    result, = reconstruct(sys, [data], cfg, basis, grid)
     # cost at the all-ones comparison vector bounds the optimum:
     # penalty of the constant-one trace is the perimeter (value term only)
     assert result.residual_f**2 + result.residual_g**2 <= 4.0 * alpha * 1.01
@@ -90,14 +89,14 @@ def test_noiseless_constant_reconstruction():
     # near-zero regularization tightens toward the direct solve limit
     tight, = reconstruct(sys, [data],
                          TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-12),
-                         base_set, grid)
+                         basis, grid)
     assert np.abs(tight.u_star.values - 1.0).max() < 1e-3
     # close to the measured side the fit is sharp
     assert np.abs(tight.u_star.values[:3, :] - 1.0).max() < 1e-6
 
 
 def test_first_order_optimality():
-    _, base_set, grid, part, sys = _pipeline_pieces()
+    basis, grid, part, sys = _pipeline_pieces()
     data = trace_cauchy(Constant(2.0), part)
     alpha = 1e-5
     cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
@@ -113,7 +112,7 @@ def test_first_order_optimality():
     assert np.linalg.norm(grad[visible]) <= 1e-8 * (1 + np.linalg.norm(b))
 
 
-def test_reconstruct_field_unit_vector_and_ones():
+def test_reconstruct_field_unit_vector_and_ones(base_solution_fields):
     omega = Rect(0, 0, 1, 1)
     h = 0.125
     tilde_grid = build_grid(omega.padded(h), h)
@@ -121,27 +120,41 @@ def test_reconstruct_field_unit_vector_and_ones():
     basis = BoundaryBasis(tilde_grid=tilde_grid, tilde_partition=tilde_part,
                           kind="indicator",
                           support=np.array([[0, 10], [10, tilde_part.n_boundary]]))
-    base_set = compute_base_solutions(basis, tol=1e-11, method="direct")
     grid = build_grid(omega, h)
-    e0 = reconstruct_field(np.array([1.0, 0.0]), base_set, grid)
+    e0 = reconstruct_field(np.array([1.0, 0.0]), basis, grid)
     oi = oj = 1  # one padding layer
-    assert np.array_equal(e0.values,
-                          base_set.fields[0, oj:oj + grid.ny, oi:oi + grid.nx])
-    ones = reconstruct_field(np.array([1.0, 1.0]), base_set, grid)
+    assert np.abs(e0.values - base_solution_fields(basis)[
+        0, oj:oj + grid.ny, oi:oi + grid.nx]).max() <= 1e-12
+    ones = reconstruct_field(np.array([1.0, 1.0]), basis, grid)
     assert np.abs(ones.values - 1.0).max() < 2 * 1e-11 * basis.n
 
 
+@pytest.mark.parametrize("kind", ["hat", "indicator"])
+def test_reconstruct_field_matches_sparse_reference(base_solution_fields, kind):
+    # a batch of random combinations on a non-square grid, two padding layers
+    h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
+    basis = build_basis(omega.padded(2 * h), h, kind, omega_rect=omega,
+                        arcs_per_side=3)
+    grid = build_grid(omega, h)
+    b = np.random.default_rng(11).normal(size=(3, basis.n))
+    ref = np.tensordot(b, base_solution_fields(basis), axes=1)[:, 2:-2, 2:-2]
+    for fld, r in zip(reconstruct_field(b, basis, grid), ref):
+        assert np.abs(fld.values - r).max() <= 1e-12 * np.abs(r).max()
+    single = reconstruct_field(b[1], basis, grid)
+    assert np.abs(single.values - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
+
+
 def test_reconstruct_field_validation():
-    _, base_set, grid, _, _ = _pipeline_pieces()
+    basis, grid, _, _ = _pipeline_pieces()
     with pytest.raises(ValidationError):
-        reconstruct_field(np.zeros(3), base_set, grid)
+        reconstruct_field(np.zeros(3), basis, grid)
     bad_grid = build_grid(Rect(0.01, 0, 1.01, 1), 1 / 8)
     with pytest.raises(ValidationError):
-        reconstruct_field(np.zeros(base_set.n), base_set, bad_grid)
+        reconstruct_field(np.zeros(basis.n), basis, bad_grid)
 
 
 def test_residuals_monotone_in_alpha():
-    _, base_set, grid, part, sys = _pipeline_pieces()
+    basis, grid, part, sys = _pipeline_pieces()
     data = trace_cauchy(Constant(1.0), part)
     noisy = CauchyData(partition=part, points=data.points,
                        f=data.f + 0.05 * np.sin(7 * data.points[:, 0]),
@@ -149,7 +162,7 @@ def test_residuals_monotone_in_alpha():
     prev_res, prev_reg = -1.0, np.inf
     for alpha in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
         cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
-        r, = reconstruct(sys, [noisy], cfg, base_set, grid)
+        r, = reconstruct(sys, [noisy], cfg, basis, grid)
         res = r.residual_f**2 + r.residual_g**2
         assert res >= prev_res - 1e-12
         assert r.reg_norm <= prev_reg + 1e-9
@@ -160,16 +173,16 @@ def test_residual_decay_with_grid_refinement():
     # noiseless data, alpha = c*(eps^2 + h^2) with eps = 0: residuals shrink
     totals = []
     for h in (1 / 8, 1 / 16, 1 / 32):
-        _, base_set, grid, part, sys = _pipeline_pieces(h=h)
+        basis, grid, part, sys = _pipeline_pieces(h=h)
         data = trace_cauchy(ExpCos(2.0, 0.1), part)
         cfg = TikhonovConfig(alpha_rule="a_priori", alpha_c=1.0)
-        r, = reconstruct(sys, [data], cfg, base_set, grid)
+        r, = reconstruct(sys, [data], cfg, basis, grid)
         totals.append(r.residual_f + r.residual_g)
     assert totals[0] > totals[1] > totals[2]
 
 
 def test_penalty_factor_consistency():
-    basis, _, _, part, sys = _pipeline_pieces()
+    basis, _, part, sys = _pipeline_pieces()
     f = _penalty_factor(sys)
     assert f is sys.F
     assert f.shape == (3 * part.n_boundary, basis.n)
@@ -181,7 +194,7 @@ def test_penalty_factor_consistency():
 
 
 def test_data_length_mismatch_rejected():
-    _, base_set, grid, part, sys = _pipeline_pieces()
+    basis, grid, part, sys = _pipeline_pieces()
     bad = CauchyData(partition=part, points=np.zeros((3, 2)),
                      f=np.zeros(3), g=np.zeros(3))
     with pytest.raises(ValidationError):
@@ -198,13 +211,13 @@ def _rel(a, b):
 
 
 def test_batched_fit_matches_single_fits():
-    _, base_set, grid, part, sys = _pipeline_pieces()
+    basis, grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
     cfg = TikhonovConfig()
-    batch = reconstruct(sys, datas, cfg, base_set, grid)
+    batch = reconstruct(sys, datas, cfg, basis, grid)
     assert len(batch) == len(datas)
     for data, r in zip(datas, batch):
-        single, = reconstruct(sys, [data], cfg, base_set, grid)
+        single, = reconstruct(sys, [data], cfg, basis, grid)
         assert _rel(r.b, single.b) <= 1e-12
         assert _rel(r.u_star.values, single.u_star.values) <= 1e-12
         for name in ("residual_f", "residual_g", "reg_norm"):
@@ -215,10 +228,10 @@ def test_batched_fit_matches_single_fits():
 
 
 def test_batched_norms_match_discrete_norms():
-    _, base_set, grid, part, sys = _pipeline_pieces()
+    basis, grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
     for data, r in zip(datas, reconstruct(sys, datas, TikhonovConfig(),
-                                          base_set, grid)):
+                                          basis, grid)):
         res_f = graph_norm(part.gamma_sigma, part.tangential_d1, sys.A @ r.b - data.f)
         r_g = sys.B @ r.b - data.g
         res_g = np.sqrt(np.sum(part.gamma_sigma * r_g**2))
@@ -229,12 +242,12 @@ def test_batched_norms_match_discrete_norms():
 
 
 def test_batch_needs_one_noise_level():
-    _, base_set, grid, part, sys = _pipeline_pieces()
+    basis, grid, part, sys = _pipeline_pieces()
     mixed = _noisy_batch(part, level=0.05) + _noisy_batch(part, level=0.01)
     with pytest.raises(ValidationError, match="one noise level"):
-        reconstruct(sys, mixed, TikhonovConfig(), base_set, grid)
+        reconstruct(sys, mixed, TikhonovConfig(), basis, grid)
     with pytest.raises(ValidationError):
-        reconstruct(sys, [], TikhonovConfig(), base_set, grid)
+        reconstruct(sys, [], TikhonovConfig(), basis, grid)
 
 
 def test_sweep_makes_one_lstsq_per_noise_level(monkeypatch):
