@@ -167,7 +167,9 @@ def compute_base_solutions(basis: BoundaryBasis,
 def assemble_system(rows: np.ndarray,
                     omega_partition: BoundaryPartition) -> DiscreteSystem:
     """Build A, B and the penalty factor from the rows that
-    :func:`compute_base_solutions` sampled for this partition."""
+    :func:`compute_base_solutions` sampled for this same partition: only
+    their count is checked, so rows of another partition of that size
+    (``["top"]`` for ``["bottom"]`` on a square) give a wrong system."""
     m, k = omega_partition.m, omega_partition.n_boundary
     if rows.ndim != 2 or rows.shape[0] != 3 * m + k:
         raise ValidationError(f"expected {3 * m + k} sampled rows, got {rows.shape}")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .forward import Constant, ExactSolution, ExpCos, HarmonicPoly
-from .grid import SIDES, Rect, build_grid
+from .grid import SIDES, Rect, boundary_counts, build_grid
 
 
 def _finite(value, kind=(int, float)) -> bool:
@@ -97,9 +97,9 @@ _KEYS: dict = {
 DEFAULTS: dict = {key: default for key, (default, _) in _KEYS.items()}
 
 # Largest dense array a config may ask for: one field on the domain grid
-# (checked by validate_config, so for every command) or the base-solution rows
-# (checked by check_rows_size, so only where they are sampled).  The presets
-# need 15 MB (one side) and 21 MB (two sides) of rows at h = 1/256.
+# (checked by validate_config, so for every command) or the fit's stacked
+# matrix (checked by check_stacked_size, so only where there is a fit).  The
+# presets need 32 MB (one side) and 38 MB (two sides) of it at h = 1/256.
 MAX_ARRAY_BYTES = 4e9
 
 
@@ -111,14 +111,14 @@ def _nodes(r: dict, layers) -> tuple[float, float]:
             (r["y1"] - r["y0"]) / r["h"] + extra)
 
 
-def _rows_bytes(r: dict) -> float:
-    """Size of the base-solution rows, 3m + K sampled nodes (m on Γ, K on the
-    rim) by the enlarged rim nodes: exact for hats, a bound for indicators."""
-    nx, ny = _nodes(r, 0)
-    sides = r["gamma_sides"]  # each side's nodes, less a corner shared with the one before
-    m = sum((nx, ny)[k % 2] - (SIDES[k - 1] in sides) for k, s in enumerate(SIDES) if s in sides)
-    tx, ty = _nodes(r, r["padding_layers"])
-    return 8.0 * (3 * m + 2 * (nx + ny) - 4) * (2 * (tx + ty) - 4)
+def _stacked_bytes(r: dict) -> float:
+    """Size of the fit's stacked matrix: A, D1 A and B on the m Γ nodes, then
+    the penalty factor's 3K rows (K nodes on the domain's rim), by one column
+    per enlarged rim node.  The sampled rows (3m + K) and F (3K) are smaller.
+    Exact for hats, a bound for indicators or a zero data weight."""
+    m, k = boundary_counts(*_nodes(r, 0), r["gamma_sides"])
+    _, k_tilde = boundary_counts(*_nodes(r, r["padding_layers"]))
+    return 8.0 * (3 * m + 3 * k) * k_tilde
 
 
 def _check_size(what: str, size: float) -> None:
@@ -203,11 +203,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def check_rows_size(cfg: ExperimentConfig) -> None:
-    """Reject, before any allocation, a config whose base-solution rows
+def check_stacked_size(cfg: ExperimentConfig) -> None:
+    """Reject, before any allocation, a config whose stacked fit matrix
     would exceed MAX_ARRAY_BYTES."""
-    _check_size("the base-solution rows (sampled nodes x enlarged rim nodes x 8 B)",
-                _rows_bytes(cfg.raw))
+    _check_size("the stacked fit matrix (3m + 3K rows x enlarged rim nodes x 8 B)",
+                _stacked_bytes(cfg.raw))
 
 
 def resolve_config(preset: str | None = None, config_path=None,

@@ -119,6 +119,15 @@ def build_grid(rect: Rect, h: float) -> Grid2D:
     return Grid2D(rect=rect, h=h, nx=nx, ny=ny)
 
 
+def boundary_counts(nx, ny, gamma_sides=()) -> tuple:
+    """(m, K) of an nx by ny grid without building it, floats too: K walk
+    segments, and m = every segment of a measured side plus one end node per
+    run of measured sides.  The test suite holds it to the partition."""
+    segs = (nx - 1, ny - 1) * 2  # per side, in SIDES order, as the walk lays them out
+    measured = [s in gamma_sides for s in SIDES]
+    return sum(n + (not measured[k - 1]) for k, n in enumerate(segs) if measured[k]), sum(segs)
+
+
 def _boundary_walk(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     """The boundary walk: every boundary node once, counterclockwise from
     ``(0, 0)``, and the side of each segment.

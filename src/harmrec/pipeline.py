@@ -19,7 +19,7 @@ from . import io as hio
 from . import svg
 from .basis import (BoundaryBasis, DiscreteSystem, assemble_system,
                     build_basis, compute_base_solutions)
-from .config import ExperimentConfig, check_rows_size
+from .config import ExperimentConfig, check_stacked_size
 from .errors import SolverError, ValidationError
 from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
@@ -50,7 +50,7 @@ def tik_config(cfg: ExperimentConfig) -> TikhonovConfig:
 
 
 def build_state(cfg: ExperimentConfig) -> PipelineState:
-    check_rows_size(cfg)
+    check_stacked_size(cfg)
     grid = build_grid(cfg.rect, cfg["h"])
     partition = boundary_partition(grid, cfg["gamma_sides"])
     basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"],

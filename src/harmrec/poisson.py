@@ -43,19 +43,6 @@ class ScalarField:
         object.__setattr__(self, "values", v)
 
 
-def boundary_array(grid: Grid2D, partition: BoundaryPartition,
-                   boundary_values: np.ndarray) -> np.ndarray:
-    """(ny, nx) array with the per-boundary-node data written on the rim."""
-    bv = np.asarray(boundary_values, dtype=float)
-    if bv.shape != (partition.n_boundary,):
-        raise ValidationError(
-            f"expected {partition.n_boundary} boundary values, got {bv.shape}"
-        )
-    u = np.zeros(grid.shape)
-    u[partition.nodes[:, 1], partition.nodes[:, 0]] = bv
-    return u
-
-
 @lru_cache(maxsize=8)
 def _dst_eigenvalues(my: int, mx: int) -> np.ndarray:
     """(my, mx) eigenvalues of the interior operator in the DST-I basis."""
@@ -118,13 +105,8 @@ def solve_interior(u: np.ndarray) -> None:
 
 def stencil_residual(values: np.ndarray) -> np.ndarray:
     """Interior residual of the h²-scaled 5-point stencil, shape (ny-2, nx-2)."""
-    return (
-        4.0 * values[1:-1, 1:-1]
-        - values[1:-1, :-2]
-        - values[1:-1, 2:]
-        - values[:-2, 1:-1]
-        - values[2:, 1:-1]
-    )
+    return (4.0 * values[1:-1, 1:-1] - values[1:-1, :-2] - values[1:-1, 2:]
+            - values[:-2, 1:-1] - values[2:, 1:-1])
 
 
 def cg_dirichlet(u: np.ndarray, tol: float, max_iter: int) -> tuple[int, float]:
@@ -184,7 +166,13 @@ def solve_dirichlet(grid: Grid2D, partition: BoundaryPartition,
         raise ValidationError(f"solver tolerance must be positive, got {tol}")
     if grid.nx < 3 or grid.ny < 3:
         raise ValidationError("grid must be at least 3x3 for an interior solve")
-    u = boundary_array(grid, partition, boundary_values)
+    bv = np.asarray(boundary_values, dtype=float)
+    if bv.shape != (partition.n_boundary,):
+        raise ValidationError(
+            f"expected {partition.n_boundary} boundary values, got {bv.shape}"
+        )
+    u = np.zeros(grid.shape)
+    u[partition.nodes[:, 1], partition.nodes[:, 0]] = bv
     if method == "direct":
         solve_interior(u)
     elif method == "cg":

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from harmrec import DEFAULTS, SIDES, ValidationError, validate_config
 from harmrec.cli import main
-from harmrec.config import check_rows_size
+from harmrec.config import check_stacked_size
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -37,7 +37,7 @@ json_values = st.recursive(
 def test_validate_config_returns_or_raises_validation_error(raw):
     # and so does the rows-size check that run and sweep add
     try:
-        check_rows_size(validate_config(raw))
+        check_stacked_size(validate_config(raw))
     except ValidationError:
         pass
 

@@ -4,13 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harmrec import DEFAULTS, PRESETS, ValidationError, resolve_config, validate_config
-from harmrec.basis import build_basis, compute_base_solutions
+from harmrec.basis import compute_base_solutions
 from harmrec.cli import main
-from harmrec.config import MAX_ARRAY_BYTES, _rows_bytes
-from harmrec.grid import boundary_partition, build_grid
+from harmrec.config import MAX_ARRAY_BYTES, _nodes, _stacked_bytes
+from harmrec.grid import boundary_counts
+from harmrec.pipeline import build_state, tik_config
+from harmrec.tikhonov import reconstruct
 
 FAST = {
     "h": 1 / 8,
@@ -280,7 +283,7 @@ def test_cli_rejects_unbuildable_grid_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("raw", [
-    {"x1": 256.0},  # 82051 sampled nodes x 32928 rim nodes, about 22 GB of rows
+    {"x1": 256.0},  # 147843 stacked rows x 32928 rim nodes, about 39 GB
     {"padding_layers": 10**308},
     {"basis_kind": "indicator", "arcs_per_side": 10**308, "padding_layers": 10**308},
 ])
@@ -288,10 +291,20 @@ def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, raw):
     _expect_size_error(tmp_path, capsys, command, raw)
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_rejects_stacked_matrix_over_limit_exit_2(tmp_path, capsys, command):
+    # the sampled rows would fit (2.2 GB), the stacked fit matrix would not (6.6 GB)
+    raw = {"x1": 128.0, "gamma_sides": ["left"]}
+    m, k = boundary_counts(*_nodes({**DEFAULTS, **raw}, 0), raw["gamma_sides"])
+    _, k_tilde = boundary_counts(*_nodes({**DEFAULTS, **raw}, DEFAULTS["padding_layers"]))
+    assert 8.0 * (3 * m + k) * k_tilde < MAX_ARRAY_BYTES < _stacked_bytes(validate_config(raw).raw)
+    _expect_size_error(tmp_path, capsys, command, raw)
+
+
 def test_cli_tau_builds_no_stack(tmp_path):
-    # about 4.6 GB of base-solution rows, for an enlarged grid tau never builds
+    # about 10 GB of stacked fit matrix, for an enlarged grid tau never builds
     raw = {"h": 1 / 512, "padding_layers": 20000, "tau_gamma_sets": [["bottom"]]}
-    assert _rows_bytes(validate_config(raw).raw) > MAX_ARRAY_BYTES
+    assert _stacked_bytes(validate_config(raw).raw) > MAX_ARRAY_BYTES
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     assert main(["tau", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -301,8 +314,8 @@ def test_cli_tau_builds_no_stack(tmp_path):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_presets_validate_at_h_256(preset):
     cfg = resolve_config(preset=preset, overrides={"h": 1 / 256})
-    # 1795 (one side) or 2566 (two sides) sampled nodes by 1032 rim nodes
-    assert 14e6 < _rows_bytes(cfg.raw) < 22e6 < MAX_ARRAY_BYTES
+    # 3843 (one side) or 4614 (two sides) stacked rows by 1032 rim nodes
+    assert 30e6 < _stacked_bytes(cfg.raw) < 40e6 < MAX_ARRAY_BYTES
 
 
 @pytest.mark.parametrize("extra", [
@@ -313,17 +326,28 @@ def test_presets_validate_at_h_256(preset):
     {"h": 0.125, "x1": 1.5, "gamma_sides": ["left", "bottom", "right"]},
     {"h": 0.125, "y1": 1.5, "gamma_sides": ["top", "left"], "padding_layers": 3},
 ])
-def test_stack_size_estimate_bounds_the_stack(extra):
-    # the base-solution rows that check_rows_size bounds
+def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
+    # the fit's stacked matrix, which check_stacked_size bounds, is the
+    # largest array np.vstack makes in a build and a fit
     cfg = validate_config(extra)
-    basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"],
-                        omega_rect=cfg.rect, arcs_per_side=cfg["arcs_per_side"])
-    part = boundary_partition(build_grid(cfg.rect, cfg["h"]), cfg["gamma_sides"])
-    nbytes = compute_base_solutions(basis, part).nbytes
+    sizes, vstack = [], np.vstack
+
+    def spy(arrays, *args, **kwargs):
+        out = vstack(arrays, *args, **kwargs)
+        sizes.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(np, "vstack", spy)
+    state = build_state(cfg)
+    reconstruct(state.system, [state.clean_data], tik_config(cfg), state.basis, state.grid)
+    estimate = _stacked_bytes(cfg.raw)
     if cfg["basis_kind"] == "hat":
-        assert _rows_bytes(cfg.raw) == pytest.approx(nbytes, rel=1e-12)
+        assert estimate == pytest.approx(max(sizes), rel=1e-12)
     else:
-        assert nbytes <= _rows_bytes(cfg.raw)
+        assert max(sizes) <= estimate
+    # the sampled rows and the penalty factor are smaller
+    rows = compute_base_solutions(state.basis, state.partition)
+    assert max(rows.nbytes, state.system.F.nbytes) < max(sizes)
 
 
 def test_cli_sweep_too_coarse_for_probes_exit_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmrec import Rect, ValidationError, boundary_partition, build_grid
-from harmrec.grid import SIDES
+from harmrec.grid import SIDES, boundary_counts
 
 
 def test_rect_rejects_degenerate():
@@ -209,3 +209,13 @@ def test_d1_never_differences_across_an_unmeasured_segment():
     assert not part.tangential_d1[np.ix_(~bottom, bottom)].any()
     x = part.gamma_points[:, 0]
     assert np.abs(part.tangential_d1 @ x - np.where(bottom, 1.0, -1.0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 4), (4, 7)])
+def test_boundary_counts_match_the_partition(nx, ny):
+    grid = build_grid(Rect(0.0, 0.0, (nx - 1) / 4, (ny - 1) / 4), 0.25)
+    for mask in range(1, 16):
+        sides = [s for k, s in enumerate(SIDES) if mask >> k & 1]
+        part = boundary_partition(grid, sides)
+        assert boundary_counts(nx, ny, sides) == (part.m, part.n_boundary)
+        assert boundary_counts(float(nx), float(ny), sides) == (part.m, part.n_boundary)
