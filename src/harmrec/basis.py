@@ -19,10 +19,13 @@ second-order one-sided outward normal differences.  It builds the smoothness
 penalty from the traces on the *inner* rectangle's boundary, treated as a
 closed polyline with arc-length spacing h: the squared penalty norm of a
 trace v is ``sum h*(v^2 + (D1 v)^2 + (D2 v)^2)`` with circulant central
-differences (corner nodes included, no smoothing).  The penalty is held as
-its factor ``F = sqrt(h) [V; D1 V; D2 V]``, V the traces of the base
-solutions, so that the penalty norm of coefficients b is ``|F b|`` and the
-fit never forms the squared matrix ``F^T F``.
+differences (corner nodes included, no smoothing), that is ``h v^T C v``
+with ``C = I + D1^T D1 + D2^T D2`` circulant on the K nodes of the closed
+walk.  The penalty is held as its K-row factor ``F = sqrt(h) C^(1/2) V``, V
+the traces of the base solutions, with ``C^(1/2)`` applied along the walk by
+one real FFT pair, so that the penalty norm of coefficients b is ``|F b|``
+and the fit never forms the squared matrix ``F^T F``.  F sees b only
+through the K traces, so for hats it has rank K and n - K null directions.
 """
 
 from __future__ import annotations
@@ -106,11 +109,12 @@ class DiscreteSystem:
     D1     (m, m) tangential difference operator on Γ.
     h      grid spacing.
 
-    A basis function whose column is zero in A, B and F alike is invisible
-    to the cost (this happens for hat functions at the four grid corners of
-    the enlarged boundary: a corner Dirichlet value couples to no interior
-    equation).  The minimizer routine returns exactly zero for such
-    coefficients.
+    Coefficient directions in the null space of F (for hats the n - K
+    combinations with zero trace on the inner boundary, the four hats at
+    the grid corners of the enlarged boundary among them) are invisible to
+    an assembled cost, and the fit gives them zero weight: it returns the
+    minimum-norm minimizer.  The fit's factorisation of the system, one per
+    pair of data weights, is kept in the private ``_fits``.
     """
 
     A: np.ndarray = field(repr=False)
@@ -119,6 +123,7 @@ class DiscreteSystem:
     sigma: np.ndarray = field(repr=False)
     D1: np.ndarray = field(repr=False)
     h: float
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.A, self.B, self.F, self.sigma, self.D1):
@@ -178,13 +183,13 @@ def assemble_system(rows: np.ndarray,
     for p, c in enumerate(coeffs):
         b_mat += c * rows[p * m:(p + 1) * m]
 
-    # Penalty from traces on the inner boundary, closed-polyline differences.
-    v_tr = rows[3 * m:]  # (K, n)
+    # Penalty from traces on the inner boundary: the circulant C has the
+    # eigenvalue 1 + (sin t / h)^2 + (4 sin^2(t/2) / h^2)^2 on the Fourier
+    # mode t of the closed walk.
     h = omega_partition.grid.h
-    d1 = (np.roll(v_tr, -1, axis=0) - np.roll(v_tr, 1, axis=0)) / (2 * h)
-    d2 = (np.roll(v_tr, -1, axis=0) - 2 * v_tr + np.roll(v_tr, 1, axis=0)) / (h * h)
-    f_mat = np.vstack([v_tr, d1, d2])
-    f_mat *= np.sqrt(h)  # in place: F is the largest array of the build
+    t = 2 * np.pi * np.arange(k // 2 + 1) / k
+    root = np.sqrt(h * (1 + (np.sin(t) / h) ** 2 + (4 * np.sin(t / 2) ** 2 / h**2) ** 2))
+    f_mat = np.fft.irfft(root[:, None] * np.fft.rfft(rows[3 * m:], axis=0), n=k, axis=0)
 
     return DiscreteSystem(
         A=rows[:m].copy(),

@@ -97,9 +97,10 @@ _KEYS: dict = {
 DEFAULTS: dict = {key: default for key, (default, _) in _KEYS.items()}
 
 # Largest dense array a config may ask for: one field on the domain grid
-# (checked by validate_config, so for every command) or the fit's stacked
-# matrix (checked by check_stacked_size, so only where there is a fit).  The
-# presets need 32 MB (one side) and 38 MB (two sides) of it at h = 1/256.
+# (checked by validate_config, so for every command) or the bound on the
+# arrays of a build and a fit (checked by check_stacked_size, so only where
+# there is a fit).  The presets' bound is 32 MB (one side) and 38 MB (two
+# sides) at h = 1/256.
 MAX_ARRAY_BYTES = 4e9
 
 
@@ -112,10 +113,12 @@ def _nodes(r: dict, layers) -> tuple[float, float]:
 
 
 def _stacked_bytes(r: dict) -> float:
-    """Size of the fit's stacked matrix: A, D1 A and B on the m Γ nodes, then
-    the penalty factor's 3K rows (K nodes on the domain's rim), by one column
-    per enlarged rim node.  The sampled rows (3m + K) and F (3K) are smaller.
-    Exact for hats, a bound for indicators or a zero data weight."""
+    """A conservative bound on every array of a build and a fit: the size of
+    a (3m + 3K)-row matrix (m Γ nodes, K nodes on the domain's rim) with one
+    column per enlarged rim node, 8 B an entry.  The fit no longer forms such
+    a stacked matrix; its largest arrays are the sampled rows (3m + K), F (K)
+    and the data block (2m), by at most as many columns as the basis has
+    functions, which is the enlarged rim's node count for hats."""
     m, k = boundary_counts(*_nodes(r, 0), r["gamma_sides"])
     _, k_tilde = boundary_counts(*_nodes(r, r["padding_layers"]))
     return 8.0 * (3 * m + 3 * k) * k_tilde
@@ -204,9 +207,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 
 def check_stacked_size(cfg: ExperimentConfig) -> None:
-    """Reject, before any allocation, a config whose stacked fit matrix
-    would exceed MAX_ARRAY_BYTES."""
-    _check_size("the stacked fit matrix (3m + 3K rows x enlarged rim nodes x 8 B)",
+    """Reject, before any allocation, a config whose bound on the arrays of
+    a build and a fit would exceed MAX_ARRAY_BYTES."""
+    _check_size("the fit's arrays (bounded by 3m + 3K rows x enlarged rim nodes x 8 B)",
                 _stacked_bytes(cfg.raw))
 
 

@@ -103,6 +103,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
         "m": state.partition.m,
         "alpha_used": result.alpha_used,
         "condition_estimate": result.condition_estimate,
+        "effective_rank": result.effective_rank,
+        "discarded_directions": state.basis.n - result.effective_rank,
         "residual_f": result.residual_f,
         "residual_g": result.residual_g,
         "reg_norm": result.reg_norm,
@@ -272,7 +274,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
         "spearman_slope_tau": spearman,
         "probe_near_07": target,
         "envelope_c_fits": c_fits,
-        "reg_norm_by_level": {f"{lv:g}": mean_reg[k] for k, lv in enumerate(levels)},
+        "reg_norm_by_level": {repr(lv): mean_reg[k] for k, lv in enumerate(levels)},
         "reg_norm_log_slope": reg_slope,
     }
     if out_dir is not None:

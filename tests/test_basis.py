@@ -115,7 +115,7 @@ def test_assembly_shapes_and_row_sums():
     sys = assemble_system(rows, part)
     assert sys.A.shape == (part.m, basis.n)
     assert sys.B.shape == (part.m, basis.n)
-    assert sys.F.shape == (3 * part.n_boundary, basis.n)
+    assert sys.F.shape == (part.n_boundary, basis.n)
     assert np.abs(sys.A.sum(axis=1) - 1.0).max() < basis.n * 1e-11
     assert sys.sigma.shape == (part.m,)
 

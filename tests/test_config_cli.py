@@ -293,7 +293,7 @@ def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, raw):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_rejects_stacked_matrix_over_limit_exit_2(tmp_path, capsys, command):
-    # the sampled rows would fit (2.2 GB), the stacked fit matrix would not (6.6 GB)
+    # the sampled rows would fit (2.2 GB), the bound on the fit's arrays would not (6.6 GB)
     raw = {"x1": 128.0, "gamma_sides": ["left"]}
     m, k = boundary_counts(*_nodes({**DEFAULTS, **raw}, 0), raw["gamma_sides"])
     _, k_tilde = boundary_counts(*_nodes({**DEFAULTS, **raw}, DEFAULTS["padding_layers"]))
@@ -302,7 +302,7 @@ def test_cli_rejects_stacked_matrix_over_limit_exit_2(tmp_path, capsys, command)
 
 
 def test_cli_tau_builds_no_stack(tmp_path):
-    # about 10 GB of stacked fit matrix, for an enlarged grid tau never builds
+    # a bound of about 10 GB on the fit's arrays, for an enlarged grid tau never builds
     raw = {"h": 1 / 512, "padding_layers": 20000, "tau_gamma_sets": [["bottom"]]}
     assert _stacked_bytes(validate_config(raw).raw) > MAX_ARRAY_BYTES
     cfg = tmp_path / "cfg.json"
@@ -327,27 +327,33 @@ def test_presets_validate_at_h_256(preset):
     {"h": 0.125, "y1": 1.5, "gamma_sides": ["top", "left"], "padding_layers": 3},
 ])
 def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
-    # the fit's stacked matrix, which check_stacked_size bounds, is the
-    # largest array np.vstack makes in a build and a fit
+    # check_stacked_size's estimate, the size of the (3m + 3K)-row stacked
+    # matrix the fit no longer forms, bounds every array the build and the
+    # fit allocate: the sampled rows, the system, every input and output of
+    # their SVDs, QRs and stacks, and the factorisation kept on the system
     cfg = validate_config(extra)
-    sizes, vstack = [], np.vstack
+    sizes = []
 
-    def spy(arrays, *args, **kwargs):
-        out = vstack(arrays, *args, **kwargs)
-        sizes.append(out.nbytes)
-        return out
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            parts = [*args, *(args[0] if fn is np.vstack else []),
+                     *(out if isinstance(out, tuple) else [out])]
+            sizes.extend(a.nbytes for a in parts if isinstance(a, np.ndarray))
+            return out
+        return wrapped
 
-    monkeypatch.setattr(np, "vstack", spy)
+    for mod, name in ((np, "vstack"), (np.linalg, "svd"), (np.linalg, "qr")):
+        monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
     state = build_state(cfg)
     reconstruct(state.system, [state.clean_data], tik_config(cfg), state.basis, state.grid)
-    estimate = _stacked_bytes(cfg.raw)
-    if cfg["basis_kind"] == "hat":
-        assert estimate == pytest.approx(max(sizes), rel=1e-12)
-    else:
-        assert max(sizes) <= estimate
-    # the sampled rows and the penalty factor are smaller
     rows = compute_base_solutions(state.basis, state.partition)
-    assert max(rows.nbytes, state.system.F.nbytes) < max(sizes)
+    sys = state.system
+    fit, = sys._fits.values()
+    held = [rows, sys.A, sys.B, sys.F, sys.D1, fit.p_t, fit.s, fit.to_b]
+    sizes += [a.nbytes for a in held] + ([fit.null_fit.nbytes] if fit.null_fit is not None else [])
+    assert len(sizes) > len(held)
+    assert max(sizes) <= _stacked_bytes(cfg.raw)
 
 
 def test_cli_sweep_too_coarse_for_probes_exit_2(tmp_path, capsys):

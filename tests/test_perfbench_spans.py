@@ -56,7 +56,8 @@ def test_traced_run_and_sweep_give_every_layer_metric(spans, tmp_path):
     for op_id in range(len(ops)):
         metrics, _ = spans.layer_metrics(tracer, [[op_id]])
         assert names <= set(metrics)
-        # one fit per noise level, each through the stacked matrix
+        # one reconstruct per noise level; the span counter sizes the stacked
+        # matrix from F's rows, though the fit no longer forms it
         assert metrics["tikhonov.reconstructs"][0] == (1 if op_id == 0 else 3)
         assert metrics["tikhonov.stack_rows"][0] > metrics["tikhonov.stack_cols"][0] > 0
     # the library is left unwrapped

@@ -111,6 +111,23 @@ def test_sweep_matches_per_seed_evaluation():
     assert [p["err"] for p in sweep["probes"]] == mean.tolist()
 
 
+def test_sweep_keys_every_level_apart():
+    # two levels that agree to six significant digits still get a key each
+    levels = [0.1, 0.01, 0.001, 0.0010000001]
+    cfg = validate_config({**FAST, "eps_levels": levels, "seeds": [1, 2]})
+    by_level = run_sweep(cfg)["reg_norm_by_level"]
+    assert list(by_level) == [repr(lv) for lv in levels]
+
+
+@pytest.mark.parametrize("preset", ["paper-sec5-one-side", "paper-sec5-two-sides"])
+def test_presets_report_the_fit_rank_and_a_finite_condition(preset):
+    # the inner boundary walk has K = 256 nodes, so F has rank 256 and the
+    # 264 hats leave 8 directions no cost can see
+    s = run_experiment(resolve_config(preset=preset))["summary"]
+    assert (s["n_basis"], s["effective_rank"], s["discarded_directions"]) == (264, 256, 8)
+    assert 1.0 < s["condition_estimate"] < 1e4
+
+
 def test_build_state_memory_at_h_128():
     # no (n, ny, nx) stack of base solutions (it alone was 71 MB here): the
     # largest arrays are the sampled rows (3.7 MB) and the penalty factor (6.4 MB)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, Rect,
                      TikhonovConfig, ValidationError, add_noise,
@@ -9,7 +11,7 @@ from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, Rect,
                      select_alpha, trace_cauchy, validate_config)
 from harmrec.basis import BoundaryBasis
 from harmrec.grid import SIDES, graph_norm
-from harmrec.tikhonov import _penalty_factor
+from harmrec.tikhonov import _penalty_factor, _standard_form
 
 
 def test_select_alpha_a_priori():
@@ -185,7 +187,7 @@ def test_penalty_factor_consistency():
     basis, _, part, sys = _pipeline_pieces()
     f = _penalty_factor(sys)
     assert f is sys.F
-    assert f.shape == (3 * part.n_boundary, basis.n)
+    assert f.shape == (part.n_boundary, basis.n)
     # the corner hats of the enlarged boundary are invisible to the penalty
     # as they are to A and B
     invisible = (np.abs(sys.A).max(axis=0) + np.abs(sys.B).max(axis=0)) == 0
@@ -250,20 +252,126 @@ def test_batch_needs_one_noise_level():
         reconstruct(sys, [], TikhonovConfig(), basis, grid)
 
 
-def test_sweep_makes_one_lstsq_per_noise_level(monkeypatch):
-    import harmrec.tikhonov
+def test_sweep_factors_once_and_filters_once_per_noise_level(monkeypatch):
+    import harmrec.tikhonov as tik
 
-    lstsq = harmrec.tikhonov.np.linalg.lstsq
-    rhs_shapes = []
+    factorisations, columns = [], []
+    standard_form, solve = tik._standard_form, tik._StandardForm.solve
 
-    def counting_lstsq(a, b, *args, **kwargs):
-        rhs_shapes.append(np.shape(b))
-        return lstsq(a, b, *args, **kwargs)
+    def counting_standard_form(sys, weights):
+        factorisations.append(weights)
+        return standard_form(sys, weights)
 
-    monkeypatch.setattr(harmrec.tikhonov.np.linalg, "lstsq", counting_lstsq)
+    def counting_solve(self, f, g, alpha):
+        columns.append(f.shape[1])
+        return solve(self, f, g, alpha)
+
+    built, svd = [], np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        built.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(tik, "_standard_form", counting_standard_form)
+    monkeypatch.setattr(tik._StandardForm, "solve", counting_solve)
+    monkeypatch.setattr(tik.np.linalg, "svd", counting_svd)
     cfg = validate_config({"h": 1 / 16, "padding_layers": 1,
                            "eps_levels": [1e-1, 1e-2, 1e-3],
                            "seeds": [1, 2, 3, 4]})
     run_sweep(cfg)
-    assert len(rhs_shapes) == 3
-    assert all(shape[1:] == (4,) for shape in rhs_shapes)
+    # every level looks the factorisation up; the SVD pair runs once
+    assert len(factorisations) == 3 and len(built) == 2
+    assert columns == [4, 4, 4]
+
+
+def _stacked_lstsq(sys, f, g, weights, alpha):
+    """Reference fit: SVD least squares of the stacked matrix [M0; sqrt(alpha) F],
+    all-zero columns pinned to 0.  Returns the (k, n) minimizers and the
+    condition number of the singular values least squares kept."""
+    w_f, w_g = weights
+    s12 = np.sqrt(sys.sigma)[:, None]
+    blocks, rhs = [], []
+    if w_f > 0:
+        wf = np.sqrt(w_f) * s12
+        blocks += [wf * sys.A, wf * (sys.D1 @ sys.A)]
+        rhs += [wf * f, wf * (sys.D1 @ f)]
+    if w_g > 0:
+        blocks.append(np.sqrt(w_g) * s12 * sys.B)
+        rhs.append(np.sqrt(w_g) * s12 * g)
+    blocks.append(np.sqrt(alpha) * sys.F)
+    rhs.append(np.zeros((sys.F.shape[0], f.shape[1])))
+    m_stack = np.vstack(blocks)
+    visible = np.abs(m_stack).max(axis=0) > 0
+    b = np.zeros((f.shape[1], sys.n))
+    b_vis, _, rank, svals = np.linalg.lstsq(m_stack[:, visible], np.vstack(rhs), rcond=None)
+    b[:, visible] = b_vis.T
+    return b, svals[0] / svals[rank - 1]
+
+
+def _check_against_oracle(sys, weights, alpha, rng):
+    f, g = rng.normal(size=(2, sys.m, 3))
+    fit = _standard_form(sys, weights)
+    b = fit.solve(f, g, alpha)
+    ref, kappa = _stacked_lstsq(sys, f, g, weights, alpha)
+    # least squares moves b by up to about eps * kappa^2 under rounding,
+    # whichever method solves it
+    tol = max(1e-12, 1e-15 * kappa**2)
+    assert np.abs(b - ref).max() <= tol * np.abs(ref).max()
+    return fit
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["hat", "indicator"]), padding=st.integers(1, 4),
+       k=st.integers(4, 8), shape=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+       sides=st.lists(st.sampled_from(SIDES), min_size=1, max_size=3, unique=True),
+       weights=st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 2.0)]),
+       log_alpha=st.floats(-8.0, 0.0), seed=st.integers(0, 2**32 - 1))
+def test_filtered_fit_matches_stacked_lstsq(kind, padding, k, shape, sides, weights,
+                                            log_alpha, seed):
+    h = 1.0 / k
+    omega = Rect(0.0, 0.0, shape[0] * h, shape[1] * h)
+    basis = build_basis(omega.padded(padding * h), h, kind, omega_rect=omega,
+                        arcs_per_side=2)
+    part = boundary_partition(build_grid(omega, h), sides)
+    rows = compute_base_solutions(basis, part)
+    sys = assemble_system(rows, part)
+    fit = _check_against_oracle(sys, weights, 10.0**log_alpha, np.random.default_rng(seed))
+    # an assembled data block sees b only through the traces F sees
+    assert fit.null_fit is None
+    assert fit.rank == np.linalg.matrix_rank(rows[3 * part.m:])
+    if kind == "hat":  # the K traces are independent: n - K null directions
+        assert fit.rank == part.n_boundary
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+def test_filtered_fit_matches_stacked_lstsq_when_data_sees_null_of_f(weights):
+    # a hand-built system: F has rank 2 on 6 coefficients and a zero column,
+    # and the data block sees all of null(F)
+    rng = np.random.default_rng(3)
+    f_mat = rng.normal(size=(2, 6)) @ np.diag([1.0, 2.0, 0.5, 1.0, 3.0, 0.0])
+    sys = DiscreteSystem(A=rng.normal(size=(5, 6)), B=rng.normal(size=(5, 6)),
+                         F=f_mat, sigma=rng.uniform(0.5, 1.0, 5),
+                         D1=rng.normal(size=(5, 5)), h=0.1)
+    for alpha in (1e-6, 1e-2, 1.0):
+        fit = _check_against_oracle(sys, weights, alpha, rng)
+        assert fit.null_fit is not None and fit.rank == 2
+
+
+@pytest.mark.parametrize("sides", [["bottom"], ["bottom", "top"]])
+def test_condition_estimate_is_that_of_the_standard_form(sides):
+    # F^+ = Z S^-1 U^T, so [M0 F^+; sqrt(alpha) I] has the singular values of
+    # the standard form [M0 Z S^-1; sqrt(alpha) I]; M0 here is the 3m rows
+    # A, D1 A and B.  One side has fewer data rows (2m) than K, two do not.
+    h, omega = 1 / 8, Rect(0, 0, 1, 1)
+    basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
+    grid = build_grid(omega, h)
+    part = boundary_partition(grid, sides)
+    sys = assemble_system(compute_base_solutions(basis, part), part)
+    alpha = 1e-8
+    r, = reconstruct(sys, [trace_cauchy(ExpCos(2.0, 0.1), part)],
+                     TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha), basis, grid)
+    s12 = np.sqrt(sys.sigma)[:, None]
+    m0 = np.vstack([s12 * sys.A, s12 * (sys.D1 @ sys.A), s12 * sys.B])
+    std = np.vstack([m0 @ np.linalg.pinv(sys.F), np.sqrt(alpha) * np.eye(part.n_boundary)])
+    assert r.condition_estimate == pytest.approx(np.linalg.cond(std), rel=1e-8)
+    assert (r.effective_rank, basis.n - r.effective_rank) == (part.n_boundary, 8)
