@@ -27,6 +27,11 @@ PROBE_COORDS = (0.125, 0.3125, 0.5, 0.6875, 0.875)
 # rate is certified over the band [0.3, 0.9], so the probes span it evenly.
 PROBE_TAU_TARGETS = tuple(0.3 + 0.6 * k / 11 for k in range(12))
 
+# Probe scores within this of the best are ties: far above the score's
+# rounding (about 1e-14), so mirror-image nodes always tie, and far below its
+# step from one node to a neighbour.
+PROBE_TIE = 1e-9
+
 # Nodes closer than this many layers to the outer boundary are excluded from
 # envelope fitting: the exponent field endpoints contaminate trace values.
 INTERIOR_MARGIN = 3
@@ -41,9 +46,12 @@ def auto_probe_nodes(tau: IndicateField, targets=PROBE_TAU_TARGETS,
     Many nodes sit near a level set of the exponent field; the score
     ``((tau - target)/0.03)^2 + (distance to domain center)^2`` prefers the
     node matching the target to within about one grid layer and breaks the
-    tie along the level set toward the domain center.  Deterministic given
-    the field.  Raises ValidationError when no candidate exists (a grid
-    too coarse for the margin, or a field that misses the band).
+    tie along the level set toward the domain center.  Scores within
+    ``PROBE_TIE`` of the best tie, and among tied nodes the smallest
+    ``(j, i)`` (row, then column) wins, so mirror-image nodes, whose scores
+    agree only to rounding, cannot swap places when ``tau`` moves by a few
+    ULP.  Raises ValidationError when no candidate exists (a grid too coarse
+    for the margin, or a field that misses the band).
     """
     g = tau.grid
     t = tau.tau.values
@@ -62,7 +70,8 @@ def auto_probe_nodes(tau: IndicateField, targets=PROBE_TAU_TARGETS,
     nodes = []
     for target in targets:
         score = score_base + ((t - target) / 0.03) ** 2 + d2
-        j, i = np.unravel_index(np.argmin(score), score.shape)
+        tied = score <= score.min() + PROBE_TIE
+        j, i = np.unravel_index(np.argmax(tied), score.shape)  # first in (j, i)
         nodes.append((int(i), int(j)))
     return nodes
 

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from harmrec import (Constant, Rect, ValidationError, boundary_partition,
                      build_grid, compute_indicate, envelope_check,
                      pointwise_error, rate_fit, reliability_summary,
-                     sample_exact, spearman_rank)
-from harmrec.evaluate import auto_probe_nodes, envelope_c_fit
+                     resolve_config, sample_exact, spearman_rank)
+from harmrec.evaluate import (PROBE_TAU_TARGETS, PROBE_TIE, auto_probe_nodes,
+                              envelope_c_fit)
 from harmrec.grid import SIDES
+from harmrec.measure import IndicateField
 from harmrec.poisson import ScalarField
 
 
@@ -151,6 +153,66 @@ def test_auto_probe_nodes_span_band():
     assert (taus >= 0.3).all() and (taus <= 0.9).all()
     assert taus.max() - taus.min() > 0.4
     assert len(set(nodes)) >= 8
+
+
+def _mirrored_tau(seed, nx, ny, h, x0, y0):
+    """Random exponent field with t[j, i] == t[j, nx - 1 - i], on a grid whose
+    mirror-image coordinates need not be exact negatives about the centre."""
+    g = build_grid(Rect(x0, y0, x0 + (nx - 1) * h, y0 + (ny - 1) * h), h)
+    a = np.random.default_rng(seed).uniform(0.25, 0.95, (ny, nx))
+    i = np.arange(nx)
+    t = np.where(i <= nx - 1 - i, a, a[:, ::-1])
+    return IndicateField(tau=ScalarField(grid=g, values=t),
+                         gamma=boundary_partition(g, ["bottom"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.integers(9, 26), st.integers(9, 26),
+       st.sampled_from([1 / 8, 0.1, 1 / 12, 0.07]), st.sampled_from([0.0, 0.1, -0.3]),
+       st.sampled_from([0.0, 0.2, -1.7]))
+def test_probe_ties_go_to_the_smallest_row_then_column(seed, nx, ny, h, x0, y0):
+    tau = _mirrored_tau(seed, nx, ny, h, x0, y0)
+    t = tau.tau.values
+    nodes = auto_probe_nodes(tau)
+    g = tau.grid
+    xg, yg = g.meshgrid()
+    d2 = (xg - xg.mean()) ** 2 + (yg - yg.mean()) ** 2
+    inner = np.zeros(g.shape, dtype=bool)
+    inner[3:-3, 3:-3] = True
+    for (i, j), target in zip(nodes, PROBE_TAU_TARGETS):
+        # a mirror pair ties, so the probe is never right of its mirror image
+        assert i <= nx - 1 - i
+        score = np.where(inner & (t >= 0.3) & (t <= 0.9),
+                         ((t - target) / 0.03) ** 2 + d2, np.inf)
+        tied = score <= score.min() + PROBE_TIE
+        assert tied[j, i]
+        assert not tied[:j].any() and not tied[j, :i].any()
+    # a perturbation far below the tie width moves no probe
+    noise = np.random.default_rng(seed + 1).uniform(-1e-12, 1e-12, t.shape)
+    moved = IndicateField(tau=ScalarField(grid=g, values=t + noise), gamma=tau.gamma)
+    assert auto_probe_nodes(moved) == nodes
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ("paper-sec5-one-side",
+     [(28, 28), (31, 25), (30, 22), (27, 19), (32, 17), (25, 14), (26, 12),
+      (25, 10), (24, 8), (22, 6), (32, 5), (24, 3)]),
+    ("paper-sec5-two-sides",
+     [(12, 27), (15, 28), (19, 32), (24, 32), (31, 26), (29, 20), (28, 16),
+      (28, 13), (32, 11), (27, 8), (30, 6), (32, 4)]),
+])
+def test_preset_probes_are_fixed(preset, expected):
+    # the probes the sweep has always picked; (22, 6) on one side is an exact
+    # mirror tie with (42, 6), so a change of tau by one ULP must not move it
+    cfg = resolve_config(preset=preset)
+    g = build_grid(cfg.rect, cfg["h"])
+    tau = compute_indicate(g, boundary_partition(g, cfg["gamma_sides"]))
+    assert auto_probe_nodes(tau) == expected
+    right = np.sign(g.meshgrid()[0] - 0.5)  # +1 right of the mirror line
+    for sign in (1.0, -1.0):
+        nudged = tau.tau.values + sign * 1e-12 * right
+        nudged = IndicateField(tau=ScalarField(grid=g, values=nudged), gamma=tau.gamma)
+        assert auto_probe_nodes(nudged) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
