@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import ValidationError
 from .forward import ExactSolution, sample_exact
@@ -191,10 +190,27 @@ def rate_fit(errors_at_point: list[tuple[float, float]]) -> float:
     return float(slope)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
+
+
 def spearman_rank(a, b) -> float:
-    """Spearman rank correlation of two equal-length sequences."""
-    rho = stats.spearmanr(np.asarray(a, dtype=float), np.asarray(b, dtype=float)).statistic
-    return float(rho)
+    """Spearman rank correlation of two equal-length sequences: the Pearson
+    correlation of their average ranks.  NaN when either sequence contains
+    NaN or is constant, where the correlation is undefined."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValidationError(f"need two equal-length sequences, got shapes "
+                              f"{a.shape} and {b.shape}")
+    if np.isnan(a).any() or np.isnan(b).any():
+        return float("nan")
+    ra, rb = (r - r.mean() for r in (_average_ranks(a), _average_ranks(b)))
+    norm = np.sqrt(ra @ ra * (rb @ rb))
+    if norm == 0.0:
+        return float("nan")
+    return float(np.clip(ra @ rb / norm, -1.0, 1.0))
 
 
 @dataclass(frozen=True)

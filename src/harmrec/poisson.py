@@ -3,10 +3,11 @@
 The solver treats the h²-scaled system (stencil weights 4 / -1), which is
 symmetric positive definite on the interior unknowns.  On a rectangle the
 type-I discrete sine basis diagonalises it (Hockney, J. ACM 12, 1965;
-Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970), so
-:func:`solve_interior` solves it exactly for a batch of fields, and
-:func:`rim_extension` samples every rim node's harmonic extension at given
-nodes without forming a field.  :func:`solve_dirichlet` also offers
+Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).  Both direct
+solvers apply that basis as products with one cached dense matrix per side
+length (:func:`_dst_matrix`): :func:`solve_interior` solves exactly for a
+batch of fields, and :func:`rim_extension` samples every rim node's
+harmonic extension at given nodes without forming a field.  :func:`solve_dirichlet` also offers
 ``method="cg"``: matrix-free conjugate gradients (:func:`cg_dirichlet`), one
 right-hand side at a time, with the residual tolerance relative to the
 boundary load (clamped at 1 from below).
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dstn
 
 from .errors import SolverError, ValidationError
 from .grid import BoundaryPartition, Grid2D
@@ -90,17 +90,19 @@ def solve_interior(u: np.ndarray) -> None:
     """Fill the interior of ``u`` (..., ny, nx) in place from its rim data.
 
     Exact up to rounding: the 5-point system is solved in the DST-I basis,
-    one orthonormal transform each way, over every leading batch index.
+    one orthonormal transform each way (``Sy @ load @ Sx``, both matrices
+    their own inverse), over every leading batch index.
     """
-    rhs = np.zeros(u.shape[:-2] + (u.shape[-2] - 2, u.shape[-1] - 2))
+    my, mx = u.shape[-2] - 2, u.shape[-1] - 2
+    sy, sx = _dst_matrix(my), _dst_matrix(mx)
+    rhs = np.zeros(u.shape[:-2] + (my, mx))
     rhs[..., 0, :] += u[..., 0, 1:-1]
     rhs[..., -1, :] += u[..., -1, 1:-1]
     rhs[..., :, 0] += u[..., 1:-1, 0]
     rhs[..., :, -1] += u[..., 1:-1, -1]
-    coef = dstn(rhs, type=1, axes=(-2, -1), norm="ortho", overwrite_x=True)
-    coef /= _dst_eigenvalues(*rhs.shape[-2:])
-    u[..., 1:-1, 1:-1] = dstn(coef, type=1, axes=(-2, -1), norm="ortho",
-                              overwrite_x=True)
+    coef = sy @ rhs @ sx
+    coef /= _dst_eigenvalues(my, mx)
+    u[..., 1:-1, 1:-1] = sy @ coef @ sx
 
 
 def stencil_residual(values: np.ndarray) -> np.ndarray:

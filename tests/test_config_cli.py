@@ -369,6 +369,19 @@ def test_cli_sweep_too_coarse_for_probes_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_library_and_cli_import_no_scipy():
+    # scipy is a test-only dependency: the library and its CLI must start on
+    # numpy alone (scipy.stats alone takes about a second to import)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, harmrec.pipeline, harmrec.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def _cli_stderr_line(tmp_path, command, raw, out=None):
     """Run the CLI in a fresh process on config ``raw``; return its exit code
     and its stderr, checked to be exactly one strict-JSON error line."""

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from harmrec import (Constant, Rect, ValidationError, boundary_partition,
                      build_grid, compute_indicate, envelope_check,
@@ -112,6 +115,35 @@ def test_rate_fit_preconditions():
 def test_spearman_rank_basics():
     assert spearman_rank([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
     assert spearman_rank([1, 2, 3, 4], [4, 3, 2, 1]) == -1.0
+
+
+def _tied_pair(n):
+    # few distinct values, so most draws carry ties, some whole-sequence ones
+    values = st.one_of(st.integers(-3, 3).map(float),
+                       st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False))
+    return st.tuples(st.lists(values, min_size=n, max_size=n),
+                     st.lists(st.integers(0, 4), min_size=n, max_size=n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(2, 40).flatmap(_tied_pair))
+def test_spearman_rank_matches_scipy(pair):
+    a, b = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on a constant input
+        ref = stats.spearmanr(a, b).statistic
+    for rho in (spearman_rank(a, b), spearman_rank(b, a)):
+        if len(set(a)) < 2 or len(set(b)) < 2:
+            assert np.isnan(rho) and np.isnan(ref)
+        else:
+            assert abs(rho - ref) <= 1e-12
+
+
+def test_spearman_rank_undefined_cases():
+    assert np.isnan(spearman_rank([1, 1, 1], [1, 2, 3]))
+    assert np.isnan(spearman_rank([1, float("nan"), 3], [1, 2, 3]))
+    with pytest.raises(ValidationError):
+        spearman_rank([1, 2, 3], [1, 2])
 
 
 def test_reliability_summary_split(tau16):

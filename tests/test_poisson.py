@@ -65,6 +65,26 @@ def test_batched_dst_solve_matches_sparse_reference(spsolve_dirichlet):
     assert np.abs(single.values - ref[1, 2]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("ny, nx", [(3, 3), (3, 12), (14, 3), (9, 16), (21, 6)])
+def test_dst_solve_any_shape_and_batch_matches_sparse_reference(spsolve_dirichlet, ny, nx, lead):
+    # tall, wide and one-row interiors, with and without leading batch axes;
+    # each field of the batch must be solved as if it were alone
+    rng = np.random.default_rng(ny * 100 + nx)
+    u = rng.uniform(-1, 1, lead + (ny, nx))
+    u[..., 1:-1, 1:-1] = 0.0
+    ref = spsolve_dirichlet(u)
+    rim = u.copy()
+    solve_interior(u)
+    assert np.abs(u - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    assert np.array_equal(u[..., [0, -1], :], rim[..., [0, -1], :])
+    assert np.array_equal(u[..., :, [0, -1]], rim[..., :, [0, -1]])
+    for k in np.ndindex(lead):
+        alone = rim[k].copy()
+        solve_interior(alone)
+        assert np.abs(alone - u[k]).max() <= 1e-13
+
+
 def test_laplacian_residual_examples():
     g = build_grid(Rect(0, 0, 1, 1), 1 / 8)
     p = boundary_partition(g, ["bottom"])
