@@ -7,10 +7,10 @@ Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).  Both direct
 solvers apply that basis as products with one cached dense matrix per side
 length (:func:`_dst_matrix`): :func:`solve_interior` solves exactly for a
 batch of fields, and :func:`rim_extension` samples every rim node's
-harmonic extension at given nodes without forming a field.  :func:`solve_dirichlet` also offers
-``method="cg"``: matrix-free conjugate gradients (:func:`cg_dirichlet`), one
-right-hand side at a time, with the residual tolerance relative to the
-boundary load (clamped at 1 from below).
+harmonic extension at given nodes without forming a field.
+:func:`solve_dirichlet` also offers ``method="cg"``: matrix-free conjugate
+gradients (:func:`cg_dirichlet`), one right-hand side at a time, with the
+residual tolerance relative to the boundary load (clamped at 1 from below).
 """
 
 from __future__ import annotations

@@ -208,7 +208,8 @@ def test_probe_ties_go_to_the_smallest_row_then_column(seed, nx, ny, h, x0, y0):
     nodes = auto_probe_nodes(tau)
     g = tau.grid
     xg, yg = g.meshgrid()
-    d2 = (xg - xg.mean()) ** 2 + (yg - yg.mean()) ** 2
+    r = g.rect
+    d2 = (xg - 0.5 * (r.x0 + r.x1)) ** 2 + (yg - 0.5 * (r.y0 + r.y1)) ** 2
     inner = np.zeros(g.shape, dtype=bool)
     inner[3:-3, 3:-3] = True
     for (i, j), target in zip(nodes, PROBE_TAU_TARGETS):
