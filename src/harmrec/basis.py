@@ -113,8 +113,9 @@ class DiscreteSystem:
     combinations with zero trace on the inner boundary, the four hats at
     the grid corners of the enlarged boundary among them) are invisible to
     an assembled cost, and the fit gives them zero weight: it returns the
-    minimum-norm minimizer.  The fit's factorisation of the system, one per
-    pair of data weights, is kept in the private ``_fits``.
+    minimum-norm minimizer.  The fit rejects a hand-built system whose A or
+    B sees null(F).  The fit's factorisation of the system, one per pair of
+    data weights, is kept in the private ``_fits``.
     """
 
     A: np.ndarray = field(repr=False)

@@ -54,7 +54,7 @@ _NONNEGATIVE = _number("a nonnegative number", lambda v: v >= 0)
 _POSITIVE_INT = _number("a positive integer", lambda v: v >= 1, int)
 
 # key -> (default, (what the value must be, test)).  The rules joining several
-# keys (rectangle, spacing and grid size, alpha_fixed, w_f/w_g) are in
+# keys (rectangle, spacing and grid size, alpha_fixed, alpha_c, w_f/w_g) are in
 # validate_config.
 _KEYS: dict = {
     "x0": (0.0, _NUMBER),
@@ -79,8 +79,6 @@ _KEYS: dict = {
     "alpha_fixed": (1e-6, _NUMBER),
     "w_f": (1.0, _NONNEGATIVE),
     "w_g": (1.0, _NONNEGATIVE),
-    "solver": ("direct", _one_of("cg", "direct")),
-    "solver_tol": (1e-10, _number("a positive number", lambda v: v > 0)),
     "threshold": (0.5, _number("a number in (0, 1]", lambda v: 0 < v <= 1)),
     "tau0": (0.49, _number("a number in (0, 1)", lambda v: 0 < v < 1)),
     "eps_levels": ([1e-1, 1e-2, 1e-3], ("a list of distinct positive numbers", lambda v: (
@@ -201,6 +199,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             f"h={merged['h']} must divide each extent into at least 2 intervals")
     if merged["alpha_rule"] == "fixed" and merged["alpha_fixed"] <= 0:
         raise ValidationError("alpha_rule 'fixed' needs a positive alpha_fixed")
+    if merged["alpha_rule"] == "a_priori" and merged["alpha_c"] <= 0:
+        raise ValidationError("alpha_rule 'a_priori' needs a positive alpha_c")
     if merged["w_f"] == 0 and merged["w_g"] == 0:
         raise ValidationError("w_f and w_g must not both be zero")
     return cfg

@@ -6,8 +6,4 @@ class ValidationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Numerical failure (e.g. iterative solver did not reach the requested residual)."""
-
-    def __init__(self, message: str, achieved_residual: float | None = None):
-        super().__init__(message)
-        self.achieved_residual = achieved_residual
+    """Numerical failure: a non-finite field, fit or artifact, or a failed factorisation."""

@@ -172,6 +172,13 @@ def envelope_check(err: ScalarField, tau: IndicateField, eps: float,
     )
 
 
+def check_level_span(levels) -> None:
+    """Reject positive noise levels that span less than two decades, too
+    narrow a window for :func:`rate_fit` to read a slope from."""
+    if max(levels) / min(levels) < 100.0 * (1.0 - 1e-9):
+        raise ValidationError("noise levels must span at least two decades")
+
+
 def rate_fit(errors_at_point: list[tuple[float, float]]) -> float:
     """Least-squares slope of log err against log eps.
 
@@ -184,8 +191,7 @@ def rate_fit(errors_at_point: list[tuple[float, float]]) -> float:
     err = np.array([p[1] for p in errors_at_point], dtype=float)
     if (eps <= 0).any() or (err <= 0).any():
         raise ValidationError("rate fit needs positive noise levels and errors")
-    if eps.max() / eps.min() < 100.0 * (1.0 - 1e-9):
-        raise ValidationError("noise levels must span at least two decades")
+    check_level_span(eps)
     slope = np.polyfit(np.log(eps), np.log(err), 1)[0]
     return float(slope)
 

@@ -78,8 +78,7 @@ class LevelContour:
         return [[[float(x), float(y)] for x, y in line] for line in self.polylines]
 
 
-def compute_indicate(grid: Grid2D, partition: BoundaryPartition,
-                     tol: float = 1e-10, method: str = "direct") -> IndicateField:
+def compute_indicate(grid: Grid2D, partition: BoundaryPartition) -> IndicateField:
     """Solve for the exponent field of the partition's Γ."""
     if partition.m == 0:
         raise ValidationError("Γ must be nonempty")
@@ -89,17 +88,17 @@ def compute_indicate(grid: Grid2D, partition: BoundaryPartition,
             "identically 1 and the problem well-posed)"
         )
     bv = partition.gamma_mask.astype(float)
-    fld = solve_dirichlet(grid, partition, bv, tol=tol, method=method)
-    _check_indicate(fld, partition, tol)
+    fld = solve_dirichlet(grid, partition, bv)
+    _check_indicate(fld, partition)
     return IndicateField(tau=fld, gamma=partition)
 
 
-def _check_indicate(fld: ScalarField, partition: BoundaryPartition, tol: float):
+def _check_indicate(fld: ScalarField, partition: BoundaryPartition):
     v = fld.values
-    slack = max(1e-8, 100 * tol)
+    slack = 1e-8
     if v.min() < -slack or v.max() > 1.0 + slack:
         raise ValidationError(
-            f"exponent field escapes [0, 1] beyond solver slack "
+            f"exponent field escapes [0, 1] beyond rounding slack "
             f"({v.min():.3e} .. {v.max():.3e})"
         )
     bj, bi = partition.nodes[:, 1], partition.nodes[:, 0]

@@ -56,8 +56,7 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
     basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"],
                         omega_rect=cfg.rect, arcs_per_side=cfg["arcs_per_side"])
     system = assemble_system(compute_base_solutions(basis, partition), partition)
-    tau = compute_indicate(grid, partition, tol=cfg["solver_tol"],
-                           method=cfg["solver"])
+    tau = compute_indicate(grid, partition)
     clean = trace_cauchy(cfg.exact_solution(), partition)
     return PipelineState(cfg=cfg, grid=grid, partition=partition,
                          basis=basis, system=system, tau=tau,
@@ -70,6 +69,17 @@ def _reconstruct_for(state: PipelineState, level: float, seed: int) -> tuple[Cau
     result, = reconstruct(state.system, [data], tik_config(cfg),
                           state.basis, state.grid)
     return data, result
+
+
+def _write_tau(out, stem: str, ind: IndicateField, contour, title: str) -> list[str]:
+    """Write an exponent field's CSV, contour JSON and heatmap SVG under
+    ``stem``; returns their file names."""
+    names = [f"{stem}.csv", f"{stem}_contour.json", f"{stem}.svg"]
+    hio.write_field_csv(out / names[0], ind.tau)
+    hio.dump_json(out / names[1],
+                  {"level": contour.level, "polylines": contour.to_jsonable()})
+    svg.render_heatmap(ind.tau, out / names[2], contours=contour, title=title)
+    return names
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None,
@@ -140,17 +150,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
         hio.write_field_csv(out / "u_star.csv", result.u_star)
         hio.write_field_csv(out / "error.csv", err)
         hio.write_field_csv(out / "exact.csv", exact_field)
-        hio.write_field_csv(out / "tau.csv", state.tau.tau)
-        hio.dump_json(out / "tau_contour.json",
-                      {"level": contour.level, "polylines": contour.to_jsonable()})
+        _write_tau(out, "tau", state.tau, contour, "reliability exponent")
         hio.write_vector_csv(out / "b.csv", result.b)
         hio.write_cauchy_csv(out / "cauchy.csv", data, out / "cauchy.json")
         svg.render_heatmap(exact_field, out / "exact.svg", title="exact solution")
         svg.render_heatmap(result.u_star, out / "u_star.svg", title="reconstruction")
         svg.render_heatmap(err, out / "error.svg", contours=contour,
                            title="absolute error")
-        svg.render_heatmap(state.tau.tau, out / "tau.svg", contours=contour,
-                           title="reliability exponent")
         hio.dump_json(out / "summary.json", summary)
 
     return {
@@ -174,8 +180,7 @@ def run_tau(cfg: ExperimentConfig, out_dir=None) -> dict:
                                0.5 * (cfg.rect.y0 + cfg.rect.y1))
     for sides in cfg["tau_gamma_sets"]:
         partition = boundary_partition(grid, sides)
-        ind = compute_indicate(grid, partition, tol=cfg["solver_tol"],
-                               method=cfg["solver"])
+        ind = compute_indicate(grid, partition)
         _, contour = reliable_region(ind, cfg["threshold"])
         tag = "-".join(sorted(sides))
         panel = {
@@ -184,14 +189,8 @@ def run_tau(cfg: ExperimentConfig, out_dir=None) -> dict:
             "n_polylines": len(contour.polylines),
         }
         if out is not None:
-            hio.write_field_csv(out / f"tau_{tag}.csv", ind.tau)
-            hio.dump_json(out / f"tau_{tag}_contour.json",
-                          {"level": contour.level,
-                           "polylines": contour.to_jsonable()})
-            svg.render_heatmap(ind.tau, out / f"tau_{tag}.svg", contours=contour,
-                               title=f"reliability exponent, measured: {tag}")
-            panel["files"] = [f"tau_{tag}.csv", f"tau_{tag}_contour.json",
-                              f"tau_{tag}.svg"]
+            panel["files"] = _write_tau(out, f"tau_{tag}", ind, contour,
+                                        f"reliability exponent, measured: {tag}")
         panels.append(panel)
     summary = {"config": cfg.to_dict(), "panels": panels}
     if out is not None:
@@ -213,6 +212,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     seeds = list(cfg["seeds"])
     if len(levels) < 3:
         raise ValidationError("sweep needs at least 3 eps levels")
+    ev.check_level_span(levels)
     state = build_state(cfg)
     g = state.grid
     t = state.tau.tau.values

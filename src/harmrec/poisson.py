@@ -8,9 +8,7 @@ solvers apply that basis as products with one cached dense matrix per side
 length (:func:`_dst_matrix`): :func:`solve_interior` solves exactly for a
 batch of fields, and :func:`rim_extension` samples every rim node's
 harmonic extension at given nodes without forming a field.
-:func:`solve_dirichlet` also offers ``method="cg"``: matrix-free conjugate
-gradients (:func:`cg_dirichlet`), one right-hand side at a time, with the
-residual tolerance relative to the boundary load (clamped at 1 from below).
+:func:`solve_dirichlet` solves one field through :func:`solve_interior`.
 """
 
 from __future__ import annotations
@@ -105,12 +103,7 @@ def solve_interior(u: np.ndarray) -> None:
     u[..., 1:-1, 1:-1] = sy @ coef @ sx
 
 
-def stencil_residual(values: np.ndarray) -> np.ndarray:
-    """Interior residual of the h²-scaled 5-point stencil, shape (ny-2, nx-2)."""
-    return (4.0 * values[1:-1, 1:-1] - values[1:-1, :-2] - values[1:-1, 2:]
-            - values[:-2, 1:-1] - values[2:, 1:-1])
-
-
+# Not called here: perfbench/spans.py wraps `poisson.cg_dirichlet` by name.
 def cg_dirichlet(u: np.ndarray, tol: float, max_iter: int) -> tuple[int, float]:
     """Run CG on the interior of ``u`` in place; the rim holds the data.
 
@@ -154,18 +147,12 @@ def cg_dirichlet(u: np.ndarray, tol: float, max_iter: int) -> tuple[int, float]:
 
 
 def solve_dirichlet(grid: Grid2D, partition: BoundaryPartition,
-                    boundary_values: np.ndarray, tol: float = 1e-10,
-                    method: str = "direct") -> ScalarField:
+                    boundary_values: np.ndarray) -> ScalarField:
     """Solve the discrete Laplace equation with the given Dirichlet data.
 
     Boundary nodes of the result carry the data exactly; interior nodes
-    satisfy the 5-point stencil to rounding (``direct``) or with max-norm
-    residual at most ``tol * max(1, |load|_inf)`` (``cg``, which raises
-    :class:`SolverError` with the achieved residual if it runs out of
-    iterations).
+    satisfy the 5-point stencil to rounding.
     """
-    if tol <= 0:
-        raise ValidationError(f"solver tolerance must be positive, got {tol}")
     if grid.nx < 3 or grid.ny < 3:
         raise ValidationError("grid must be at least 3x3 for an interior solve")
     bv = np.asarray(boundary_values, dtype=float)
@@ -175,22 +162,7 @@ def solve_dirichlet(grid: Grid2D, partition: BoundaryPartition,
         )
     u = np.zeros(grid.shape)
     u[partition.nodes[:, 1], partition.nodes[:, 0]] = bv
-    if method == "direct":
-        solve_interior(u)
-    elif method == "cg":
-        # Same load norm the kernel uses for its relative stopping rule.
-        load_inf = float(np.abs(stencil_residual(u)).max())
-        max_iter = 40 * max(grid.nx, grid.ny) + 200
-        iters, res = cg_dirichlet(u, tol, max_iter)
-        stop = tol * max(1.0, load_inf)
-        if res > stop:
-            raise SolverError(
-                f"CG did not converge in {iters} iterations "
-                f"(residual {res:.3e} > {stop:.3e})",
-                achieved_residual=res,
-            )
-    else:
-        raise ValidationError(f"unknown solve method {method!r}")
+    solve_interior(u)
     return ScalarField(grid=grid, values=u)
 
 
@@ -198,7 +170,9 @@ def laplacian_residual(fld: ScalarField) -> float:
     """Max interior residual of the h²-scaled 5-point stencil, |4u - Σ neighbors|."""
     if fld.grid.nx < 3 or fld.grid.ny < 3:
         raise ValidationError("need nx, ny >= 3 to evaluate the interior stencil")
-    return float(np.abs(stencil_residual(fld.values)).max())
+    v = fld.values
+    return float(np.abs(4.0 * v[1:-1, 1:-1] - v[1:-1, :-2] - v[1:-1, 2:]
+                        - v[:-2, 1:-1] - v[2:, 1:-1]).max())
 
 
 def normal_stencil(partition: BoundaryPartition):

@@ -14,13 +14,13 @@ minimizer comes from the standard form (Eldén, BIT 17, 1977; Hansen,
 ``|z|``, and one SVD ``M0 Z S^-1 = P s W^T`` turns every fit into the
 filter factors s / (s^2 + alpha): ``b = Z S^-1 W diag(s / (s^2 + alpha))
 P^T d``.  Neither the normal equations nor F^T F is formed.  An assembled
-data block is blind to null(F), like the penalty; if a hand-built one sees
-it, that part is fitted by least squares and projected out first, as
-Eldén does.  The pair depends only on the system and the data weights, so
-it is built once and kept on the system: a noise sweep costs one
-factorisation, then per level two small products with one column per data
-set.  The condition estimate reported is that of ``[M0 Z S^-1;
-sqrt(alpha) I]``, and the penalty norm of a fit is ``|F b|``.
+data block is blind to null(F), like the penalty, so b has no part there;
+a hand-built system whose data block sees null(F) is rejected.  The pair
+depends only on the system and the data weights, so it is built once and
+kept on the system: a noise sweep costs one factorisation, then per level
+two small products with one column per data set.  The condition estimate
+reported is that of ``[M0 Z S^-1; sqrt(alpha) I]``, and the penalty norm of
+a fit is ``|F b|``.
 
 The a-priori regularization weight follows alpha = c * (eps^2 + h^2): the
 basis truncation term of the full rule is not observable, so it is dropped
@@ -135,19 +135,18 @@ def _channel_weights(sys: DiscreteSystem, weights: tuple[float, float]) -> list:
 class _StandardForm:
     """The cost of one system and one pair of data weights, factored for
     every alpha.  For the stacked data fg = [f; g] of k data sets,
-    ``b = to_b @ (s / (s^2 + alpha) * (p_t @ fg)) + null_fit @ fg``."""
+    ``b = to_b @ (s / (s^2 + alpha) * (p_t @ fg))``."""
 
     p_t: np.ndarray  # (q, 2m) left singular vectors of M, transposed, on [f; g]
     s: np.ndarray  # (q,) singular values of M, descending
     to_b: np.ndarray  # (n, q) coefficients of the right singular vectors of M
-    null_fit: np.ndarray | None  # (n, 2m) least-squares fit on null(F), if seen
     rank: int  # rank of F
 
     def solve(self, f: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
         """(k, n) minimum-norm minimizers for the (m, k) data f and g."""
         fg = np.vstack([f, g])
-        b = self.to_b @ ((self.s / (self.s * self.s + alpha))[:, None] * (self.p_t @ fg))
-        return (b if self.null_fit is None else b + self.null_fit @ fg).T
+        return (self.to_b @ ((self.s / (self.s * self.s + alpha))[:, None]
+                             * (self.p_t @ fg))).T
 
     def condition(self, alpha: float) -> float:
         """Condition number of [M; sqrt(alpha) I]: its smallest singular
@@ -165,41 +164,29 @@ def _standard_form(sys: DiscreteSystem, weights: tuple[float, float]) -> _Standa
     channels = _channel_weights(sys, weights)
     m0 = np.vstack([lc @ (sys.A, sys.B)[c] for c, lc in channels])  # the data block
 
-    def on_fg(x):  # x (., rows) acting on the data rows, as (., 2m) acting on [f; g]
-        out = np.zeros((len(x), 2 * sys.m))
-        for i, (c, lc) in enumerate(channels):
-            out[:, c * sys.m:(c + 1) * sys.m] = x[:, i * sys.m:(i + 1) * sys.m] @ lc
-        return out
-
     factor = _penalty_factor(sys)
     try:
         _, sf, zt = np.linalg.svd(factor, full_matrices=False)
         rank = int((sf > max(factor.shape) * eps * sf[0]).sum())
         zt, sf = zt[:rank], sf[:rank]
         m_z = m0 @ zt.T
-        m_bar = m_z / sf  # M0 Z S^-1
         # The data block on null(F).  For an assembled system it is what
         # rounding leaks into the computed null(F), bounded by the SVD's
-        # error over F's smallest kept singular value (Wedin), times |M0|.
-        # Above that, fit this part by least squares (its pseudo-inverse
-        # maps into null(F)) and project its range out of the standard form.
-        seen = m0 - m_z @ zt
+        # error over F's smallest kept singular value (Wedin), times |M0|;
+        # a hand-built data block that sees more of null(F) is rejected.
         tol = max(m0.shape) * eps * np.linalg.norm(m0) * (sf[0] / sf[-1] if rank else 1.0)
-        null_fit = None
-        if np.linalg.norm(seen) > tol:
-            uw, sw, vwt = np.linalg.svd(seen, full_matrices=False)
-            keep = sw > tol
-            q = uw[:, keep]
-            null_fit = (vwt[keep].T / sw[keep]) @ q.T
-            m_bar -= q @ (q.T @ m_bar)
-        p, s, wt = np.linalg.svd(m_bar, full_matrices=False)
+        if np.linalg.norm(m0 - m_z @ zt) > tol:
+            raise ValidationError(
+                "the data block sees coefficient directions the penalty does "
+                "not (null(F)), which no assembled system does")
+        p, s, wt = np.linalg.svd(m_z / sf, full_matrices=False)  # M0 Z S^-1
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"factorising the fit failed: {exc}") from exc
+    p_t = np.zeros((len(s), 2 * sys.m))  # P^T acting on the data rows, as on [f; g]
+    for i, (c, lc) in enumerate(channels):
+        p_t[:, c * sys.m:(c + 1) * sys.m] = p.T[:, i * sys.m:(i + 1) * sys.m] @ lc
     to_b = zt.T @ (wt.T / sf[:, None])  # b = Z S^-1 z for z = W (filtered data)
-    if null_fit is not None:  # b's null(F) part fits the data b's other part leaves
-        to_b -= null_fit @ (m0 @ to_b)
-        null_fit = on_fg(null_fit)
-    fit = _StandardForm(p_t=on_fg(p.T), s=s, to_b=to_b, null_fit=null_fit, rank=rank)
+    fit = _StandardForm(p_t=p_t, s=s, to_b=to_b, rank=rank)
     sys._fits[weights] = fit
     return fit
 

@@ -69,7 +69,6 @@ configs = st.fixed_dictionaries({
     "alpha_fixed": st.sampled_from([1e-6, 1e-3, 1e-6, 1e-3, 0]),
     "w_f": st.sampled_from([1.0, 0.0, 1.0, 0.5]),
     "w_g": st.sampled_from([1.0, 0.0, 2.0, 1.0]),
-    "solver": st.sampled_from(["direct", "cg"]),
     "threshold": st.sampled_from([0.5, 1.0, 0.25]),
     "tau0": st.sampled_from([0.49, 0.9]),
     "eps_levels": st.lists(st.sampled_from([1e-1, 1e-2, 1e-3]), min_size=2, max_size=4),
@@ -106,9 +105,12 @@ def test_cli_contract_on_generated_configs(command, raw):
 
 
 # Keys that no longer exist: the penalty is always the factored smoothness
-# norm and the normal difference always second order.
+# norm, the normal difference always second order, and the exponent field
+# always the exact DST-I solve.
 @pytest.mark.parametrize("command", ["run", "tau", "sweep"])
 @pytest.mark.parametrize("raw", [{"reg_mode": "gram"}, {"reg_mode": "diagonal"},
-                                 {"norm_order": 2}, {"norm_order": 1}])
+                                 {"norm_order": 2}, {"norm_order": 1},
+                                 {"solver": "cg"}, {"solver": "direct"},
+                                 {"solver_tol": 1e-10}])
 def test_removed_keys_exit_2(command, raw):
     assert _check_contract(command, raw) == 2

@@ -22,7 +22,6 @@ FAST = {
     "exact_a": 2.0,
     "exact_shift": 0.1,
     "noise_level": 0.05,
-    "solver": "direct",
 }
 
 
@@ -351,7 +350,7 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     sys = state.system
     fit, = sys._fits.values()
     held = [rows, sys.A, sys.B, sys.F, sys.D1, fit.p_t, fit.s, fit.to_b]
-    sizes += [a.nbytes for a in held] + ([fit.null_fit.nbytes] if fit.null_fit is not None else [])
+    sizes += [a.nbytes for a in held]
     assert len(sizes) > len(held)
     assert max(sizes) <= _stacked_bytes(cfg.raw)
 
@@ -446,3 +445,23 @@ def test_cli_repeated_eps_level_exit_2(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "validation" and "eps_levels" in error["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, raw, message", [
+    ("run", {"alpha_c": -1}, "alpha_c"),
+    ("sweep", {"alpha_c": 0}, "alpha_c"),
+    ("sweep", {"eps_levels": [0.1, 0.05, 0.02]}, "two decades"),
+])
+def test_cli_fit_only_inputs_fail_before_the_build(tmp_path, capsys, monkeypatch,
+                                                   command, raw, message):
+    # inputs only the fit reads are still rejected before the geometry is built
+    import harmrec.pipeline as pipeline
+
+    builds = []
+    monkeypatch.setattr(pipeline, "build_state", lambda cfg: builds.append(cfg))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, **raw}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "validation" and message in error["message"]
+    assert builds == []

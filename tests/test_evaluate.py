@@ -21,7 +21,7 @@ from harmrec.poisson import ScalarField
 def tau16():
     g = build_grid(Rect(0, 0, 1, 1), 1 / 16)
     p = boundary_partition(g, ["bottom"])
-    return compute_indicate(g, p, method="direct")
+    return compute_indicate(g, p)
 
 
 def test_pointwise_error_zero_and_offset(tau16):
@@ -178,7 +178,7 @@ def test_region_monotone_in_threshold(tau16):
 def test_auto_probe_nodes_span_band():
     g = build_grid(Rect(0, 0, 1, 1), 1 / 32)
     p = boundary_partition(g, ["bottom"])
-    tau = compute_indicate(g, p, method="direct")
+    tau = compute_indicate(g, p)
     nodes = auto_probe_nodes(tau)
     taus = np.array([tau.tau.values[j, i] for i, j in nodes])
     assert len(nodes) == 12

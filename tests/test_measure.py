@@ -12,10 +12,10 @@ from harmrec import (Rect, ValidationError, annulus_tau, boundary_partition,
 TAU_SERIES_05_025 = 0.5405292182595098750245246
 
 
-def _indicate(h, sides, method="direct"):
+def _indicate(h, sides):
     g = build_grid(Rect(0, 0, 1, 1), h)
     p = boundary_partition(g, sides)
-    return compute_indicate(g, p, method=method)
+    return compute_indicate(g, p)
 
 
 def test_center_value_single_side():

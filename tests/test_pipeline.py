@@ -19,7 +19,6 @@ FAST = {
     "exact_a": 2.0,
     "exact_shift": 0.1,
     "noise_level": 0.02,
-    "solver": "direct",
 }
 
 
@@ -139,3 +138,24 @@ def test_build_state_memory_at_h_128():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+@pytest.mark.parametrize("sides", [["bottom"], ["bottom", "top"], ["bottom", "left"]])
+def test_padding_changes_the_basis_not_the_fit(sides):
+    # the data and the penalty see hat coefficients only through their K
+    # traces on the domain's rim, so more padding adds null(F) directions
+    # (8 a layer) and leaves the fitted traces, and so u*, alone
+    def run(padding):
+        s = run_experiment(validate_config({**FAST, "gamma_sides": sides,
+                                            "padding_layers": padding}))
+        return s["summary"], s["result"].u_star.values
+
+    ref, u_ref = run(1)
+    for padding in (2, 4):
+        s, u = run(padding)
+        assert s["n_basis"] == ref["n_basis"] + 8 * (padding - 1)
+        assert s["discarded_directions"] == 8 * padding
+        assert s["effective_rank"] == ref["effective_rank"]
+        assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+        for key in ("condition_estimate", "reg_norm"):
+            assert s[key] == pytest.approx(ref[key], rel=1e-10)

@@ -336,8 +336,8 @@ def test_filtered_fit_matches_stacked_lstsq(kind, padding, k, shape, sides, weig
     rows = compute_base_solutions(basis, part)
     sys = assemble_system(rows, part)
     fit = _check_against_oracle(sys, weights, 10.0**log_alpha, np.random.default_rng(seed))
-    # an assembled data block sees b only through the traces F sees
-    assert fit.null_fit is None
+    # an assembled data block sees b only through the traces F sees (the fit
+    # would raise ValidationError on one that saw null(F))
     assert fit.rank == np.linalg.matrix_rank(rows[3 * part.m:])
     if kind == "hat":  # the K traces are independent: n - K null directions
         assert fit.rank == part.n_boundary
@@ -345,16 +345,19 @@ def test_filtered_fit_matches_stacked_lstsq(kind, padding, k, shape, sides, weig
 
 @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
 def test_filtered_fit_matches_stacked_lstsq_when_data_sees_null_of_f(weights):
-    # a hand-built system: F has rank 2 on 6 coefficients and a zero column,
-    # and the data block sees all of null(F)
+    # a hand-built system: F has rank 2 on 6 coefficients and a zero column.
+    # Where the data block sees null(F) the fit is rejected; with the data
+    # block projected onto the row space of F it matches the oracle
     rng = np.random.default_rng(3)
     f_mat = rng.normal(size=(2, 6)) @ np.diag([1.0, 2.0, 0.5, 1.0, 3.0, 0.0])
-    sys = DiscreteSystem(A=rng.normal(size=(5, 6)), B=rng.normal(size=(5, 6)),
-                         F=f_mat, sigma=rng.uniform(0.5, 1.0, 5),
-                         D1=rng.normal(size=(5, 5)), h=0.1)
+    a_mat, b_mat = rng.normal(size=(2, 5, 6))
+    parts = dict(F=f_mat, sigma=rng.uniform(0.5, 1.0, 5), D1=rng.normal(size=(5, 5)), h=0.1)
+    with pytest.raises(ValidationError, match="null"):
+        _standard_form(DiscreteSystem(A=a_mat, B=b_mat, **parts), weights)
+    row_space = np.linalg.pinv(f_mat) @ f_mat
+    sys = DiscreteSystem(A=a_mat @ row_space, B=b_mat @ row_space, **parts)
     for alpha in (1e-6, 1e-2, 1.0):
-        fit = _check_against_oracle(sys, weights, alpha, rng)
-        assert fit.null_fit is not None and fit.rank == 2
+        assert _check_against_oracle(sys, weights, alpha, rng).rank == 2
 
 
 @pytest.mark.parametrize("sides", [["bottom"], ["bottom", "top"]])
