@@ -10,9 +10,10 @@ functions.  Two basis kinds:
 * ``indicator`` — characteristic functions of a disjoint cover of the
   boundary by contiguous arcs (``arcs_per_side`` arcs per geometric side).
 
-No base solution is stored as a field: assembly needs them only at the Γ
-nodes, the normal-stencil nodes and the inner boundary, and those rows are
-sums over arcs of the closed-form rows of :func:`poisson.rim_extension`.
+No base solution is stored as a field: assembly needs them only at the
+two inward normal-stencil nodes of each Γ node and on the inner boundary,
+whose Γ nodes give A, and those rows are sums over arcs of the closed-form
+rows of :func:`poisson.rim_extension`.
 
 Assembly evaluates every base solution on the measurement arc: values, and
 second-order one-sided outward normal differences.  It builds the smoothness
@@ -158,31 +159,34 @@ def _lattice_offsets(tilde: Grid2D, omega: Grid2D) -> tuple[int, int]:
 
 def compute_base_solutions(basis: BoundaryBasis,
                            omega_partition: BoundaryPartition) -> np.ndarray:
-    """(3m + K, n) values of the base solutions at the m Γ nodes, then at
-    the first and the second node each Γ node's normal difference steps
-    inward to, then at the K nodes of the inner boundary walk."""
+    """(2m + K, n) values of the base solutions at the first and the second
+    node each of the m Γ nodes' normal differences steps inward to, then at
+    the K nodes of the inner boundary walk, the Γ nodes among them."""
     oi, oj = _lattice_offsets(basis.tilde_grid, omega_partition.grid)
     ii, jj, _ = normal_stencil(omega_partition)
     walk = omega_partition.nodes
     rows = rim_extension(basis.tilde_partition,
-                         np.concatenate([ii.T.ravel(), walk[:, 0]]) + oi,
-                         np.concatenate([jj.T.ravel(), walk[:, 1]]) + oj)
+                         np.concatenate([ii[:, 1:].T.ravel(), walk[:, 0]]) + oi,
+                         np.concatenate([jj[:, 1:].T.ravel(), walk[:, 1]]) + oj)
     return np.add.reduceat(rows, basis.support[:, 0], axis=1)
 
 
 def assemble_system(rows: np.ndarray,
                     omega_partition: BoundaryPartition) -> DiscreteSystem:
-    """Build A, B and the penalty factor from the rows that
-    :func:`compute_base_solutions` sampled for this same partition: only
-    their count is checked, so rows of another partition of that size
-    (``["top"]`` for ``["bottom"]`` on a square) give a wrong system."""
+    """Build A, B and the penalty factor from the 2m + K rows that
+    :func:`compute_base_solutions` sampled for this same partition: A is
+    the walk rows at the Γ nodes, B their one-sided normal difference with
+    the two stencil blocks, F acts on the walk rows.  Only the row count is
+    checked, so rows of another partition of that size (``["top"]`` for
+    ``["bottom"]`` on a square) give a wrong system."""
     m, k = omega_partition.m, omega_partition.n_boundary
-    if rows.ndim != 2 or rows.shape[0] != 3 * m + k:
-        raise ValidationError(f"expected {3 * m + k} sampled rows, got {rows.shape}")
+    if rows.ndim != 2 or rows.shape[0] != 2 * m + k:
+        raise ValidationError(f"expected {2 * m + k} sampled rows, got {rows.shape}")
     _, _, coeffs = normal_stencil(omega_partition)
+    a_mat = rows[2 * m:][omega_partition.gamma_mask]
     b_mat = np.zeros((m, rows.shape[1]))
-    for p, c in enumerate(coeffs):
-        b_mat += c * rows[p * m:(p + 1) * m]
+    for c, block in zip(coeffs, (a_mat, rows[:m], rows[m:2 * m])):
+        b_mat += c * block
 
     # Penalty from traces on the inner boundary: the circulant C has the
     # eigenvalue 1 + (sin t / h)^2 + (4 sin^2(t/2) / h^2)^2 on the Fourier
@@ -190,10 +194,10 @@ def assemble_system(rows: np.ndarray,
     h = omega_partition.grid.h
     t = 2 * np.pi * np.arange(k // 2 + 1) / k
     root = np.sqrt(h * (1 + (np.sin(t) / h) ** 2 + (4 * np.sin(t / 2) ** 2 / h**2) ** 2))
-    f_mat = np.fft.irfft(root[:, None] * np.fft.rfft(rows[3 * m:], axis=0), n=k, axis=0)
+    f_mat = np.fft.irfft(root[:, None] * np.fft.rfft(rows[2 * m:], axis=0), n=k, axis=0)
 
     return DiscreteSystem(
-        A=rows[:m].copy(),
+        A=a_mat,
         B=b_mat,
         F=f_mat,
         sigma=omega_partition.gamma_sigma.copy(),

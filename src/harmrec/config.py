@@ -87,8 +87,9 @@ _KEYS: dict = {
                           _list_of(lambda s: _finite(s, int), nonempty=True))),
     "tau_gamma_sets": (
         [["bottom"], ["bottom", "top"], ["bottom", "left"], ["bottom", "top", "left"]],
-        (f"a nonempty list of side lists, each {_SIDE_LIST[0]}",
-         _list_of(_side_list, nonempty=True)),
+        (f"a nonempty list of side lists, no two the same set, each {_SIDE_LIST[0]}",
+         lambda v: (_list_of(_side_list, nonempty=True)(v)
+                    and len({frozenset(s) for s in v}) == len(v))),
     ),
 }
 
@@ -114,7 +115,7 @@ def _stacked_bytes(r: dict) -> float:
     """A conservative bound on every array of a build and a fit: the size of
     a (3m + 3K)-row matrix (m Γ nodes, K nodes on the domain's rim) with one
     column per enlarged rim node, 8 B an entry.  The fit no longer forms such
-    a stacked matrix; its largest arrays are the sampled rows (3m + K), F (K)
+    a stacked matrix; its largest arrays are the sampled rows (2m + K), F (K)
     and the data block (2m), by at most as many columns as the basis has
     functions, which is the enlarged rim's node count for hats."""
     m, k = boundary_counts(*_nodes(r, 0), r["gamma_sides"])

@@ -1,11 +1,23 @@
 """Marching-squares level contours of a node-centered scalar field.
 
 Cells are the grid squares between nodes.  A node is "inside" when its value
-is >= the level; crossing points are placed by linear interpolation along
-cell edges.  Each physical edge is interpolated once and shared by the two
-adjacent cells, so segments chain exactly.  The two ambiguous saddle cases
-are resolved by the cell-average rule: if the mean of the four corners is
-inside, the inside corners are connected, otherwise separated.
+is >= the level, and a cell's 4-bit code marks its inside corners (BL=1,
+BR=2, TR=4, TL=8).  The two ambiguous saddle codes, 5 and 10, are resolved
+by the cell-average rule: if the mean of the four corners is inside, the
+inside corners are connected, otherwise separated.
+
+Edges carry integer ids, in the order of (horizontal first, row j, column i):
+the horizontal edge (j, i) between nodes (i, j) and (i+1, j) is
+``j*(nx-1) + i``, the vertical edge (j, i) between nodes (i, j) and (i, j+1)
+is ``ny*(nx-1) + j*nx + i``.  A crossing point is placed by linear
+interpolation once per edge whose two ends straddle the level, so the
+segments of adjacent cells chain exactly.
+
+Every crossing edge lies on one segment of each cell beside it, so it ends
+a polyline exactly when it lies on the grid boundary.  Open polylines come
+first, each started from its lower end edge, in edge order.  Closed loops
+follow, in the order of their lowest edge, each started there towards the
+segment of the earlier cell (row-major) and ending on its first point.
 """
 
 from __future__ import annotations
@@ -14,125 +26,53 @@ import numpy as np
 
 from .grid import Grid2D
 
-# Segment tables, keyed by the 4-bit inside pattern BL=1, BR=2, TR=4, TL=8.
-# Entries are pairs of local edge ids: 0=bottom, 1=right, 2=top, 3=left.
-_SEGMENTS = {
-    0: [],
-    1: [(3, 0)],
-    2: [(0, 1)],
-    3: [(3, 1)],
-    4: [(1, 2)],
-    6: [(0, 2)],
-    7: [(3, 2)],
-    8: [(2, 3)],
-    9: [(2, 0)],
-    11: [(2, 1)],
-    12: [(1, 3)],
-    13: [(1, 0)],
-    14: [(0, 3)],
-    15: [],
-}
-_SADDLE_5 = {True: [(3, 2), (1, 0)], False: [(3, 0), (1, 2)]}
-_SADDLE_10 = {True: [(0, 3), (2, 1)], False: [(0, 1), (2, 3)]}
-
-
-def _edge_key(cell_i: int, cell_j: int, local: int) -> tuple[str, int, int]:
-    # Horizontal edges keyed ('h', j, i) between nodes (i,j)-(i+1,j);
-    # vertical edges ('v', j, i) between (i,j)-(i,j+1).
-    if local == 0:
-        return ("h", cell_j, cell_i)
-    if local == 2:
-        return ("h", cell_j + 1, cell_i)
-    if local == 3:
-        return ("v", cell_j, cell_i)
-    return ("v", cell_j, cell_i + 1)
+# Segments per cell code, as pairs of local edges 0=bottom, 1=right, 2=top,
+# 3=left.  Codes 5 and 10 hold the separated saddles; 16 and 17 are codes 5
+# and 10 whose cell average is inside, so their inside corners connect.
+_SEGMENTS = [[], [(3, 0)], [(0, 1)], [(3, 1)], [(1, 2)], [(3, 0), (1, 2)], [(0, 2)],
+             [(3, 2)], [(2, 3)], [(2, 0)], [(0, 1), (2, 3)], [(2, 1)], [(1, 3)],
+             [(1, 0)], [(0, 3)], [], [(3, 2), (1, 0)], [(0, 3), (2, 1)]]
 
 
 def marching_squares(grid: Grid2D, values: np.ndarray, level: float) -> list[np.ndarray]:
     """Extract the level set as a list of (k, 2) polyline coordinate arrays."""
     v = np.asarray(values, dtype=float)
     ny, nx = v.shape
+    n_h = ny * (nx - 1)
     inside = v >= level
-    xs, ys = grid.xs, grid.ys
+    code = inside[:-1, :-1] + 2 * inside[:-1, 1:] + 4 * inside[1:, 1:] + 8 * inside[1:, :-1]
+    avg = 0.25 * (v[:-1, :-1] + v[:-1, 1:] + v[1:, 1:] + v[1:, :-1])
+    code = np.where(((code == 5) | (code == 10)) & (avg >= level), 16 + (code == 10), code)
 
-    # Interpolated crossing point per edge, computed once.
-    points: dict[tuple[str, int, int], tuple[float, float]] = {}
-
-    def crossing(key):
-        if key in points:
-            return points[key]
-        kind, j, i = key
-        if kind == "h":
-            v0, v1 = v[j, i], v[j, i + 1]
-            t = (level - v0) / (v1 - v0)
-            pt = (xs[i] + t * (xs[i + 1] - xs[i]), ys[j])
-        else:
-            v0, v1 = v[j, i], v[j + 1, i]
-            t = (level - v0) / (v1 - v0)
-            pt = (xs[i], ys[j] + t * (ys[j + 1] - ys[j]))
-        points[key] = pt
-        return pt
-
-    # Build segments as pairs of edge keys.
-    segments: list[tuple[tuple, tuple]] = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            code = (
-                (1 if inside[j, i] else 0)
-                | (2 if inside[j, i + 1] else 0)
-                | (4 if inside[j + 1, i + 1] else 0)
-                | (8 if inside[j + 1, i] else 0)
-            )
-            if code == 5:
-                avg = 0.25 * (v[j, i] + v[j, i + 1] + v[j + 1, i + 1] + v[j + 1, i])
-                segs = _SADDLE_5[avg >= level]
-            elif code == 10:
-                avg = 0.25 * (v[j, i] + v[j, i + 1] + v[j + 1, i + 1] + v[j + 1, i])
-                segs = _SADDLE_10[avg >= level]
-            else:
-                segs = _SEGMENTS[code]
-            for a, b in segs:
-                segments.append((_edge_key(i, j, a), _edge_key(i, j, b)))
-
-    # Chain segments on shared edge keys into polylines.
-    adjacency: dict[tuple, list[tuple]] = {}
-    for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-
-    visited = set()
-    polylines = []
-
-    def walk(start):
+    # Chain the segments, built cell by cell in row-major order, on shared
+    # edge ids.  No cell has two segments on one edge.
+    nbrs: dict[int, list[int]] = {}
+    cells = np.flatnonzero((code != 0) & (code != 15))
+    for c, k in zip(cells.tolist(), code.ravel()[cells].tolist()):
+        j = c // (nx - 1)
+        edge = (c, n_h + c + j + 1, c + nx - 1, n_h + c + j)  # bottom, right, top, left
+        for a, b in _SEGMENTS[k]:
+            nbrs.setdefault(edge[a], []).append(edge[b])
+            nbrs.setdefault(edge[b], []).append(edge[a])
+    paths, seen = [], set()
+    for start in sorted(nbrs, key=lambda e: (len(nbrs[e]) == 2, e)):
+        if start in seen:
+            continue
         path = [start]
-        cur = start
-        while True:
-            nxt = None
-            for cand in adjacency[cur]:
-                edge = frozenset((cur, cand))
-                if edge not in visited:
-                    nxt = cand
-                    visited.add(edge)
-                    break
-            if nxt is None:
+        while len(path) == 1 or path[-1] != start:
+            ahead = [e for e in nbrs[path[-1]] if len(path) == 1 or e != path[-2]]
+            if not ahead:
                 break
-            path.append(nxt)
-            cur = nxt
-        return path
+            path.append(ahead[0])
+        seen.update(path)
+        paths.append(path)
 
-    endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
-    for key in endpoints:
-        if any(frozenset((key, n)) not in visited for n in adjacency[key]):
-            polylines.append(walk(key))
-    for key in sorted(adjacency):  # remaining closed loops
-        if any(frozenset((key, n)) not in visited for n in adjacency[key]):
-            loop = walk(key)
-            if loop[-1] != loop[0]:
-                loop.append(loop[0])
-            polylines.append(loop)
-
-    out = []
-    for path in polylines:
-        pts = np.array([crossing(k) for k in path])
-        out.append(pts)
-    return out
+    jh, ih = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    jv, iv = np.nonzero(inside[:-1] != inside[1:])
+    xs, ys = grid.xs, grid.ys
+    th = (level - v[jh, ih]) / (v[jh, ih + 1] - v[jh, ih])
+    tv = (level - v[jv, iv]) / (v[jv + 1, iv] - v[jv, iv])
+    ids = np.concatenate([jh * (nx - 1) + ih, n_h + jv * nx + iv])
+    pts = np.column_stack([np.concatenate([xs[ih] + th * (xs[ih + 1] - xs[ih]), xs[iv]]),
+                           np.concatenate([ys[jh], ys[jv] + tv * (ys[jv + 1] - ys[jv])])])
+    return [pts[np.searchsorted(ids, path)] for path in paths]

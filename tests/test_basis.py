@@ -95,18 +95,18 @@ def test_base_solutions_partition_of_unity_and_max_principle():
 @pytest.mark.parametrize("sides", [["bottom"], ["left", "top"], ["bottom", "right", "top"]])
 def test_base_solution_rows_match_sparse_reference(base_solution_fields, kind, sides):
     # non-square enlarged grid (13 x 11 nodes, two padding layers): the rows
-    # at the Γ nodes, at the two inward stencil nodes and on the inner walk
+    # at the two inward stencil nodes and on the inner walk
     h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
     basis = build_basis(omega.padded(2 * h), h, kind, omega_rect=omega,
                         arcs_per_side=3)
     assert basis.tilde_grid.shape == (11, 13)
     part = boundary_partition(build_grid(omega, h), sides)
     ii, jj, _ = normal_stencil(part)
-    pi = np.concatenate([ii[:, 0], ii[:, 1], ii[:, 2], part.nodes[:, 0]]) + 2
-    pj = np.concatenate([jj[:, 0], jj[:, 1], jj[:, 2], part.nodes[:, 1]]) + 2
+    pi = np.concatenate([ii[:, 1], ii[:, 2], part.nodes[:, 0]]) + 2
+    pj = np.concatenate([jj[:, 1], jj[:, 2], part.nodes[:, 1]]) + 2
     expected = base_solution_fields(basis)[:, pj, pi].T
     rows = compute_base_solutions(basis, part)
-    assert rows.shape == (3 * part.m + part.n_boundary, basis.n)
+    assert rows.shape == (2 * part.m + part.n_boundary, basis.n)
     assert np.abs(rows - expected).max() <= 1e-12
 
 

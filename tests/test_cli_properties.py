@@ -114,3 +114,11 @@ def test_cli_contract_on_generated_configs(command, raw):
                                  {"solver_tol": 1e-10}])
 def test_removed_keys_exit_2(command, raw):
     assert _check_contract(command, raw) == 2
+
+
+# Side sets equal as sets would write the same tau_<sides>.* panel twice.
+@pytest.mark.parametrize("command", ["run", "tau", "sweep"])
+@pytest.mark.parametrize("sets", [[["bottom", "top"], ["top", "bottom"]],
+                                  [["left"], ["bottom"], ["left"]]])
+def test_duplicate_tau_side_sets_exit_2(command, sets):
+    assert _check_contract(command, {"h": 1 / 4, "tau_gamma_sets": sets}) == 2
