@@ -10,28 +10,28 @@ functions.  Two basis kinds:
 * ``indicator`` — characteristic functions of a disjoint cover of the
   boundary by contiguous arcs (``arcs_per_side`` arcs per geometric side).
 
-No base solution is stored as a field: assembly needs them only at the
-two inward normal-stencil nodes of each Γ node and on the inner boundary,
-whose Γ nodes give A, and those rows are sums over arcs of the closed-form
-rows of :func:`poisson.rim_extension`.
+Only this module knows the enlarged lattice and the arcs.  No base solution
+is stored as a field: assembly needs them only at the two inward
+normal-stencil nodes of each Γ node and on the inner boundary walk, as sums
+over arcs of the closed-form rows of :func:`poisson.rim_extension`.  Each
+such node lies in the closed inner rectangle, where a combination b is the
+harmonic extension of its K walk traces ``V b``; the system keeps V.
 
 Assembly evaluates every base solution on the measurement arc: values, and
-second-order one-sided outward normal differences.  It builds the smoothness
-penalty from the traces on the *inner* rectangle's boundary, treated as a
-closed polyline with arc-length spacing h: the squared penalty norm of a
-trace v is ``sum h*(v^2 + (D1 v)^2 + (D2 v)^2)`` with circulant central
-differences (corner nodes included, no smoothing), that is ``h v^T C v``
-with ``C = I + D1^T D1 + D2^T D2`` circulant on the K nodes of the closed
-walk.  The penalty is held as its K-row factor ``F = sqrt(h) C^(1/2) V``, V
-the traces of the base solutions, with ``C^(1/2)`` applied along the walk by
-one real FFT pair, so that the penalty norm of coefficients b is ``|F b|``
-and the fit never forms the squared matrix ``F^T F``.  F sees b only
-through the K traces, so for hats it has rank K and n - K null directions.
+second-order one-sided outward normal differences.  The smoothness penalty
+of a trace v on the inner boundary, a closed polyline with arc-length
+spacing h, is ``sum h*(v^2 + (D1 v)^2 + (D2 v)^2)`` with circulant central
+differences (corners included, no smoothing), that is ``h v^T C v`` with
+``C = I + D1^T D1 + D2^T D2`` circulant on the K walk nodes.  The system
+derives from V the K-row factor ``F = sqrt(h) C^(1/2) V`` by one real FFT
+pair along the walk, so that the penalty norm of b is ``|F b|`` and the fit
+never forms ``F^T F``.  For hats F has rank K and n - K null directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,20 +100,20 @@ def build_basis(tilde_rect: Rect, h: float, kind: str = "hat", *,
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Assembled measurement and penalty operators.
+    """Assembled measurement operators and the traces the penalty acts on.
 
     A      (m, n) base-solution values at the Γ nodes.
     B      (m, n) outward normal differences at the Γ nodes.
-    F      (k, n) penalty factor: |F b| is the smoothness norm of the traces
-           of coefficients b on the inner boundary.
+    V      (K, n) base-solution traces on the inner boundary walk.
     sigma  (m,) Γ quadrature weights.
     D1     (m, m) tangential difference operator on Γ.
     h      grid spacing.
 
-    Coefficient directions in the null space of F (for hats the n - K
-    combinations with zero trace on the inner boundary, the four hats at
-    the grid corners of the enlarged boundary among them) are invisible to
-    an assembled cost, and the fit gives them zero weight: it returns the
+    The penalty factor :attr:`F` is derived from V, and null(F) = null(V).
+    Coefficient directions there (for hats the n - K combinations with zero
+    trace on the inner boundary, the four hats at the grid corners of the
+    enlarged boundary among them) are invisible to an assembled cost, and
+    the fit gives them zero weight: it returns the
     minimum-norm minimizer.  The fit rejects a hand-built system whose A or
     B sees null(F).  The fit's factorisation of the system, one per pair of
     data weights, is kept in the private ``_fits``.
@@ -121,14 +121,14 @@ class DiscreteSystem:
 
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
-    F: np.ndarray = field(repr=False)
+    V: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
     D1: np.ndarray = field(repr=False)
     h: float
     _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.A, self.B, self.F, self.sigma, self.D1):
+        for arr in (self.A, self.B, self.V, self.sigma, self.D1):
             arr.setflags(write=False)
 
     @property
@@ -138,6 +138,17 @@ class DiscreteSystem:
     @property
     def n(self) -> int:
         return self.A.shape[1]
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """(K, n) ``sqrt(h) C^(1/2) V``, built once and read-only; C has the
+        eigenvalue 1 + (sin t / h)^2 + (4 sin^2(t/2) / h^2)^2 on mode t."""
+        k, h = self.V.shape[0], self.h
+        t = 2 * np.pi * np.arange(k // 2 + 1) / k
+        root = np.sqrt(h * (1 + (np.sin(t) / h) ** 2 + (4 * np.sin(t / 2) ** 2 / h**2) ** 2))
+        f_mat = np.fft.irfft(root[:, None] * np.fft.rfft(self.V, axis=0), n=k, axis=0)
+        f_mat.setflags(write=False)
+        return f_mat
 
 
 def _lattice_offsets(tilde: Grid2D, omega: Grid2D) -> tuple[int, int]:
@@ -173,34 +184,26 @@ def compute_base_solutions(basis: BoundaryBasis,
 
 def assemble_system(rows: np.ndarray,
                     omega_partition: BoundaryPartition) -> DiscreteSystem:
-    """Build A, B and the penalty factor from the 2m + K rows that
-    :func:`compute_base_solutions` sampled for this same partition: A is
-    the walk rows at the Γ nodes, B their one-sided normal difference with
-    the two stencil blocks, F acts on the walk rows.  Only the row count is
+    """Build A, B and V from the 2m + K rows that
+    :func:`compute_base_solutions` sampled for this same partition: V is a
+    copy of the walk rows, A its rows at the Γ nodes, B their one-sided
+    normal difference with the two stencil blocks.  Only the row count is
     checked, so rows of another partition of that size (``["top"]`` for
     ``["bottom"]`` on a square) give a wrong system."""
     m, k = omega_partition.m, omega_partition.n_boundary
     if rows.ndim != 2 or rows.shape[0] != 2 * m + k:
         raise ValidationError(f"expected {2 * m + k} sampled rows, got {rows.shape}")
     _, _, coeffs = normal_stencil(omega_partition)
-    a_mat = rows[2 * m:][omega_partition.gamma_mask]
+    v_mat = rows[2 * m:].copy()  # not a view, which would keep every row alive
+    a_mat = v_mat[omega_partition.gamma_mask]
     b_mat = np.zeros((m, rows.shape[1]))
     for c, block in zip(coeffs, (a_mat, rows[:m], rows[m:2 * m])):
         b_mat += c * block
-
-    # Penalty from traces on the inner boundary: the circulant C has the
-    # eigenvalue 1 + (sin t / h)^2 + (4 sin^2(t/2) / h^2)^2 on the Fourier
-    # mode t of the closed walk.
-    h = omega_partition.grid.h
-    t = 2 * np.pi * np.arange(k // 2 + 1) / k
-    root = np.sqrt(h * (1 + (np.sin(t) / h) ** 2 + (4 * np.sin(t / 2) ** 2 / h**2) ** 2))
-    f_mat = np.fft.irfft(root[:, None] * np.fft.rfft(rows[2 * m:], axis=0), n=k, axis=0)
-
     return DiscreteSystem(
         A=a_mat,
         B=b_mat,
-        F=f_mat,
+        V=v_mat,
         sigma=omega_partition.gamma_sigma.copy(),
         D1=omega_partition.tangential_d1,
-        h=h,
+        h=omega_partition.grid.h,
     )

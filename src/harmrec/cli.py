@@ -107,7 +107,7 @@ def _run_checks() -> int:
 
     alpha = 1e-3
     sys_1d = DiscreteSystem(A=np.array([[1.0]]), B=np.array([[0.0]]),
-                            F=np.array([[1.0]]), sigma=np.array([1.0]),
+                            V=np.array([[1.0]]), sigma=np.array([1.0]),
                             D1=np.array([[0.0]]), h=1.0)
     data_1d = CauchyData(partition=None, points=np.zeros((1, 2)),
                          f=np.array([1.0]), g=np.array([0.0]))

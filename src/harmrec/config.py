@@ -95,11 +95,12 @@ _KEYS: dict = {
 
 DEFAULTS: dict = {key: default for key, (default, _) in _KEYS.items()}
 
-# Largest dense array a config may ask for: one field on the domain grid
-# (checked by validate_config, so for every command) or the bound on the
-# arrays of a build and a fit (checked by check_stacked_size, so only where
-# there is a fit).  The presets' bound is 32 MB (one side) and 38 MB (two
-# sides) at h = 1/256.
+# Largest dense array a config may ask for: one field or one sine-transform
+# matrix of the domain grid (checked by validate_config, so for every
+# command); the same of the enlarged grid, and the sampled base-solution rows
+# (checked by check_stacked_size, so only where there is a fit); and a sweep
+# level's stack of fields, one per seed (checked by check_sweep_size).  The
+# presets' rows take 13 MB (one side) and 17 MB (two sides) at h = 1/256.
 MAX_ARRAY_BYTES = 4e9
 
 
@@ -111,16 +112,24 @@ def _nodes(r: dict, layers) -> tuple[float, float]:
             (r["y1"] - r["y0"]) / r["h"] + extra)
 
 
+def _grid_bytes(r: dict, layers) -> float:
+    """8 B times the larger of one field on the grid padded by ``layers``
+    and the solvers' DST-I matrix of its longer side, (max(nx, ny) - 2)^2."""
+    nx, ny = _nodes(r, layers)
+    side = max(nx, ny) - 2
+    return 8.0 * max(nx * ny, side * side)
+
+
 def _stacked_bytes(r: dict) -> float:
-    """A conservative bound on every array of a build and a fit: the size of
-    a (3m + 3K)-row matrix (m Γ nodes, K nodes on the domain's rim) with one
-    column per enlarged rim node, 8 B an entry.  The fit no longer forms such
-    a stacked matrix; its largest arrays are the sampled rows (2m + K), F (K)
-    and the data block (2m), by at most as many columns as the basis has
-    functions, which is the enlarged rim's node count for hats."""
+    """The largest array of a build and a fit: the (2m + K) x K~ sample of
+    :func:`poisson.rim_extension` (m Γ nodes, K nodes on the domain's rim,
+    K~ on the enlarged rim), 8 B an entry.  The system's A, B (m rows) and
+    V, F (K rows), the data block (2m rows) and the SVD factors are no
+    larger, with at most one column per basis function, K~ for hats.  The
+    enlarged grid's DST-I matrices are bounded apart (:func:`_grid_bytes`)."""
     m, k = boundary_counts(*_nodes(r, 0), r["gamma_sides"])
     _, k_tilde = boundary_counts(*_nodes(r, r["padding_layers"]))
-    return 8.0 * (3 * m + 3 * k) * k_tilde
+    return 8.0 * (2 * m + k) * k_tilde
 
 
 def _check_size(what: str, size: float) -> None:
@@ -193,7 +202,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ValidationError(f"{key} must be {what}, got {merged[key]!r}")
     cfg = ExperimentConfig(raw=merged)
     rect = cfg.rect  # a degenerate rectangle is reported before its size
-    _check_size("one field on the grid", 8.0 * math.prod(_nodes(merged, 0)))
+    _check_size("one field or sine-transform matrix of the grid", _grid_bytes(merged, 0))
     grid = build_grid(rect, merged["h"])
     if min(grid.nx, grid.ny) < 3:
         raise ValidationError(
@@ -208,10 +217,19 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 
 def check_stacked_size(cfg: ExperimentConfig) -> None:
-    """Reject, before any allocation, a config whose bound on the arrays of
-    a build and a fit would exceed MAX_ARRAY_BYTES."""
-    _check_size("the fit's arrays (bounded by 3m + 3K rows x enlarged rim nodes x 8 B)",
+    """Reject, before any allocation, a config whose enlarged grid or
+    sampled base-solution rows would exceed MAX_ARRAY_BYTES."""
+    _check_size("one field or sine-transform matrix of the enlarged grid",
+                _grid_bytes(cfg.raw, cfg["padding_layers"]))
+    _check_size("the sampled base-solution rows ((2m + K) x enlarged rim nodes x 8 B)",
                 _stacked_bytes(cfg.raw))
+
+
+def check_sweep_size(cfg: ExperimentConfig) -> None:
+    """Reject, before any allocation, a sweep whose per-level stack of
+    fields, one per seed, would exceed MAX_ARRAY_BYTES."""
+    _check_size(f"a sweep level's {len(cfg['seeds'])} fields, one per seed",
+                len(cfg["seeds"]) * 8.0 * math.prod(_nodes(cfg.raw, 0)))
 
 
 def resolve_config(preset: str | None = None, config_path=None,

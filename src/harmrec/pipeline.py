@@ -17,9 +17,8 @@ import numpy as np
 from . import evaluate as ev
 from . import io as hio
 from . import svg
-from .basis import (BoundaryBasis, DiscreteSystem, assemble_system,
-                    build_basis, compute_base_solutions)
-from .config import ExperimentConfig, check_stacked_size
+from .basis import DiscreteSystem, assemble_system, build_basis, compute_base_solutions
+from .config import ExperimentConfig, check_stacked_size, check_sweep_size
 from .errors import SolverError, ValidationError
 from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
@@ -34,7 +33,6 @@ class PipelineState:
     cfg: ExperimentConfig
     grid: Grid2D
     partition: BoundaryPartition
-    basis: BoundaryBasis
     system: DiscreteSystem
     tau: IndicateField
     clean_data: CauchyData
@@ -59,15 +57,13 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
     tau = compute_indicate(grid, partition)
     clean = trace_cauchy(cfg.exact_solution(), partition)
     return PipelineState(cfg=cfg, grid=grid, partition=partition,
-                         basis=basis, system=system, tau=tau,
-                         clean_data=clean)
+                         system=system, tau=tau, clean_data=clean)
 
 
 def _reconstruct_for(state: PipelineState, level: float, seed: int) -> tuple[CauchyData, ReconstructionResult]:
     cfg = state.cfg
     data = add_noise(state.clean_data, level, seed, cfg["noise_model"])
-    result, = reconstruct(state.system, [data], tik_config(cfg),
-                          state.basis, state.grid)
+    result, = reconstruct(state.system, [data], tik_config(cfg), state.grid)
     return data, result
 
 
@@ -109,12 +105,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     summary = {
         "config": cfg.to_dict(),
         "grid": {"nx": state.grid.nx, "ny": state.grid.ny, "h": state.grid.h},
-        "n_basis": state.basis.n,
+        "n_basis": state.system.n,
         "m": state.partition.m,
         "alpha_used": result.alpha_used,
         "condition_estimate": result.condition_estimate,
         "effective_rank": result.effective_rank,
-        "discarded_directions": state.basis.n - result.effective_rank,
+        "discarded_directions": state.system.n - result.effective_rank,
         "residual_f": result.residual_f,
         "residual_g": result.residual_g,
         "reg_norm": result.reg_norm,
@@ -213,6 +209,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     if len(levels) < 3:
         raise ValidationError("sweep needs at least 3 eps levels")
     ev.check_level_span(levels)
+    check_sweep_size(cfg)
     state = build_state(cfg)
     g = state.grid
     t = state.tau.tau.values
@@ -229,7 +226,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     for lv in levels:
         datas = [add_noise(state.clean_data, lv, seed, cfg["noise_model"])
                  for seed in seeds]
-        results = reconstruct(state.system, datas, tik, state.basis, state.grid)
+        results = reconstruct(state.system, datas, tik, state.grid)
         err = np.abs(np.stack([r.u_star.values for r in results]) - exact_values)
         for vals in err[:, pj, pi]:  # seed by seed: a mean() would round differently
             err_by_level[lv] += vals / len(seeds)

@@ -4,7 +4,7 @@ The cost is general-form Tikhonov,
 
     w_f * |A b - f|_graph^2  +  w_g * |B b - g|_l2^2  +  alpha * |F b|^2
 
-with F the assembled factor of the smoothness penalty.  Its data terms are
+with F the factor of the smoothness penalty.  Its data terms are
 |M0 b - d|^2 with M0 = [L_f A; L_g B], d = [L_f f; L_g g], L_f sqrt(w_f)
 times the triangular factor of [sqrt(sigma); sqrt(sigma) D1] (the graph
 norm in 2m rows, not 3m) and L_g = diag(sqrt(w_g sigma)).  The minimum-norm
@@ -19,8 +19,9 @@ a hand-built system whose data block sees null(F) is rejected.  The pair
 depends only on the system and the data weights, so it is built once and
 kept on the system: a noise sweep costs one factorisation, then per level
 two small products with one column per data set.  The condition estimate
-reported is that of ``[M0 Z S^-1; sqrt(alpha) I]``, and the penalty norm of
-a fit is ``|F b|``.
+reported is that of ``[M0 Z S^-1; sqrt(alpha) I]``, the penalty norm of a
+fit is ``|F b|``, and its field is the harmonic extension of the rim traces
+``V b`` on the domain's grid.
 
 The a-priori regularization weight follows alpha = c * (eps^2 + h^2): the
 basis truncation term of the full rule is not observable, so it is dropped
@@ -33,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BoundaryBasis, DiscreteSystem, _lattice_offsets
+from .basis import DiscreteSystem
 from .errors import SolverError, ValidationError
 from .forward import CauchyData
-from .grid import Grid2D, graph_norm
+from .grid import Grid2D, _boundary_walk, graph_norm
 from .poisson import ScalarField, solve_interior
 
 
@@ -217,35 +218,35 @@ class ReconstructionResult:
         self.b.setflags(write=False)
 
 
-def reconstruct_field(b: np.ndarray, basis: BoundaryBasis,
+def reconstruct_field(b: np.ndarray, sys: DiscreteSystem,
                       omega_grid: Grid2D) -> ScalarField | list[ScalarField]:
-    """Combine base solutions with coefficients, restricted to the grid: the
-    harmonic field whose rim data are the combined basis functions, one
-    batched solve for all.  ``b`` (n,) gives one field, (k, n) a list of k.
+    """Combine base solutions with coefficients on the grid: the harmonic
+    field whose rim data, in walk order, are the traces ``V b``, one batched
+    solve for all.  ``b`` (n,) gives one field, (k, n) a list of k.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape[-1:] != (basis.n,) or b.ndim > 2:
-        raise ValidationError(f"expected {basis.n} coefficients, got {b.shape}")
-    oi, oj = _lattice_offsets(basis.tilde_grid, omega_grid)
-    rim = np.repeat(np.atleast_2d(b), np.diff(basis.support).ravel(), axis=1)
-    u = np.zeros(rim.shape[:1] + basis.tilde_grid.shape)
-    walk = basis.tilde_partition.nodes
+    if b.shape[-1:] != (sys.n,) or b.ndim > 2:
+        raise ValidationError(f"expected {sys.n} coefficients, got {b.shape}")
+    walk, _ = _boundary_walk(omega_grid.nx, omega_grid.ny)
+    if len(walk) != len(sys.V) or omega_grid.h != sys.h:
+        raise ValidationError(f"the grid's {len(walk)} rim nodes at spacing {omega_grid.h} "
+                              f"do not match V's {len(sys.V)} rows at spacing {sys.h}")
+    rim = np.atleast_2d(b) @ sys.V.T
+    u = np.zeros(rim.shape[:1] + omega_grid.shape)
     u[:, walk[:, 1], walk[:, 0]] = rim
     solve_interior(u)
-    values = u[:, oj:oj + omega_grid.ny, oi:oi + omega_grid.nx]
-    out = [ScalarField(grid=omega_grid, values=v) for v in values]
+    out = [ScalarField(grid=omega_grid, values=v) for v in u]
     return out[0] if b.ndim == 1 else out
 
 
 def reconstruct(sys: DiscreteSystem, datas: list[CauchyData], cfg: TikhonovConfig,
-                basis: BoundaryBasis,
                 omega_grid: Grid2D) -> list[ReconstructionResult]:
     """Full solve for data sets sharing one noise level: per data set the
     coefficients, the field on the grid, and the fit diagnostics."""
     alpha, f, g = _batch(sys, datas, cfg)
     fit = _standard_form(sys, cfg.data_weights)
     b = fit.solve(f, g, alpha)
-    u_stars = reconstruct_field(b, basis, omega_grid)
+    u_stars = reconstruct_field(b, sys, omega_grid)
     # Graph norm of the f residual and quadrature norm of the g residual,
     # one column per data set.
     r_g = sys.B @ b.T - g

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from harmrec import DEFAULTS, SIDES, ValidationError, validate_config
 from harmrec.cli import main
-from harmrec.config import check_stacked_size
+from harmrec.config import check_stacked_size, check_sweep_size
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -35,9 +35,11 @@ json_values = st.recursive(
 @example({"basis_kind": "indicator", "arcs_per_side": 10**308,
           "padding_layers": 10**308})
 def test_validate_config_returns_or_raises_validation_error(raw):
-    # and so does the rows-size check that run and sweep add
+    # and so do the size checks that run and sweep add
     try:
-        check_stacked_size(validate_config(raw))
+        cfg = validate_config(raw)
+        check_stacked_size(cfg)
+        check_sweep_size(cfg)
     except ValidationError:
         pass
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from harmrec import DEFAULTS, PRESETS, ValidationError, resolve_config, validate_config
-from harmrec.basis import compute_base_solutions
+from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.cli import main
-from harmrec.config import MAX_ARRAY_BYTES, _nodes, _stacked_bytes
-from harmrec.grid import boundary_counts
+from harmrec.config import (MAX_ARRAY_BYTES, _grid_bytes, _stacked_bytes, check_stacked_size,
+                            check_sweep_size)
 from harmrec.pipeline import build_state, tik_config
 from harmrec.tikhonov import reconstruct
 
@@ -282,7 +282,7 @@ def test_cli_rejects_unbuildable_grid_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("raw", [
-    {"x1": 256.0},  # 147843 stacked rows x 32928 rim nodes, about 39 GB
+    {"x1": 256.0},  # 65666 sampled rows x 32928 rim nodes, about 17 GB
     {"padding_layers": 10**308},
     {"basis_kind": "indicator", "arcs_per_side": 10**308, "padding_layers": 10**308},
 ])
@@ -292,18 +292,34 @@ def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, raw):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_rejects_stacked_matrix_over_limit_exit_2(tmp_path, capsys, command):
-    # the sampled rows would fit (2.2 GB), the bound on the fit's arrays would not (6.6 GB)
-    raw = {"x1": 128.0, "gamma_sides": ["left"]}
-    m, k = boundary_counts(*_nodes({**DEFAULTS, **raw}, 0), raw["gamma_sides"])
-    _, k_tilde = boundary_counts(*_nodes({**DEFAULTS, **raw}, DEFAULTS["padding_layers"]))
-    assert 8.0 * (3 * m + k) * k_tilde < MAX_ARRAY_BYTES < _stacked_bytes(validate_config(raw).raw)
-    _expect_size_error(tmp_path, capsys, command, raw)
+    # every grid array would fit (0.54 GB), the sampled rows would not (4.4 GB)
+    r = validate_config({"x1": 128.0}).raw
+    assert _grid_bytes(r, r["padding_layers"]) < MAX_ARRAY_BYTES < _stacked_bytes(r)
+    _expect_size_error(tmp_path, capsys, command, {"x1": 128.0})
+
+
+def test_arrays_over_limit_rejected_from_the_config_alone():
+    # one field is 0.72 MB, but the solvers' DST-I matrix of the long side
+    # would be 29999^2 x 8 B, 7.2 GB; nothing is solved here
+    with pytest.raises(ValidationError, match="sine-transform matrix of the grid"):
+        validate_config({"x1": 3000.0, "y1": 0.2, "h": 0.1})
+    # the same holds for the enlarged grid: 40001^2 x 8 B, for 18 MB of rows
+    cfg = validate_config({"h": 0.5, "padding_layers": 20000})
+    assert _stacked_bytes(cfg.raw) < 20e6
+    with pytest.raises(ValidationError, match="enlarged grid"):
+        check_stacked_size(cfg)
+    # a sweep level's 500 fields of 1025 x 1025 nodes are 4.2 GB; 400 are 3.4 GB
+    with pytest.raises(ValidationError, match="500 fields"):
+        check_sweep_size(validate_config({"h": 1 / 1024, "seeds": list(range(500))}))
+    check_sweep_size(validate_config({"h": 1 / 1024, "seeds": list(range(400))}))
 
 
 def test_cli_tau_builds_no_stack(tmp_path):
-    # a bound of about 10 GB on the fit's arrays, for an enlarged grid tau never builds
+    # the enlarged grid's sine-transform matrix would need about 13 GB, for
+    # an enlarged grid tau never builds
     raw = {"h": 1 / 512, "padding_layers": 20000, "tau_gamma_sets": [["bottom"]]}
-    assert _stacked_bytes(validate_config(raw).raw) > MAX_ARRAY_BYTES
+    with pytest.raises(ValidationError, match="GB limit"):
+        check_stacked_size(validate_config(raw))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     assert main(["tau", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -313,8 +329,9 @@ def test_cli_tau_builds_no_stack(tmp_path):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_presets_validate_at_h_256(preset):
     cfg = resolve_config(preset=preset, overrides={"h": 1 / 256})
-    # 3843 (one side) or 4614 (two sides) stacked rows by 1032 rim nodes
-    assert 30e6 < _stacked_bytes(cfg.raw) < 40e6 < MAX_ARRAY_BYTES
+    # 1538 (one side) or 2052 (two sides) sampled rows by 1032 rim nodes
+    assert 12e6 < _stacked_bytes(cfg.raw) < 17e6 < MAX_ARRAY_BYTES
+    check_stacked_size(cfg)
 
 
 @pytest.mark.parametrize("extra", [
@@ -326,9 +343,9 @@ def test_presets_validate_at_h_256(preset):
     {"h": 0.125, "y1": 1.5, "gamma_sides": ["top", "left"], "padding_layers": 3},
 ])
 def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
-    # check_stacked_size's estimate, the size of the (3m + 3K)-row stacked
-    # matrix the fit no longer forms, bounds every array the build and the
-    # fit allocate: the sampled rows, the system, every input and output of
+    # check_stacked_size's estimate, the size of the (2m + K)-row sample of
+    # the base solutions, bounds every array the build and the fit
+    # allocate: the sampled rows, the system, every input and output of
     # their SVDs, QRs and stacks, and the factorisation kept on the system
     cfg = validate_config(extra)
     sizes = []
@@ -345,11 +362,13 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     for mod, name in ((np, "vstack"), (np.linalg, "svd"), (np.linalg, "qr")):
         monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
     state = build_state(cfg)
-    reconstruct(state.system, [state.clean_data], tik_config(cfg), state.basis, state.grid)
-    rows = compute_base_solutions(state.basis, state.partition)
+    reconstruct(state.system, [state.clean_data], tik_config(cfg), state.grid)
+    basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"], omega_rect=cfg.rect,
+                        arcs_per_side=cfg["arcs_per_side"])
+    rows = compute_base_solutions(basis, state.partition)
     sys = state.system
     fit, = sys._fits.values()
-    held = [rows, sys.A, sys.B, sys.F, sys.D1, fit.p_t, fit.s, fit.to_b]
+    held = [rows, sys.A, sys.B, sys.V, sys.F, sys.D1, fit.p_t, fit.s, fit.to_b]
     sizes += [a.nbytes for a in held]
     assert len(sizes) > len(held)
     assert max(sizes) <= _stacked_bytes(cfg.raw)
@@ -451,10 +470,12 @@ def test_cli_repeated_eps_level_exit_2(tmp_path, capsys):
     ("run", {"alpha_c": -1}, "alpha_c"),
     ("sweep", {"alpha_c": 0}, "alpha_c"),
     ("sweep", {"eps_levels": [0.1, 0.05, 0.02]}, "two decades"),
+    ("sweep", {"h": 1 / 1024, "seeds": list(range(500))}, "GB limit"),
 ])
 def test_cli_fit_only_inputs_fail_before_the_build(tmp_path, capsys, monkeypatch,
                                                    command, raw, message):
-    # inputs only the fit reads are still rejected before the geometry is built
+    # inputs only the fit or the sweep reads are still rejected before the
+    # geometry is built
     import harmrec.pipeline as pipeline
 
     builds = []

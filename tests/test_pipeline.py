@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harmrec import resolve_config, validate_config
+from harmrec import build_basis, resolve_config, validate_config
 from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
 from harmrec.forward import add_noise
 from harmrec.pipeline import (_reconstruct_for, build_state, run_experiment,
@@ -31,7 +31,9 @@ def test_run_summary_contents(fast_state):
     res = run_experiment(fast_state.cfg, state=fast_state)
     s = res["summary"]
     assert s["m"] == 17
-    assert s["n_basis"] == fast_state.basis.n
+    cfg = fast_state.cfg
+    basis = build_basis(cfg.tilde_rect, cfg["h"], omega_rect=cfg.rect)
+    assert s["n_basis"] == fast_state.system.n == basis.n
     assert s["config"]["h"] == 1 / 16
     assert s["noise"]["realized_eps"] > 0
     assert s["envelope"]["eps"] == 0.02
@@ -97,8 +99,7 @@ def test_sweep_matches_per_seed_evaluation():
     c_fits = []
     for lv in cfg["eps_levels"]:
         datas = [add_noise(state.clean_data, lv, s, cfg["noise_model"]) for s in seeds]
-        results = reconstruct(state.system, datas, tik_config(cfg),
-                              state.basis, state.grid)
+        results = reconstruct(state.system, datas, tik_config(cfg), state.grid)
         mean = np.zeros(len(nodes))
         for seed, r in zip(seeds, results):
             err = pointwise_error(r.u_star, cfg.exact_solution())

@@ -45,7 +45,7 @@ def test_config_weight_validation():
 
 def _scalar_system():
     return DiscreteSystem(A=np.array([[1.0]]), B=np.array([[0.0]]),
-                          F=np.array([[1.0]]), sigma=np.array([1.0]),
+                          V=np.array([[1.0]]), sigma=np.array([1.0]),
                           D1=np.array([[0.0]]), h=1.0)
 
 
@@ -81,7 +81,7 @@ def test_noiseless_constant_reconstruction():
     data = trace_cauchy(Constant(1.0), part)
     alpha = 1e-6
     cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
-    result, = reconstruct(sys, [data], cfg, basis, grid)
+    result, = reconstruct(sys, [data], cfg, grid)
     # cost at the all-ones comparison vector bounds the optimum:
     # penalty of the constant-one trace is the perimeter (value term only)
     assert result.residual_f**2 + result.residual_g**2 <= 4.0 * alpha * 1.01
@@ -90,8 +90,7 @@ def test_noiseless_constant_reconstruction():
     assert np.abs(result.u_star.values - 1.0).max() < 5e-3
     # near-zero regularization tightens toward the direct solve limit
     tight, = reconstruct(sys, [data],
-                         TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-12),
-                         basis, grid)
+                         TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-12), grid)
     assert np.abs(tight.u_star.values - 1.0).max() < 1e-3
     # close to the measured side the fit is sharp
     assert np.abs(tight.u_star.values[:3, :] - 1.0).max() < 1e-6
@@ -123,36 +122,49 @@ def test_reconstruct_field_unit_vector_and_ones(base_solution_fields):
                           kind="indicator",
                           support=np.array([[0, 10], [10, tilde_part.n_boundary]]))
     grid = build_grid(omega, h)
-    e0 = reconstruct_field(np.array([1.0, 0.0]), basis, grid)
+    part = boundary_partition(grid, ["bottom"])
+    sys = assemble_system(compute_base_solutions(basis, part), part)
+    e0 = reconstruct_field(np.array([1.0, 0.0]), sys, grid)
     oi = oj = 1  # one padding layer
     assert np.abs(e0.values - base_solution_fields(basis)[
         0, oj:oj + grid.ny, oi:oi + grid.nx]).max() <= 1e-12
-    ones = reconstruct_field(np.array([1.0, 1.0]), basis, grid)
+    ones = reconstruct_field(np.array([1.0, 1.0]), sys, grid)
     assert np.abs(ones.values - 1.0).max() < 2 * 1e-11 * basis.n
 
 
+@pytest.mark.parametrize("padding", [1, 2, 4])
 @pytest.mark.parametrize("kind", ["hat", "indicator"])
-def test_reconstruct_field_matches_sparse_reference(base_solution_fields, kind):
-    # a batch of random combinations on a non-square grid, two padding layers
+def test_reconstruct_field_matches_sparse_reference(base_solution_fields, kind, padding):
+    # a batch of random combinations on a non-square grid, rebuilt from the
+    # rim traces on the grid alone, against the base solutions solved on the
+    # enlarged grid and cropped
     h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
-    basis = build_basis(omega.padded(2 * h), h, kind, omega_rect=omega,
+    basis = build_basis(omega.padded(padding * h), h, kind, omega_rect=omega,
                         arcs_per_side=3)
     grid = build_grid(omega, h)
+    part = boundary_partition(grid, ["bottom", "left"])
+    sys = assemble_system(compute_base_solutions(basis, part), part)
     b = np.random.default_rng(11).normal(size=(3, basis.n))
-    ref = np.tensordot(b, base_solution_fields(basis), axes=1)[:, 2:-2, 2:-2]
-    for fld, r in zip(reconstruct_field(b, basis, grid), ref):
+    inner = slice(padding, -padding)
+    ref = np.tensordot(b, base_solution_fields(basis), axes=1)[:, inner, inner]
+    assert ref.shape[1:] == grid.shape
+    for fld, r in zip(reconstruct_field(b, sys, grid), ref):
         assert np.abs(fld.values - r).max() <= 1e-12 * np.abs(r).max()
-    single = reconstruct_field(b[1], basis, grid)
+    single = reconstruct_field(b[1], sys, grid)
     assert np.abs(single.values - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
 
 
 def test_reconstruct_field_validation():
-    basis, grid, _, _ = _pipeline_pieces()
-    with pytest.raises(ValidationError):
-        reconstruct_field(np.zeros(3), basis, grid)
-    bad_grid = build_grid(Rect(0.01, 0, 1.01, 1), 1 / 8)
-    with pytest.raises(ValidationError):
-        reconstruct_field(np.zeros(basis.n), basis, bad_grid)
+    basis, grid, _, sys = _pipeline_pieces()
+    with pytest.raises(ValidationError, match="coefficients"):
+        reconstruct_field(np.zeros(3), sys, grid)
+    with pytest.raises(ValidationError, match="coefficients"):
+        reconstruct_field(np.zeros((2, 2, basis.n)), sys, grid)
+    # a grid whose rim has another node count than the system's traces, and
+    # one with as many rim nodes at another spacing
+    for other in (build_grid(Rect(0, 0, 1.125, 1), 1 / 8), build_grid(Rect(0, 0, 2, 2), 1 / 4)):
+        with pytest.raises(ValidationError, match="rim nodes"):
+            reconstruct_field(np.zeros(basis.n), sys, other)
 
 
 def test_residuals_monotone_in_alpha():
@@ -164,7 +176,7 @@ def test_residuals_monotone_in_alpha():
     prev_res, prev_reg = -1.0, np.inf
     for alpha in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
         cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
-        r, = reconstruct(sys, [noisy], cfg, basis, grid)
+        r, = reconstruct(sys, [noisy], cfg, grid)
         res = r.residual_f**2 + r.residual_g**2
         assert res >= prev_res - 1e-12
         assert r.reg_norm <= prev_reg + 1e-9
@@ -178,7 +190,7 @@ def test_residual_decay_with_grid_refinement():
         basis, grid, part, sys = _pipeline_pieces(h=h)
         data = trace_cauchy(ExpCos(2.0, 0.1), part)
         cfg = TikhonovConfig(alpha_rule="a_priori", alpha_c=1.0)
-        r, = reconstruct(sys, [data], cfg, basis, grid)
+        r, = reconstruct(sys, [data], cfg, grid)
         totals.append(r.residual_f + r.residual_g)
     assert totals[0] > totals[1] > totals[2]
 
@@ -216,10 +228,10 @@ def test_batched_fit_matches_single_fits():
     basis, grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
     cfg = TikhonovConfig()
-    batch = reconstruct(sys, datas, cfg, basis, grid)
+    batch = reconstruct(sys, datas, cfg, grid)
     assert len(batch) == len(datas)
     for data, r in zip(datas, batch):
-        single, = reconstruct(sys, [data], cfg, basis, grid)
+        single, = reconstruct(sys, [data], cfg, grid)
         assert _rel(r.b, single.b) <= 1e-12
         assert _rel(r.u_star.values, single.u_star.values) <= 1e-12
         for name in ("residual_f", "residual_g", "reg_norm"):
@@ -232,8 +244,7 @@ def test_batched_fit_matches_single_fits():
 def test_batched_norms_match_discrete_norms():
     basis, grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
-    for data, r in zip(datas, reconstruct(sys, datas, TikhonovConfig(),
-                                          basis, grid)):
+    for data, r in zip(datas, reconstruct(sys, datas, TikhonovConfig(), grid)):
         res_f = graph_norm(part.gamma_sigma, part.tangential_d1, sys.A @ r.b - data.f)
         r_g = sys.B @ r.b - data.g
         res_g = np.sqrt(np.sum(part.gamma_sigma * r_g**2))
@@ -247,9 +258,9 @@ def test_batch_needs_one_noise_level():
     basis, grid, part, sys = _pipeline_pieces()
     mixed = _noisy_batch(part, level=0.05) + _noisy_batch(part, level=0.01)
     with pytest.raises(ValidationError, match="one noise level"):
-        reconstruct(sys, mixed, TikhonovConfig(), basis, grid)
+        reconstruct(sys, mixed, TikhonovConfig(), grid)
     with pytest.raises(ValidationError):
-        reconstruct(sys, [], TikhonovConfig(), basis, grid)
+        reconstruct(sys, [], TikhonovConfig(), grid)
 
 
 def test_sweep_factors_once_and_filters_once_per_noise_level(monkeypatch):
@@ -345,16 +356,17 @@ def test_filtered_fit_matches_stacked_lstsq(kind, padding, k, shape, sides, weig
 
 @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
 def test_filtered_fit_matches_stacked_lstsq_when_data_sees_null_of_f(weights):
-    # a hand-built system: F has rank 2 on 6 coefficients and a zero column.
-    # Where the data block sees null(F) the fit is rejected; with the data
-    # block projected onto the row space of F it matches the oracle
+    # a hand-built system: V has rank 2 on 6 coefficients and a zero column,
+    # and so has F, since null(F) = null(V).  Where the data block sees
+    # null(F) the fit is rejected; with the data block projected onto the
+    # row space of V it matches the oracle
     rng = np.random.default_rng(3)
-    f_mat = rng.normal(size=(2, 6)) @ np.diag([1.0, 2.0, 0.5, 1.0, 3.0, 0.0])
+    v_mat = rng.normal(size=(2, 6)) @ np.diag([1.0, 2.0, 0.5, 1.0, 3.0, 0.0])
     a_mat, b_mat = rng.normal(size=(2, 5, 6))
-    parts = dict(F=f_mat, sigma=rng.uniform(0.5, 1.0, 5), D1=rng.normal(size=(5, 5)), h=0.1)
+    parts = dict(V=v_mat, sigma=rng.uniform(0.5, 1.0, 5), D1=rng.normal(size=(5, 5)), h=0.1)
     with pytest.raises(ValidationError, match="null"):
         _standard_form(DiscreteSystem(A=a_mat, B=b_mat, **parts), weights)
-    row_space = np.linalg.pinv(f_mat) @ f_mat
+    row_space = np.linalg.pinv(v_mat) @ v_mat
     sys = DiscreteSystem(A=a_mat @ row_space, B=b_mat @ row_space, **parts)
     for alpha in (1e-6, 1e-2, 1.0):
         assert _check_against_oracle(sys, weights, alpha, rng).rank == 2
@@ -372,7 +384,7 @@ def test_condition_estimate_is_that_of_the_standard_form(sides):
     sys = assemble_system(compute_base_solutions(basis, part), part)
     alpha = 1e-8
     r, = reconstruct(sys, [trace_cauchy(ExpCos(2.0, 0.1), part)],
-                     TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha), basis, grid)
+                     TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha), grid)
     s12 = np.sqrt(sys.sigma)[:, None]
     m0 = np.vstack([s12 * sys.A, s12 * (sys.D1 @ sys.A), s12 * sys.B])
     std = np.vstack([m0 @ np.linalg.pinv(sys.F), np.sqrt(alpha) * np.eye(part.n_boundary)])
