@@ -36,8 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .grid import (SIDES, BoundaryPartition, Grid2D, Rect, _boundary_walk, boundary_partition,
-                   build_grid)
+from .grid import (SIDES, BoundaryPartition, Grid2D, Rect, _boundary_walk, boundary_counts,
+                   boundary_partition, build_grid)
 from .poisson import normal_stencil, rim_extension
 # Not called here: perfbench/spans.py wraps `basis.solve_dirichlet` by name.
 from .poisson import solve_dirichlet  # noqa: F401
@@ -108,6 +108,9 @@ class DiscreteSystem:
     sigma  (m,) Γ quadrature weights.
     D1     (m, m) tangential difference operator on Γ.
     h      grid spacing.
+    grid   the domain grid whose boundary walk V's rows follow, the one the
+           fit's fields live on; ``None`` for a hand-built system, which can
+           be fitted but not turned into a field.
 
     The penalty factor :attr:`F` is derived from V, and null(F) = null(V).
     Coefficient directions there (for hats the n - K combinations with zero
@@ -125,11 +128,18 @@ class DiscreteSystem:
     sigma: np.ndarray = field(repr=False)
     D1: np.ndarray = field(repr=False)
     h: float
+    grid: Grid2D | None = None
     _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.A, self.B, self.V, self.sigma, self.D1):
             arr.setflags(write=False)
+        if self.grid is not None:
+            k = boundary_counts(self.grid.nx, self.grid.ny)[1]
+            if len(self.V) != k or self.grid.h != self.h:
+                raise ValidationError(
+                    f"the grid's {k} rim nodes at spacing {self.grid.h} do not "
+                    f"match V's {len(self.V)} rows at spacing {self.h}")
 
     @property
     def m(self) -> int:
@@ -206,4 +216,5 @@ def assemble_system(rows: np.ndarray,
         sigma=omega_partition.gamma_sigma.copy(),
         D1=omega_partition.tangential_d1,
         h=omega_partition.grid.h,
+        grid=omega_partition.grid,
     )

@@ -88,12 +88,12 @@ def _run_checks() -> int:
 
     grid64 = build_grid(rect, 1.0 / 64.0)
     part64 = boundary_partition(grid64, ["bottom"])
-    ind = compute_indicate(grid64, part64)
-    center = ind.tau.values[32, 32]
+    tau = compute_indicate(grid64, part64)
+    center = tau.values[32, 32]
     check("exponent at the center is 1/4 for one measured side",
           abs(center - 0.25) < 2e-3, f"tau={center:.6f}")
     oracle = rectangle_series_tau(0.5, 0.25, ["bottom"], terms=200)
-    probe = ind.tau.values[16, 32]
+    probe = tau.values[16, 32]
     check("exponent field matches the series oracle at (0.5, 0.25)",
           abs(probe - oracle) < 5e-3, f"diff={abs(probe - oracle):.2e}")
 

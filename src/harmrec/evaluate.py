@@ -4,18 +4,16 @@ The central check: reconstruction error at an interior point x should behave
 like ``C * eps^tau(x)``, with tau the exponent field.  Fitting C over the
 interior, fitting per-point decay rates across noise levels, and comparing
 error statistics inside/outside the reliable region are the three views
-this module provides.
+this module provides.  Every function takes the exponent field as the
+:class:`ScalarField` that :func:`measure.compute_indicate` returns, and the
+envelope and region reports are the dicts that ``summary.json`` writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ValidationError
-from .forward import ExactSolution, sample_exact
-from .measure import IndicateField
 from .poisson import ScalarField
 
 # Interior probe lattice (x and y coordinates), chosen to be grid nodes for
@@ -36,9 +34,9 @@ PROBE_TIE = 1e-9
 INTERIOR_MARGIN = 3
 
 
-def auto_probe_nodes(tau: IndicateField, targets=PROBE_TAU_TARGETS,
-                     margin: int = INTERIOR_MARGIN) -> list[tuple[int, int]]:
-    """Pick one interior node per exponent target, centrally when tied.
+def auto_probe_nodes(tau: ScalarField) -> list[tuple[int, int]]:
+    """Pick one node per PROBE_TAU_TARGETS entry, at least INTERIOR_MARGIN
+    layers inside the boundary, centrally when tied.
 
     Candidates are interior nodes whose exponent lies inside the targeted
     band (the probes certify that band, so they must not leak out of it).
@@ -52,8 +50,8 @@ def auto_probe_nodes(tau: IndicateField, targets=PROBE_TAU_TARGETS,
     ULP.  Raises ValidationError when no candidate exists (a grid too coarse
     for the margin, or a field that misses the band).
     """
-    g = tau.grid
-    t = tau.tau.values
+    g, t = tau.grid, tau.values
+    targets, margin = PROBE_TAU_TARGETS, INTERIOR_MARGIN
     xg, yg = g.meshgrid()
     cx = 0.5 * (g.rect.x0 + g.rect.x1)
     cy = 0.5 * (g.rect.y0 + g.rect.y1)
@@ -75,17 +73,23 @@ def auto_probe_nodes(tau: IndicateField, targets=PROBE_TAU_TARGETS,
     return nodes
 
 
-def pointwise_error(u_star: ScalarField, exact: ExactSolution) -> ScalarField:
-    """Node-wise absolute difference |u* - exact|."""
-    exact_field = sample_exact(exact, u_star.grid)
+def _check_same_grid(a: ScalarField, b: ScalarField) -> None:
+    if a.grid != b.grid:
+        raise ValidationError("the two fields live on different grids")
+
+
+def pointwise_error(u_star: ScalarField, exact_field: ScalarField) -> ScalarField:
+    """Node-wise absolute difference |u* - exact| of two fields on one grid."""
+    _check_same_grid(u_star, exact_field)
     return ScalarField(grid=u_star.grid,
                        values=np.abs(u_star.values - exact_field.values))
 
 
-def _interior_mask(shape: tuple[int, int], margin: int) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    mask[margin:-margin, margin:-margin] = True
-    return mask
+def _envelope_ratio(err_values: np.ndarray, tau_values: np.ndarray,
+                    eps: float) -> np.ndarray:
+    """|err| / eps^tau on the nodes at least INTERIOR_MARGIN layers inside."""
+    inner = (Ellipsis,) + (slice(INTERIOR_MARGIN, -INTERIOR_MARGIN),) * 2
+    return err_values[inner] / eps ** tau_values[inner]
 
 
 def envelope_c_fit(err_values: np.ndarray, tau_values: np.ndarray,
@@ -95,81 +99,42 @@ def envelope_c_fit(err_values: np.ndarray, tau_values: np.ndarray,
     ``err_values`` has shape (..., ny, nx) with any leading axes; the result
     has the leading shape (0-d for one field).
     """
-    inner = (Ellipsis,) + (slice(INTERIOR_MARGIN, -INTERIOR_MARGIN),) * 2
-    ratio = err_values[inner] / eps ** tau_values[inner]
-    return ratio.max(axis=(-2, -1), initial=0.0)
+    return _envelope_ratio(err_values, tau_values, eps).max(axis=(-2, -1), initial=0.0)
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
-    """Fitted envelope constant and its violations.
-
-    violations are counted against ``c_ref`` (the user bound if given, else
-    the fitted constant, in which case the count is zero by construction).
-    """
-
-    eps: float
-    c_fit: float
-    c_ref: float
-    violations: int
-    violation_locations: list = field(default_factory=list)
-    probes: list = field(default_factory=list)
-    m_used: float | None = None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "eps": self.eps,
-            "c_fit": self.c_fit,
-            "c_ref": self.c_ref,
-            "violations": self.violations,
-            "violation_locations": self.violation_locations,
-            "probes": self.probes,
-            "m_used": self.m_used,
-        }
-
-
-def envelope_check(err: ScalarField, tau: IndicateField, eps: float,
+def envelope_check(err: ScalarField, tau: ScalarField, eps: float,
                    c_max: float | None = None,
-                   m_used: float | None = None) -> EnvelopeReport:
+                   m_used: float | None = None) -> dict:
     """Fit the envelope constant C = max |err| / eps^tau over interior nodes.
 
     Requires eps in (0, 1): otherwise eps^tau is not decreasing in tau and
-    the envelope carries no information.  Probes are reported on the fixed
-    interior lattice PROBE_COORDS x PROBE_COORDS.
+    the envelope carries no information.  Returns the ``envelope`` object of
+    ``summary.json``: ``eps``, ``c_fit``, ``c_ref`` (``c_max`` if given, else
+    ``c_fit``), ``violations`` (interior nodes whose ratio exceeds ``c_ref``,
+    so none for the fitted constant), ``violation_locations`` (the first 50
+    of them as [x, y], row by row), ``probes`` (x, y, tau, err and the bound
+    ``c_ref * eps^tau`` on the fixed interior lattice PROBE_COORDS x
+    PROBE_COORDS) and ``m_used``.
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError(f"envelope needs eps in (0, 1), got {eps}")
-    if err.grid != tau.grid:
-        raise ValidationError("error and exponent fields live on different grids")
-    t = tau.tau.values
-    e = err.values
-    mask = _interior_mask(err.grid.shape, INTERIOR_MARGIN)
-    bound_unit = eps ** t
-    c_fit = float(envelope_c_fit(e, t, eps))
-    c_ref = c_max if c_max is not None else c_fit
-    # the same ratio c_fit maximises, so the fitted constant has no violations
-    viol = (e / bound_unit > c_ref) & mask
-    locations = []
-    if viol.any():
-        jj, ii = np.nonzero(viol)
-        xs, ys = err.grid.xs, err.grid.ys
-        locations = [[float(xs[i]), float(ys[j])] for j, i in zip(jj[:50], ii[:50])]
-    probes = []
-    g = err.grid
-    for y in PROBE_COORDS:
-        for x in PROBE_COORDS:
-            i, j = g.nearest_node(g.rect.x0 + x * g.rect.width,
-                                  g.rect.y0 + y * g.rect.height)
-            probes.append({
-                "x": float(g.xs[i]), "y": float(g.ys[j]),
-                "tau": float(t[j, i]), "err": float(e[j, i]),
-                "bound": float(c_ref * bound_unit[j, i]),
-            })
-    return EnvelopeReport(
-        eps=eps, c_fit=c_fit, c_ref=float(c_ref),
-        violations=int(viol.sum()), violation_locations=locations,
-        probes=probes, m_used=m_used,
-    )
+    _check_same_grid(err, tau)
+    g, t, e = err.grid, tau.values, err.values
+    ratio = _envelope_ratio(e, t, eps)
+    c_fit = float(ratio.max(initial=0.0))
+    c_ref = float(c_max) if c_max is not None else c_fit
+    jj, ii = np.nonzero(ratio > c_ref)
+    locations = [[float(g.xs[i]), float(g.ys[j])]
+                 for j, i in zip(jj[:50] + INTERIOR_MARGIN, ii[:50] + INTERIOR_MARGIN)]
+    pi, pj = np.array([g.nearest_node(g.rect.x0 + x * g.rect.width,
+                                      g.rect.y0 + y * g.rect.height)
+                       for y in PROBE_COORDS for x in PROBE_COORDS]).T
+    bounds = c_ref * eps ** t[pj, pi]
+    probes = [{"x": float(g.xs[i]), "y": float(g.ys[j]),
+               "tau": float(t[j, i]), "err": float(e[j, i]), "bound": float(b)}
+              for i, j, b in zip(pi, pj, bounds)]
+    return {"eps": eps, "c_fit": c_fit, "c_ref": c_ref, "violations": len(jj),
+            "violation_locations": locations, "probes": probes, "m_used": m_used}
 
 
 def check_level_span(levels) -> None:
@@ -219,58 +184,26 @@ def spearman_rank(a, b) -> float:
     return float(np.clip(ra @ rb / norm, -1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class RegionStats:
-    """Error statistics split by the reliable region {tau >= threshold}."""
-
-    threshold: float
-    inside_count: int
-    outside_count: int
-    inside_median: float | None
-    inside_max: float | None
-    inside_mean: float | None
-    outside_median: float | None
-    outside_max: float | None
-    outside_mean: float | None
-    median_ratio: float | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "inside_count": self.inside_count,
-            "outside_count": self.outside_count,
-            "inside": {"median": self.inside_median, "max": self.inside_max,
-                       "mean": self.inside_mean},
-            "outside": {"median": self.outside_median, "max": self.outside_max,
-                        "mean": self.outside_mean},
-            "median_ratio": self.median_ratio,
-        }
-
-
-def reliability_summary(err: ScalarField, tau: IndicateField,
-                        threshold: float) -> RegionStats:
-    """Median/max/mean error inside vs outside the reliable region (all nodes)."""
-    if err.grid != tau.grid:
-        raise ValidationError("error and exponent fields live on different grids")
-    inside = tau.tau.values >= threshold
-    e_in = err.values[inside]
-    e_out = err.values[~inside]
+def reliability_summary(err: ScalarField, tau: ScalarField, threshold: float) -> dict:
+    """Error statistics split by the reliable region {tau >= threshold}, over
+    all nodes.  Returns the ``reliability`` object of ``summary.json``:
+    ``threshold``, ``inside_count``, ``outside_count``, ``inside`` and
+    ``outside`` (each ``{median, max, mean}`` of the error there, all None
+    for an empty side) and ``median_ratio`` (inside over outside median;
+    None when either side is empty or the outside median is 0)."""
+    _check_same_grid(err, tau)
+    inside = tau.values >= threshold
 
     def _stats(v):
         if v.size == 0:
-            return None, None, None
-        return float(np.median(v)), float(v.max()), float(v.mean())
+            return {"median": None, "max": None, "mean": None}
+        return {"median": float(np.median(v)), "max": float(v.max()),
+                "mean": float(v.mean())}
 
-    med_in, max_in, mean_in = _stats(e_in)
-    med_out, max_out, mean_out = _stats(e_out)
+    stats_in, stats_out = _stats(err.values[inside]), _stats(err.values[~inside])
     ratio = None
-    if med_in is not None and med_out not in (None, 0.0):
-        ratio = med_in / med_out
-    return RegionStats(
-        threshold=threshold,
-        inside_count=int(inside.sum()),
-        outside_count=int((~inside).sum()),
-        inside_median=med_in, inside_max=max_in, inside_mean=mean_in,
-        outside_median=med_out, outside_max=max_out, outside_mean=mean_out,
-        median_ratio=ratio,
-    )
+    if stats_in["median"] is not None and stats_out["median"] not in (None, 0.0):
+        ratio = stats_in["median"] / stats_out["median"]
+    return {"threshold": threshold, "inside_count": int(inside.sum()),
+            "outside_count": int((~inside).sum()), "inside": stats_in,
+            "outside": stats_out, "median_ratio": ratio}

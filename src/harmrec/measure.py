@@ -4,6 +4,8 @@ The field solves the Dirichlet problem with data 1 on the measurement arc Γ
 (corner nodes of Γ included) and 0 on the rest of the boundary.  Its value
 at a point is the exponent with which data error propagates there, so level
 sets of the field bound the region where a reconstruction can be trusted.
+:func:`compute_indicate` returns it as a plain :class:`ScalarField`, and
+:func:`reliable_region` gives its node mask and level contour at a threshold.
 
 Independent closed forms used as oracles:
 
@@ -28,45 +30,6 @@ from .grid import SIDES, BoundaryPartition, Grid2D
 from .poisson import ScalarField, solve_dirichlet
 
 
-# Node layers around each Γ endpoint skipped when comparing against the series
-# oracle: the boundary data jump there and pointwise accuracy degrades.
-ORACLE_EXCLUSION_BAND = 3
-
-
-@dataclass(frozen=True)
-class IndicateField:
-    """Exponent field tau on a grid, with the Γ partition it certifies."""
-
-    tau: ScalarField
-    gamma: BoundaryPartition
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.tau.grid
-
-    def gamma_endpoints(self) -> np.ndarray:
-        """(k, 2) coordinates of the Γ nodes where Γ meets its complement,
-        the ones with exactly one segment on Γ."""
-        after, before = self.gamma.gamma_links()
-        return self.gamma.gamma_points[after != before]
-
-    def oracle_comparison_mask(self) -> np.ndarray:
-        """Interior nodes at least ORACLE_EXCLUSION_BAND*h from every Γ endpoint."""
-        g = self.grid
-        mask = np.zeros(g.shape, dtype=bool)
-        mask[1:-1, 1:-1] = True
-        endpoints = self.gamma_endpoints()
-        if len(endpoints):
-            xg, yg = g.meshgrid()
-            dist2 = np.min(
-                (xg[..., None] - endpoints[:, 0]) ** 2
-                + (yg[..., None] - endpoints[:, 1]) ** 2,
-                axis=-1,
-            )
-            mask &= dist2 >= (ORACLE_EXCLUSION_BAND * g.h) ** 2
-        return mask
-
-
 @dataclass(frozen=True)
 class LevelContour:
     """A level in (0, 1) with its extracted polylines (each a (k, 2) array)."""
@@ -78,7 +41,7 @@ class LevelContour:
         return [[[float(x), float(y)] for x, y in line] for line in self.polylines]
 
 
-def compute_indicate(grid: Grid2D, partition: BoundaryPartition) -> IndicateField:
+def compute_indicate(grid: Grid2D, partition: BoundaryPartition) -> ScalarField:
     """Solve for the exponent field of the partition's Γ."""
     if partition.m == 0:
         raise ValidationError("Γ must be nonempty")
@@ -90,7 +53,7 @@ def compute_indicate(grid: Grid2D, partition: BoundaryPartition) -> IndicateFiel
     bv = partition.gamma_mask.astype(float)
     fld = solve_dirichlet(grid, partition, bv)
     _check_indicate(fld, partition)
-    return IndicateField(tau=fld, gamma=partition)
+    return fld
 
 
 def _check_indicate(fld: ScalarField, partition: BoundaryPartition):
@@ -168,7 +131,7 @@ def two_constants_bound(eps: float, m_bound: float, tau: float) -> float:
     return m_bound ** (1.0 - tau) * eps ** tau
 
 
-def reliable_region(ind: IndicateField, threshold: float) -> tuple[np.ndarray, LevelContour]:
+def reliable_region(tau: ScalarField, threshold: float) -> tuple[np.ndarray, LevelContour]:
     """Node mask {tau >= threshold} plus the marching-squares contour.
 
     threshold must lie in (0, 1]; at exactly 1 the mask reduces to the Γ
@@ -176,9 +139,9 @@ def reliable_region(ind: IndicateField, threshold: float) -> tuple[np.ndarray, L
     """
     if not (0.0 < threshold <= 1.0):
         raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
-    mask = ind.tau.values >= threshold
+    mask = tau.values >= threshold
     if threshold < 1.0:
-        lines = marching_squares(ind.grid, ind.tau.values, threshold)
+        lines = marching_squares(tau.grid, tau.values, threshold)
     else:
         lines = []
     return mask, LevelContour(level=threshold, polylines=lines)

@@ -22,7 +22,8 @@ from .config import ExperimentConfig, check_stacked_size, check_sweep_size
 from .errors import SolverError, ValidationError
 from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
-from .measure import IndicateField, compute_indicate, reliable_region
+from .measure import compute_indicate, reliable_region
+from .poisson import ScalarField
 from .tikhonov import ReconstructionResult, TikhonovConfig, reconstruct
 
 
@@ -34,7 +35,7 @@ class PipelineState:
     grid: Grid2D
     partition: BoundaryPartition
     system: DiscreteSystem
-    tau: IndicateField
+    tau: ScalarField
     clean_data: CauchyData
 
 
@@ -63,18 +64,18 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
 def _reconstruct_for(state: PipelineState, level: float, seed: int) -> tuple[CauchyData, ReconstructionResult]:
     cfg = state.cfg
     data = add_noise(state.clean_data, level, seed, cfg["noise_model"])
-    result, = reconstruct(state.system, [data], tik_config(cfg), state.grid)
+    result, = reconstruct(state.system, [data], tik_config(cfg))
     return data, result
 
 
-def _write_tau(out, stem: str, ind: IndicateField, contour, title: str) -> list[str]:
+def _write_tau(out, stem: str, tau: ScalarField, contour, title: str) -> list[str]:
     """Write an exponent field's CSV, contour JSON and heatmap SVG under
     ``stem``; returns their file names."""
     names = [f"{stem}.csv", f"{stem}_contour.json", f"{stem}.svg"]
-    hio.write_field_csv(out / names[0], ind.tau)
+    hio.write_field_csv(out / names[0], tau)
     hio.dump_json(out / names[1],
                   {"level": contour.level, "polylines": contour.to_jsonable()})
-    svg.render_heatmap(ind.tau, out / names[2], contours=contour, title=title)
+    svg.render_heatmap(tau, out / names[2], contours=contour, title=title)
     return names
 
 
@@ -84,9 +85,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
     if state is None:
         state = build_state(cfg)
     data, result = _reconstruct_for(state, cfg["noise_level"], cfg["seed"])
-    exact = cfg.exact_solution()
-    exact_field = sample_exact(exact, state.grid)
-    err = ev.pointwise_error(result.u_star, exact)
+    exact_field = sample_exact(cfg.exact_solution(), state.grid)
+    err = ev.pointwise_error(result.u_star, exact_field)
     mask, contour = reliable_region(state.tau, cfg["threshold"])
     region = ev.reliability_summary(err, state.tau, cfg["threshold"])
     sup_exact = float(np.abs(exact_field.values).max())
@@ -126,13 +126,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
             "mean": float(err.values.mean()),
             "sup_exact": sup_exact,
         },
-        "tau_center": float(state.tau.tau.values[cj, ci]),
+        "tau_center": float(state.tau.values[cj, ci]),
         "reliable_fraction": float(mask.mean()),
-        "reliability": region.to_jsonable(),
-        "envelope": envelope.to_jsonable() if envelope else None,
+        "reliability": region,
+        "envelope": envelope,
         "envelope_degraded": (
-            {"tau0": cfg["tau0"], **envelope_degraded.to_jsonable()}
-            if envelope_degraded else None
+            {"tau0": cfg["tau0"], **envelope_degraded} if envelope_degraded else None
         ),
     }
 
@@ -176,16 +175,16 @@ def run_tau(cfg: ExperimentConfig, out_dir=None) -> dict:
                                0.5 * (cfg.rect.y0 + cfg.rect.y1))
     for sides in cfg["tau_gamma_sets"]:
         partition = boundary_partition(grid, sides)
-        ind = compute_indicate(grid, partition)
-        _, contour = reliable_region(ind, cfg["threshold"])
+        tau = compute_indicate(grid, partition)
+        _, contour = reliable_region(tau, cfg["threshold"])
         tag = "-".join(sorted(sides))
         panel = {
             "sides": sorted(sides),
-            "tau_center": float(ind.tau.values[cj, ci]),
+            "tau_center": float(tau.values[cj, ci]),
             "n_polylines": len(contour.polylines),
         }
         if out is not None:
-            panel["files"] = _write_tau(out, f"tau_{tag}", ind, contour,
+            panel["files"] = _write_tau(out, f"tau_{tag}", tau, contour,
                                         f"reliability exponent, measured: {tag}")
         panels.append(panel)
     summary = {"config": cfg.to_dict(), "panels": panels}
@@ -212,7 +211,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     check_sweep_size(cfg)
     state = build_state(cfg)
     g = state.grid
-    t = state.tau.tau.values
+    t = state.tau.values
 
     probe_nodes = ev.auto_probe_nodes(state.tau)
     pi, pj = np.array(probe_nodes).T
@@ -226,7 +225,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     for lv in levels:
         datas = [add_noise(state.clean_data, lv, seed, cfg["noise_model"])
                  for seed in seeds]
-        results = reconstruct(state.system, datas, tik, state.grid)
+        results = reconstruct(state.system, datas, tik)
         err = np.abs(np.stack([r.u_star.values for r in results]) - exact_values)
         for vals in err[:, pj, pi]:  # seed by seed: a mean() would round differently
             err_by_level[lv] += vals / len(seeds)

@@ -54,9 +54,15 @@ def _dst_eigenvalues(my: int, mx: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _dst_matrix(n: int) -> np.ndarray:
     """Orthonormal DST-I matrix of order n, symmetric and its own inverse; the
-    index product is reduced modulo 2(n + 1) so the sine keeps full accuracy."""
-    k = np.arange(1, n + 1)
-    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
+    index product is reduced modulo 2(n + 1) so the sine keeps full accuracy.
+    Built in place, so it peaks at the one n x n array it returns."""
+    k = np.arange(1.0, n + 1)
+    s = np.multiply.outer(k, k)
+    np.fmod(s, 2 * n + 2, out=s)
+    s *= np.pi
+    s /= n + 1
+    np.sin(s, out=s)
+    s *= np.sqrt(2.0 / (n + 1))
     s.setflags(write=False)
     return s
 

@@ -37,7 +37,7 @@ import numpy as np
 from .basis import DiscreteSystem
 from .errors import SolverError, ValidationError
 from .forward import CauchyData
-from .grid import Grid2D, _boundary_walk, graph_norm
+from .grid import _boundary_walk, graph_norm
 from .poisson import ScalarField, solve_interior
 
 
@@ -218,35 +218,34 @@ class ReconstructionResult:
         self.b.setflags(write=False)
 
 
-def reconstruct_field(b: np.ndarray, sys: DiscreteSystem,
-                      omega_grid: Grid2D) -> ScalarField | list[ScalarField]:
-    """Combine base solutions with coefficients on the grid: the harmonic
-    field whose rim data, in walk order, are the traces ``V b``, one batched
-    solve for all.  ``b`` (n,) gives one field, (k, n) a list of k.
+def reconstruct_field(b: np.ndarray, sys: DiscreteSystem) -> ScalarField | list[ScalarField]:
+    """Combine base solutions with coefficients on the system's grid: the
+    harmonic field whose rim data, in walk order, are the traces ``V b``,
+    one batched solve for all.  ``b`` (n,) gives one field, (k, n) a list of k.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[-1:] != (sys.n,) or b.ndim > 2:
         raise ValidationError(f"expected {sys.n} coefficients, got {b.shape}")
-    walk, _ = _boundary_walk(omega_grid.nx, omega_grid.ny)
-    if len(walk) != len(sys.V) or omega_grid.h != sys.h:
-        raise ValidationError(f"the grid's {len(walk)} rim nodes at spacing {omega_grid.h} "
-                              f"do not match V's {len(sys.V)} rows at spacing {sys.h}")
+    grid = sys.grid
+    if grid is None:
+        raise ValidationError("a system without a grid has no field to rebuild")
+    walk, _ = _boundary_walk(grid.nx, grid.ny)
     rim = np.atleast_2d(b) @ sys.V.T
-    u = np.zeros(rim.shape[:1] + omega_grid.shape)
+    u = np.zeros(rim.shape[:1] + grid.shape)
     u[:, walk[:, 1], walk[:, 0]] = rim
     solve_interior(u)
-    out = [ScalarField(grid=omega_grid, values=v) for v in u]
+    out = [ScalarField(grid=grid, values=v) for v in u]
     return out[0] if b.ndim == 1 else out
 
 
-def reconstruct(sys: DiscreteSystem, datas: list[CauchyData], cfg: TikhonovConfig,
-                omega_grid: Grid2D) -> list[ReconstructionResult]:
+def reconstruct(sys: DiscreteSystem, datas: list[CauchyData],
+                cfg: TikhonovConfig) -> list[ReconstructionResult]:
     """Full solve for data sets sharing one noise level: per data set the
-    coefficients, the field on the grid, and the fit diagnostics."""
+    coefficients, the field on the system's grid, and the fit diagnostics."""
     alpha, f, g = _batch(sys, datas, cfg)
     fit = _standard_form(sys, cfg.data_weights)
     b = fit.solve(f, g, alpha)
-    u_stars = reconstruct_field(b, sys, omega_grid)
+    u_stars = reconstruct_field(b, sys)
     # Graph norm of the f residual and quadrature norm of the g residual,
     # one column per data set.
     r_g = sys.B @ b.T - g

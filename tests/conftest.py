@@ -50,3 +50,45 @@ def _base_solution_fields(basis):
 def base_solution_fields():
     """Independent reference for the base solutions of a basis."""
     return _base_solution_fields
+
+
+# Node layers around each Γ endpoint skipped when comparing against the series
+# oracle: the boundary data jump there and pointwise accuracy degrades.
+ORACLE_EXCLUSION_BAND = 3
+
+
+def _gamma_endpoints(partition):
+    """(k, 2) coordinates of the Γ nodes where Γ meets its complement,
+    the ones with exactly one segment on Γ."""
+    after, before = partition.gamma_links()
+    return partition.gamma_points[after != before]
+
+
+def _oracle_comparison_mask(fld, partition):
+    """Interior nodes of the field's grid at least ORACLE_EXCLUSION_BAND*h
+    from every endpoint of the partition's Γ."""
+    g = fld.grid
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[1:-1, 1:-1] = True
+    endpoints = _gamma_endpoints(partition)
+    if len(endpoints):
+        xg, yg = g.meshgrid()
+        dist2 = np.min(
+            (xg[..., None] - endpoints[:, 0]) ** 2
+            + (yg[..., None] - endpoints[:, 1]) ** 2,
+            axis=-1,
+        )
+        mask &= dist2 >= (ORACLE_EXCLUSION_BAND * g.h) ** 2
+    return mask
+
+
+@pytest.fixture
+def gamma_endpoints():
+    """Endpoints of a partition's Γ."""
+    return _gamma_endpoints
+
+
+@pytest.fixture
+def oracle_comparison_mask():
+    """Nodes of an exponent field where the series oracle is compared."""
+    return _oracle_comparison_mask

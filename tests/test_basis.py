@@ -75,7 +75,7 @@ def test_whole_boundary_arc_gives_constant_one():
     rows = compute_base_solutions(basis, part)
     assert np.abs(rows - 1.0).max() < 1e-10
     sys = assemble_system(rows, part)
-    assert np.abs(reconstruct_field([1.0], sys, grid).values - 1.0).max() < 1e-10
+    assert np.abs(reconstruct_field([1.0], sys).values - 1.0).max() < 1e-10
     assert np.abs(sys.A - 1.0).max() < 1e-10
     assert np.abs(sys.B).max() < 1e-10 / 0.125  # zero up to tol/h
 
@@ -85,7 +85,7 @@ def test_base_solutions_partition_of_unity_and_max_principle():
     basis, rows, grid, part = _small_setup()
     n = basis.n
     sys = assemble_system(rows, part)
-    fields = np.stack([f.values for f in reconstruct_field(np.eye(n), sys, grid)])
+    fields = np.stack([f.values for f in reconstruct_field(np.eye(n), sys)])
     for values, total in ((rows, rows.sum(axis=1)), (fields, fields.sum(axis=0))):
         assert np.abs(total - 1.0).max() < n * 1e-11
         assert values.min() > -1e-11

@@ -362,7 +362,7 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     for mod, name in ((np, "vstack"), (np.linalg, "svd"), (np.linalg, "qr")):
         monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
     state = build_state(cfg)
-    reconstruct(state.system, [state.clean_data], tik_config(cfg), state.grid)
+    reconstruct(state.system, [state.clean_data], tik_config(cfg))
     basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"], omega_rect=cfg.rect,
                         arcs_per_side=cfg["arcs_per_side"])
     rows = compute_base_solutions(basis, state.partition)

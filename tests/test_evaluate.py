@@ -10,10 +10,9 @@ from harmrec import (Constant, Rect, ValidationError, boundary_partition,
                      build_grid, compute_indicate, envelope_check,
                      pointwise_error, rate_fit, reliability_summary,
                      resolve_config, sample_exact, spearman_rank)
-from harmrec.evaluate import (PROBE_TAU_TARGETS, PROBE_TIE, auto_probe_nodes,
-                              envelope_c_fit)
+from harmrec.evaluate import (PROBE_COORDS, PROBE_TAU_TARGETS, PROBE_TIE,
+                              auto_probe_nodes, envelope_c_fit)
 from harmrec.grid import SIDES
-from harmrec.measure import IndicateField
 from harmrec.poisson import ScalarField
 
 
@@ -28,28 +27,28 @@ def test_pointwise_error_zero_and_offset(tau16):
     g = tau16.grid
     exact = Constant(2.5)
     fld = sample_exact(exact, g)
-    assert np.abs(pointwise_error(fld, exact).values).max() == 0.0
+    assert np.abs(pointwise_error(fld, fld).values).max() == 0.0
     shifted = ScalarField(grid=g, values=fld.values + 0.1)
-    err = pointwise_error(shifted, exact)
+    err = pointwise_error(shifted, fld)
     assert np.allclose(err.values, 0.1)
 
 
 def test_envelope_synthetic_identity(tau16):
     g = tau16.grid
     eps = 0.01
-    err = ScalarField(grid=g, values=eps ** tau16.tau.values)
+    err = ScalarField(grid=g, values=eps ** tau16.values)
     rep = envelope_check(err, tau16, eps, c_max=1.0 + 1e-9)
-    assert abs(rep.c_fit - 1.0) < 1e-12
-    assert rep.violations == 0
-    assert len(rep.probes) == 25
+    assert abs(rep["c_fit"] - 1.0) < 1e-12
+    assert rep["violations"] == 0
+    assert len(rep["probes"]) == 25
 
 
 def test_envelope_zero_error(tau16):
     g = tau16.grid
     err = ScalarField(grid=g, values=np.zeros(g.shape))
     rep = envelope_check(err, tau16, 0.5)
-    assert rep.c_fit == 0.0
-    assert rep.violations == 0
+    assert rep["c_fit"] == 0.0
+    assert rep["violations"] == 0
 
 
 def test_envelope_definitional_bound(tau16):
@@ -58,10 +57,10 @@ def test_envelope_definitional_bound(tau16):
     err = ScalarField(grid=g, values=np.abs(rng.normal(size=g.shape)))
     eps = 0.2
     rep = envelope_check(err, tau16, eps)
-    bound = rep.c_fit * eps ** tau16.tau.values
+    bound = rep["c_fit"] * eps ** tau16.values
     inner = (slice(3, -3), slice(3, -3))
     assert (bound[inner] >= err.values[inner] - 1e-12).all()
-    assert rep.violations == 0
+    assert rep["violations"] == 0
 
 
 def test_envelope_c_fit_per_field_of_a_stack(tau16):
@@ -71,21 +70,21 @@ def test_envelope_c_fit_per_field_of_a_stack(tau16):
     rng = np.random.default_rng(1)
     stack = np.abs(rng.normal(size=(2, 3) + g.shape)) * 10.0 ** rng.integers(-8, 8, (2, 3, 1, 1))
     stack[1, 2] = 0.0
-    c_fit = envelope_c_fit(stack, tau16.tau.values, 0.03)
+    c_fit = envelope_c_fit(stack, tau16.values, 0.03)
     assert c_fit.shape == (2, 3)
     for k in np.ndindex(2, 3):
         err = ScalarField(grid=g, values=stack[k])
-        assert c_fit[k] == envelope_check(err, tau16, 0.03).c_fit
+        assert c_fit[k] == envelope_check(err, tau16, 0.03)["c_fit"]
     assert c_fit[1, 2] == 0.0
 
 
 def test_envelope_counts_violations(tau16):
     g = tau16.grid
     eps = 0.01
-    err = ScalarField(grid=g, values=eps ** tau16.tau.values)
+    err = ScalarField(grid=g, values=eps ** tau16.values)
     rep = envelope_check(err, tau16, eps, c_max=0.5)
-    assert rep.violations > 0
-    assert len(rep.violation_locations) > 0
+    assert rep["violations"] > 0
+    assert len(rep["violation_locations"]) > 0
 
 
 def test_envelope_rejects_eps_out_of_range(tau16):
@@ -93,6 +92,16 @@ def test_envelope_rejects_eps_out_of_range(tau16):
     for eps in (0.0, 1.0, 2.0):
         with pytest.raises(ValidationError):
             envelope_check(err, tau16, eps)
+
+
+def test_fields_on_different_grids_rejected(tau16):
+    other = build_grid(Rect(0, 0, 1, 1), 1 / 8)
+    on_other = ScalarField(grid=other, values=np.zeros(other.shape))
+    for call in (lambda: pointwise_error(on_other, tau16),
+                 lambda: envelope_check(on_other, tau16, 0.5),
+                 lambda: reliability_summary(on_other, tau16, 0.5)):
+        with pytest.raises(ValidationError, match="different grids"):
+            call()
 
 
 def test_rate_fit_exact_power_law():
@@ -149,26 +158,26 @@ def test_spearman_rank_undefined_cases():
 def test_reliability_summary_split(tau16):
     g = tau16.grid
     eps = 0.01
-    err = ScalarField(grid=g, values=eps ** tau16.tau.values)
+    err = ScalarField(grid=g, values=eps ** tau16.values)
     stats = reliability_summary(err, tau16, 0.5)
     # eps^tau decreases in tau for eps < 1: inside errors are smaller
-    assert stats.inside_max < stats.outside_max
-    assert stats.inside_median < stats.outside_median
-    assert stats.median_ratio < 1.0
-    assert stats.inside_count + stats.outside_count == g.nx * g.ny
+    assert stats["inside"]["max"] < stats["outside"]["max"]
+    assert stats["inside"]["median"] < stats["outside"]["median"]
+    assert stats["median_ratio"] < 1.0
+    assert stats["inside_count"] + stats["outside_count"] == g.nx * g.ny
 
 
 def test_reliability_summary_empty_outside(tau16):
     g = tau16.grid
     err = ScalarField(grid=g, values=np.ones(g.shape))
     stats = reliability_summary(err, tau16, 0.0)
-    assert stats.outside_count == 0
-    assert stats.outside_median is None
-    assert stats.median_ratio is None
+    assert stats["outside_count"] == 0
+    assert stats["outside"]["median"] is None
+    assert stats["median_ratio"] is None
 
 
 def test_region_monotone_in_threshold(tau16):
-    masks = [tau16.tau.values >= thr for thr in (0.3, 0.5, 0.7)]
+    masks = [tau16.values >= thr for thr in (0.3, 0.5, 0.7)]
     assert masks[0].sum() >= masks[1].sum() >= masks[2].sum()
     # set inclusion, not just counts
     assert (masks[1] <= masks[0]).all()
@@ -180,7 +189,7 @@ def test_auto_probe_nodes_span_band():
     p = boundary_partition(g, ["bottom"])
     tau = compute_indicate(g, p)
     nodes = auto_probe_nodes(tau)
-    taus = np.array([tau.tau.values[j, i] for i, j in nodes])
+    taus = np.array([tau.values[j, i] for i, j in nodes])
     assert len(nodes) == 12
     assert (taus >= 0.3).all() and (taus <= 0.9).all()
     assert taus.max() - taus.min() > 0.4
@@ -194,8 +203,7 @@ def _mirrored_tau(seed, nx, ny, h, x0, y0):
     a = np.random.default_rng(seed).uniform(0.25, 0.95, (ny, nx))
     i = np.arange(nx)
     t = np.where(i <= nx - 1 - i, a, a[:, ::-1])
-    return IndicateField(tau=ScalarField(grid=g, values=t),
-                         gamma=boundary_partition(g, ["bottom"]))
+    return ScalarField(grid=g, values=t)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -204,7 +212,7 @@ def _mirrored_tau(seed, nx, ny, h, x0, y0):
        st.sampled_from([0.0, 0.2, -1.7]))
 def test_probe_ties_go_to_the_smallest_row_then_column(seed, nx, ny, h, x0, y0):
     tau = _mirrored_tau(seed, nx, ny, h, x0, y0)
-    t = tau.tau.values
+    t = tau.values
     nodes = auto_probe_nodes(tau)
     g = tau.grid
     xg, yg = g.meshgrid()
@@ -222,7 +230,7 @@ def test_probe_ties_go_to_the_smallest_row_then_column(seed, nx, ny, h, x0, y0):
         assert not tied[:j].any() and not tied[j, :i].any()
     # a perturbation far below the tie width moves no probe
     noise = np.random.default_rng(seed + 1).uniform(-1e-12, 1e-12, t.shape)
-    moved = IndicateField(tau=ScalarField(grid=g, values=t + noise), gamma=tau.gamma)
+    moved = ScalarField(grid=g, values=t + noise)
     assert auto_probe_nodes(moved) == nodes
 
 
@@ -243,8 +251,8 @@ def test_preset_probes_are_fixed(preset, expected):
     assert auto_probe_nodes(tau) == expected
     right = np.sign(g.meshgrid()[0] - 0.5)  # +1 right of the mirror line
     for sign in (1.0, -1.0):
-        nudged = tau.tau.values + sign * 1e-12 * right
-        nudged = IndicateField(tau=ScalarField(grid=g, values=nudged), gamma=tau.gamma)
+        nudged = tau.values + sign * 1e-12 * right
+        nudged = ScalarField(grid=g, values=nudged)
         assert auto_probe_nodes(nudged) == expected
 
 
@@ -260,4 +268,67 @@ def test_fitted_envelope_constant_has_no_violations(seed, eps, sides):
     rng = np.random.default_rng(seed)
     err = ScalarField(grid=g, values=rng.uniform(0.0, 1.0, g.shape) * 10.0 ** rng.integers(-6, 6))
     rep = envelope_check(err, tau, eps)
-    assert rep.violations == 0 and rep.violation_locations == []
+    assert rep["violations"] == 0 and rep["violation_locations"] == []
+
+
+def _brute_region(t, e, threshold):
+    """The reliability report, node by node."""
+    inside = [e[j, i] for j, i in np.ndindex(t.shape) if t[j, i] >= threshold]
+    outside = [e[j, i] for j, i in np.ndindex(t.shape) if not t[j, i] >= threshold]
+
+    def stats(v):
+        if not v:
+            return {"median": None, "max": None, "mean": None}
+        return {"median": float(np.median(v)), "max": float(max(v)), "mean": float(np.mean(v))}
+
+    ins, outs = stats(inside), stats(outside)
+    ratio = None
+    if inside and outside and outs["median"] != 0.0:
+        ratio = ins["median"] / outs["median"]
+    return {"threshold": threshold, "inside_count": len(inside),
+            "outside_count": len(outside), "inside": ins, "outside": outs,
+            "median_ratio": ratio}
+
+
+def _brute_envelope(g, t, e, eps, c_scale, m_used):
+    """The envelope report node by node, with c_max = c_scale * c_fit."""
+    unit = eps ** t
+    ny, nx = t.shape
+    interior = [(j, i) for j in range(3, ny - 3) for i in range(3, nx - 3)]  # row by row
+    c_fit = max((e[j, i] / unit[j, i] for j, i in interior), default=0.0)
+    c_max = None if c_scale is None else c_scale * c_fit
+    c_ref = c_fit if c_max is None else c_max
+    viol = [(j, i) for j, i in interior if e[j, i] / unit[j, i] > c_ref]
+    probes = []
+    for y in PROBE_COORDS:
+        for x in PROBE_COORDS:
+            i, j = g.nearest_node(g.rect.x0 + x * g.rect.width, g.rect.y0 + y * g.rect.height)
+            probes.append({"x": g.xs[i], "y": g.ys[j], "tau": t[j, i], "err": e[j, i],
+                           "bound": c_ref * unit[j, i]})
+    return c_max, {"eps": eps, "c_fit": c_fit, "c_ref": c_ref, "violations": len(viol),
+                   "violation_locations": [[g.xs[i], g.ys[j]] for j, i in viol[:50]],
+                   "probes": probes, "m_used": m_used}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 22), st.integers(2, 22),
+       st.sampled_from([1 / 8, 0.1, 0.07]),
+       st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), st.floats(0.0, 1.0)),
+       st.floats(1e-6, 0.999), st.sampled_from([None, 0.0, 0.5, 0.999, 1.0, 2.0]),
+       st.sampled_from([None, 2.5]), st.floats(0.0, 0.9))
+def test_reports_match_brute_force(seed, nx, ny, h, threshold, eps, c_scale, m_used, zeros):
+    # exponents on a coarse lattice so that some sit exactly at the threshold,
+    # errors with exact zeros so that the outside median can be 0, and grids
+    # from 2 x 2 (no interior for the envelope) to more than 50 violations
+    g = build_grid(Rect(0.0, 0.0, (nx - 1) * h, (ny - 1) * h), h)
+    rng = np.random.default_rng(seed)
+    t = rng.integers(0, 9, g.shape) / 8
+    e = np.where(rng.random(g.shape) < zeros, 0.0,
+                 rng.uniform(0.0, 1.0, g.shape) * 10.0 ** rng.integers(-6, 6))
+    tau, err = ScalarField(grid=g, values=t), ScalarField(grid=g, values=e)
+    assert reliability_summary(err, tau, threshold) == _brute_region(t, e, threshold)
+    c_max, expected = _brute_envelope(g, t, e, eps, c_scale, m_used)
+    rep = envelope_check(err, tau, eps, c_max=c_max, m_used=m_used)
+    assert list(rep) == list(expected)
+    assert rep == expected
+    assert all(type(v) is float for p in rep["probes"] for v in p.values())

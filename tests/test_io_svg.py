@@ -182,7 +182,7 @@ def test_svg_renders_heatmap_with_contour(tmp_path):
     ind = compute_indicate(g, p)
     _, contour = reliable_region(ind, 0.5)
     out = tmp_path / "tau.svg"
-    render_heatmap(ind.tau, out, contours=contour, title="tau")
+    render_heatmap(ind, out, contours=contour, title="tau")
     text = out.read_text()
     assert text.startswith("<svg")
     assert 'width="512"' in text
@@ -190,7 +190,7 @@ def test_svg_renders_heatmap_with_contour(tmp_path):
     assert text.count("<rect") == g.nx * g.ny
     # repeat is byte-identical
     out2 = tmp_path / "tau2.svg"
-    render_heatmap(ind.tau, out2, contours=contour, title="tau")
+    render_heatmap(ind, out2, contours=contour, title="tau")
     assert out.read_bytes() == out2.read_bytes()
 
 

@@ -20,13 +20,13 @@ def _indicate(h, sides):
 
 def test_center_value_single_side():
     ind = _indicate(1 / 16, ["bottom"])
-    c = ind.tau.values[8, 8]
+    c = ind.values[8, 8]
     assert abs(c - 0.25) < 1e-10  # exact by discrete four-fold symmetry
 
 
 def test_boundary_values_are_exact():
     ind = _indicate(1 / 8, ["bottom"])
-    v = ind.tau.values
+    v = ind.values
     assert (v[0, :] == 1.0).all()
     assert (v[-1, :] == 0.0).all()
     assert (v[1:-1, 0] == 0.0).all()
@@ -35,7 +35,7 @@ def test_boundary_values_are_exact():
 
 def test_interior_strictly_between_zero_and_one():
     ind = _indicate(1 / 16, ["bottom"])
-    interior = ind.tau.values[1:-1, 1:-1]
+    interior = ind.values[1:-1, 1:-1]
     assert interior.min() > 0.0
     assert interior.max() < 1.0
 
@@ -69,16 +69,16 @@ def test_series_rejects_boundary_and_few_terms():
         rectangle_series_tau(0.5, 0.25, ["south"])
 
 
-def test_fdm_matches_series_oracle_coarse():
+def test_fdm_matches_series_oracle_coarse(oracle_comparison_mask):
     ind = _indicate(1 / 32, ["bottom"])
     g = ind.grid
-    mask = ind.oracle_comparison_mask()
+    mask = oracle_comparison_mask(ind, boundary_partition(g, ["bottom"]))
     worst = 0.0
     for j in range(g.ny):
         for i in range(g.nx):
             if mask[j, i]:
                 o = rectangle_series_tau(g.xs[i], g.ys[j], ["bottom"], 200)
-                worst = max(worst, abs(ind.tau.values[j, i] - o))
+                worst = max(worst, abs(ind.values[j, i] - o))
     assert worst < 2e-2
 
 
@@ -113,35 +113,35 @@ def test_two_constants_attained_on_annulus():
 def test_additivity_and_complement_interior():
     h = 1 / 16
     inner = (slice(1, -1), slice(1, -1))
-    t_b = _indicate(h, ["bottom"]).tau.values
-    t_t = _indicate(h, ["top"]).tau.values
-    t_bt = _indicate(h, ["bottom", "top"]).tau.values
+    t_b = _indicate(h, ["bottom"]).values
+    t_t = _indicate(h, ["top"]).values
+    t_bt = _indicate(h, ["bottom", "top"]).values
     assert np.abs((t_b + t_t - t_bt)[inner]).max() < 2e-10
     # adjacent pair: corners overlap but corner data cannot reach the interior
-    t_r = _indicate(h, ["right"]).tau.values
-    t_br = _indicate(h, ["bottom", "right"]).tau.values
+    t_r = _indicate(h, ["right"]).values
+    t_br = _indicate(h, ["bottom", "right"]).values
     assert np.abs((t_b + t_r - t_br)[inner]).max() < 2e-10
     # complement: three sides vs one
-    t_l = _indicate(h, ["left"]).tau.values
-    t_brt = _indicate(h, ["bottom", "right", "top"]).tau.values
+    t_l = _indicate(h, ["left"]).values
+    t_brt = _indicate(h, ["bottom", "right", "top"]).values
     assert np.abs((t_brt - (1.0 - t_l))[inner]).max() < 2e-10
 
 
 def test_monotone_in_gamma():
     h = 1 / 16
     inner = (slice(1, -1), slice(1, -1))
-    t_b = _indicate(h, ["bottom"]).tau.values
-    t_bt = _indicate(h, ["bottom", "top"]).tau.values
+    t_b = _indicate(h, ["bottom"]).values
+    t_bt = _indicate(h, ["bottom", "top"]).values
     assert (t_bt[inner] - t_b[inner]).min() > -1e-10
 
 
 def test_reliable_region_threshold_limits():
     ind = _indicate(1 / 16, ["bottom"])
     mask0, _ = reliable_region(ind, 1e-12)
-    v = ind.tau.values
+    v = ind.values
     assert mask0.sum() == (v > 0).sum()  # everything except non-measured rim
     mask1, contour1 = reliable_region(ind, 1.0)
-    assert mask1.sum() == ind.gamma.m
+    assert mask1.sum() == boundary_partition(ind.grid, ["bottom"]).m
     assert contour1.polylines == []
     with pytest.raises(ValidationError):
         reliable_region(ind, 0.0)
@@ -155,10 +155,9 @@ def test_region_grows_with_added_side():
     assert m_two.sum() > m_one.sum()
 
 
-def test_gamma_endpoints():
-    ind = _indicate(1 / 8, ["bottom"])
-    pts = sorted(map(tuple, ind.gamma_endpoints()))
+def test_gamma_endpoints(gamma_endpoints):
+    g = build_grid(Rect(0, 0, 1, 1), 1 / 8)
+    pts = sorted(map(tuple, gamma_endpoints(boundary_partition(g, ["bottom"]))))
     assert pts == [(0.0, 0.0), (1.0, 0.0)]
-    ind2 = _indicate(1 / 8, ["bottom", "left"])
-    pts2 = sorted(map(tuple, ind2.gamma_endpoints()))
+    pts2 = sorted(map(tuple, gamma_endpoints(boundary_partition(g, ["bottom", "left"]))))
     assert pts2 == [(0.0, 1.0), (1.0, 0.0)]  # shared corner is interior to Γ

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from harmrec import (HarmonicPoly, Rect, SolverError, ValidationError,
                      boundary_partition, build_grid, laplacian_residual,
                      sample_exact, solve_dirichlet)
-from harmrec.poisson import ScalarField, cg_dirichlet, normal_stencil, solve_interior
+from harmrec.poisson import (ScalarField, _dst_matrix, cg_dirichlet, normal_stencil,
+                             solve_interior)
 
 
 def boundary_values(fld, part):
@@ -93,6 +96,30 @@ def test_dst_solve_any_shape_and_batch_matches_sparse_reference(spsolve_dirichle
         alone = rim[k].copy()
         solve_interior(alone)
         assert np.abs(alone - u[k]).max() <= 1e-13
+
+
+def _dst_oracle(n):
+    """The DST-I matrix as one expression, index-product temporaries and all."""
+    k = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 255, 1000])
+def test_dst_matrix_matches_one_line_oracle(n):
+    assert np.array_equal(_dst_matrix(n), _dst_oracle(n))
+
+
+def test_dst_matrix_peaks_at_the_matrix_it_returns():
+    _dst_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        s = _dst_matrix(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _dst_matrix.cache_clear()
+    assert peak <= 1.1 * s.nbytes  # 32 MB
+    assert np.array_equal(s, _dst_oracle(2000))
 
 
 def test_laplacian_residual_examples():

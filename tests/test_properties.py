@@ -34,7 +34,7 @@ side_sets = st.lists(st.sampled_from(SIDES), min_size=1, max_size=3, unique=True
 @given(grids(), side_sets)
 def test_tau_in_unit_interval_and_equal_to_gamma_mask_on_boundary(grid, sides):
     part = boundary_partition(grid, sides)
-    tau = compute_indicate(grid, part).tau.values
+    tau = compute_indicate(grid, part).values
     assert tau.min() >= -1e-14 and tau.max() <= 1.0 + 1e-14  # [0, 1] to rounding
     assert np.array_equal(tau[part.nodes[:, 1], part.nodes[:, 0]],
                           part.gamma_mask.astype(float))
@@ -45,9 +45,9 @@ def test_tau_in_unit_interval_and_equal_to_gamma_mask_on_boundary(grid, sides):
 def test_mirrored_sides_give_mirrored_tau(grid, sides, axis):
     # a mirror-symmetric side set (mirror == sides) gives a symmetric field
     mirror, flip = (MIRROR_X, np.s_[:, ::-1]) if axis == "x" else (MIRROR_Y, np.s_[::-1, :])
-    tau = compute_indicate(grid, boundary_partition(grid, sides)).tau.values
+    tau = compute_indicate(grid, boundary_partition(grid, sides)).values
     mirrored = [mirror[s] for s in sides]
-    tau_m = compute_indicate(grid, boundary_partition(grid, mirrored)).tau.values
+    tau_m = compute_indicate(grid, boundary_partition(grid, mirrored)).values
     assert np.abs(tau_m - tau[flip]).max() <= 1e-12
 
 

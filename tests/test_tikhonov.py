@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,7 +83,7 @@ def test_noiseless_constant_reconstruction():
     data = trace_cauchy(Constant(1.0), part)
     alpha = 1e-6
     cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
-    result, = reconstruct(sys, [data], cfg, grid)
+    result, = reconstruct(sys, [data], cfg)
     # cost at the all-ones comparison vector bounds the optimum:
     # penalty of the constant-one trace is the perimeter (value term only)
     assert result.residual_f**2 + result.residual_g**2 <= 4.0 * alpha * 1.01
@@ -90,7 +92,7 @@ def test_noiseless_constant_reconstruction():
     assert np.abs(result.u_star.values - 1.0).max() < 5e-3
     # near-zero regularization tightens toward the direct solve limit
     tight, = reconstruct(sys, [data],
-                         TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-12), grid)
+                         TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-12))
     assert np.abs(tight.u_star.values - 1.0).max() < 1e-3
     # close to the measured side the fit is sharp
     assert np.abs(tight.u_star.values[:3, :] - 1.0).max() < 1e-6
@@ -124,11 +126,11 @@ def test_reconstruct_field_unit_vector_and_ones(base_solution_fields):
     grid = build_grid(omega, h)
     part = boundary_partition(grid, ["bottom"])
     sys = assemble_system(compute_base_solutions(basis, part), part)
-    e0 = reconstruct_field(np.array([1.0, 0.0]), sys, grid)
+    e0 = reconstruct_field(np.array([1.0, 0.0]), sys)
     oi = oj = 1  # one padding layer
     assert np.abs(e0.values - base_solution_fields(basis)[
         0, oj:oj + grid.ny, oi:oi + grid.nx]).max() <= 1e-12
-    ones = reconstruct_field(np.array([1.0, 1.0]), sys, grid)
+    ones = reconstruct_field(np.array([1.0, 1.0]), sys)
     assert np.abs(ones.values - 1.0).max() < 2 * 1e-11 * basis.n
 
 
@@ -148,23 +150,39 @@ def test_reconstruct_field_matches_sparse_reference(base_solution_fields, kind, 
     inner = slice(padding, -padding)
     ref = np.tensordot(b, base_solution_fields(basis), axes=1)[:, inner, inner]
     assert ref.shape[1:] == grid.shape
-    for fld, r in zip(reconstruct_field(b, sys, grid), ref):
+    for fld, r in zip(reconstruct_field(b, sys), ref):
         assert np.abs(fld.values - r).max() <= 1e-12 * np.abs(r).max()
-    single = reconstruct_field(b[1], sys, grid)
+    single = reconstruct_field(b[1], sys)
     assert np.abs(single.values - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
 
 
 def test_reconstruct_field_validation():
     basis, grid, _, sys = _pipeline_pieces()
     with pytest.raises(ValidationError, match="coefficients"):
-        reconstruct_field(np.zeros(3), sys, grid)
+        reconstruct_field(np.zeros(3), sys)
     with pytest.raises(ValidationError, match="coefficients"):
-        reconstruct_field(np.zeros((2, 2, basis.n)), sys, grid)
+        reconstruct_field(np.zeros((2, 2, basis.n)), sys)
     # a grid whose rim has another node count than the system's traces, and
     # one with as many rim nodes at another spacing
     for other in (build_grid(Rect(0, 0, 1.125, 1), 1 / 8), build_grid(Rect(0, 0, 2, 2), 1 / 4)):
         with pytest.raises(ValidationError, match="rim nodes"):
-            reconstruct_field(np.zeros(basis.n), sys, other)
+            replace(sys, grid=other)
+    with pytest.raises(ValidationError, match="without a grid"):
+        reconstruct_field(np.zeros(basis.n), replace(sys, grid=None))
+
+
+def test_reconstruct_field_lives_on_the_assembled_grid():
+    # a 9 x 7 node grid: its transpose has as many rim nodes at the same
+    # spacing, so only the grid the system was assembled on can tell them apart
+    h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
+    basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
+    grid = build_grid(omega, h)
+    part = boundary_partition(grid, ["bottom"])
+    sys = assemble_system(compute_base_solutions(basis, part), part)
+    assert sys.grid == grid
+    fld = reconstruct_field(np.ones(basis.n), sys)
+    assert fld.grid == grid and fld.values.shape == (7, 9)
+    assert np.abs(fld.values - 1.0).max() < basis.n * 1e-11
 
 
 def test_residuals_monotone_in_alpha():
@@ -176,7 +194,7 @@ def test_residuals_monotone_in_alpha():
     prev_res, prev_reg = -1.0, np.inf
     for alpha in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
         cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
-        r, = reconstruct(sys, [noisy], cfg, grid)
+        r, = reconstruct(sys, [noisy], cfg)
         res = r.residual_f**2 + r.residual_g**2
         assert res >= prev_res - 1e-12
         assert r.reg_norm <= prev_reg + 1e-9
@@ -190,7 +208,7 @@ def test_residual_decay_with_grid_refinement():
         basis, grid, part, sys = _pipeline_pieces(h=h)
         data = trace_cauchy(ExpCos(2.0, 0.1), part)
         cfg = TikhonovConfig(alpha_rule="a_priori", alpha_c=1.0)
-        r, = reconstruct(sys, [data], cfg, grid)
+        r, = reconstruct(sys, [data], cfg)
         totals.append(r.residual_f + r.residual_g)
     assert totals[0] > totals[1] > totals[2]
 
@@ -228,10 +246,10 @@ def test_batched_fit_matches_single_fits():
     basis, grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
     cfg = TikhonovConfig()
-    batch = reconstruct(sys, datas, cfg, grid)
+    batch = reconstruct(sys, datas, cfg)
     assert len(batch) == len(datas)
     for data, r in zip(datas, batch):
-        single, = reconstruct(sys, [data], cfg, grid)
+        single, = reconstruct(sys, [data], cfg)
         assert _rel(r.b, single.b) <= 1e-12
         assert _rel(r.u_star.values, single.u_star.values) <= 1e-12
         for name in ("residual_f", "residual_g", "reg_norm"):
@@ -244,7 +262,7 @@ def test_batched_fit_matches_single_fits():
 def test_batched_norms_match_discrete_norms():
     basis, grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
-    for data, r in zip(datas, reconstruct(sys, datas, TikhonovConfig(), grid)):
+    for data, r in zip(datas, reconstruct(sys, datas, TikhonovConfig())):
         res_f = graph_norm(part.gamma_sigma, part.tangential_d1, sys.A @ r.b - data.f)
         r_g = sys.B @ r.b - data.g
         res_g = np.sqrt(np.sum(part.gamma_sigma * r_g**2))
@@ -258,9 +276,9 @@ def test_batch_needs_one_noise_level():
     basis, grid, part, sys = _pipeline_pieces()
     mixed = _noisy_batch(part, level=0.05) + _noisy_batch(part, level=0.01)
     with pytest.raises(ValidationError, match="one noise level"):
-        reconstruct(sys, mixed, TikhonovConfig(), grid)
+        reconstruct(sys, mixed, TikhonovConfig())
     with pytest.raises(ValidationError):
-        reconstruct(sys, [], TikhonovConfig(), grid)
+        reconstruct(sys, [], TikhonovConfig())
 
 
 def test_sweep_factors_once_and_filters_once_per_noise_level(monkeypatch):
@@ -384,7 +402,7 @@ def test_condition_estimate_is_that_of_the_standard_form(sides):
     sys = assemble_system(compute_base_solutions(basis, part), part)
     alpha = 1e-8
     r, = reconstruct(sys, [trace_cauchy(ExpCos(2.0, 0.1), part)],
-                     TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha), grid)
+                     TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha))
     s12 = np.sqrt(sys.sigma)[:, None]
     m0 = np.vstack([s12 * sys.A, s12 * (sys.D1 @ sys.A), s12 * sys.B])
     std = np.vstack([m0 @ np.linalg.pinv(sys.F), np.sqrt(alpha) * np.eye(part.n_boundary)])
