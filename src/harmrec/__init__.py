@@ -2,10 +2,11 @@
 data, with a pointwise reliability certificate.
 
 Given noisy values and normal derivatives on part of the boundary, the
-library fits a boundary density on a slightly enlarged rectangle by
-regularized least squares, rebuilds the interior field from finite-difference
-base solutions, and certifies where the result can be trusted through the
-harmonic measure of the measurement arc.
+library fits the field's traces on the whole boundary by regularized least
+squares with a smoothness penalty, rebuilds the interior field as their
+discrete harmonic extension, writes the equivalent hat density on a slightly
+enlarged rectangle, and certifies where the result can be trusted through
+the harmonic measure of the measurement arc.
 """
 
 from .basis import (BoundaryBasis, DiscreteSystem, assemble_system,

@@ -111,10 +111,10 @@ def _run_checks() -> int:
                             D1=np.array([[0.0]]), h=1.0)
     data_1d = CauchyData(partition=None, points=np.zeros((1, 2)),
                          f=np.array([1.0]), g=np.array([0.0]))
-    b = minimize(sys_1d, data_1d,
+    w = minimize(sys_1d, data_1d,
                  TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha))
     check("scalar ridge solution is 1/(1+alpha)",
-          abs(b[0] - 1.0 / (1.0 + alpha)) < 1e-12, f"b={b[0]:.15g}")
+          abs(w[0] - 1.0 / (1.0 + alpha)) < 1e-12, f"w={w[0]:.15g}")
 
     if failures:
         print(f"FAILED: {failures} failing check(s)")

@@ -64,8 +64,6 @@ _KEYS: dict = {
     "h": (1.0 / 64.0, _number("a positive number", lambda v: v > 0)),
     "gamma_sides": (["bottom"], _SIDE_LIST),
     "padding_layers": (4, _POSITIVE_INT),
-    "basis_kind": ("hat", _one_of("hat", "indicator")),
-    "arcs_per_side": (1, _POSITIVE_INT),
     "exact": ("exp_cos", _one_of("exp_cos", "harmonic_poly", "constant")),
     "exact_a": (4.0, _NUMBER),
     "exact_shift": (0.2, _NUMBER),
@@ -97,11 +95,19 @@ DEFAULTS: dict = {key: default for key, (default, _) in _KEYS.items()}
 
 # Largest dense array a config may ask for: one field or one sine-transform
 # matrix of the domain grid (checked by validate_config, so for every
-# command); the same of the enlarged grid, and the sampled base-solution rows
-# (checked by check_stacked_size, so only where there is a fit); and a sweep
-# level's stack of fields, one per seed (checked by check_sweep_size).  The
-# presets' rows take 13 MB (one side) and 17 MB (two sides) at h = 1/256.
+# command); the same of the enlarged grid, and the largest array of a build
+# and a fit (checked by check_stacked_size, so only where there is a fit);
+# and a sweep level's stack of fields, one per seed (checked by
+# check_sweep_size).  The presets' largest arrays take 8.5 MB at h = 1/256.
 MAX_ARRAY_BYTES = 4e9
+
+# Most padding layers a fit accepts.  The hats' traces V lose a factor of
+# about 5.8 in their smallest singular value per layer, whatever h is (the
+# checkerboard mode decays by 3 - sqrt(8) a layer), and b = V+ w must
+# reproduce the fitted traces.  At 12 layers cond(V) is about 1.5e9, so V
+# keeps full row rank with a margin of over 2000 at h = 1/256; rank is lost
+# at 17 layers there, at 18 for h = 1/64.
+MAX_PADDING_LAYERS = 12
 
 
 def _nodes(r: dict, layers) -> tuple[float, float]:
@@ -121,15 +127,15 @@ def _grid_bytes(r: dict, layers) -> float:
 
 
 def _stacked_bytes(r: dict) -> float:
-    """The largest array of a build and a fit: the (2m + K) x K~ sample of
-    :func:`poisson.rim_extension` (m Γ nodes, K nodes on the domain's rim,
-    K~ on the enlarged rim), 8 B an entry.  The system's A, B (m rows) and
-    V, F (K rows), the data block (2m rows) and the SVD factors are no
-    larger, with at most one column per basis function, K~ for hats.  The
-    enlarged grid's DST-I matrices are bounded apart (:func:`_grid_bytes`)."""
+    """The largest array of a build and a fit, 8 B an entry: the traces V
+    (K x K~, K nodes on the domain's rim and K~ on the enlarged rim), or the
+    data block and the rows B is built from (2m x K, m Γ nodes).  The
+    system's A and B (m rows), the standard form's factors and b's QR of V^T
+    are no larger.  The enlarged grid's DST-I matrices are bounded apart
+    (:func:`_grid_bytes`)."""
     m, k = boundary_counts(*_nodes(r, 0), r["gamma_sides"])
     _, k_tilde = boundary_counts(*_nodes(r, r["padding_layers"]))
-    return 8.0 * (2 * m + k) * k_tilde
+    return 8.0 * k * max(k_tilde, 2 * m)
 
 
 def _check_size(what: str, size: float) -> None:
@@ -146,7 +152,6 @@ def _check_size(what: str, size: float) -> None:
 _SEC5_BASE = {
     "h": 1.0 / 64.0,
     "padding_layers": 1,
-    "basis_kind": "hat",
     "exact": "exp_cos",
     "exact_a": 4.0,
     "exact_shift": 0.2,
@@ -217,12 +222,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 
 def check_stacked_size(cfg: ExperimentConfig) -> None:
-    """Reject, before any allocation, a config whose enlarged grid or
-    sampled base-solution rows would exceed MAX_ARRAY_BYTES."""
+    """Reject, before any allocation, a config whose enlarged grid or whose
+    largest array of a build and a fit would exceed MAX_ARRAY_BYTES, or with
+    more than MAX_PADDING_LAYERS padding layers."""
     _check_size("one field or sine-transform matrix of the enlarged grid",
                 _grid_bytes(cfg.raw, cfg["padding_layers"]))
-    _check_size("the sampled base-solution rows ((2m + K) x enlarged rim nodes x 8 B)",
+    _check_size("the largest array of the fit (K x max(enlarged rim nodes, 2m) x 8 B)",
                 _stacked_bytes(cfg.raw))
+    if cfg["padding_layers"] > MAX_PADDING_LAYERS:
+        raise ValidationError(
+            f"padding_layers must be at most {MAX_PADDING_LAYERS}, where the hats' "
+            f"traces keep full rank, got {cfg['padding_layers']}")
 
 
 def check_sweep_size(cfg: ExperimentConfig) -> None:

@@ -137,6 +137,9 @@ def add_noise(data: CauchyData, level: float, seed: int,
     """
     if level < 0:
         raise ValidationError(f"noise level cannot be negative, got {level}")
+    if data.partition is None:
+        raise ValidationError("adding noise needs the data's partition, for the "
+                              "realized data error's Γ quadrature")
     if level == 0:
         return replace(data, noise_level=0.0, seed=seed, noise_model=model,
                        realized_eps=0.0)

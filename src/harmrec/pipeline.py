@@ -52,8 +52,7 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
     check_stacked_size(cfg)
     grid = build_grid(cfg.rect, cfg["h"])
     partition = boundary_partition(grid, cfg["gamma_sides"])
-    basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"],
-                        omega_rect=cfg.rect, arcs_per_side=cfg["arcs_per_side"])
+    basis = build_basis(cfg.tilde_rect, cfg["h"], omega_rect=cfg.rect)
     system = assemble_system(compute_base_solutions(basis, partition), partition)
     tau = compute_indicate(grid, partition)
     clean = trace_cauchy(cfg.exact_solution(), partition)
@@ -139,14 +138,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None,
         # A numerical failure must leave no partial bundle behind.  Fields
         # are finite by construction (ScalarField); vectors are not.
         hio.json_text(summary, "summary.json")
-        if not all(np.isfinite(v).all() for v in (result.b, data.f, data.g)):
+        b = state.system.coefficients(result.w)
+        if not all(np.isfinite(v).all() for v in (b, data.f, data.g)):
             raise SolverError("non-finite coefficients or boundary data")
         out = hio.out_dir(out_dir)
         hio.write_field_csv(out / "u_star.csv", result.u_star)
         hio.write_field_csv(out / "error.csv", err)
         hio.write_field_csv(out / "exact.csv", exact_field)
         _write_tau(out, "tau", state.tau, contour, "reliability exponent")
-        hio.write_vector_csv(out / "b.csv", result.b)
+        hio.write_vector_csv(out / "b.csv", b)
         hio.write_cauchy_csv(out / "cauchy.csv", data, out / "cauchy.json")
         svg.render_heatmap(exact_field, out / "exact.svg", title="exact solution")
         svg.render_heatmap(result.u_star, out / "u_star.svg", title="reconstruction")

@@ -69,24 +69,31 @@ def _dst_matrix(n: int) -> np.ndarray:
 
 def rim_extension(partition: BoundaryPartition, ii: np.ndarray,
                   jj: np.ndarray) -> np.ndarray:
-    """(P, K) values at the P interior nodes (ii, jj) of the discrete harmonic
+    """(P, K) values at the P nodes (ii, jj) of the discrete harmonic
     extensions of the K rim nodes of ``partition``'s grid, in walk order.  A
-    rim node loads only its interior neighbour, so with S the DST-I and Λ the
-    eigenvalues a side's extensions are ``S (S[:, edge] / Λ) S``; corners give 0."""
+    node on the rim gives a unit row.  A rim node loads only its interior
+    neighbour, so with S the DST-I and Λ the eigenvalues a side's extensions
+    are ``S (S[:, edge] / Λ) S`` at interior nodes; corners give 0 there."""
     ny, nx = partition.grid.shape
     my, mx = ny - 2, nx - 2
-    sy, sx, lam = _dst_matrix(my), _dst_matrix(mx), _dst_eigenvalues(my, mx)
-    py, px = jj - 1, ii - 1
     ni, nj = partition.nodes.T
-    out = np.zeros((len(py), partition.n_boundary))
+    walk_index = np.full((ny, nx), -1)
+    walk_index[nj, ni] = np.arange(partition.n_boundary)
+    at = walk_index[jj, ii]
+    out = np.zeros((len(at), partition.n_boundary))
+    rim = np.flatnonzero(at >= 0)
+    out[rim, at[rim]] = 1.0
+    inner = np.flatnonzero(at < 0)
+    sy, sx, lam = _dst_matrix(my), _dst_matrix(mx), _dst_eigenvalues(my, mx)
+    py, px = jj[inner] - 1, ii[inner] - 1
     for edge, on in ((0, nj == 0), (my - 1, nj == ny - 1)):  # bottom, top
         on &= (ni > 0) & (ni < nx - 1)
         w = sy @ (sy[:, edge, None] / lam)
-        out[:, on] = (sx[px] * w[py]) @ sx[:, ni[on] - 1]
+        out[np.ix_(inner, on)] = (sx[px] * w[py]) @ sx[:, ni[on] - 1]
     for edge, on in ((0, ni == 0), (mx - 1, ni == nx - 1)):  # left, right
         on &= (nj > 0) & (nj < ny - 1)
         w = sx @ (sx[:, edge, None] / lam.T)
-        out[:, on] = (sy[py] * w[px]) @ sy[:, nj[on] - 1]
+        out[np.ix_(inner, on)] = (sy[py] * w[px]) @ sy[:, nj[on] - 1]
     return out
 
 

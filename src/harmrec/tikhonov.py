@@ -1,27 +1,28 @@
-"""Regularized least-squares fit of the boundary density and field rebuild.
+"""Regularized least-squares fit of the rim traces and field rebuild.
 
-The cost is general-form Tikhonov,
+The unknowns are the K traces w of the reconstruction on the domain's
+boundary walk (see :mod:`basis`).  The cost is general-form Tikhonov,
 
-    w_f * |A b - f|_graph^2  +  w_g * |B b - g|_l2^2  +  alpha * |F b|^2
+    w_f * |A w - f|_graph^2  +  w_g * |B w - g|_l2^2  +  alpha * |L w|^2
 
-with F the factor of the smoothness penalty.  Its data terms are
-|M0 b - d|^2 with M0 = [L_f A; L_g B], d = [L_f f; L_g g], L_f sqrt(w_f)
-times the triangular factor of [sqrt(sigma); sqrt(sigma) D1] (the graph
-norm in 2m rows, not 3m) and L_g = diag(sqrt(w_g sigma)).  The minimum-norm
-minimizer comes from the standard form (Eldén, BIT 17, 1977; Hansen,
-*Rank-Deficient and Discrete Ill-Posed Problems*, SIAM 1998): one SVD
-``F = U S Z^T`` gives coordinates ``z = S Z^T b`` in which the penalty is
-``|z|``, and one SVD ``M0 Z S^-1 = P s W^T`` turns every fit into the
-filter factors s / (s^2 + alpha): ``b = Z S^-1 W diag(s / (s^2 + alpha))
-P^T d``.  Neither the normal equations nor F^T F is formed.  An assembled
-data block is blind to null(F), like the penalty, so b has no part there;
-a hand-built system whose data block sees null(F) is rejected.  The pair
-depends only on the system and the data weights, so it is built once and
-kept on the system: a noise sweep costs one factorisation, then per level
-two small products with one column per data set.  The condition estimate
-reported is that of ``[M0 Z S^-1; sqrt(alpha) I]``, the penalty norm of a
-fit is ``|F b|``, and its field is the harmonic extension of the rim traces
-``V b`` on the domain's grid.
+with ``L = sqrt(h) C^(1/2)`` the factor of the smoothness penalty
+``h (|w|^2 + |D1 w|^2 + |D2 w|^2)``, D1 and D2 circulant central differences
+along the closed walk.  L is circulant with eigenvalues at least sqrt(h), so
+it is invertible and applied, either way, by one rfft/irfft pair.  The data
+terms are |M0 w - d|^2 with M0 = [L_f A; L_g B], d = [L_f f; L_g g], L_f
+sqrt(w_f) times the triangular factor of [sqrt(sigma); sqrt(sigma) D1] (the
+graph norm in 2m rows, not 3m) and L_g = diag(sqrt(w_g sigma)).  In the
+standard form (Eldén, BIT 17, 1977; Hansen, *Rank-Deficient and Discrete
+Ill-Posed Problems*, SIAM 1998) y = L w, the penalty is |y|, and one SVD
+``M0 L^-1 = P s W^T`` turns every fit into the filter factors
+s / (s^2 + alpha): ``w = L^-1 W diag(s / (s^2 + alpha)) P^T d``, whose
+penalty norm is |diag(s / (s^2 + alpha)) P^T d|.  Neither the normal
+equations nor L^T L is formed.  The pair depends only on the system and the
+data weights, so it is built once and kept on the system: a noise sweep
+costs one factorisation, then per level two small products with one column
+per data set.  The condition estimate reported is that of
+``[M0 L^-1; sqrt(alpha) I]``, and a fit's field is the harmonic extension of
+w on the domain's grid.
 
 The a-priori regularization weight follows alpha = c * (eps^2 + h^2): the
 basis truncation term of the full rule is not observable, so it is dropped
@@ -83,12 +84,22 @@ class TikhonovConfig:
 
 
 def _penalty_factor(sys: DiscreteSystem) -> np.ndarray:
-    """Matrix F with |F b| the penalty norm of coefficients b.
+    """(K,) eigenvalues of the circulant penalty factor L on the walk's modes
+    t = 2 pi j / K: ``sqrt(h (1 + (sin t / h)^2 + (4 sin^2(t/2) / h^2)^2))``,
+    the roots of those of C.
 
     The fit reads the penalty through this function, which the benchmark's
     span counters also call.
     """
-    return sys.F
+    k, h = sys.A.shape[1], sys.h
+    t = 2 * np.pi * np.arange(k) / k
+    return np.sqrt(h * (1 + (np.sin(t) / h) ** 2 + (4 * np.sin(t / 2) ** 2 / h**2) ** 2))
+
+
+def _solve_penalty(root: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L^-1 x for the (K, c) columns x, L the circulant with eigenvalues root."""
+    k = len(root)
+    return np.fft.irfft(np.fft.rfft(x, axis=0) / root[:k // 2 + 1, None], n=k, axis=0)
 
 
 def _batch(sys: DiscreteSystem, datas: list[CauchyData],
@@ -135,77 +146,62 @@ def _channel_weights(sys: DiscreteSystem, weights: tuple[float, float]) -> list:
 @dataclass(frozen=True)
 class _StandardForm:
     """The cost of one system and one pair of data weights, factored for
-    every alpha.  For the stacked data fg = [f; g] of k data sets,
-    ``b = to_b @ (s / (s^2 + alpha) * (p_t @ fg))``."""
+    every alpha.  For the stacked data fg = [f; g] of k data sets, the
+    filtered coordinates are ``z = s / (s^2 + alpha) * (p_t @ fg)``, the
+    traces ``w = to_w @ z`` and the penalty norms |z|."""
 
     p_t: np.ndarray  # (q, 2m) left singular vectors of M, transposed, on [f; g]
     s: np.ndarray  # (q,) singular values of M, descending
-    to_b: np.ndarray  # (n, q) coefficients of the right singular vectors of M
-    rank: int  # rank of F
+    to_w: np.ndarray  # (K, q) L^-1 applied to the right singular vectors of M
 
-    def solve(self, f: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-        """(k, n) minimum-norm minimizers for the (m, k) data f and g."""
-        fg = np.vstack([f, g])
-        return (self.to_b @ ((self.s / (self.s * self.s + alpha))[:, None]
-                             * (self.p_t @ fg))).T
+    def solve(self, f: np.ndarray, g: np.ndarray,
+              alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """(k, K) minimizers and their (k,) penalty norms for the (m, k) data
+        f and g."""
+        z = (self.s / (self.s * self.s + alpha))[:, None] * (self.p_t @ np.vstack([f, g]))
+        return (self.to_w @ z).T, np.linalg.norm(z, axis=0)
 
     def condition(self, alpha: float) -> float:
         """Condition number of [M; sqrt(alpha) I]: its smallest singular
-        value is sqrt(alpha) when M has fewer than rank-F of its own."""
-        s = np.zeros(max(self.rank, 1))
-        s[:self.s.size] = self.s
-        return float(np.sqrt((s[0] ** 2 + alpha) / (s[-1] ** 2 + alpha)))
+        value is sqrt(alpha) when M has fewer than K of its own."""
+        s_min = self.s[-1] if self.s.size == self.to_w.shape[0] else 0.0
+        return float(np.sqrt((self.s[0] ** 2 + alpha) / (s_min ** 2 + alpha)))
 
 
 def _standard_form(sys: DiscreteSystem, weights: tuple[float, float]) -> _StandardForm:
     """Factor the system for the data weights once; later calls reuse it."""
     if weights in sys._fits:
         return sys._fits[weights]
-    eps = np.finfo(float).eps
     channels = _channel_weights(sys, weights)
     m0 = np.vstack([lc @ (sys.A, sys.B)[c] for c, lc in channels])  # the data block
-
-    factor = _penalty_factor(sys)
+    root = _penalty_factor(sys)
     try:
-        _, sf, zt = np.linalg.svd(factor, full_matrices=False)
-        rank = int((sf > max(factor.shape) * eps * sf[0]).sum())
-        zt, sf = zt[:rank], sf[:rank]
-        m_z = m0 @ zt.T
-        # The data block on null(F).  For an assembled system it is what
-        # rounding leaks into the computed null(F), bounded by the SVD's
-        # error over F's smallest kept singular value (Wedin), times |M0|;
-        # a hand-built data block that sees more of null(F) is rejected.
-        tol = max(m0.shape) * eps * np.linalg.norm(m0) * (sf[0] / sf[-1] if rank else 1.0)
-        if np.linalg.norm(m0 - m_z @ zt) > tol:
-            raise ValidationError(
-                "the data block sees coefficient directions the penalty does "
-                "not (null(F)), which no assembled system does")
-        p, s, wt = np.linalg.svd(m_z / sf, full_matrices=False)  # M0 Z S^-1
+        p, s, wt = np.linalg.svd(_solve_penalty(root, m0.T).T, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"factorising the fit failed: {exc}") from exc
     p_t = np.zeros((len(s), 2 * sys.m))  # P^T acting on the data rows, as on [f; g]
     for i, (c, lc) in enumerate(channels):
         p_t[:, c * sys.m:(c + 1) * sys.m] = p.T[:, i * sys.m:(i + 1) * sys.m] @ lc
-    to_b = zt.T @ (wt.T / sf[:, None])  # b = Z S^-1 z for z = W (filtered data)
-    fit = _StandardForm(p_t=p_t, s=s, to_b=to_b, rank=rank)
+    fit = _StandardForm(p_t=p_t, s=s, to_w=_solve_penalty(root, wt.T))
     sys._fits[weights] = fit
     return fit
 
 
 def minimize(sys: DiscreteSystem, data: CauchyData, cfg: TikhonovConfig) -> np.ndarray:
-    """Coefficient vector minimizing the regularized cost.
+    """The (K,) traces minimizing the regularized cost.
 
     The a-priori alpha rule is resolved with the data's configured noise
     level (the realized graph-norm error grows like level/h and would
     over-regularize) and the system's grid spacing.
     """
     alpha, f, g = _batch(sys, [data], cfg)
-    return _standard_form(sys, cfg.data_weights).solve(f, g, alpha)[0]
+    w, _ = _standard_form(sys, cfg.data_weights).solve(f, g, alpha)
+    return w[0]
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    b: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)  # (K,) fitted traces on the boundary walk
     u_star: ScalarField
     residual_f: float
     residual_g: float
@@ -215,53 +211,52 @@ class ReconstructionResult:
     effective_rank: int
 
     def __post_init__(self):
-        self.b.setflags(write=False)
+        self.w.setflags(write=False)
 
 
-def reconstruct_field(b: np.ndarray, sys: DiscreteSystem) -> ScalarField | list[ScalarField]:
-    """Combine base solutions with coefficients on the system's grid: the
-    harmonic field whose rim data, in walk order, are the traces ``V b``,
-    one batched solve for all.  ``b`` (n,) gives one field, (k, n) a list of k.
+def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> ScalarField | list[ScalarField]:
+    """The harmonic field on the system's grid whose rim data, in walk order,
+    are the traces w, one batched solve for all.  ``w`` (K,) gives one field,
+    (k, K) a list of k.
     """
-    b = np.asarray(b, dtype=float)
-    if b.shape[-1:] != (sys.n,) or b.ndim > 2:
-        raise ValidationError(f"expected {sys.n} coefficients, got {b.shape}")
+    w = np.asarray(w, dtype=float)
+    k = sys.A.shape[1]
+    if w.shape[-1:] != (k,) or w.ndim > 2:
+        raise ValidationError(f"expected {k} traces, got {w.shape}")
     grid = sys.grid
     if grid is None:
         raise ValidationError("a system without a grid has no field to rebuild")
     walk, _ = _boundary_walk(grid.nx, grid.ny)
-    rim = np.atleast_2d(b) @ sys.V.T
-    u = np.zeros(rim.shape[:1] + grid.shape)
-    u[:, walk[:, 1], walk[:, 0]] = rim
+    u = np.zeros((len(np.atleast_2d(w)),) + grid.shape)
+    u[:, walk[:, 1], walk[:, 0]] = w
     solve_interior(u)
     out = [ScalarField(grid=grid, values=v) for v in u]
-    return out[0] if b.ndim == 1 else out
+    return out[0] if w.ndim == 1 else out
 
 
 def reconstruct(sys: DiscreteSystem, datas: list[CauchyData],
                 cfg: TikhonovConfig) -> list[ReconstructionResult]:
     """Full solve for data sets sharing one noise level: per data set the
-    coefficients, the field on the system's grid, and the fit diagnostics."""
+    traces, the field on the system's grid, and the fit diagnostics."""
     alpha, f, g = _batch(sys, datas, cfg)
     fit = _standard_form(sys, cfg.data_weights)
-    b = fit.solve(f, g, alpha)
-    u_stars = reconstruct_field(b, sys)
+    w, reg = fit.solve(f, g, alpha)
+    u_stars = reconstruct_field(w, sys)
     # Graph norm of the f residual and quadrature norm of the g residual,
     # one column per data set.
-    r_g = sys.B @ b.T - g
-    res_f = graph_norm(sys.sigma, sys.D1, sys.A @ b.T - f)
+    r_g = sys.B @ w.T - g
+    res_f = graph_norm(sys.sigma, sys.D1, sys.A @ w.T - f)
     res_g = np.sqrt(sys.sigma @ (r_g * r_g))
-    reg = np.linalg.norm(sys.F @ b.T, axis=0)
     return [
         ReconstructionResult(
-            b=b[k],
+            w=w[k],
             u_star=u_stars[k],
             residual_f=float(res_f[k]),
             residual_g=float(res_g[k]),
             reg_norm=float(reg[k]),
             alpha_used=alpha,
             condition_estimate=fit.condition(alpha),
-            effective_rank=fit.rank,
+            effective_rank=w.shape[1],
         )
         for k in range(len(datas))
     ]

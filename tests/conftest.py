@@ -36,13 +36,11 @@ def spsolve_dirichlet():
 
 
 def _base_solution_fields(basis):
-    """(n, ny, nx) base solutions of ``basis`` on its enlarged grid, from
-    data written arc by arc from the support ranges and solved by the sparse
-    reference."""
+    """(n, ny, nx) base solutions of ``basis`` on its enlarged grid, hat k
+    written as data 1 at walk node k and solved by the sparse reference."""
     walk = basis.tilde_partition.nodes
     data = np.zeros((basis.n,) + basis.tilde_grid.shape)
-    for k, (lo, hi) in enumerate(basis.support):
-        data[k, walk[lo:hi, 1], walk[lo:hi, 0]] = 1.0
+    data[np.arange(basis.n), walk[:, 1], walk[:, 0]] = 1.0
     return _spsolve_dirichlet(data)
 
 

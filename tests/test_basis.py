@@ -3,136 +3,100 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from harmrec import (ExpCos, Rect, ValidationError, add_noise,
+from harmrec import (ExpCos, Rect, TikhonovConfig, ValidationError, add_noise,
                      assemble_system, boundary_partition, build_basis,
-                     build_grid, compute_base_solutions, reconstruct_field,
-                     trace_cauchy)
-from harmrec.basis import BoundaryBasis
-from harmrec.grid import SIDES, graph_norm
-from harmrec.poisson import normal_stencil
+                     build_grid, compute_base_solutions, reconstruct,
+                     reconstruct_field, trace_cauchy)
+from harmrec.grid import graph_norm
+from harmrec.poisson import normal_stencil, rim_extension
 
 
 def test_hat_count_matches_reference_setup():
     # one padding layer at h=1/64: 66 intervals per side, 264 boundary hats
     tilde = Rect(-1 / 64, -1 / 64, 1 + 1 / 64, 1 + 1 / 64)
-    basis = build_basis(tilde, 1 / 64, "hat", omega_rect=Rect(0, 0, 1, 1))
+    basis = build_basis(tilde, 1 / 64, omega_rect=Rect(0, 0, 1, 1))
     assert basis.n == 264
 
 
-def test_indicator_four_arcs_partition_boundary():
-    tilde = Rect(-0.125, -0.125, 1.125, 1.125)
-    basis = build_basis(tilde, 0.125, "indicator", omega_rect=Rect(0, 0, 1, 1))
-    assert basis.n == 4
-    lo, hi = basis.support.T  # consecutive arcs, each walk node in one
-    assert lo[0] == 0 and hi[-1] == basis.tilde_partition.n_boundary
-    assert np.array_equal(lo[1:], hi[:-1]) and (hi > lo).all()
-
-
 def test_hat_data_are_unit_vectors():
+    # sampled on the enlarged rim itself, hat k's base solution is 1 at walk
+    # node k alone: the rim rows of the extension are unit rows
     tilde = Rect(-0.25, -0.25, 1.25, 1.25)
-    basis = build_basis(tilde, 0.25, "hat", omega_rect=Rect(0, 0, 1, 1))
-    # hat k is 1 at walk node k alone
-    k = np.arange(basis.tilde_partition.n_boundary)
-    assert np.array_equal(basis.support, np.column_stack([k, k + 1]))
-
-
-@pytest.mark.parametrize("support", [[[4, 5], [5, 6]], [[0, 3], [2, 16]],
-                                     [[0, 0], [0, 16]], [[0, 8]], [[8, 16], [0, 8]]])
-def test_basis_arcs_must_split_the_walk(support):
-    tilde_grid = build_grid(Rect(0, 0, 1, 1), 0.25)  # 16 walk nodes
-    tilde_part = boundary_partition(tilde_grid, SIDES)
-    with pytest.raises(ValidationError, match="split the boundary walk"):
-        BoundaryBasis(tilde_grid=tilde_grid, tilde_partition=tilde_part,
-                      kind="indicator", support=np.array(support))
+    basis = build_basis(tilde, 0.25, omega_rect=Rect(0, 0, 1, 1))
+    walk = basis.tilde_partition.nodes
+    rows = rim_extension(basis.tilde_partition, walk[:, 0], walk[:, 1])
+    assert np.array_equal(rows, np.eye(basis.n))
 
 
 def test_strict_containment_required():
     with pytest.raises(ValidationError):
-        build_basis(Rect(0, 0, 1, 1), 0.125, "hat", omega_rect=Rect(0, 0, 1, 1))
+        build_basis(Rect(0, 0, 1, 1), 0.125, omega_rect=Rect(0, 0, 1, 1))
     with pytest.raises(ValidationError):
-        build_basis(Rect(0, -0.125, 1.125, 1.125), 0.125, "hat",
-                    omega_rect=Rect(0, 0, 1, 1))
+        build_basis(Rect(0, -0.125, 1.125, 1.125), 0.125, omega_rect=Rect(0, 0, 1, 1))
 
 
-def _small_setup(h=1 / 8, pad_layers=1, kind="hat"):
+def _small_setup(h=1 / 8, pad_layers=1):
     omega = Rect(0, 0, 1, 1)
-    pad = pad_layers * h
-    basis = build_basis(omega.padded(pad), h, kind, omega_rect=omega)
+    basis = build_basis(omega.padded(pad_layers * h), h, omega_rect=omega)
     grid = build_grid(omega, h)
     part = boundary_partition(grid, ["bottom"])
     return basis, compute_base_solutions(basis, part), grid, part
 
 
 def test_whole_boundary_arc_gives_constant_one():
-    omega = Rect(0, 0, 1, 1)
-    tilde_grid = build_grid(omega.padded(0.125), 0.125)
-    tilde_part = boundary_partition(tilde_grid, SIDES)
-    basis = BoundaryBasis(tilde_grid=tilde_grid, tilde_partition=tilde_part,
-                          kind="indicator",
-                          support=np.array([[0, tilde_part.n_boundary]]))
-    grid = build_grid(omega, 0.125)
-    part = boundary_partition(grid, ["bottom"])
-    rows = compute_base_solutions(basis, part)
-    assert np.abs(rows - 1.0).max() < 1e-10
-    sys = assemble_system(rows, part)
-    assert np.abs(reconstruct_field([1.0], sys).values - 1.0).max() < 1e-10
-    assert np.abs(sys.A - 1.0).max() < 1e-10
-    assert np.abs(sys.B).max() < 1e-10 / 0.125  # zero up to tol/h
+    # the hats sum to 1 on the whole enlarged boundary, so their base
+    # solutions sum to the constant 1: its traces, field and data
+    basis, traces, grid, part = _small_setup(h=0.125)
+    w = traces @ np.ones(basis.n)
+    assert np.abs(w - 1.0).max() < 1e-10
+    sys = assemble_system(traces, part)
+    assert np.abs(reconstruct_field(w, sys).values - 1.0).max() < 1e-10
+    assert np.abs(sys.A @ w - 1.0).max() < 1e-10
+    assert np.abs(sys.B @ w).max() < 1e-10 / 0.125  # zero up to tol/h
 
 
 def test_base_solutions_partition_of_unity_and_max_principle():
-    # on the sampled rows, and on every base solution rebuilt over the grid
-    basis, rows, grid, part = _small_setup()
+    # on the sampled traces, and on every base solution rebuilt over the grid
+    basis, traces, grid, part = _small_setup()
     n = basis.n
-    sys = assemble_system(rows, part)
-    fields = np.stack([f.values for f in reconstruct_field(np.eye(n), sys)])
-    for values, total in ((rows, rows.sum(axis=1)), (fields, fields.sum(axis=0))):
+    sys = assemble_system(traces, part)
+    fields = np.stack([f.values for f in reconstruct_field(traces.T, sys)])
+    for values, total in ((traces, traces.sum(axis=1)), (fields, fields.sum(axis=0))):
         assert np.abs(total - 1.0).max() < n * 1e-11
         assert values.min() > -1e-11
         assert values.max() < 1.0 + 1e-11
 
 
-@pytest.mark.parametrize("kind", ["hat", "indicator"])
 @pytest.mark.parametrize("sides", [["bottom"], ["left", "top"], ["bottom", "right", "top"]])
-def test_base_solution_rows_match_sparse_reference(base_solution_fields, kind, sides):
-    # non-square enlarged grid (13 x 11 nodes, two padding layers): the rows
-    # at the two inward stencil nodes and on the inner walk
+def test_base_solution_rows_match_sparse_reference(base_solution_fields, sides):
+    # non-square enlarged grid (13 x 11 nodes, two padding layers): the
+    # traces on the inner walk, and the system's values and normal
+    # differences at Γ applied to them, against the base solutions' own
     h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
-    basis = build_basis(omega.padded(2 * h), h, kind, omega_rect=omega,
-                        arcs_per_side=3)
+    basis = build_basis(omega.padded(2 * h), h, omega_rect=omega)
     assert basis.tilde_grid.shape == (11, 13)
     part = boundary_partition(build_grid(omega, h), sides)
-    ii, jj, _ = normal_stencil(part)
-    pi = np.concatenate([ii[:, 1], ii[:, 2], part.nodes[:, 0]]) + 2
-    pj = np.concatenate([jj[:, 1], jj[:, 2], part.nodes[:, 1]]) + 2
-    expected = base_solution_fields(basis)[:, pj, pi].T
-    rows = compute_base_solutions(basis, part)
-    assert rows.shape == (2 * part.m + part.n_boundary, basis.n)
-    assert np.abs(rows - expected).max() <= 1e-12
+    fields = base_solution_fields(basis)[:, 2:-2, 2:-2]
+    walk = part.nodes
+    traces = compute_base_solutions(basis, part)
+    assert traces.shape == (part.n_boundary, basis.n)
+    assert np.abs(traces - fields[:, walk[:, 1], walk[:, 0]].T).max() <= 1e-12
+    ii, jj, coeffs = normal_stencil(part)
+    normal = sum(c * fields[:, jj[:, p], ii[:, p]].T for p, c in enumerate(coeffs))
+    sys = assemble_system(traces, part)
+    assert np.abs(sys.A @ traces - fields[:, jj[:, 0], ii[:, 0]].T).max() <= 1e-12
+    assert np.abs(sys.B @ traces - normal).max() <= 1e-12 / h
 
 
 def test_assembly_shapes_and_row_sums():
-    basis, rows, grid, part = _small_setup()
-    sys = assemble_system(rows, part)
-    assert sys.A.shape == (part.m, basis.n)
-    assert sys.B.shape == (part.m, basis.n)
-    assert sys.F.shape == (part.n_boundary, basis.n)
-    assert np.abs(sys.A.sum(axis=1) - 1.0).max() < basis.n * 1e-11
+    basis, traces, grid, part = _small_setup()
+    sys = assemble_system(traces, part)
+    k = part.n_boundary
+    assert sys.A.shape == sys.B.shape == (part.m, k)
+    assert sys.V.shape == (k, basis.n)
+    assert np.array_equal(sys.A.sum(axis=1), np.ones(part.m))
+    assert np.abs(sys.B.sum(axis=1)).max() < 1e-11 / grid.h  # constants have no normal slope
     assert sys.sigma.shape == (part.m,)
-
-
-def test_assembly_is_linear_in_basis_data():
-    # a two-node arc equals the sum of its two single-node hats
-    omega = Rect(0, 0, 1, 1)
-    hats = build_basis(omega.padded(0.125), 0.125, "hat", omega_rect=omega)
-    arc = BoundaryBasis(tilde_grid=hats.tilde_grid, tilde_partition=hats.tilde_partition,
-                        kind="indicator",
-                        support=np.array([[0, 4], [4, 6], [6, hats.n]]))
-    part = boundary_partition(build_grid(omega, 0.125), ["bottom"])
-    sys_h = assemble_system(compute_base_solutions(hats, part), part)
-    sys_a = assemble_system(compute_base_solutions(arc, part), part)
-    assert np.abs(sys_h.A[:, 4:6].sum(axis=1) - sys_a.A[:, 1]).max() < 1e-10
-    assert np.abs(sys_h.B[:, 4:6].sum(axis=1) - sys_a.B[:, 1]).max() < 1e-9
 
 
 def _closed_walk(nx, ny):
@@ -142,37 +106,37 @@ def _closed_walk(nx, ny):
             + [(0, j) for j in range(ny - 1, 0, -1)])
 
 
-def test_penalty_factor_gives_closed_polyline_trace_norm(base_solution_fields):
-    # |F b|^2 = sum h (t^2 + (D1 t)^2 + (D2 t)^2) over the inner boundary,
-    # t the trace of the combined base solutions and D1, D2 the circulant
-    # central differences, summed node by node from the sparse reference
+def test_penalty_factor_gives_closed_polyline_trace_norm():
+    # reg_norm^2 = sum h (t^2 + (D1 t)^2 + (D2 t)^2) over the domain's
+    # boundary, t the trace of the fitted field and D1, D2 the circulant
+    # central differences, summed node by node
     h = 1 / 8
-    omega = Rect(0, 0, 1, 0.75)  # non-square: 9 x 7 inner nodes
-    basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
+    omega = Rect(0, 0, 1, 0.75)  # non-square: 9 x 7 nodes
+    basis = build_basis(omega.padded(h), h, omega_rect=omega)
     part = boundary_partition(build_grid(omega, h), ["bottom"])
     sys = assemble_system(compute_base_solutions(basis, part), part)
-    b = np.random.default_rng(5).normal(size=basis.n)
-    u = np.tensordot(b, base_solution_fields(basis), axes=1)
-    t = [u[j + 1, i + 1] for i, j in _closed_walk(9, 7)]  # one padding layer
+    data = add_noise(trace_cauchy(ExpCos(2.0, 0.1), part), 0.2, seed=5)
+    r, = reconstruct(sys, [data], TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-3))
+    t = [r.u_star.values[j, i] for i, j in _closed_walk(9, 7)]
     k = len(t)
     norm2 = 0.0
     for p in range(k):
         prev, nxt = t[p - 1], t[(p + 1) % k]
         norm2 += h * (t[p] ** 2 + ((nxt - prev) / (2 * h)) ** 2
                       + ((nxt - 2 * t[p] + prev) / h**2) ** 2)
-    assert abs(np.sum((sys.F @ b) ** 2) - norm2) <= 1e-12 * norm2
+    assert abs(r.reg_norm**2 - norm2) <= 1e-12 * norm2
 
 
 def test_misaligned_grids_rejected():
-    basis, rows, _, _ = _small_setup(h=1 / 8)
+    basis, traces, _, _ = _small_setup(h=1 / 8)
     shifted = boundary_partition(build_grid(Rect(0.01, 0, 1.01, 1), 1 / 8),
                                  ["bottom"])
     with pytest.raises(ValidationError):
         compute_base_solutions(basis, shifted)
-    # rows sampled for another partition do not fit this one
-    other = boundary_partition(build_grid(Rect(0, 0, 1, 1), 1 / 8), ["bottom", "top"])
-    with pytest.raises(ValidationError, match="sampled rows"):
-        assemble_system(rows, other)
+    # traces sampled on another grid's walk do not fit this one
+    other = boundary_partition(build_grid(Rect(0, 0, 1.125, 1), 1 / 8), ["bottom"])
+    with pytest.raises(ValidationError, match="sampled trace rows"):
+        assemble_system(traces, other)
 
 
 def _graph_norm(part, v):
@@ -233,7 +197,7 @@ def test_trace_error_decays_as_h_shrinks():
     errs = []
     for h in (1 / 8, 1 / 16):
         omega = Rect(0, 0, 1, 1)
-        basis = build_basis(omega.padded(0.125), h, "hat", omega_rect=omega)
+        basis = build_basis(omega.padded(0.125), h, omega_rect=omega)
         part = boundary_partition(build_grid(omega, h), ["bottom"])
         sys = assemble_system(compute_base_solutions(basis, part), part)
         walk = basis.tilde_partition.nodes
@@ -242,5 +206,5 @@ def test_trace_error_decays_as_h_shrinks():
         b = np.asarray(exact.value(bx, by))
         f_exact = np.asarray(exact.value(part.gamma_points[:, 0],
                                          part.gamma_points[:, 1]))
-        errs.append(_graph_norm(part, sys.A @ b - f_exact))
+        errs.append(_graph_norm(part, sys.A @ (sys.V @ b) - f_exact))
     assert errs[1] <= errs[0] / 2.0

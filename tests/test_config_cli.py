@@ -10,8 +10,9 @@ import pytest
 from harmrec import DEFAULTS, PRESETS, ValidationError, resolve_config, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.cli import main
-from harmrec.config import (MAX_ARRAY_BYTES, _grid_bytes, _stacked_bytes, check_stacked_size,
-                            check_sweep_size)
+from harmrec.config import (MAX_ARRAY_BYTES, MAX_PADDING_LAYERS, _grid_bytes, _stacked_bytes,
+                            check_stacked_size, check_sweep_size)
+from harmrec.grid import Rect, boundary_partition, build_grid
 from harmrec.pipeline import build_state, tik_config
 from harmrec.tikhonov import reconstruct
 
@@ -282,9 +283,10 @@ def test_cli_rejects_unbuildable_grid_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("raw", [
-    {"x1": 256.0},  # 65666 sampled rows x 32928 rim nodes, about 17 GB
+    {"x1": 256.0},  # V: 32896 rim nodes x 32928 enlarged rim nodes, 8.7 GB
     {"padding_layers": 10**308},
-    {"basis_kind": "indicator", "arcs_per_side": 10**308, "padding_layers": 10**308},
+    # V would fit (3.0 GB), the data block (2m = 38404 rows x K = 19328) not (5.9 GB)
+    {"x1": 150.0, "gamma_sides": ["bottom", "top"]},
 ])
 def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, raw):
     _expect_size_error(tmp_path, capsys, command, raw)
@@ -292,10 +294,10 @@ def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, raw):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_rejects_stacked_matrix_over_limit_exit_2(tmp_path, capsys, command):
-    # every grid array would fit (0.54 GB), the sampled rows would not (4.4 GB)
-    r = validate_config({"x1": 128.0}).raw
+    # every grid array would fit (2.1 GB), the traces V would not (8.7 GB)
+    r = validate_config({"x1": 256.0}).raw
     assert _grid_bytes(r, r["padding_layers"]) < MAX_ARRAY_BYTES < _stacked_bytes(r)
-    _expect_size_error(tmp_path, capsys, command, {"x1": 128.0})
+    _expect_size_error(tmp_path, capsys, command, {"x1": 256.0})
 
 
 def test_arrays_over_limit_rejected_from_the_config_alone():
@@ -303,7 +305,7 @@ def test_arrays_over_limit_rejected_from_the_config_alone():
     # would be 29999^2 x 8 B, 7.2 GB; nothing is solved here
     with pytest.raises(ValidationError, match="sine-transform matrix of the grid"):
         validate_config({"x1": 3000.0, "y1": 0.2, "h": 0.1})
-    # the same holds for the enlarged grid: 40001^2 x 8 B, for 18 MB of rows
+    # the same holds for the enlarged grid: 40001^2 x 8 B, for a 10 MB V
     cfg = validate_config({"h": 0.5, "padding_layers": 20000})
     assert _stacked_bytes(cfg.raw) < 20e6
     with pytest.raises(ValidationError, match="enlarged grid"):
@@ -326,27 +328,50 @@ def test_cli_tau_builds_no_stack(tmp_path):
     assert (tmp_path / "out" / "tau_bottom.svg").exists()
 
 
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16, 1 / 64])
+def test_traces_keep_full_rank_at_the_padding_bound(h):
+    # so that b = V+ w reproduces the fitted traces, which b.csv promises
+    omega = Rect(0, 0, 1, 1)
+    basis = build_basis(omega.padded(MAX_PADDING_LAYERS * h), h, omega_rect=omega)
+    part = boundary_partition(build_grid(omega, h), ["bottom"])
+    traces = compute_base_solutions(basis, part)
+    assert np.linalg.matrix_rank(traces) == part.n_boundary
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_padding_over_the_bound_exit_2(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 1 / 8, "padding_layers": MAX_PADDING_LAYERS + 1}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "validation" and "padding_layers" in error["message"]
+    assert not out.exists()
+    # tau builds no basis, so the bound does not apply there
+    assert main(["tau", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_presets_validate_at_h_256(preset):
     cfg = resolve_config(preset=preset, overrides={"h": 1 / 256})
-    # 1538 (one side) or 2052 (two sides) sampled rows by 1032 rim nodes
-    assert 12e6 < _stacked_bytes(cfg.raw) < 17e6 < MAX_ARRAY_BYTES
+    # V: 1024 rim nodes by 1032 enlarged rim nodes, more than 2m (514 or 1028)
+    assert _stacked_bytes(cfg.raw) == 8.0 * 1024 * 1032
     check_stacked_size(cfg)
 
 
 @pytest.mark.parametrize("extra", [
     {"h": 0.25},
     {"h": 0.125, "x1": 1.5, "y0": -0.25, "padding_layers": 2},
-    {"h": 0.125, "basis_kind": "indicator", "arcs_per_side": 3},
-    {"h": 0.25, "basis_kind": "indicator", "arcs_per_side": 100},
+    {"h": 0.125, "padding_layers": MAX_PADDING_LAYERS},
+    {"h": 0.25, "x1": 3.0, "gamma_sides": ["bottom", "top"], "padding_layers": 1},  # 2m > K~
     {"h": 0.125, "x1": 1.5, "gamma_sides": ["left", "bottom", "right"]},
     {"h": 0.125, "y1": 1.5, "gamma_sides": ["top", "left"], "padding_layers": 3},
 ])
 def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
-    # check_stacked_size's estimate, the size of the (2m + K)-row sample of
-    # the base solutions, bounds every array the build and the fit
-    # allocate: the sampled rows, the system, every input and output of
-    # their SVDs, QRs and stacks, and the factorisation kept on the system
+    # check_stacked_size's estimate, the larger of the traces V and the
+    # data block, bounds every array the build, the fit and b allocate: the
+    # system, every input and output of their SVDs, QRs and stacks, and the
+    # factorisation kept on the system
     cfg = validate_config(extra)
     sizes = []
 
@@ -362,13 +387,11 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     for mod, name in ((np, "vstack"), (np.linalg, "svd"), (np.linalg, "qr")):
         monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
     state = build_state(cfg)
-    reconstruct(state.system, [state.clean_data], tik_config(cfg))
-    basis = build_basis(cfg.tilde_rect, cfg["h"], cfg["basis_kind"], omega_rect=cfg.rect,
-                        arcs_per_side=cfg["arcs_per_side"])
-    rows = compute_base_solutions(basis, state.partition)
     sys = state.system
+    result, = reconstruct(sys, [state.clean_data], tik_config(cfg))
+    b = sys.coefficients(result.w)
     fit, = sys._fits.values()
-    held = [rows, sys.A, sys.B, sys.V, sys.F, sys.D1, fit.p_t, fit.s, fit.to_b]
+    held = [sys.A, sys.B, sys.V, sys.D1, fit.p_t, fit.s, fit.to_w, b]
     sizes += [a.nbytes for a in held]
     assert len(sizes) > len(held)
     assert max(sizes) <= _stacked_bytes(cfg.raw)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ def test_noise_level_zero_is_identity():
     assert np.array_equal(noisy.f, data.f)
     assert np.array_equal(noisy.g, data.g)
     assert noisy.realized_eps == 0.0
+
+
+@pytest.mark.parametrize("level", [0.0, 0.01])
+def test_noise_needs_the_partition(level):
+    # hand-built data carry no partition, so no Γ quadrature for the
+    # realized data error: a validation error, not an AttributeError
+    data = replace(trace_cauchy(ExpCos(4.0, 0.2), _partition()), partition=None)
+    with pytest.raises(ValidationError, match="partition"):
+        add_noise(data, level, seed=5)
 
 
 def test_noise_deterministic_given_seed_and_model():

@@ -11,7 +11,6 @@ from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, Rect,
                      build_grid, compute_base_solutions,
                      minimize, reconstruct, reconstruct_field, run_sweep,
                      select_alpha, trace_cauchy, validate_config)
-from harmrec.basis import BoundaryBasis
 from harmrec.grid import SIDES, graph_norm
 from harmrec.tikhonov import _penalty_factor, _standard_form
 
@@ -71,11 +70,22 @@ def test_zero_data_gives_zero_coefficients():
 
 def _pipeline_pieces(h=1 / 8):
     omega = Rect(0, 0, 1, 1)
-    basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
+    basis = build_basis(omega.padded(h), h, omega_rect=omega)
     grid = build_grid(omega, h)
     part = boundary_partition(grid, ["bottom"])
     sys = assemble_system(compute_base_solutions(basis, part), part)
     return basis, grid, part, sys
+
+
+def _dense_penalty_factor(sys):
+    """(K, K) sqrt(h) C^(1/2) for C = I + D1^T D1 + D2^T D2, D1 and D2 the
+    circulant central differences, from an eigendecomposition of dense C."""
+    k, h = sys.A.shape[1], sys.h
+    shift = np.roll(np.eye(k), 1, axis=1)
+    d1 = (shift - shift.T) / (2 * h)
+    d2 = (shift - 2 * np.eye(k) + shift.T) / h**2
+    lam, vec = np.linalg.eigh(np.eye(k) + d1.T @ d1 + d2.T @ d2)
+    return np.sqrt(h) * (vec * np.sqrt(lam)) @ vec.T
 
 
 def test_noiseless_constant_reconstruction():
@@ -103,46 +113,39 @@ def test_first_order_optimality():
     data = trace_cauchy(Constant(2.0), part)
     alpha = 1e-5
     cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
-    b = minimize(sys, data, cfg)
+    w = minimize(sys, data, cfg)
     s = sys.sigma
-    rf = sys.A @ b - data.f
-    rg = sys.B @ b - data.g
+    rf = sys.A @ w - data.f
+    rg = sys.B @ w - data.g
     d1 = sys.D1
+    ell = _dense_penalty_factor(sys)
     grad = (2 * sys.A.T @ (s * rf) + 2 * (d1 @ sys.A).T @ (s * (d1 @ rf))
-            + 2 * sys.B.T @ (s * rg) + 2 * alpha * sys.F.T @ (sys.F @ b))
-    # structurally invisible directions (grid-corner hats) are pinned to 0
-    visible = np.abs(sys.A).max(axis=0) + np.abs(sys.B).max(axis=0) > 0
-    assert np.linalg.norm(grad[visible]) <= 1e-8 * (1 + np.linalg.norm(b))
+            + 2 * sys.B.T @ (s * rg) + 2 * alpha * ell.T @ (ell @ w))
+    assert np.linalg.norm(grad) <= 1e-8 * (1 + np.linalg.norm(w))
 
 
 def test_reconstruct_field_unit_vector_and_ones(base_solution_fields):
     omega = Rect(0, 0, 1, 1)
     h = 0.125
-    tilde_grid = build_grid(omega.padded(h), h)
-    tilde_part = boundary_partition(tilde_grid, SIDES)
-    basis = BoundaryBasis(tilde_grid=tilde_grid, tilde_partition=tilde_part,
-                          kind="indicator",
-                          support=np.array([[0, 10], [10, tilde_part.n_boundary]]))
+    basis = build_basis(omega.padded(h), h, omega_rect=omega)
     grid = build_grid(omega, h)
     part = boundary_partition(grid, ["bottom"])
     sys = assemble_system(compute_base_solutions(basis, part), part)
-    e0 = reconstruct_field(np.array([1.0, 0.0]), sys)
+    e0 = reconstruct_field(sys.V[:, 0], sys)
     oi = oj = 1  # one padding layer
     assert np.abs(e0.values - base_solution_fields(basis)[
         0, oj:oj + grid.ny, oi:oi + grid.nx]).max() <= 1e-12
-    ones = reconstruct_field(np.array([1.0, 1.0]), sys)
-    assert np.abs(ones.values - 1.0).max() < 2 * 1e-11 * basis.n
+    ones = reconstruct_field(np.ones(part.n_boundary), sys)
+    assert np.abs(ones.values - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("padding", [1, 2, 4])
-@pytest.mark.parametrize("kind", ["hat", "indicator"])
-def test_reconstruct_field_matches_sparse_reference(base_solution_fields, kind, padding):
+def test_reconstruct_field_matches_sparse_reference(base_solution_fields, padding):
     # a batch of random combinations on a non-square grid, rebuilt from the
     # rim traces on the grid alone, against the base solutions solved on the
     # enlarged grid and cropped
     h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
-    basis = build_basis(omega.padded(padding * h), h, kind, omega_rect=omega,
-                        arcs_per_side=3)
+    basis = build_basis(omega.padded(padding * h), h, omega_rect=omega)
     grid = build_grid(omega, h)
     part = boundary_partition(grid, ["bottom", "left"])
     sys = assemble_system(compute_base_solutions(basis, part), part)
@@ -150,37 +153,59 @@ def test_reconstruct_field_matches_sparse_reference(base_solution_fields, kind, 
     inner = slice(padding, -padding)
     ref = np.tensordot(b, base_solution_fields(basis), axes=1)[:, inner, inner]
     assert ref.shape[1:] == grid.shape
-    for fld, r in zip(reconstruct_field(b, sys), ref):
+    for fld, r in zip(reconstruct_field(b @ sys.V.T, sys), ref):
         assert np.abs(fld.values - r).max() <= 1e-12 * np.abs(r).max()
-    single = reconstruct_field(b[1], sys)
+    single = reconstruct_field(sys.V @ b[1], sys)
     assert np.abs(single.values - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
 
 
 def test_reconstruct_field_validation():
-    basis, grid, _, sys = _pipeline_pieces()
-    with pytest.raises(ValidationError, match="coefficients"):
+    basis, grid, part, sys = _pipeline_pieces()
+    k = part.n_boundary
+    with pytest.raises(ValidationError, match="traces"):
         reconstruct_field(np.zeros(3), sys)
-    with pytest.raises(ValidationError, match="coefficients"):
-        reconstruct_field(np.zeros((2, 2, basis.n)), sys)
+    with pytest.raises(ValidationError, match="traces"):
+        reconstruct_field(np.zeros((2, 2, k)), sys)
     # a grid whose rim has another node count than the system's traces, and
     # one with as many rim nodes at another spacing
     for other in (build_grid(Rect(0, 0, 1.125, 1), 1 / 8), build_grid(Rect(0, 0, 2, 2), 1 / 4)):
         with pytest.raises(ValidationError, match="rim nodes"):
             replace(sys, grid=other)
     with pytest.raises(ValidationError, match="without a grid"):
-        reconstruct_field(np.zeros(basis.n), replace(sys, grid=None))
+        reconstruct_field(np.zeros(k), replace(sys, grid=None))
+
+
+_SHAPES = {"A": (2, 3), "B": (2, 3), "V": (3, 5), "sigma": (2,), "D1": (2, 2)}
+
+
+@pytest.mark.parametrize("shapes", [
+    {"A": (2, 3), "B": (1, 3)},  # B has another row count
+    {"B": (2, 4)},  # B acts on more traces than A
+    {"V": (4, 5)},  # V has another row count than A has columns
+    {"sigma": (3,)},
+    {"D1": (2, 3)},
+    {"A": (3,)},
+    {"A": (0, 3), "B": (0, 3), "sigma": (0,), "D1": (0, 0)},
+])
+def test_system_shapes_checked(shapes):
+    # A, B (m x K), V (K x n), sigma (m,) and D1 (m x m), none empty; a
+    # mismatch is a validation error, not numpy's at the first product
+    DiscreteSystem(**{name: np.ones(shape) for name, shape in _SHAPES.items()}, h=0.1)
+    with pytest.raises(ValidationError, match="shape"):
+        DiscreteSystem(**{name: np.ones(shape) for name, shape in {**_SHAPES, **shapes}.items()},
+                       h=0.1)
 
 
 def test_reconstruct_field_lives_on_the_assembled_grid():
     # a 9 x 7 node grid: its transpose has as many rim nodes at the same
     # spacing, so only the grid the system was assembled on can tell them apart
     h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
-    basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
+    basis = build_basis(omega.padded(h), h, omega_rect=omega)
     grid = build_grid(omega, h)
     part = boundary_partition(grid, ["bottom"])
     sys = assemble_system(compute_base_solutions(basis, part), part)
     assert sys.grid == grid
-    fld = reconstruct_field(np.ones(basis.n), sys)
+    fld = reconstruct_field(sys.V @ np.ones(basis.n), sys)
     assert fld.grid == grid and fld.values.shape == (7, 9)
     assert np.abs(fld.values - 1.0).max() < basis.n * 1e-11
 
@@ -214,15 +239,14 @@ def test_residual_decay_with_grid_refinement():
 
 
 def test_penalty_factor_consistency():
+    # the fit reads L as its K eigenvalues on the walk's Fourier modes; they
+    # are those of the dense factor, and at least sqrt(h), so L is invertible
     basis, _, part, sys = _pipeline_pieces()
-    f = _penalty_factor(sys)
-    assert f is sys.F
-    assert f.shape == (part.n_boundary, basis.n)
-    # the corner hats of the enlarged boundary are invisible to the penalty
-    # as they are to A and B
-    invisible = (np.abs(sys.A).max(axis=0) + np.abs(sys.B).max(axis=0)) == 0
-    assert invisible.sum() == 4
-    assert not np.abs(f[:, invisible]).any()
+    root = _penalty_factor(sys)
+    assert root.shape == (part.n_boundary,)
+    dense = np.linalg.eigvalsh(_dense_penalty_factor(sys))
+    assert np.abs(np.sort(root) - dense).max() <= 1e-12 * dense.max()
+    assert root.min() == pytest.approx(np.sqrt(sys.h), rel=1e-15)
 
 
 def test_data_length_mismatch_rejected():
@@ -250,23 +274,24 @@ def test_batched_fit_matches_single_fits():
     assert len(batch) == len(datas)
     for data, r in zip(datas, batch):
         single, = reconstruct(sys, [data], cfg)
-        assert _rel(r.b, single.b) <= 1e-12
+        assert _rel(r.w, single.w) <= 1e-12
         assert _rel(r.u_star.values, single.u_star.values) <= 1e-12
         for name in ("residual_f", "residual_g", "reg_norm"):
             assert _rel(getattr(r, name), getattr(single, name)) <= 1e-12
         assert r.alpha_used == single.alpha_used
     # distinct data give distinct fits: the columns are not mixed up
-    assert _rel(batch[0].b, batch[1].b) > 1e-6
+    assert _rel(batch[0].w, batch[1].w) > 1e-6
 
 
 def test_batched_norms_match_discrete_norms():
     basis, grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
+    ell = _dense_penalty_factor(sys)
     for data, r in zip(datas, reconstruct(sys, datas, TikhonovConfig())):
-        res_f = graph_norm(part.gamma_sigma, part.tangential_d1, sys.A @ r.b - data.f)
-        r_g = sys.B @ r.b - data.g
+        res_f = graph_norm(part.gamma_sigma, part.tangential_d1, sys.A @ r.w - data.f)
+        r_g = sys.B @ r.w - data.g
         res_g = np.sqrt(np.sum(part.gamma_sigma * r_g**2))
-        reg = np.sqrt(r.b @ (sys.F.T @ (sys.F @ r.b)))
+        reg = np.sqrt(r.w @ (ell.T @ (ell @ r.w)))
         assert _rel(r.residual_f, res_f) <= 1e-12
         assert _rel(r.residual_g, res_g) <= 1e-12
         assert _rel(r.reg_norm, reg) <= 1e-12
@@ -308,27 +333,34 @@ def test_sweep_factors_once_and_filters_once_per_noise_level(monkeypatch):
                            "eps_levels": [1e-1, 1e-2, 1e-3],
                            "seeds": [1, 2, 3, 4]})
     run_sweep(cfg)
-    # every level looks the factorisation up; the SVD pair runs once
-    assert len(factorisations) == 3 and len(built) == 2
+    # every level looks the factorisation up; its one SVD runs once
+    assert len(factorisations) == 3 and len(built) == 1
     assert columns == [4, 4, 4]
 
 
 def _stacked_lstsq(sys, f, g, weights, alpha):
-    """Reference fit: SVD least squares of the stacked matrix [M0; sqrt(alpha) F],
-    all-zero columns pinned to 0.  Returns the (k, n) minimizers and the
+    """Reference fit in coefficient space: SVD least squares of the stacked
+    matrix [L_f A V; L_g B V; sqrt(alpha) L V] b = [d; 0], all-zero columns
+    pinned to 0.  Returns the (k, n) minimum-norm minimizers and the
     condition number of the singular values least squares kept."""
     w_f, w_g = weights
     s12 = np.sqrt(sys.sigma)[:, None]
+    a_mat, b_mat = sys.A @ sys.V, sys.B @ sys.V
     blocks, rhs = [], []
     if w_f > 0:
         wf = np.sqrt(w_f) * s12
-        blocks += [wf * sys.A, wf * (sys.D1 @ sys.A)]
+        blocks += [wf * a_mat, wf * (sys.D1 @ a_mat)]
         rhs += [wf * f, wf * (sys.D1 @ f)]
     if w_g > 0:
-        blocks.append(np.sqrt(w_g) * s12 * sys.B)
+        blocks.append(np.sqrt(w_g) * s12 * b_mat)
         rhs.append(np.sqrt(w_g) * s12 * g)
-    blocks.append(np.sqrt(alpha) * sys.F)
-    rhs.append(np.zeros((sys.F.shape[0], f.shape[1])))
+    # F = L V, L applied through the fit's own eigenvalues (checked against
+    # the dense factor in test_penalty_factor_consistency)
+    root = _penalty_factor(sys)
+    k = len(root)
+    f_mat = np.fft.irfft(root[:k // 2 + 1, None] * np.fft.rfft(sys.V, axis=0), n=k, axis=0)
+    blocks.append(np.sqrt(alpha) * f_mat)
+    rhs.append(np.zeros((k, f.shape[1])))
     m_stack = np.vstack(blocks)
     visible = np.abs(m_stack).max(axis=0) > 0
     b = np.zeros((f.shape[1], sys.n))
@@ -339,64 +371,42 @@ def _stacked_lstsq(sys, f, g, weights, alpha):
 
 def _check_against_oracle(sys, weights, alpha, rng):
     f, g = rng.normal(size=(2, sys.m, 3))
-    fit = _standard_form(sys, weights)
-    b = fit.solve(f, g, alpha)
+    w, _ = _standard_form(sys, weights).solve(f, g, alpha)
+    b = sys.coefficients(w.T).T
     ref, kappa = _stacked_lstsq(sys, f, g, weights, alpha)
     # least squares moves b by up to about eps * kappa^2 under rounding,
     # whichever method solves it
     tol = max(1e-12, 1e-15 * kappa**2)
     assert np.abs(b - ref).max() <= tol * np.abs(ref).max()
-    return fit
+    u_ref = np.stack([u.values for u in reconstruct_field(ref @ sys.V.T, sys)])
+    u = np.stack([u.values for u in reconstruct_field(w, sys)])
+    assert np.abs(u - u_ref).max() <= tol * np.abs(u_ref).max()
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(kind=st.sampled_from(["hat", "indicator"]), padding=st.integers(1, 4),
-       k=st.integers(4, 8), shape=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+@given(padding=st.integers(1, 4), k=st.integers(4, 8),
+       shape=st.tuples(st.integers(2, 8), st.integers(2, 8)),
        sides=st.lists(st.sampled_from(SIDES), min_size=1, max_size=3, unique=True),
        weights=st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 2.0)]),
        log_alpha=st.floats(-8.0, 0.0), seed=st.integers(0, 2**32 - 1))
-def test_filtered_fit_matches_stacked_lstsq(kind, padding, k, shape, sides, weights,
+def test_filtered_fit_matches_stacked_lstsq(padding, k, shape, sides, weights,
                                             log_alpha, seed):
     h = 1.0 / k
     omega = Rect(0.0, 0.0, shape[0] * h, shape[1] * h)
-    basis = build_basis(omega.padded(padding * h), h, kind, omega_rect=omega,
-                        arcs_per_side=2)
+    basis = build_basis(omega.padded(padding * h), h, omega_rect=omega)
     part = boundary_partition(build_grid(omega, h), sides)
-    rows = compute_base_solutions(basis, part)
-    sys = assemble_system(rows, part)
-    fit = _check_against_oracle(sys, weights, 10.0**log_alpha, np.random.default_rng(seed))
-    # an assembled data block sees b only through the traces F sees (the fit
-    # would raise ValidationError on one that saw null(F))
-    assert fit.rank == np.linalg.matrix_rank(rows[2 * part.m:])
-    if kind == "hat":  # the K traces are independent: n - K null directions
-        assert fit.rank == part.n_boundary
-
-
-@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
-def test_filtered_fit_matches_stacked_lstsq_when_data_sees_null_of_f(weights):
-    # a hand-built system: V has rank 2 on 6 coefficients and a zero column,
-    # and so has F, since null(F) = null(V).  Where the data block sees
-    # null(F) the fit is rejected; with the data block projected onto the
-    # row space of V it matches the oracle
-    rng = np.random.default_rng(3)
-    v_mat = rng.normal(size=(2, 6)) @ np.diag([1.0, 2.0, 0.5, 1.0, 3.0, 0.0])
-    a_mat, b_mat = rng.normal(size=(2, 5, 6))
-    parts = dict(V=v_mat, sigma=rng.uniform(0.5, 1.0, 5), D1=rng.normal(size=(5, 5)), h=0.1)
-    with pytest.raises(ValidationError, match="null"):
-        _standard_form(DiscreteSystem(A=a_mat, B=b_mat, **parts), weights)
-    row_space = np.linalg.pinv(v_mat) @ v_mat
-    sys = DiscreteSystem(A=a_mat @ row_space, B=b_mat @ row_space, **parts)
-    for alpha in (1e-6, 1e-2, 1.0):
-        assert _check_against_oracle(sys, weights, alpha, rng).rank == 2
+    sys = assemble_system(compute_base_solutions(basis, part), part)
+    # the K traces are independent, so b = V+ w is the oracle's minimizer
+    assert np.linalg.matrix_rank(sys.V) == part.n_boundary
+    _check_against_oracle(sys, weights, 10.0**log_alpha, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("sides", [["bottom"], ["bottom", "top"]])
 def test_condition_estimate_is_that_of_the_standard_form(sides):
-    # F^+ = Z S^-1 U^T, so [M0 F^+; sqrt(alpha) I] has the singular values of
-    # the standard form [M0 Z S^-1; sqrt(alpha) I]; M0 here is the 3m rows
+    # in y = L w the cost is [M0 L^-1; sqrt(alpha) I], M0 here the 3m rows
     # A, D1 A and B.  One side has fewer data rows (2m) than K, two do not.
     h, omega = 1 / 8, Rect(0, 0, 1, 1)
-    basis = build_basis(omega.padded(h), h, "hat", omega_rect=omega)
+    basis = build_basis(omega.padded(h), h, omega_rect=omega)
     grid = build_grid(omega, h)
     part = boundary_partition(grid, sides)
     sys = assemble_system(compute_base_solutions(basis, part), part)
@@ -405,6 +415,7 @@ def test_condition_estimate_is_that_of_the_standard_form(sides):
                      TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha))
     s12 = np.sqrt(sys.sigma)[:, None]
     m0 = np.vstack([s12 * sys.A, s12 * (sys.D1 @ sys.A), s12 * sys.B])
-    std = np.vstack([m0 @ np.linalg.pinv(sys.F), np.sqrt(alpha) * np.eye(part.n_boundary)])
+    std = np.vstack([m0 @ np.linalg.inv(_dense_penalty_factor(sys)),
+                     np.sqrt(alpha) * np.eye(part.n_boundary)])
     assert r.condition_estimate == pytest.approx(np.linalg.cond(std), rel=1e-8)
     assert (r.effective_rank, basis.n - r.effective_rank) == (part.n_boundary, 8)
