@@ -4,13 +4,12 @@ data, with a pointwise reliability certificate.
 Given noisy values and normal derivatives on part of the boundary, the
 library fits the field's traces on the whole boundary by regularized least
 squares with a smoothness penalty, rebuilds the interior field as their
-discrete harmonic extension, writes the equivalent hat density on a slightly
-enlarged rectangle, and certifies where the result can be trusted through
-the harmonic measure of the measurement arc.
+discrete harmonic extension, writes the equivalent hat density on the
+rectangle grown by one grid layer, and certifies where the result can be
+trusted through the harmonic measure of the measurement arc.
 """
 
-from .basis import (BoundaryBasis, DiscreteSystem, assemble_system,
-                    build_basis, compute_base_solutions)
+from .basis import DiscreteSystem, assemble_system, build_basis, compute_base_solutions
 from .config import DEFAULTS, PRESETS, ExperimentConfig, resolve_config, validate_config
 from .errors import SolverError, ValidationError
 from .evaluate import (envelope_check, pointwise_error, rate_fit,

@@ -1,20 +1,22 @@
-"""Hat basis on the enlarged rectangle, its traces, and assembly.
+"""Hat basis one layer of h around the domain, its traces, and assembly.
 
 A candidate reconstruction is a combination of *base solutions*: harmonic
-fields on the enlarged rectangle whose Dirichlet data are the hats, the
-piecewise-linear nodal functions in arc length, one per boundary node of the
-enlarged grid.  Sampled at the grid's boundary nodes a hat is a unit vector,
-so its base solution takes data 1 at one node, 0 elsewhere.
+fields on the domain grid grown by one node on each side, whose Dirichlet
+data are the hats, the piecewise-linear nodal functions in arc length, one
+per boundary node of that grown grid.  Sampled at the grown grid's boundary
+nodes a hat is a unit vector, so its base solution takes data 1 at one node,
+0 elsewhere.  The grown grid is derived from the domain grid; no config key
+sets it.
 
-Only this module knows the enlarged lattice.  No base solution is stored as
+Only this module knows the grown lattice.  No base solution is stored as
 a field: the domain sees a combination b only through its K traces
 ``w = V b`` on the domain's boundary walk, the closed-form rows of
 :func:`poisson.rim_extension` at those K nodes.  Every row the fit reads (the
 Γ values, the two inward normal-stencil nodes of each Γ node) lies in the
 closed domain, where the combination is the harmonic extension of w.  So
-the system's A and B act on w, and V (K × n) maps coefficients to traces.
-The fit solves for w alone; the coefficients b = V⁺w are formed only where
-they are written.
+the system's A and B act on w, and V (K × (K + 8)) maps coefficients to
+traces.  The fit solves for w alone; the coefficients b = V⁺w are formed
+only where they are written.
 """
 
 from __future__ import annotations
@@ -24,38 +26,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grid import (SIDES, BoundaryPartition, Grid2D, Rect, boundary_counts,
+from .grid import (SIDES, BoundaryPartition, Grid2D, boundary_counts,
                    boundary_partition, build_grid)
 from .poisson import normal_stencil, rim_extension
 # Not called here: perfbench/spans.py wraps `basis.solve_dirichlet` by name.
 from .poisson import solve_dirichlet  # noqa: F401
 
 
-@dataclass(frozen=True)
-class BoundaryBasis:
-    """The hats on the boundary of the enlarged grid, one per walk node."""
-
-    tilde_grid: Grid2D
-    tilde_partition: BoundaryPartition = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.tilde_partition.n_boundary
+def _hat_grid(omega: Grid2D) -> Grid2D:
+    return build_grid(omega.rect.padded(omega.h), omega.h)
 
 
-def build_basis(tilde_rect: Rect, h: float, *, omega_rect: Rect) -> BoundaryBasis:
-    """Build the hat basis on the enlarged rectangle.
-
-    The enlarged rectangle must strictly contain ``omega_rect`` and both
-    must live on the same h-lattice (checked again when sampling).
-    """
-    if not tilde_rect.strictly_contains(omega_rect):
-        raise ValidationError(
-            "the enlarged rectangle must strictly contain the reconstruction "
-            f"rectangle (got {tilde_rect} vs {omega_rect})"
-        )
-    grid = build_grid(tilde_rect, h)
-    return BoundaryBasis(tilde_grid=grid, tilde_partition=boundary_partition(grid, SIDES))
+def build_basis(omega_grid: Grid2D) -> BoundaryPartition:
+    """The hats: the boundary walk of ``omega_grid`` grown by one node on
+    each side, one hat per walk node."""
+    return boundary_partition(_hat_grid(omega_grid), SIDES)
 
 
 @dataclass(frozen=True)
@@ -114,36 +99,23 @@ class DiscreteSystem:
 
     def coefficients(self, w: np.ndarray) -> np.ndarray:
         """The minimum-norm coefficients b with ``V b = w``, by one QR of Vᵀ:
-        ``b = Q R^-T w``.  Exact only while V has full row rank (see the
-        padding bound in :mod:`config`)."""
+        ``b = Q R^-T w``.  Exact because V, the traces of one layer of hats,
+        has full row rank (its condition number is about 6)."""
         q, r = np.linalg.qr(self.V.T)
         return q @ np.linalg.solve(r.T, w)
 
 
-def _lattice_offsets(tilde: Grid2D, omega: Grid2D) -> tuple[int, int]:
-    if abs(tilde.h - omega.h) > 1e-12 * max(tilde.h, omega.h):
-        raise ValidationError(
-            f"grids are not aligned: spacings {tilde.h} vs {omega.h} differ"
-        )
-    h = omega.h
-    fi = (omega.rect.x0 - tilde.rect.x0) / h
-    fj = (omega.rect.y0 - tilde.rect.y0) / h
-    oi, oj = int(round(fi)), int(round(fj))
-    if abs(fi - oi) > 1e-9 or abs(fj - oj) > 1e-9:
-        raise ValidationError("reconstruction grid nodes do not sit on the enlarged lattice")
-    if not (oi >= 1 and oj >= 1 and oi + omega.nx <= tilde.nx - 1
-            and oj + omega.ny <= tilde.ny - 1):
-        raise ValidationError("reconstruction grid is not strictly inside the enlarged grid")
-    return oi, oj
-
-
-def compute_base_solutions(basis: BoundaryBasis,
+def compute_base_solutions(hats: BoundaryPartition,
                            omega_partition: BoundaryPartition) -> np.ndarray:
-    """(K, n) values of the base solutions at the K nodes of the domain's
-    boundary walk: the traces V."""
-    oi, oj = _lattice_offsets(basis.tilde_grid, omega_partition.grid)
+    """(K, K + 8) values of the base solutions at the K nodes of the domain's
+    boundary walk: the traces V.  The hats must be :func:`build_basis` of
+    the partition's grid, whose node (i, j) is the hats' node (i + 1, j + 1)."""
+    if hats.grid != _hat_grid(omega_partition.grid):
+        raise ValidationError(
+            f"the hats on {hats.grid} are not those of the domain grid "
+            f"{omega_partition.grid} grown by one node a side")
     walk = omega_partition.nodes
-    return rim_extension(basis.tilde_partition, walk[:, 0] + oi, walk[:, 1] + oj)
+    return rim_extension(hats, walk[:, 0] + 1, walk[:, 1] + 1)
 
 
 def assemble_system(traces: np.ndarray,

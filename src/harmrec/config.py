@@ -51,7 +51,6 @@ def _side_list(value) -> bool:
 _SIDE_LIST = ("a nonempty list of distinct side names, not all four", _side_list)
 _NUMBER = _number("a finite number")
 _NONNEGATIVE = _number("a nonnegative number", lambda v: v >= 0)
-_POSITIVE_INT = _number("a positive integer", lambda v: v >= 1, int)
 
 # key -> (default, (what the value must be, test)).  The rules joining several
 # keys (rectangle, spacing and grid size, alpha_fixed, alpha_c, w_f/w_g) are in
@@ -63,7 +62,6 @@ _KEYS: dict = {
     "y1": (1.0, _NUMBER),
     "h": (1.0 / 64.0, _number("a positive number", lambda v: v > 0)),
     "gamma_sides": (["bottom"], _SIDE_LIST),
-    "padding_layers": (4, _POSITIVE_INT),
     "exact": ("exp_cos", _one_of("exp_cos", "harmonic_poly", "constant")),
     "exact_a": (4.0, _NUMBER),
     "exact_shift": (0.2, _NUMBER),
@@ -95,47 +93,37 @@ DEFAULTS: dict = {key: default for key, (default, _) in _KEYS.items()}
 
 # Largest dense array a config may ask for: one field or one sine-transform
 # matrix of the domain grid (checked by validate_config, so for every
-# command); the same of the enlarged grid, and the largest array of a build
-# and a fit (checked by check_stacked_size, so only where there is a fit);
-# and a sweep level's stack of fields, one per seed (checked by
-# check_sweep_size).  The presets' largest arrays take 8.5 MB at h = 1/256.
+# command); the largest array of a build and a fit (checked by
+# check_stacked_size, so only where there is a fit); and a sweep level's
+# stack of fields, one per seed (checked by check_sweep_size).  The presets'
+# largest arrays take 8.5 MB at h = 1/256.
 MAX_ARRAY_BYTES = 4e9
 
-# Most padding layers a fit accepts.  The hats' traces V lose a factor of
-# about 5.8 in their smallest singular value per layer, whatever h is (the
-# checkerboard mode decays by 3 - sqrt(8) a layer), and b = V+ w must
-# reproduce the fitted traces.  At 12 layers cond(V) is about 1.5e9, so V
-# keeps full row rank with a margin of over 2000 at h = 1/256; rank is lost
-# at 17 layers there, at 18 for h = 1/64.
-MAX_PADDING_LAYERS = 12
+
+def _nodes(r: dict) -> tuple[float, float]:
+    """Node counts along x and y of the domain grid, from the keys alone;
+    floats, so that no extent or count overflows."""
+    return ((r["x1"] - r["x0"]) / r["h"] + 1, (r["y1"] - r["y0"]) / r["h"] + 1)
 
 
-def _nodes(r: dict, layers) -> tuple[float, float]:
-    """Node counts along x and y of the grid padded by ``layers`` a side,
-    from the keys alone; floats, so that no extent or count overflows."""
-    extra = 2.0 * layers + 1
-    return ((r["x1"] - r["x0"]) / r["h"] + extra,
-            (r["y1"] - r["y0"]) / r["h"] + extra)
-
-
-def _grid_bytes(r: dict, layers) -> float:
-    """8 B times the larger of one field on the grid padded by ``layers``
-    and the solvers' DST-I matrix of its longer side, (max(nx, ny) - 2)^2."""
-    nx, ny = _nodes(r, layers)
+def _grid_bytes(r: dict) -> float:
+    """8 B times the larger of one field on the domain grid and the solvers'
+    DST-I matrix of its longer side, (max(nx, ny) - 2)^2."""
+    nx, ny = _nodes(r)
     side = max(nx, ny) - 2
     return 8.0 * max(nx * ny, side * side)
 
 
 def _stacked_bytes(r: dict) -> float:
     """The largest array of a build and a fit, 8 B an entry: the traces V
-    (K x K~, K nodes on the domain's rim and K~ on the enlarged rim), or the
-    data block and the rows B is built from (2m x K, m Γ nodes).  The
-    system's A and B (m rows), the standard form's factors and b's QR of V^T
-    are no larger.  The enlarged grid's DST-I matrices are bounded apart
-    (:func:`_grid_bytes`)."""
-    m, k = boundary_counts(*_nodes(r, 0), r["gamma_sides"])
-    _, k_tilde = boundary_counts(*_nodes(r, r["padding_layers"]))
-    return 8.0 * k * max(k_tilde, 2 * m)
+    (K x (K + 8), K nodes on the domain's rim and K + 8 hats one layer
+    out), or the data block and the rows B is built from (2m x K, m Γ
+    nodes).  The system's A and B (m rows), the standard form's factors and
+    b's QR of V^T are no larger, and neither is a field or DST-I matrix of
+    the grid the hats live on: with nx, ny >= 3 nodes, K (K + 8) =
+    4 (nx + ny)^2 - 16 exceeds both (nx + 2)(ny + 2) and max(nx, ny)^2."""
+    m, k = boundary_counts(*_nodes(r), r["gamma_sides"])
+    return 8.0 * k * max(k + 8, 2 * m)
 
 
 def _check_size(what: str, size: float) -> None:
@@ -146,12 +134,11 @@ def _check_size(what: str, size: float) -> None:
 
 
 # Reference experiment presets: unit square, exp_cos(4, 0.2) truth, 1% noise,
-# h = 1/64, one padding layer so the enlarged boundary carries 264 hats.
+# h = 1/64, so that the 256 rim traces are carried by 264 hats.
 # alpha_c = 0.01 keeps the penalty-norm trend flat across noise levels while
 # leaving the decay window open below the 1% level.
 _SEC5_BASE = {
     "h": 1.0 / 64.0,
-    "padding_layers": 1,
     "exact": "exp_cos",
     "exact_a": 4.0,
     "exact_shift": 0.2,
@@ -182,10 +169,6 @@ class ExperimentConfig:
         r = self.raw
         return Rect(r["x0"], r["y0"], r["x1"], r["y1"])
 
-    @property
-    def tilde_rect(self) -> Rect:
-        return self.rect.padded(self.raw["padding_layers"] * self.raw["h"])
-
     def exact_solution(self) -> ExactSolution:
         kind = self.raw["exact"]
         if kind == "exp_cos":
@@ -207,7 +190,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ValidationError(f"{key} must be {what}, got {merged[key]!r}")
     cfg = ExperimentConfig(raw=merged)
     rect = cfg.rect  # a degenerate rectangle is reported before its size
-    _check_size("one field or sine-transform matrix of the grid", _grid_bytes(merged, 0))
+    _check_size("one field or sine-transform matrix of the grid", _grid_bytes(merged))
     grid = build_grid(rect, merged["h"])
     if min(grid.nx, grid.ny) < 3:
         raise ValidationError(
@@ -222,24 +205,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 
 def check_stacked_size(cfg: ExperimentConfig) -> None:
-    """Reject, before any allocation, a config whose enlarged grid or whose
-    largest array of a build and a fit would exceed MAX_ARRAY_BYTES, or with
-    more than MAX_PADDING_LAYERS padding layers."""
-    _check_size("one field or sine-transform matrix of the enlarged grid",
-                _grid_bytes(cfg.raw, cfg["padding_layers"]))
-    _check_size("the largest array of the fit (K x max(enlarged rim nodes, 2m) x 8 B)",
+    """Reject, before any allocation, a config whose largest array of a
+    build and a fit would exceed MAX_ARRAY_BYTES."""
+    _check_size("the largest array of the fit (K x max(K + 8, 2m) x 8 B)",
                 _stacked_bytes(cfg.raw))
-    if cfg["padding_layers"] > MAX_PADDING_LAYERS:
-        raise ValidationError(
-            f"padding_layers must be at most {MAX_PADDING_LAYERS}, where the hats' "
-            f"traces keep full rank, got {cfg['padding_layers']}")
 
 
 def check_sweep_size(cfg: ExperimentConfig) -> None:
     """Reject, before any allocation, a sweep whose per-level stack of
     fields, one per seed, would exceed MAX_ARRAY_BYTES."""
     _check_size(f"a sweep level's {len(cfg['seeds'])} fields, one per seed",
-                len(cfg["seeds"]) * 8.0 * math.prod(_nodes(cfg.raw, 0)))
+                len(cfg["seeds"]) * 8.0 * math.prod(_nodes(cfg.raw)))
 
 
 def resolve_config(preset: str | None = None, config_path=None,

@@ -55,14 +55,6 @@ class Rect:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    def strictly_contains(self, other: "Rect") -> bool:
-        return (
-            self.x0 < other.x0
-            and self.y0 < other.y0
-            and other.x1 < self.x1
-            and other.y1 < self.y1
-        )
-
     def padded(self, p: float) -> "Rect":
         return Rect(self.x0 - p, self.y0 - p, self.x1 + p, self.y1 + p)
 

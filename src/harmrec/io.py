@@ -2,7 +2,8 @@
 
 Grid field CSV: header ``x,y,value``, one node per row, row-major by j then
 i, 17 significant digits.  Boundary data CSV: header ``x,y,f,g`` with a JSON
-sidecar holding noise metadata.  Vector CSV: a header, then one value per row.
+sidecar holding noise metadata.  Vector CSV (the coefficients b): header
+``b``, then one value per row.
 
 All writers format floats with ``%.17g`` and emit strict JSON (no NaN or
 Infinity) with sorted keys, so identical inputs produce byte-identical files.
@@ -72,20 +73,19 @@ def write_field_csv(path, fld: ScalarField) -> None:
     Path(path).write_text(field_csv_text(fld))
 
 
-def write_cauchy_csv(path, data: CauchyData, sidecar_path=None) -> None:
+def write_cauchy_csv(path, data: CauchyData, sidecar_path) -> None:
     lines = ["x,y,f,g"]
     for (x, y), fv, gv in zip(data.points, data.f, data.g):
         lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(fv)},{_fmt(gv)}")
     Path(path).write_text("\n".join(lines) + "\n")
-    if sidecar_path is not None:
-        dump_json(sidecar_path, {
-            "noise_level": data.noise_level,
-            "seed": data.seed,
-            "model": data.noise_model,
-            "realized_eps": data.realized_eps,
-        })
+    dump_json(sidecar_path, {
+        "noise_level": data.noise_level,
+        "seed": data.seed,
+        "model": data.noise_model,
+        "realized_eps": data.realized_eps,
+    })
 
 
-def write_vector_csv(path, vec: np.ndarray, header: str = "b") -> None:
-    lines = [header] + [_fmt(v) for v in np.asarray(vec, dtype=float)]
+def write_vector_csv(path, vec: np.ndarray) -> None:
+    lines = ["b"] + [_fmt(v) for v in np.asarray(vec, dtype=float)]
     Path(path).write_text("\n".join(lines) + "\n")

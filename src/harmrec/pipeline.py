@@ -52,8 +52,7 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
     check_stacked_size(cfg)
     grid = build_grid(cfg.rect, cfg["h"])
     partition = boundary_partition(grid, cfg["gamma_sides"])
-    basis = build_basis(cfg.tilde_rect, cfg["h"], omega_rect=cfg.rect)
-    system = assemble_system(compute_base_solutions(basis, partition), partition)
+    system = assemble_system(compute_base_solutions(build_basis(grid), partition), partition)
     tau = compute_indicate(grid, partition)
     clean = trace_cauchy(cfg.exact_solution(), partition)
     return PipelineState(cfg=cfg, grid=grid, partition=partition,
@@ -78,11 +77,9 @@ def _write_tau(out, stem: str, tau: ScalarField, contour, title: str) -> list[st
     return names
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None,
-                   state: PipelineState | None = None) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """One reconstruction; writes the artifact bundle when out_dir is given."""
-    if state is None:
-        state = build_state(cfg)
+    state = build_state(cfg)
     data, result = _reconstruct_for(state, cfg["noise_level"], cfg["seed"])
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
     err = ev.pointwise_error(result.u_star, exact_field)

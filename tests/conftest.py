@@ -35,18 +35,18 @@ def spsolve_dirichlet():
     return _spsolve_dirichlet
 
 
-def _base_solution_fields(basis):
-    """(n, ny, nx) base solutions of ``basis`` on its enlarged grid, hat k
+def _base_solution_fields(hats):
+    """(n, ny, nx) base solutions of the ``hats`` on their grid, hat k
     written as data 1 at walk node k and solved by the sparse reference."""
-    walk = basis.tilde_partition.nodes
-    data = np.zeros((basis.n,) + basis.tilde_grid.shape)
-    data[np.arange(basis.n), walk[:, 1], walk[:, 0]] = 1.0
+    walk = hats.nodes
+    data = np.zeros((hats.n_boundary,) + hats.grid.shape)
+    data[np.arange(hats.n_boundary), walk[:, 1], walk[:, 0]] = 1.0
     return _spsolve_dirichlet(data)
 
 
 @pytest.fixture
 def base_solution_fields():
-    """Independent reference for the base solutions of a basis."""
+    """Independent reference for the base solutions of the hats."""
     return _base_solution_fields
 
 

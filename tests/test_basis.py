@@ -7,47 +7,49 @@ from harmrec import (ExpCos, Rect, TikhonovConfig, ValidationError, add_noise,
                      assemble_system, boundary_partition, build_basis,
                      build_grid, compute_base_solutions, reconstruct,
                      reconstruct_field, trace_cauchy)
-from harmrec.grid import graph_norm
+from harmrec.grid import SIDES, graph_norm
 from harmrec.poisson import normal_stencil, rim_extension
 
 
 def test_hat_count_matches_reference_setup():
-    # one padding layer at h=1/64: 66 intervals per side, 264 boundary hats
-    tilde = Rect(-1 / 64, -1 / 64, 1 + 1 / 64, 1 + 1 / 64)
-    basis = build_basis(tilde, 1 / 64, omega_rect=Rect(0, 0, 1, 1))
-    assert basis.n == 264
+    # one layer around the unit square at h=1/64: 66 intervals per side,
+    # 264 boundary hats
+    hats = build_basis(build_grid(Rect(0, 0, 1, 1), 1 / 64))
+    assert hats.grid.rect == Rect(-1 / 64, -1 / 64, 1 + 1 / 64, 1 + 1 / 64)
+    assert hats.n_boundary == 264
 
 
 def test_hat_data_are_unit_vectors():
-    # sampled on the enlarged rim itself, hat k's base solution is 1 at walk
+    # sampled on the hats' rim itself, hat k's base solution is 1 at walk
     # node k alone: the rim rows of the extension are unit rows
-    tilde = Rect(-0.25, -0.25, 1.25, 1.25)
-    basis = build_basis(tilde, 0.25, omega_rect=Rect(0, 0, 1, 1))
-    walk = basis.tilde_partition.nodes
-    rows = rim_extension(basis.tilde_partition, walk[:, 0], walk[:, 1])
-    assert np.array_equal(rows, np.eye(basis.n))
+    hats = build_basis(build_grid(Rect(0, 0, 1, 1), 0.25))
+    walk = hats.nodes
+    rows = rim_extension(hats, walk[:, 0], walk[:, 1])
+    assert np.array_equal(rows, np.eye(hats.n_boundary))
 
 
 def test_strict_containment_required():
-    with pytest.raises(ValidationError):
-        build_basis(Rect(0, 0, 1, 1), 0.125, omega_rect=Rect(0, 0, 1, 1))
-    with pytest.raises(ValidationError):
-        build_basis(Rect(0, -0.125, 1.125, 1.125), 0.125, omega_rect=Rect(0, 0, 1, 1))
-
-
-def _small_setup(h=1 / 8, pad_layers=1):
-    omega = Rect(0, 0, 1, 1)
-    basis = build_basis(omega.padded(pad_layers * h), h, omega_rect=omega)
-    grid = build_grid(omega, h)
+    # the hats lie one layer outside the domain: hats on the domain's own
+    # rim, or two layers out, belong to another grid
+    grid = build_grid(Rect(0, 0, 1, 1), 0.125)
     part = boundary_partition(grid, ["bottom"])
-    return basis, compute_base_solutions(basis, part), grid, part
+    for hats in (boundary_partition(grid, SIDES), build_basis(build_basis(grid).grid)):
+        with pytest.raises(ValidationError, match="grown by one node"):
+            compute_base_solutions(hats, part)
+
+
+def _small_setup(h=1 / 8):
+    grid = build_grid(Rect(0, 0, 1, 1), h)
+    hats = build_basis(grid)
+    part = boundary_partition(grid, ["bottom"])
+    return hats, compute_base_solutions(hats, part), grid, part
 
 
 def test_whole_boundary_arc_gives_constant_one():
     # the hats sum to 1 on the whole enlarged boundary, so their base
     # solutions sum to the constant 1: its traces, field and data
-    basis, traces, grid, part = _small_setup(h=0.125)
-    w = traces @ np.ones(basis.n)
+    hats, traces, grid, part = _small_setup(h=0.125)
+    w = traces @ np.ones(hats.n_boundary)
     assert np.abs(w - 1.0).max() < 1e-10
     sys = assemble_system(traces, part)
     assert np.abs(reconstruct_field(w, sys).values - 1.0).max() < 1e-10
@@ -57,8 +59,8 @@ def test_whole_boundary_arc_gives_constant_one():
 
 def test_base_solutions_partition_of_unity_and_max_principle():
     # on the sampled traces, and on every base solution rebuilt over the grid
-    basis, traces, grid, part = _small_setup()
-    n = basis.n
+    hats, traces, grid, part = _small_setup()
+    n = hats.n_boundary
     sys = assemble_system(traces, part)
     fields = np.stack([f.values for f in reconstruct_field(traces.T, sys)])
     for values, total in ((traces, traces.sum(axis=1)), (fields, fields.sum(axis=0))):
@@ -69,17 +71,18 @@ def test_base_solutions_partition_of_unity_and_max_principle():
 
 @pytest.mark.parametrize("sides", [["bottom"], ["left", "top"], ["bottom", "right", "top"]])
 def test_base_solution_rows_match_sparse_reference(base_solution_fields, sides):
-    # non-square enlarged grid (13 x 11 nodes, two padding layers): the
+    # non-square grid of the hats (11 x 9 nodes around a 9 x 7 domain): the
     # traces on the inner walk, and the system's values and normal
     # differences at Γ applied to them, against the base solutions' own
     h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
-    basis = build_basis(omega.padded(2 * h), h, omega_rect=omega)
-    assert basis.tilde_grid.shape == (11, 13)
-    part = boundary_partition(build_grid(omega, h), sides)
-    fields = base_solution_fields(basis)[:, 2:-2, 2:-2]
+    grid = build_grid(omega, h)
+    hats = build_basis(grid)
+    assert hats.grid.shape == (9, 11)
+    part = boundary_partition(grid, sides)
+    fields = base_solution_fields(hats)[:, 1:-1, 1:-1]
     walk = part.nodes
-    traces = compute_base_solutions(basis, part)
-    assert traces.shape == (part.n_boundary, basis.n)
+    traces = compute_base_solutions(hats, part)
+    assert traces.shape == (part.n_boundary, part.n_boundary + 8)
     assert np.abs(traces - fields[:, walk[:, 1], walk[:, 0]].T).max() <= 1e-12
     ii, jj, coeffs = normal_stencil(part)
     normal = sum(c * fields[:, jj[:, p], ii[:, p]].T for p, c in enumerate(coeffs))
@@ -89,11 +92,11 @@ def test_base_solution_rows_match_sparse_reference(base_solution_fields, sides):
 
 
 def test_assembly_shapes_and_row_sums():
-    basis, traces, grid, part = _small_setup()
+    hats, traces, grid, part = _small_setup()
     sys = assemble_system(traces, part)
     k = part.n_boundary
     assert sys.A.shape == sys.B.shape == (part.m, k)
-    assert sys.V.shape == (k, basis.n)
+    assert sys.V.shape == (k, hats.n_boundary)
     assert np.array_equal(sys.A.sum(axis=1), np.ones(part.m))
     assert np.abs(sys.B.sum(axis=1)).max() < 1e-11 / grid.h  # constants have no normal slope
     assert sys.sigma.shape == (part.m,)
@@ -111,10 +114,9 @@ def test_penalty_factor_gives_closed_polyline_trace_norm():
     # boundary, t the trace of the fitted field and D1, D2 the circulant
     # central differences, summed node by node
     h = 1 / 8
-    omega = Rect(0, 0, 1, 0.75)  # non-square: 9 x 7 nodes
-    basis = build_basis(omega.padded(h), h, omega_rect=omega)
-    part = boundary_partition(build_grid(omega, h), ["bottom"])
-    sys = assemble_system(compute_base_solutions(basis, part), part)
+    grid = build_grid(Rect(0, 0, 1, 0.75), h)  # non-square: 9 x 7 nodes
+    part = boundary_partition(grid, ["bottom"])
+    sys = assemble_system(compute_base_solutions(build_basis(grid), part), part)
     data = add_noise(trace_cauchy(ExpCos(2.0, 0.1), part), 0.2, seed=5)
     r, = reconstruct(sys, [data], TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-3))
     t = [r.u_star.values[j, i] for i, j in _closed_walk(9, 7)]
@@ -128,11 +130,11 @@ def test_penalty_factor_gives_closed_polyline_trace_norm():
 
 
 def test_misaligned_grids_rejected():
-    basis, traces, _, _ = _small_setup(h=1 / 8)
+    hats, traces, _, _ = _small_setup(h=1 / 8)
     shifted = boundary_partition(build_grid(Rect(0.01, 0, 1.01, 1), 1 / 8),
                                  ["bottom"])
     with pytest.raises(ValidationError):
-        compute_base_solutions(basis, shifted)
+        compute_base_solutions(hats, shifted)
     # traces sampled on another grid's walk do not fit this one
     other = boundary_partition(build_grid(Rect(0, 0, 1.125, 1), 1 / 8), ["bottom"])
     with pytest.raises(ValidationError, match="sampled trace rows"):
@@ -196,13 +198,13 @@ def test_trace_error_decays_as_h_shrinks():
     exact = ExpCos(2.0, 0.1)
     errs = []
     for h in (1 / 8, 1 / 16):
-        omega = Rect(0, 0, 1, 1)
-        basis = build_basis(omega.padded(0.125), h, omega_rect=omega)
-        part = boundary_partition(build_grid(omega, h), ["bottom"])
-        sys = assemble_system(compute_base_solutions(basis, part), part)
-        walk = basis.tilde_partition.nodes
-        bx = basis.tilde_grid.rect.x0 + walk[:, 0] * h
-        by = basis.tilde_grid.rect.y0 + walk[:, 1] * h
+        grid = build_grid(Rect(0, 0, 1, 1), h)
+        hats = build_basis(grid)
+        part = boundary_partition(grid, ["bottom"])
+        sys = assemble_system(compute_base_solutions(hats, part), part)
+        walk = hats.nodes
+        bx = hats.grid.rect.x0 + walk[:, 0] * h
+        by = hats.grid.rect.y0 + walk[:, 1] * h
         b = np.asarray(exact.value(bx, by))
         f_exact = np.asarray(exact.value(part.gamma_points[:, 0],
                                          part.gamma_points[:, 1]))

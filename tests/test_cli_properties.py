@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmrec import DEFAULTS, SIDES, ValidationError, validate_config
+from harmrec import (DEFAULTS, SIDES, ValidationError, build_basis, build_grid,
+                     validate_config)
 from harmrec.cli import main
-from harmrec.config import check_stacked_size, check_sweep_size
+from harmrec.config import _grid_bytes, _stacked_bytes, check_stacked_size, check_sweep_size
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -31,8 +32,7 @@ json_values = st.recursive(
 @given(st.dictionaries(st.sampled_from(sorted(DEFAULTS)), json_values, max_size=4))
 @example({"x1": 1e308})
 @example({"x0": -1e308, "x1": 1e308})
-@example({"padding_layers": 10**308})
-@example({"padding_layers": 13})
+@example({"h": 1 / 8192})  # the grid fits, the traces V (8.6 GB) do not
 def test_validate_config_returns_or_raises_validation_error(raw):
     # and so do the size checks that run and sweep add
     try:
@@ -43,16 +43,41 @@ def test_validate_config_returns_or_raises_validation_error(raw):
         pass
 
 
+# The hats' grid, the domain grown by one node a side, is bounded by the
+# stacked guard alone: with nx, ny >= 3, K (K + 8) = 4 (nx + ny)^2 - 16
+# exceeds its (nx + 2)(ny + 2) nodes and its DST-I matrix's max(nx, ny)^2
+# entries.  Extents run up to 20000 intervals, where validate_config still
+# accepts the grid.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(2, 20000), st.integers(2, 20000),
+       st.sampled_from([1 / 1024, 1 / 64, 0.1, 0.3, 1.0, 7.5]),
+       st.integers(-50, 50), st.integers(-50, 50),
+       st.lists(st.sampled_from(SIDES), min_size=1, max_size=3, unique=True))
+@example(2, 2, 1 / 64, 0, 0, ["bottom"])
+@example(2, 20000, 0.3, -50, 50, ["left"])
+@example(20000, 20000, 1 / 1024, 0, 0, ["bottom", "right", "top"])
+def test_stacked_guard_bounds_the_hats_grid(ix, iy, h, i0, j0, sides):
+    x0, y0 = i0 * h, j0 * h
+    cfg = validate_config({"x0": x0, "y0": y0, "x1": x0 + ix * h, "y1": y0 + iy * h,
+                           "h": h, "gamma_sides": sides})
+    hats_grid = build_basis(build_grid(cfg.rect, h)).grid
+    assert (hats_grid.nx, hats_grid.ny) == (ix + 3, iy + 3)
+    nx, ny = hats_grid.nx, hats_grid.ny
+    exact = 8.0 * max(nx * ny, (max(nx, ny) - 2) ** 2)
+    grown = {**cfg.raw, "x0": x0 - h, "y0": y0 - h,
+             "x1": cfg["x1"] + h, "y1": cfg["y1"] + h}
+    assert max(exact, _grid_bytes(grown)) <= _stacked_bytes(cfg.raw)
+
+
 SIDE_LISTS = [["bottom"], ["bottom", "top"], ["left"], ["bottom", "left", "top"],
               ["right", "top"], ["top"], ["bottom", "right"], []]
 
-# h and padding_layers are always drawn, and the extents drawn with them keep
-# every accepted config's enlarged grid at most 17 x 17 nodes (width <= 1.5,
-# h >= 1/8, padding <= 2).  Each key has at most one invalid value, so that
-# about half the configs run.
+# h is always drawn, and the extents drawn with it keep every accepted
+# config's grid at most 13 x 13 nodes (width <= 1.5, h >= 1/8), and the
+# hats' grid around it at most 15 x 15.  Each key has at most one invalid
+# value, so that about half the configs run.
 configs = st.fixed_dictionaries({
     "h": st.sampled_from([1 / 8, 1 / 4, 0.5, 1 / 8, 1 / 4, 0.3]),
-    "padding_layers": st.sampled_from([1, 2, 1, 2, 1, 0]),
 }, optional={
     "x0": st.sampled_from([0, -0.5, 0, 0.5, 0, -1e308]),
     "y0": st.sampled_from([0, -0.5, 0, 0.5, 0]),
@@ -105,14 +130,15 @@ def test_cli_contract_on_generated_configs(command, raw):
 
 # Keys that no longer exist: the penalty is always the factored smoothness
 # norm, the normal difference always second order, the exponent field
-# always the exact DST-I solve, and the basis always the hats.
+# always the exact DST-I solve, and the basis always the hats one layer
+# around the domain.
 @pytest.mark.parametrize("command", ["run", "tau", "sweep"])
 @pytest.mark.parametrize("raw", [{"reg_mode": "gram"}, {"reg_mode": "diagonal"},
                                  {"norm_order": 2}, {"norm_order": 1},
                                  {"solver": "cg"}, {"solver": "direct"},
                                  {"solver_tol": 1e-10}, {"basis_kind": "hat"},
                                  {"basis_kind": "indicator", "arcs_per_side": 3},
-                                 {"arcs_per_side": 1}])
+                                 {"arcs_per_side": 1}, {"padding_layers": 1}])
 def test_removed_keys_exit_2(command, raw):
     assert _check_contract(command, raw) == 2
 

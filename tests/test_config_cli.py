@@ -10,15 +10,14 @@ import pytest
 from harmrec import DEFAULTS, PRESETS, ValidationError, resolve_config, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.cli import main
-from harmrec.config import (MAX_ARRAY_BYTES, MAX_PADDING_LAYERS, _grid_bytes, _stacked_bytes,
-                            check_stacked_size, check_sweep_size)
+from harmrec.config import (MAX_ARRAY_BYTES, _grid_bytes, _stacked_bytes, check_stacked_size,
+                            check_sweep_size)
 from harmrec.grid import Rect, boundary_partition, build_grid
 from harmrec.pipeline import build_state, tik_config
 from harmrec.tikhonov import reconstruct
 
 FAST = {
     "h": 1 / 8,
-    "padding_layers": 1,
     "exact": "exp_cos",
     "exact_a": 2.0,
     "exact_shift": 0.1,
@@ -181,7 +180,7 @@ def test_summary_json_sorted_and_deterministic(tmp_path):
 def test_numeric_keys_type_checked(tmp_path, capsys):
     for bad in ({"h": "x"}, {"seed": True}, {"noise_level": None},
                 {"h": float("nan")}, {"alpha_c": float("inf")},
-                {"padding_layers": 1.5}, {"eps_levels": [0.1, "a", 0.01]},
+                {"seed": 1.5}, {"eps_levels": [0.1, "a", 0.01]},
                 {"seeds": [1, 2.5]}):
         with pytest.raises(ValidationError, match="must be"):
             validate_config(bad)
@@ -215,7 +214,7 @@ def test_cli_non_finite_json_artifact_exit_3(tmp_path, capsys, monkeypatch):
 def test_cli_run_numerical_failure_leaves_no_artifacts(tmp_path, capsys):
     # exp(400 x) overflows the fit: the run must fail before writing anything
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"exact_a": 400, "h": 0.125, "padding_layers": 1}))
+    cfg.write_text(json.dumps({"exact_a": 400, "h": 0.125}))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     error = json.loads(capsys.readouterr().err)["error"]
@@ -229,7 +228,7 @@ def test_cli_overflow_is_numerical_exit_3(tmp_path, capsys, command):
     # exp(800 x) overflows to a non-finite field: a numerical failure, not a
     # validation one, although the config is valid
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"exact_a": 800, "h": 0.125, "padding_layers": 1}))
+    cfg.write_text(json.dumps({"exact_a": 800, "h": 0.125}))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "numerical"
@@ -283,8 +282,8 @@ def test_cli_rejects_unbuildable_grid_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("raw", [
-    {"x1": 256.0},  # V: 32896 rim nodes x 32928 enlarged rim nodes, 8.7 GB
-    {"padding_layers": 10**308},
+    {"x1": 256.0},  # V: 32896 rim nodes x 32904 hats, 8.7 GB
+    {"h": 1 / 8192},  # V: 32768 rim nodes x 32776 hats, 8.6 GB; one field 0.54 GB
     # V would fit (3.0 GB), the data block (2m = 38404 rows x K = 19328) not (5.9 GB)
     {"x1": 150.0, "gamma_sides": ["bottom", "top"]},
 ])
@@ -296,7 +295,7 @@ def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, raw):
 def test_cli_rejects_stacked_matrix_over_limit_exit_2(tmp_path, capsys, command):
     # every grid array would fit (2.1 GB), the traces V would not (8.7 GB)
     r = validate_config({"x1": 256.0}).raw
-    assert _grid_bytes(r, r["padding_layers"]) < MAX_ARRAY_BYTES < _stacked_bytes(r)
+    assert _grid_bytes(r) < MAX_ARRAY_BYTES < _stacked_bytes(r)
     _expect_size_error(tmp_path, capsys, command, {"x1": 256.0})
 
 
@@ -305,10 +304,11 @@ def test_arrays_over_limit_rejected_from_the_config_alone():
     # would be 29999^2 x 8 B, 7.2 GB; nothing is solved here
     with pytest.raises(ValidationError, match="sine-transform matrix of the grid"):
         validate_config({"x1": 3000.0, "y1": 0.2, "h": 0.1})
-    # the same holds for the enlarged grid: 40001^2 x 8 B, for a 10 MB V
-    cfg = validate_config({"h": 0.5, "padding_layers": 20000})
-    assert _stacked_bytes(cfg.raw) < 20e6
-    with pytest.raises(ValidationError, match="enlarged grid"):
+    # and for the fit: at h = 1/8192 one field is 0.54 GB, but the traces V
+    # would be 32768 x 32776 x 8 B, 8.6 GB
+    cfg = validate_config({"h": 1 / 8192})
+    assert _grid_bytes(cfg.raw) < 1e9
+    with pytest.raises(ValidationError, match="largest array of the fit"):
         check_stacked_size(cfg)
     # a sweep level's 500 fields of 1025 x 1025 nodes are 4.2 GB; 400 are 3.4 GB
     with pytest.raises(ValidationError, match="500 fields"):
@@ -316,56 +316,46 @@ def test_arrays_over_limit_rejected_from_the_config_alone():
     check_sweep_size(validate_config({"h": 1 / 1024, "seeds": list(range(400))}))
 
 
-def test_cli_tau_builds_no_stack(tmp_path):
-    # the enlarged grid's sine-transform matrix would need about 13 GB, for
-    # an enlarged grid tau never builds
-    raw = {"h": 1 / 512, "padding_layers": 20000, "tau_gamma_sets": [["bottom"]]}
-    with pytest.raises(ValidationError, match="GB limit"):
-        check_stacked_size(validate_config(raw))
+def test_cli_tau_builds_no_stack(tmp_path, capsys, monkeypatch):
+    # under a 0.1 MB limit every array of the grid fits (34 kB) and the
+    # traces V (256 x 264 x 8 B, 0.54 MB) do not: run stops before its
+    # build, while tau, which builds no V, runs
+    monkeypatch.setattr("harmrec.config.MAX_ARRAY_BYTES", 1e5)
+    raw = {"tau_gamma_sets": [["bottom"]]}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "largest array of the fit" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not (tmp_path / "run").exists()
     assert main(["tau", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "tau_bottom.svg").exists()
 
 
 @pytest.mark.parametrize("h", [1 / 8, 1 / 16, 1 / 64])
 def test_traces_keep_full_rank_at_the_padding_bound(h):
-    # so that b = V+ w reproduces the fitted traces, which b.csv promises
-    omega = Rect(0, 0, 1, 1)
-    basis = build_basis(omega.padded(MAX_PADDING_LAYERS * h), h, omega_rect=omega)
-    part = boundary_partition(build_grid(omega, h), ["bottom"])
-    traces = compute_base_solutions(basis, part)
+    # one layer of hats, the only padding: V keeps full row rank, so that
+    # b = V+ w reproduces the fitted traces, which b.csv promises
+    grid = build_grid(Rect(0, 0, 1, 1), h)
+    part = boundary_partition(grid, ["bottom"])
+    traces = compute_base_solutions(build_basis(grid), part)
     assert np.linalg.matrix_rank(traces) == part.n_boundary
-
-
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_cli_padding_over_the_bound_exit_2(tmp_path, capsys, command):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"h": 1 / 8, "padding_layers": MAX_PADDING_LAYERS + 1}))
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error["type"] == "validation" and "padding_layers" in error["message"]
-    assert not out.exists()
-    # tau builds no basis, so the bound does not apply there
-    assert main(["tau", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_presets_validate_at_h_256(preset):
     cfg = resolve_config(preset=preset, overrides={"h": 1 / 256})
-    # V: 1024 rim nodes by 1032 enlarged rim nodes, more than 2m (514 or 1028)
+    # V: 1024 rim nodes by 1032 hats, more than 2m (514 or 1028)
     assert _stacked_bytes(cfg.raw) == 8.0 * 1024 * 1032
     check_stacked_size(cfg)
 
 
 @pytest.mark.parametrize("extra", [
     {"h": 0.25},
-    {"h": 0.125, "x1": 1.5, "y0": -0.25, "padding_layers": 2},
-    {"h": 0.125, "padding_layers": MAX_PADDING_LAYERS},
-    {"h": 0.25, "x1": 3.0, "gamma_sides": ["bottom", "top"], "padding_layers": 1},  # 2m > K~
+    {"h": 0.125, "x1": 1.5, "y0": -0.25},
+    {"h": 0.125, "x1": 0.25},  # the narrowest grid, 3 nodes across
+    {"h": 0.25, "x1": 3.0, "gamma_sides": ["bottom", "top"]},  # 2m > K + 8
     {"h": 0.125, "x1": 1.5, "gamma_sides": ["left", "bottom", "right"]},
-    {"h": 0.125, "y1": 1.5, "gamma_sides": ["top", "left"], "padding_layers": 3},
+    {"h": 0.125, "y1": 1.5, "gamma_sides": ["top", "left"]},
 ])
 def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     # check_stacked_size's estimate, the larger of the traces V and the
@@ -446,7 +436,7 @@ def test_cli_zero_truth_sweep_prints_only_its_error(tmp_path):
     # undefined and the slopes are constant; no library warning may reach
     # stderr ahead of the one JSON line
     code, error = _cli_stderr_line(tmp_path, "sweep", {
-        "exact": "constant", "exact_value": 0.0, "h": 1 / 16, "padding_layers": 1})
+        "exact": "constant", "exact_value": 0.0, "h": 1 / 16})
     assert code == 3
     assert error["type"] == "numerical" and "penalty norm" in error["message"]
 
@@ -457,7 +447,7 @@ def test_cli_overflow_prints_only_its_error(tmp_path, command, exact_a):
     # exp(a x) overflows (a = 800) or its norms do (a = 400): numpy's
     # RuntimeWarnings must not reach stderr ahead of the one JSON line
     code, error = _cli_stderr_line(tmp_path, command, {
-        "exact_a": exact_a, "h": 0.125, "padding_layers": 1})
+        "exact_a": exact_a, "h": 0.125})
     assert code == 3 and error["type"] == "numerical"
 
 

@@ -35,7 +35,7 @@ def test_every_span_target_resolves(spans):
 
 
 def test_traced_run_and_sweep_give_every_layer_metric(spans, tmp_path):
-    cfg = validate_config({"h": 1 / 16, "padding_layers": 1,
+    cfg = validate_config({"h": 1 / 16,
                            "eps_levels": [1e-1, 1e-2, 1e-3], "seeds": [1, 2]})
     ops = [lambda: run_experiment(cfg, out_dir=tmp_path / "run"),
            lambda: run_sweep(cfg)]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from harmrec import build_basis, resolve_config, validate_config
-from harmrec.config import MAX_PADDING_LAYERS
 from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
 from harmrec.forward import add_noise, sample_exact
 from harmrec.pipeline import (_reconstruct_for, build_state, run_experiment,
@@ -15,7 +14,6 @@ from harmrec.tikhonov import reconstruct
 
 FAST = {
     "h": 1 / 16,
-    "padding_layers": 1,
     "exact": "exp_cos",
     "exact_a": 2.0,
     "exact_shift": 0.1,
@@ -29,12 +27,10 @@ def fast_state():
 
 
 def test_run_summary_contents(fast_state):
-    res = run_experiment(fast_state.cfg, state=fast_state)
+    res = run_experiment(fast_state.cfg)
     s = res["summary"]
     assert s["m"] == 17
-    cfg = fast_state.cfg
-    basis = build_basis(cfg.tilde_rect, cfg["h"], omega_rect=cfg.rect)
-    assert s["n_basis"] == fast_state.system.n == basis.n
+    assert s["n_basis"] == res["state"].system.n == build_basis(fast_state.grid).n_boundary
     assert s["config"]["h"] == 1 / 16
     assert s["noise"]["realized_eps"] > 0
     assert s["envelope"]["eps"] == 0.02
@@ -124,7 +120,7 @@ def test_sweep_keys_every_level_apart():
 
 @pytest.mark.parametrize("preset", ["paper-sec5-one-side", "paper-sec5-two-sides"])
 def test_presets_report_the_fit_rank_and_a_finite_condition(preset):
-    # the inner boundary walk has K = 256 nodes, so F has rank 256 and the
+    # the fit solves for the K = 256 traces on the domain's rim, and the
     # 264 hats leave 8 directions no cost can see
     s = run_experiment(resolve_config(preset=preset))["summary"]
     assert (s["n_basis"], s["effective_rank"], s["discarded_directions"]) == (264, 256, 8)
@@ -146,22 +142,12 @@ def test_build_state_memory_at_h_128():
 
 @pytest.mark.parametrize("sides", [["bottom"], ["bottom", "top"], ["bottom", "left"]])
 def test_padding_changes_the_basis_not_the_fit(sides):
-    # the fit solves for the K traces on the domain's rim, which padding does
-    # not touch; padding adds 8 hats a layer, and up to the bound V keeps
-    # full row rank, so the written b = V+ w still reproduces the traces
-    def run(padding):
-        return run_experiment(validate_config({**FAST, "gamma_sides": sides,
-                                               "padding_layers": padding}))
-
-    ref = run(1)
-    for padding in range(1, MAX_PADDING_LAYERS + 1):
-        res = run(padding)
-        s, r, sys = res["summary"], res["result"], res["state"].system
-        assert s["n_basis"] == ref["summary"]["n_basis"] + 8 * (padding - 1)
-        assert s["discarded_directions"] == 8 * padding
-        for key in ("effective_rank", "condition_estimate", "reg_norm"):
-            assert s[key] == ref["summary"][key]
-        assert np.array_equal(r.u_star.values, ref["result"].u_star.values)
-        # 2.6e-12 relative at the bound, growing about 5.8-fold a layer
-        b = sys.coefficients(r.w)
-        assert np.abs(sys.V @ b - r.w).max() <= 1e-10 * np.abs(r.w).max()
+    # the fit solves for the K traces on the domain's rim; the one layer of
+    # hats around it adds 8 hats that no cost sees, and its V keeps full row
+    # rank, so the written b = V+ w reproduces the traces
+    res = run_experiment(validate_config({**FAST, "gamma_sides": sides}))
+    s, r, sys = res["summary"], res["result"], res["state"].system
+    assert s["n_basis"] == s["effective_rank"] + 8 == sys.V.shape[0] + 8
+    assert s["discarded_directions"] == 8
+    b = sys.coefficients(r.w)
+    assert np.abs(sys.V @ b - r.w).max() <= 1e-13 * np.abs(r.w).max()

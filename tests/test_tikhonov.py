@@ -68,13 +68,15 @@ def test_zero_data_gives_zero_coefficients():
     assert abs(b[0]) < 1e-12
 
 
+def _system(grid, sides):
+    part = boundary_partition(grid, sides)
+    return part, assemble_system(compute_base_solutions(build_basis(grid), part), part)
+
+
 def _pipeline_pieces(h=1 / 8):
-    omega = Rect(0, 0, 1, 1)
-    basis = build_basis(omega.padded(h), h, omega_rect=omega)
-    grid = build_grid(omega, h)
-    part = boundary_partition(grid, ["bottom"])
-    sys = assemble_system(compute_base_solutions(basis, part), part)
-    return basis, grid, part, sys
+    grid = build_grid(Rect(0, 0, 1, 1), h)
+    part, sys = _system(grid, ["bottom"])
+    return grid, part, sys
 
 
 def _dense_penalty_factor(sys):
@@ -89,7 +91,7 @@ def _dense_penalty_factor(sys):
 
 
 def test_noiseless_constant_reconstruction():
-    basis, grid, part, sys = _pipeline_pieces()
+    grid, part, sys = _pipeline_pieces()
     data = trace_cauchy(Constant(1.0), part)
     alpha = 1e-6
     cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
@@ -109,7 +111,7 @@ def test_noiseless_constant_reconstruction():
 
 
 def test_first_order_optimality():
-    basis, grid, part, sys = _pipeline_pieces()
+    grid, part, sys = _pipeline_pieces()
     data = trace_cauchy(Constant(2.0), part)
     alpha = 1e-5
     cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
@@ -125,33 +127,25 @@ def test_first_order_optimality():
 
 
 def test_reconstruct_field_unit_vector_and_ones(base_solution_fields):
-    omega = Rect(0, 0, 1, 1)
-    h = 0.125
-    basis = build_basis(omega.padded(h), h, omega_rect=omega)
-    grid = build_grid(omega, h)
-    part = boundary_partition(grid, ["bottom"])
-    sys = assemble_system(compute_base_solutions(basis, part), part)
+    grid = build_grid(Rect(0, 0, 1, 1), 0.125)
+    part, sys = _system(grid, ["bottom"])
     e0 = reconstruct_field(sys.V[:, 0], sys)
-    oi = oj = 1  # one padding layer
-    assert np.abs(e0.values - base_solution_fields(basis)[
-        0, oj:oj + grid.ny, oi:oi + grid.nx]).max() <= 1e-12
+    # the domain is the hats' grid less one layer a side
+    assert np.abs(e0.values - base_solution_fields(build_basis(grid))[
+        0, 1:-1, 1:-1]).max() <= 1e-12
     ones = reconstruct_field(np.ones(part.n_boundary), sys)
     assert np.abs(ones.values - 1.0).max() < 1e-12
 
 
-@pytest.mark.parametrize("padding", [1, 2, 4])
-def test_reconstruct_field_matches_sparse_reference(base_solution_fields, padding):
+def test_reconstruct_field_matches_sparse_reference(base_solution_fields):
     # a batch of random combinations on a non-square grid, rebuilt from the
     # rim traces on the grid alone, against the base solutions solved on the
-    # enlarged grid and cropped
-    h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
-    basis = build_basis(omega.padded(padding * h), h, omega_rect=omega)
-    grid = build_grid(omega, h)
-    part = boundary_partition(grid, ["bottom", "left"])
-    sys = assemble_system(compute_base_solutions(basis, part), part)
-    b = np.random.default_rng(11).normal(size=(3, basis.n))
-    inner = slice(padding, -padding)
-    ref = np.tensordot(b, base_solution_fields(basis), axes=1)[:, inner, inner]
+    # hats' grid and cropped
+    grid = build_grid(Rect(0, 0, 1, 0.75), 1 / 8)
+    part, sys = _system(grid, ["bottom", "left"])
+    hats = build_basis(grid)
+    b = np.random.default_rng(11).normal(size=(3, hats.n_boundary))
+    ref = np.tensordot(b, base_solution_fields(hats), axes=1)[:, 1:-1, 1:-1]
     assert ref.shape[1:] == grid.shape
     for fld, r in zip(reconstruct_field(b @ sys.V.T, sys), ref):
         assert np.abs(fld.values - r).max() <= 1e-12 * np.abs(r).max()
@@ -160,7 +154,7 @@ def test_reconstruct_field_matches_sparse_reference(base_solution_fields, paddin
 
 
 def test_reconstruct_field_validation():
-    basis, grid, part, sys = _pipeline_pieces()
+    grid, part, sys = _pipeline_pieces()
     k = part.n_boundary
     with pytest.raises(ValidationError, match="traces"):
         reconstruct_field(np.zeros(3), sys)
@@ -199,19 +193,16 @@ def test_system_shapes_checked(shapes):
 def test_reconstruct_field_lives_on_the_assembled_grid():
     # a 9 x 7 node grid: its transpose has as many rim nodes at the same
     # spacing, so only the grid the system was assembled on can tell them apart
-    h, omega = 1 / 8, Rect(0, 0, 1, 0.75)
-    basis = build_basis(omega.padded(h), h, omega_rect=omega)
-    grid = build_grid(omega, h)
-    part = boundary_partition(grid, ["bottom"])
-    sys = assemble_system(compute_base_solutions(basis, part), part)
+    grid = build_grid(Rect(0, 0, 1, 0.75), 1 / 8)
+    part, sys = _system(grid, ["bottom"])
     assert sys.grid == grid
-    fld = reconstruct_field(sys.V @ np.ones(basis.n), sys)
+    fld = reconstruct_field(sys.V @ np.ones(sys.n), sys)
     assert fld.grid == grid and fld.values.shape == (7, 9)
-    assert np.abs(fld.values - 1.0).max() < basis.n * 1e-11
+    assert np.abs(fld.values - 1.0).max() < sys.n * 1e-11
 
 
 def test_residuals_monotone_in_alpha():
-    basis, grid, part, sys = _pipeline_pieces()
+    grid, part, sys = _pipeline_pieces()
     data = trace_cauchy(Constant(1.0), part)
     noisy = CauchyData(partition=part, points=data.points,
                        f=data.f + 0.05 * np.sin(7 * data.points[:, 0]),
@@ -230,7 +221,7 @@ def test_residual_decay_with_grid_refinement():
     # noiseless data, alpha = c*(eps^2 + h^2) with eps = 0: residuals shrink
     totals = []
     for h in (1 / 8, 1 / 16, 1 / 32):
-        basis, grid, part, sys = _pipeline_pieces(h=h)
+        grid, part, sys = _pipeline_pieces(h=h)
         data = trace_cauchy(ExpCos(2.0, 0.1), part)
         cfg = TikhonovConfig(alpha_rule="a_priori", alpha_c=1.0)
         r, = reconstruct(sys, [data], cfg)
@@ -241,7 +232,7 @@ def test_residual_decay_with_grid_refinement():
 def test_penalty_factor_consistency():
     # the fit reads L as its K eigenvalues on the walk's Fourier modes; they
     # are those of the dense factor, and at least sqrt(h), so L is invertible
-    basis, _, part, sys = _pipeline_pieces()
+    _, part, sys = _pipeline_pieces()
     root = _penalty_factor(sys)
     assert root.shape == (part.n_boundary,)
     dense = np.linalg.eigvalsh(_dense_penalty_factor(sys))
@@ -250,7 +241,7 @@ def test_penalty_factor_consistency():
 
 
 def test_data_length_mismatch_rejected():
-    basis, grid, part, sys = _pipeline_pieces()
+    grid, part, sys = _pipeline_pieces()
     bad = CauchyData(partition=part, points=np.zeros((3, 2)),
                      f=np.zeros(3), g=np.zeros(3))
     with pytest.raises(ValidationError):
@@ -267,7 +258,7 @@ def _rel(a, b):
 
 
 def test_batched_fit_matches_single_fits():
-    basis, grid, part, sys = _pipeline_pieces()
+    grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
     cfg = TikhonovConfig()
     batch = reconstruct(sys, datas, cfg)
@@ -284,7 +275,7 @@ def test_batched_fit_matches_single_fits():
 
 
 def test_batched_norms_match_discrete_norms():
-    basis, grid, part, sys = _pipeline_pieces()
+    grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
     ell = _dense_penalty_factor(sys)
     for data, r in zip(datas, reconstruct(sys, datas, TikhonovConfig())):
@@ -298,7 +289,7 @@ def test_batched_norms_match_discrete_norms():
 
 
 def test_batch_needs_one_noise_level():
-    basis, grid, part, sys = _pipeline_pieces()
+    grid, part, sys = _pipeline_pieces()
     mixed = _noisy_batch(part, level=0.05) + _noisy_batch(part, level=0.01)
     with pytest.raises(ValidationError, match="one noise level"):
         reconstruct(sys, mixed, TikhonovConfig())
@@ -329,7 +320,7 @@ def test_sweep_factors_once_and_filters_once_per_noise_level(monkeypatch):
     monkeypatch.setattr(tik, "_standard_form", counting_standard_form)
     monkeypatch.setattr(tik._StandardForm, "solve", counting_solve)
     monkeypatch.setattr(tik.np.linalg, "svd", counting_svd)
-    cfg = validate_config({"h": 1 / 16, "padding_layers": 1,
+    cfg = validate_config({"h": 1 / 16,
                            "eps_levels": [1e-1, 1e-2, 1e-3],
                            "seeds": [1, 2, 3, 4]})
     run_sweep(cfg)
@@ -384,18 +375,14 @@ def _check_against_oracle(sys, weights, alpha, rng):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(padding=st.integers(1, 4), k=st.integers(4, 8),
+@given(k=st.integers(4, 8),
        shape=st.tuples(st.integers(2, 8), st.integers(2, 8)),
        sides=st.lists(st.sampled_from(SIDES), min_size=1, max_size=3, unique=True),
        weights=st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 2.0)]),
        log_alpha=st.floats(-8.0, 0.0), seed=st.integers(0, 2**32 - 1))
-def test_filtered_fit_matches_stacked_lstsq(padding, k, shape, sides, weights,
-                                            log_alpha, seed):
+def test_filtered_fit_matches_stacked_lstsq(k, shape, sides, weights, log_alpha, seed):
     h = 1.0 / k
-    omega = Rect(0.0, 0.0, shape[0] * h, shape[1] * h)
-    basis = build_basis(omega.padded(padding * h), h, omega_rect=omega)
-    part = boundary_partition(build_grid(omega, h), sides)
-    sys = assemble_system(compute_base_solutions(basis, part), part)
+    part, sys = _system(build_grid(Rect(0.0, 0.0, shape[0] * h, shape[1] * h), h), sides)
     # the K traces are independent, so b = V+ w is the oracle's minimizer
     assert np.linalg.matrix_rank(sys.V) == part.n_boundary
     _check_against_oracle(sys, weights, 10.0**log_alpha, np.random.default_rng(seed))
@@ -405,11 +392,7 @@ def test_filtered_fit_matches_stacked_lstsq(padding, k, shape, sides, weights,
 def test_condition_estimate_is_that_of_the_standard_form(sides):
     # in y = L w the cost is [M0 L^-1; sqrt(alpha) I], M0 here the 3m rows
     # A, D1 A and B.  One side has fewer data rows (2m) than K, two do not.
-    h, omega = 1 / 8, Rect(0, 0, 1, 1)
-    basis = build_basis(omega.padded(h), h, omega_rect=omega)
-    grid = build_grid(omega, h)
-    part = boundary_partition(grid, sides)
-    sys = assemble_system(compute_base_solutions(basis, part), part)
+    part, sys = _system(build_grid(Rect(0, 0, 1, 1), 1 / 8), sides)
     alpha = 1e-8
     r, = reconstruct(sys, [trace_cauchy(ExpCos(2.0, 0.1), part)],
                      TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha))
@@ -418,4 +401,4 @@ def test_condition_estimate_is_that_of_the_standard_form(sides):
     std = np.vstack([m0 @ np.linalg.inv(_dense_penalty_factor(sys)),
                      np.sqrt(alpha) * np.eye(part.n_boundary)])
     assert r.condition_estimate == pytest.approx(np.linalg.cond(std), rel=1e-8)
-    assert (r.effective_rank, basis.n - r.effective_rank) == (part.n_boundary, 8)
+    assert (r.effective_rank, sys.n - r.effective_rank) == (part.n_boundary, 8)
