@@ -9,7 +9,7 @@ rectangle grown by one grid layer, and certifies where the result can be
 trusted through the harmonic measure of the measurement arc.
 """
 
-from .basis import DiscreteSystem, assemble_system, build_basis, compute_base_solutions
+from .basis import build_basis, compute_base_solutions
 from .config import DEFAULTS, PRESETS, ExperimentConfig, resolve_config, validate_config
 from .errors import SolverError, ValidationError
 from .evaluate import (envelope_check, pointwise_error, rate_fit,
@@ -23,7 +23,8 @@ from .measure import (LevelContour, annulus_tau, compute_indicate,
 from .pipeline import build_state, run_experiment, run_sweep, run_tau
 from .poisson import ScalarField, laplacian_residual, solve_dirichlet
 from .rng import Xorshift64Star
-from .tikhonov import (ReconstructionResult, TikhonovConfig, minimize,
-                       reconstruct, reconstruct_field, select_alpha)
+from .tikhonov import (DiscreteSystem, ReconstructionResult, TikhonovConfig,
+                       assemble_system, minimize, reconstruct, reconstruct_field,
+                       select_alpha)
 
 __version__ = "0.1.0"

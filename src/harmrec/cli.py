@@ -54,9 +54,8 @@ def _run_checks() -> int:
     from .grid import Rect, boundary_partition, build_grid
     from .measure import annulus_tau, compute_indicate, rectangle_series_tau, two_constants_bound
     from .poisson import laplacian_residual, solve_dirichlet
-    from .basis import DiscreteSystem
     from .forward import HarmonicPoly, sample_exact
-    from .tikhonov import TikhonovConfig, minimize
+    from .tikhonov import DiscreteSystem, TikhonovConfig, minimize
     from .forward import CauchyData
 
     failures = 0
@@ -80,15 +79,14 @@ def _run_checks() -> int:
     check("5-point stencil annihilates quadratic harmonics", res < 1e-12,
           f"residual={res:.3e}")
 
-    sol = solve_dirichlet(grid, part,
-                          fld.values[part.nodes[:, 1], part.nodes[:, 0]])
+    sol = solve_dirichlet(grid, fld.values[part.nodes[:, 1], part.nodes[:, 0]])
     err = np.abs(sol.values - fld.values).max()
     check("Dirichlet solve reproduces a quadratic harmonic", err < 1e-7,
           f"max err={err:.3e}")
 
     grid64 = build_grid(rect, 1.0 / 64.0)
     part64 = boundary_partition(grid64, ["bottom"])
-    tau = compute_indicate(grid64, part64)
+    tau = compute_indicate(part64)
     center = tau.values[32, 32]
     check("exponent at the center is 1/4 for one measured side",
           abs(center - 0.25) < 2e-3, f"tau={center:.6f}")
@@ -107,8 +105,7 @@ def _run_checks() -> int:
 
     alpha = 1e-3
     sys_1d = DiscreteSystem(A=np.array([[1.0]]), B=np.array([[0.0]]),
-                            V=np.array([[1.0]]), sigma=np.array([1.0]),
-                            D1=np.array([[0.0]]), h=1.0)
+                            sigma=np.array([1.0]), D1=np.array([[0.0]]), h=1.0)
     data_1d = CauchyData(partition=None, points=np.zeros((1, 2)),
                          f=np.array([1.0]), g=np.array([0.0]))
     w = minimize(sys_1d, data_1d,

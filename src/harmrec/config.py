@@ -115,9 +115,9 @@ def _grid_bytes(r: dict) -> float:
 
 
 def _stacked_bytes(r: dict) -> float:
-    """The largest array of a build and a fit, 8 B an entry: the traces V
-    (K x (K + 8), K nodes on the domain's rim and K + 8 hats one layer
-    out), or the data block and the rows B is built from (2m x K, m Γ
+    """The largest array of a build, a fit and run's b.csv, 8 B an entry:
+    the traces V that run samples for b (K x (K + 8), K nodes on the
+    domain's rim and K + 8 hats one layer out), or the data block and the rows B is built from (2m x K, m Γ
     nodes).  The system's A and B (m rows), the standard form's factors and
     b's QR of V^T are no larger, and neither is a field or DST-I matrix of
     the grid the hats live on: with nx, ny >= 3 nodes, K (K + 8) =

@@ -4,8 +4,10 @@ The field solves the Dirichlet problem with data 1 on the measurement arc Γ
 (corner nodes of Γ included) and 0 on the rest of the boundary.  Its value
 at a point is the exponent with which data error propagates there, so level
 sets of the field bound the region where a reconstruction can be trusted.
-:func:`compute_indicate` returns it as a plain :class:`ScalarField`, and
-:func:`reliable_region` gives its node mask and level contour at a threshold.
+:func:`compute_indicate` returns it as a plain :class:`ScalarField`, one
+:func:`poisson.solve_dirichlet` of Γ's indicator, the same rim solve that
+rebuilds u* from the fitted traces; :func:`reliable_region` gives its node
+mask and level contour at a threshold.
 
 Independent closed forms used as oracles:
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .contour import marching_squares
 from .errors import ValidationError
-from .grid import SIDES, BoundaryPartition, Grid2D
+from .grid import SIDES, BoundaryPartition
 from .poisson import ScalarField, solve_dirichlet
 
 
@@ -41,8 +43,9 @@ class LevelContour:
         return [[[float(x), float(y)] for x, y in line] for line in self.polylines]
 
 
-def compute_indicate(grid: Grid2D, partition: BoundaryPartition) -> ScalarField:
-    """Solve for the exponent field of the partition's Γ."""
+def compute_indicate(partition: BoundaryPartition) -> ScalarField:
+    """Solve for the exponent field of the partition's Γ on its grid: the
+    harmonic extension of Γ's indicator."""
     if partition.m == 0:
         raise ValidationError("Γ must be nonempty")
     if partition.gamma_sides == frozenset(SIDES):
@@ -50,8 +53,7 @@ def compute_indicate(grid: Grid2D, partition: BoundaryPartition) -> ScalarField:
             "Γ covering the whole boundary is degenerate (tau would be "
             "identically 1 and the problem well-posed)"
         )
-    bv = partition.gamma_mask.astype(float)
-    fld = solve_dirichlet(grid, partition, bv)
+    fld = solve_dirichlet(partition.grid, partition.gamma_mask.astype(float))
     _check_indicate(fld, partition)
     return fld
 

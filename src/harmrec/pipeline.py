@@ -17,14 +17,15 @@ import numpy as np
 from . import evaluate as ev
 from . import io as hio
 from . import svg
-from .basis import DiscreteSystem, assemble_system, build_basis, compute_base_solutions
+from .basis import build_basis, coefficients, compute_base_solutions
 from .config import ExperimentConfig, check_stacked_size, check_sweep_size
 from .errors import SolverError, ValidationError
 from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
 from .measure import compute_indicate, reliable_region
 from .poisson import ScalarField
-from .tikhonov import ReconstructionResult, TikhonovConfig, reconstruct
+from .tikhonov import (DiscreteSystem, ReconstructionResult, TikhonovConfig,
+                       assemble_system, reconstruct)
 
 
 @dataclass
@@ -52,8 +53,8 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
     check_stacked_size(cfg)
     grid = build_grid(cfg.rect, cfg["h"])
     partition = boundary_partition(grid, cfg["gamma_sides"])
-    system = assemble_system(compute_base_solutions(build_basis(grid), partition), partition)
-    tau = compute_indicate(grid, partition)
+    system = assemble_system(partition)
+    tau = compute_indicate(partition)
     clean = trace_cauchy(cfg.exact_solution(), partition)
     return PipelineState(cfg=cfg, grid=grid, partition=partition,
                          system=system, tau=tau, clean_data=clean)
@@ -81,6 +82,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """One reconstruction; writes the artifact bundle when out_dir is given."""
     state = build_state(cfg)
     data, result = _reconstruct_for(state, cfg["noise_level"], cfg["seed"])
+    # Only run knows the hats: their traces V give n_basis and b.csv's b = V⁺w.
+    traces = compute_base_solutions(build_basis(state.grid), state.partition)
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
     err = ev.pointwise_error(result.u_star, exact_field)
     mask, contour = reliable_region(state.tau, cfg["threshold"])
@@ -101,12 +104,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     summary = {
         "config": cfg.to_dict(),
         "grid": {"nx": state.grid.nx, "ny": state.grid.ny, "h": state.grid.h},
-        "n_basis": state.system.n,
+        "n_basis": traces.shape[1],
         "m": state.partition.m,
         "alpha_used": result.alpha_used,
         "condition_estimate": result.condition_estimate,
-        "effective_rank": result.effective_rank,
-        "discarded_directions": state.system.n - result.effective_rank,
+        "effective_rank": state.partition.n_boundary,
+        "discarded_directions": traces.shape[1] - state.partition.n_boundary,
         "residual_f": result.residual_f,
         "residual_g": result.residual_g,
         "reg_norm": result.reg_norm,
@@ -135,7 +138,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         # A numerical failure must leave no partial bundle behind.  Fields
         # are finite by construction (ScalarField); vectors are not.
         hio.json_text(summary, "summary.json")
-        b = state.system.coefficients(result.w)
+        b = coefficients(traces, result.w)
         if not all(np.isfinite(v).all() for v in (b, data.f, data.g)):
             raise SolverError("non-finite coefficients or boundary data")
         out = hio.out_dir(out_dir)
@@ -172,7 +175,7 @@ def run_tau(cfg: ExperimentConfig, out_dir=None) -> dict:
                                0.5 * (cfg.rect.y0 + cfg.rect.y1))
     for sides in cfg["tau_gamma_sets"]:
         partition = boundary_partition(grid, sides)
-        tau = compute_indicate(grid, partition)
+        tau = compute_indicate(partition)
         _, contour = reliable_region(tau, cfg["threshold"])
         tag = "-".join(sorted(sides))
         panel = {

@@ -8,7 +8,11 @@ solvers apply that basis as products with one cached dense matrix per side
 length (:func:`_dst_matrix`): :func:`solve_interior` solves exactly for a
 batch of fields, and :func:`rim_extension` samples every rim node's
 harmonic extension at given nodes without forming a field.
-:func:`solve_dirichlet` solves one field through :func:`solve_interior`.
+:func:`solve_dirichlet` is the one rim solve of the pipeline: it writes
+walk-ordered rim values onto a grid and fills the interior through
+:func:`solve_interior`, one field or a batch.  The reconstruction u* (the
+harmonic extension of the fitted traces) and the exponent field (that of Γ's
+indicator) are both such solves.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .grid import BoundaryPartition, Grid2D
+from .grid import BoundaryPartition, Grid2D, _boundary_walk
 
 
 @dataclass(frozen=True)
@@ -159,24 +163,26 @@ def cg_dirichlet(u: np.ndarray, tol: float, max_iter: int) -> tuple[int, float]:
     return it, np.sqrt(rs)
 
 
-def solve_dirichlet(grid: Grid2D, partition: BoundaryPartition,
-                    boundary_values: np.ndarray) -> ScalarField:
-    """Solve the discrete Laplace equation with the given Dirichlet data.
+def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> ScalarField | list[ScalarField]:
+    """The discrete harmonic field on ``grid`` whose rim data are ``values``
+    in walk order: (K,) gives one field, (k, K) a list of k from one batched
+    :func:`solve_interior`.
 
-    Boundary nodes of the result carry the data exactly; interior nodes
-    satisfy the 5-point stencil to rounding.
+    Rim nodes of the result carry the data exactly; interior nodes satisfy
+    the 5-point stencil to rounding.
     """
     if grid.nx < 3 or grid.ny < 3:
         raise ValidationError("grid must be at least 3x3 for an interior solve")
-    bv = np.asarray(boundary_values, dtype=float)
-    if bv.shape != (partition.n_boundary,):
-        raise ValidationError(
-            f"expected {partition.n_boundary} boundary values, got {bv.shape}"
-        )
-    u = np.zeros(grid.shape)
-    u[partition.nodes[:, 1], partition.nodes[:, 0]] = bv
+    walk, _ = _boundary_walk(grid.nx, grid.ny)
+    bv = np.asarray(values, dtype=float)
+    if bv.shape[-1:] != (len(walk),) or bv.ndim > 2:
+        raise ValidationError(f"expected {len(walk)} rim values, got {bv.shape}")
+    u = np.zeros(bv.shape[:-1] + grid.shape)
+    u[..., walk[:, 1], walk[:, 0]] = bv
     solve_interior(u)
-    return ScalarField(grid=grid, values=u)
+    if bv.ndim == 1:
+        return ScalarField(grid=grid, values=u)
+    return [ScalarField(grid=grid, values=v) for v in u]
 
 
 def laplacian_residual(fld: ScalarField) -> float:

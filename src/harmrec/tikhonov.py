@@ -1,7 +1,12 @@
-"""Regularized least-squares fit of the rim traces and field rebuild.
+"""The fit's system, its regularized least-squares fit, and field rebuild.
 
 The unknowns are the K traces w of the reconstruction on the domain's
-boundary walk (see :mod:`basis`).  The cost is general-form Tikhonov,
+boundary walk.  Every row the fit reads (the Γ values, the two inward
+normal-stencil nodes of each Γ node) lies in the closed domain, where the
+reconstruction is the harmonic extension of w, so :func:`assemble_system`
+builds A and B on w from the partition alone: no hat basis enters the fit
+(the hat coefficients of ``b.csv`` are :mod:`basis`'s).  The cost is
+general-form Tikhonov,
 
     w_f * |A w - f|_graph^2  +  w_g * |B w - g|_l2^2  +  alpha * |L w|^2
 
@@ -22,7 +27,7 @@ data weights, so it is built once and kept on the system: a noise sweep
 costs one factorisation, then per level two small products with one column
 per data set.  The condition estimate reported is that of
 ``[M0 L^-1; sqrt(alpha) I]``, and a fit's field is the harmonic extension of
-w on the domain's grid.
+w on the domain's grid, one :func:`poisson.solve_dirichlet` for a batch.
 
 The a-priori regularization weight follows alpha = c * (eps^2 + h^2): the
 basis truncation term of the full rule is not observable, so it is dropped
@@ -35,11 +40,70 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import DiscreteSystem
 from .errors import SolverError, ValidationError
 from .forward import CauchyData
-from .grid import _boundary_walk, graph_norm
-from .poisson import ScalarField, solve_interior
+from .grid import BoundaryPartition, Grid2D, graph_norm
+from .poisson import ScalarField, normal_stencil, rim_extension, solve_dirichlet
+
+
+@dataclass(frozen=True)
+class DiscreteSystem:
+    """Assembled measurement operators on the domain's rim traces w.
+
+    A      (m, K) the Γ rows of the identity: w's values at the Γ nodes.
+    B      (m, K) outward normal differences at the Γ nodes of w's harmonic
+           extension on the domain.
+    sigma  (m,) Γ quadrature weights.
+    D1     (m, m) tangential difference operator on Γ.
+    h      grid spacing.
+    grid   the domain grid whose boundary walk w follows, the one the fit's
+           fields live on.  Only :func:`assemble_system` sets it; a
+           hand-built system has none, so it can be fitted but not turned
+           into a field.
+
+    The fit's factorisation of the system, one per pair of data weights, is
+    kept in the private ``_fits``.
+    """
+
+    A: np.ndarray = field(repr=False)
+    B: np.ndarray = field(repr=False)
+    sigma: np.ndarray = field(repr=False)
+    D1: np.ndarray = field(repr=False)
+    h: float
+    grid: Grid2D | None = field(default=None, init=False)
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m, k = self.A.shape if self.A.ndim == 2 else (0, 0)
+        for name, shape in (("A", (m, k)), ("B", (m, k)), ("sigma", (m,)), ("D1", (m, m))):
+            arr = getattr(self, name)
+            if arr.shape != shape or not m * k:
+                raise ValidationError(
+                    f"{name} has shape {arr.shape}, but a system needs A and B "
+                    "m x K, sigma (m,) and D1 m x m, none of them empty")
+            arr.setflags(write=False)
+
+    @property
+    def m(self) -> int:
+        return self.A.shape[0]
+
+
+def assemble_system(partition: BoundaryPartition) -> DiscreteSystem:
+    """Build A and B on the partition's own grid.  B is the one-sided normal
+    difference of the harmonic extension, whose two inward stencil nodes may
+    lie on the rim (a Γ corner's steps run along the next side)."""
+    m, k = partition.m, partition.n_boundary
+    ii, jj, coeffs = normal_stencil(partition)
+    steps = rim_extension(partition, ii[:, 1:].T.ravel(), jj[:, 1:].T.ravel())
+    a_mat = np.zeros((m, k))
+    a_mat[np.arange(m), np.flatnonzero(partition.gamma_mask)] = 1.0
+    b_mat = np.zeros((m, k))
+    for c, block in zip(coeffs, (a_mat, steps[:m], steps[m:])):
+        b_mat += c * block
+    system = DiscreteSystem(A=a_mat, B=b_mat, sigma=partition.gamma_sigma.copy(),
+                            D1=partition.tangential_d1, h=partition.grid.h)
+    object.__setattr__(system, "grid", partition.grid)
+    return system
 
 
 def select_alpha(eps: float, h: float, rule: str = "a_priori",
@@ -208,7 +272,6 @@ class ReconstructionResult:
     reg_norm: float
     alpha_used: float
     condition_estimate: float
-    effective_rank: int
 
     def __post_init__(self):
         self.w.setflags(write=False)
@@ -219,19 +282,9 @@ def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> ScalarField | list[
     are the traces w, one batched solve for all.  ``w`` (K,) gives one field,
     (k, K) a list of k.
     """
-    w = np.asarray(w, dtype=float)
-    k = sys.A.shape[1]
-    if w.shape[-1:] != (k,) or w.ndim > 2:
-        raise ValidationError(f"expected {k} traces, got {w.shape}")
-    grid = sys.grid
-    if grid is None:
+    if sys.grid is None:
         raise ValidationError("a system without a grid has no field to rebuild")
-    walk, _ = _boundary_walk(grid.nx, grid.ny)
-    u = np.zeros((len(np.atleast_2d(w)),) + grid.shape)
-    u[:, walk[:, 1], walk[:, 0]] = w
-    solve_interior(u)
-    out = [ScalarField(grid=grid, values=v) for v in u]
-    return out[0] if w.ndim == 1 else out
+    return solve_dirichlet(sys.grid, w)
 
 
 def reconstruct(sys: DiscreteSystem, datas: list[CauchyData],
@@ -256,7 +309,6 @@ def reconstruct(sys: DiscreteSystem, datas: list[CauchyData],
             reg_norm=float(reg[k]),
             alpha_used=alpha,
             condition_estimate=fit.condition(alpha),
-            effective_rank=w.shape[1],
         )
         for k in range(len(datas))
     ]

@@ -59,7 +59,7 @@ def test_criterion_1_fdm_second_order():
         xg, yg = g.meshgrid()
         exact = np.exp(xg) * np.sin(yg)
         bv = exact[p.nodes[:, 1], p.nodes[:, 0]]
-        sol = solve_dirichlet(g, p, bv)
+        sol = solve_dirichlet(g, bv)
         errs[h] = np.abs(sol.values - exact).max()
     ratio = errs[1 / 32] / errs[1 / 64]
     elapsed = time.time() - t0
@@ -73,7 +73,7 @@ def test_criterion_2_exponent_symmetry_values():
                (["bottom", "top", "left"], 0.75)]
     worst = 0.0
     for sides, expected in targets:
-        ind = compute_indicate(g, boundary_partition(g, sides))
+        ind = compute_indicate(boundary_partition(g, sides))
         center = ind.values[32, 32]
         worst = max(worst, abs(center - expected))
     report(2, worst <= 2e-3, f"max center deviation {worst:.2e} (tol 2e-3)")
@@ -82,7 +82,7 @@ def test_criterion_2_exponent_symmetry_values():
 def test_criterion_3_series_oracle_agreement(oracle_comparison_mask):
     g = build_grid(Rect(0, 0, 1, 1), 1 / 64)
     part = boundary_partition(g, ["bottom"])
-    ind = compute_indicate(g, part)
+    ind = compute_indicate(part)
     mask = oracle_comparison_mask(ind, part)
     worst = 0.0
     for j in range(g.ny):
@@ -106,8 +106,7 @@ def test_criterion_4_two_constants_sharpness():
 
 def test_criterion_5_ridge_closed_form():
     sys1d = DiscreteSystem(A=np.array([[1.0]]), B=np.array([[0.0]]),
-                           V=np.array([[1.0]]), sigma=np.array([1.0]),
-                           D1=np.array([[0.0]]), h=1.0)
+                           sigma=np.array([1.0]), D1=np.array([[0.0]]), h=1.0)
     alpha = 1e-3
     cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
     b1 = minimize(sys1d, CauchyData(partition=None, points=np.zeros((1, 2)),

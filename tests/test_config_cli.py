@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from harmrec import DEFAULTS, PRESETS, ValidationError, resolve_config, validate_config
-from harmrec.basis import build_basis, compute_base_solutions
+from harmrec.basis import build_basis, coefficients, compute_base_solutions
 from harmrec.cli import main
 from harmrec.config import (MAX_ARRAY_BYTES, _grid_bytes, _stacked_bytes, check_stacked_size,
                             check_sweep_size)
@@ -379,9 +379,10 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     state = build_state(cfg)
     sys = state.system
     result, = reconstruct(sys, [state.clean_data], tik_config(cfg))
-    b = sys.coefficients(result.w)
+    traces = compute_base_solutions(build_basis(state.grid), state.partition)
+    b = coefficients(traces, result.w)
     fit, = sys._fits.values()
-    held = [sys.A, sys.B, sys.V, sys.D1, fit.p_t, fit.s, fit.to_w, b]
+    held = [sys.A, sys.B, traces, sys.D1, fit.p_t, fit.s, fit.to_w, b]
     sizes += [a.nbytes for a in held]
     assert len(sizes) > len(held)
     assert max(sizes) <= _stacked_bytes(cfg.raw)

@@ -179,7 +179,7 @@ def test_json_handles_numpy_scalars(tmp_path):
 def test_svg_renders_heatmap_with_contour(tmp_path):
     g = build_grid(Rect(0, 0, 1, 1), 1 / 8)
     p = boundary_partition(g, ["bottom"])
-    ind = compute_indicate(g, p)
+    ind = compute_indicate(p)
     _, contour = reliable_region(ind, 0.5)
     out = tmp_path / "tau.svg"
     render_heatmap(ind, out, contours=contour, title="tau")

@@ -15,7 +15,7 @@ TAU_SERIES_05_025 = 0.5405292182595098750245246
 def _indicate(h, sides):
     g = build_grid(Rect(0, 0, 1, 1), h)
     p = boundary_partition(g, sides)
-    return compute_indicate(g, p)
+    return compute_indicate(p)
 
 
 def test_center_value_single_side():
@@ -44,7 +44,7 @@ def test_all_sides_rejected():
     g = build_grid(Rect(0, 0, 1, 1), 1 / 8)
     p = boundary_partition(g, ["bottom", "right", "top", "left"])
     with pytest.raises(ValidationError, match="degenerate"):
-        compute_indicate(g, p)
+        compute_indicate(p)
 
 
 def test_series_symmetry_values():

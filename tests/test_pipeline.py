@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harmrec import build_basis, resolve_config, validate_config
+from harmrec import build_basis, compute_base_solutions, resolve_config, validate_config
+from harmrec import pipeline
 from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
 from harmrec.forward import add_noise, sample_exact
 from harmrec.pipeline import (_reconstruct_for, build_state, run_experiment,
@@ -30,7 +31,7 @@ def test_run_summary_contents(fast_state):
     res = run_experiment(fast_state.cfg)
     s = res["summary"]
     assert s["m"] == 17
-    assert s["n_basis"] == res["state"].system.n == build_basis(fast_state.grid).n_boundary
+    assert s["n_basis"] == build_basis(fast_state.grid).n_boundary
     assert s["config"]["h"] == 1 / 16
     assert s["noise"]["realized_eps"] > 0
     assert s["envelope"]["eps"] == 0.02
@@ -128,8 +129,9 @@ def test_presets_report_the_fit_rank_and_a_finite_condition(preset):
 
 
 def test_build_state_memory_at_h_128():
-    # no (n, ny, nx) stack of base solutions (it alone was 71 MB here): the
-    # largest array is the traces V (512 x 520, 2.1 MB)
+    # no (n, ny, nx) stack of base solutions (it alone was 71 MB here) and
+    # no hats at all: the largest array is the block of extension rows B is
+    # built from (258 x 512, 1.1 MB)
     cfg = resolve_config(preset="paper-sec5-one-side", overrides={"h": 1 / 128})
     tracemalloc.start()
     try:
@@ -141,13 +143,34 @@ def test_build_state_memory_at_h_128():
 
 
 @pytest.mark.parametrize("sides", [["bottom"], ["bottom", "top"], ["bottom", "left"]])
-def test_padding_changes_the_basis_not_the_fit(sides):
+def test_padding_changes_the_basis_not_the_fit(sides, tmp_path):
     # the fit solves for the K traces on the domain's rim; the one layer of
     # hats around it adds 8 hats that no cost sees, and its V keeps full row
     # rank, so the written b = V+ w reproduces the traces
-    res = run_experiment(validate_config({**FAST, "gamma_sides": sides}))
-    s, r, sys = res["summary"], res["result"], res["state"].system
-    assert s["n_basis"] == s["effective_rank"] + 8 == sys.V.shape[0] + 8
+    res = run_experiment(validate_config({**FAST, "gamma_sides": sides}), tmp_path)
+    s, r, state = res["summary"], res["result"], res["state"]
+    assert s["n_basis"] == s["effective_rank"] + 8 == state.partition.n_boundary + 8
     assert s["discarded_directions"] == 8
-    b = sys.coefficients(r.w)
-    assert np.abs(sys.V @ b - r.w).max() <= 1e-13 * np.abs(r.w).max()
+    b = np.loadtxt(tmp_path / "b.csv", skiprows=1)
+    traces = compute_base_solutions(build_basis(state.grid), state.partition)
+    assert np.abs(traces @ b - r.w).max() <= 1e-13 * np.abs(r.w).max()
+
+
+def test_only_run_builds_the_hats(monkeypatch, tmp_path):
+    # the fit knows no hats: only run's writer of b.csv builds them, once
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in ("build_basis", "compute_base_solutions"):
+        monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
+    cfg = validate_config({**FAST, "eps_levels": [1e-1, 1e-2, 1e-3], "seeds": [1, 2]})
+    pipeline.run_sweep(cfg, tmp_path / "sweep")
+    pipeline.run_tau(cfg)
+    assert calls == []
+    pipeline.run_experiment(cfg, tmp_path / "run")
+    assert calls == ["build_basis", "compute_base_solutions"]

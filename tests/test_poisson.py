@@ -24,7 +24,7 @@ def solve(request):
     """The two entry points of the one DST-I solve: ``solve_dirichlet`` on
     one field, and ``solve_interior`` on that field inside a batch of two."""
     if request.param == "direct":
-        return solve_dirichlet
+        return lambda g, p, bv: solve_dirichlet(g, bv)
 
     def batched(g, p, bv):
         u = np.zeros((2,) + g.shape)
@@ -64,7 +64,8 @@ def test_convergence_is_second_order(solve):
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
-def test_batched_dst_solve_matches_sparse_reference(spsolve_dirichlet):
+@pytest.mark.parametrize("entry", ["solve_interior", "solve_dirichlet"])
+def test_batched_dst_solve_matches_sparse_reference(spsolve_dirichlet, entry):
     # 9 x 7 nodes: a swapped pair of eigenvalue axes cannot pass
     g = build_grid(Rect(0, 0, 1, 0.75), 1 / 8)
     p = boundary_partition(g, ["bottom"])
@@ -72,9 +73,18 @@ def test_batched_dst_solve_matches_sparse_reference(spsolve_dirichlet):
     batch = np.zeros((2, 3) + g.shape)
     batch[..., p.nodes[:, 1], p.nodes[:, 0]] = rng.uniform(-1, 1, (2, 3, p.n_boundary))
     ref = spsolve_dirichlet(batch)
-    solve_interior(batch)
+    if entry == "solve_interior":
+        solve_interior(batch)
+    else:
+        # walk-ordered rims, one batched solve that equals each single solve
+        # to the bit
+        rims = batch[..., p.nodes[:, 1], p.nodes[:, 0]].reshape(6, p.n_boundary)
+        fields = solve_dirichlet(g, rims)
+        for fld, rim in zip(fields, rims):
+            assert np.array_equal(fld.values, solve_dirichlet(g, rim).values)
+        batch = np.stack([fld.values for fld in fields]).reshape(batch.shape)
     assert np.abs(batch - ref).max() <= 1e-12
-    single = solve_dirichlet(g, p, boundary_values(ScalarField(g, ref[1, 2]), p))
+    single = solve_dirichlet(g, boundary_values(ScalarField(g, ref[1, 2]), p))
     assert np.abs(single.values - ref[1, 2]).max() <= 1e-12
 
 
@@ -127,7 +137,7 @@ def test_laplacian_residual_examples():
     p = boundary_partition(g, ["bottom"])
     exact = sample_exact(HarmonicPoly(coeffs=(0, 0, 1.0)), g)
     assert laplacian_residual(exact) < 1e-12
-    sol = solve_dirichlet(g, p, boundary_values(exact, p))
+    sol = solve_dirichlet(g, boundary_values(exact, p))
     assert laplacian_residual(sol) <= 1e-10
     xg, _ = g.meshgrid()
     quartic = ScalarField(grid=g, values=xg**4)
@@ -202,7 +212,7 @@ def test_mirror_symmetric_data_gives_mirror_symmetric_field():
     x = g.rect.x0 + p.nodes[:, 0] * g.h
     y = g.rect.y0 + p.nodes[:, 1] * g.h
     bv = np.sin(np.pi * x) * (1.0 + y)  # symmetric under x -> 1-x
-    sol = solve_dirichlet(g, p, bv).values
+    sol = solve_dirichlet(g, bv).values
     assert np.abs(sol - sol[:, ::-1]).max() < 1e-10
 
 

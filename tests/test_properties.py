@@ -34,7 +34,7 @@ side_sets = st.lists(st.sampled_from(SIDES), min_size=1, max_size=3, unique=True
 @given(grids(), side_sets)
 def test_tau_in_unit_interval_and_equal_to_gamma_mask_on_boundary(grid, sides):
     part = boundary_partition(grid, sides)
-    tau = compute_indicate(grid, part).values
+    tau = compute_indicate(part).values
     assert tau.min() >= -1e-14 and tau.max() <= 1.0 + 1e-14  # [0, 1] to rounding
     assert np.array_equal(tau[part.nodes[:, 1], part.nodes[:, 0]],
                           part.gamma_mask.astype(float))
@@ -45,9 +45,9 @@ def test_tau_in_unit_interval_and_equal_to_gamma_mask_on_boundary(grid, sides):
 def test_mirrored_sides_give_mirrored_tau(grid, sides, axis):
     # a mirror-symmetric side set (mirror == sides) gives a symmetric field
     mirror, flip = (MIRROR_X, np.s_[:, ::-1]) if axis == "x" else (MIRROR_Y, np.s_[::-1, :])
-    tau = compute_indicate(grid, boundary_partition(grid, sides)).values
+    tau = compute_indicate(boundary_partition(grid, sides)).values
     mirrored = [mirror[s] for s in sides]
-    tau_m = compute_indicate(grid, boundary_partition(grid, mirrored)).values
+    tau_m = compute_indicate(boundary_partition(grid, mirrored)).values
     assert np.abs(tau_m - tau[flip]).max() <= 1e-12
 
 
@@ -58,9 +58,9 @@ def test_solve_is_linear_and_obeys_the_maximum_principle(grid, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(-1.0, 1.0, (2, part.n_boundary)) * rng.uniform(0.1, 10.0, 2)[:, None]
     ca, cb = rng.normal(size=2)
-    ua = solve_dirichlet(grid, part, a).values
-    ub = solve_dirichlet(grid, part, b).values
-    uab = solve_dirichlet(grid, part, ca * a + cb * b).values
+    ua = solve_dirichlet(grid, a).values
+    ub = solve_dirichlet(grid, b).values
+    uab = solve_dirichlet(grid, ca * a + cb * b).values
     scale = abs(ca) * np.abs(a).max() + abs(cb) * np.abs(b).max()
     assert np.abs(uab - (ca * ua + cb * ub)).max() <= 1e-12 * scale
     for data, u in ((a, ua), (b, ub)):
@@ -80,7 +80,7 @@ def test_solve_reproduces_harmonic_cubics_from_their_rim(grid, seed):
     # the 5-point stencil annihilates harmonic polynomials through degree 3
     part = boundary_partition(grid, ["bottom"])
     u = sample_exact(_harmonic_poly(seed, 3), grid).values
-    sol = solve_dirichlet(grid, part, u[part.nodes[:, 1], part.nodes[:, 0]]).values
+    sol = solve_dirichlet(grid, u[part.nodes[:, 1], part.nodes[:, 0]]).values
     assert np.abs(sol - u).max() <= 1e-12 * np.abs(u).max()
 
 
