@@ -3,6 +3,7 @@
 Exact solutions are harmonic by construction; their traces and outward
 normal derivatives come from closed-form differentiation, never from grid
 differences, so data error and discretization error stay decoupled.
+A list of seeds is drawn in one pass of :mod:`rng`, bit for bit as seed by seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import ValidationError
 from .grid import BoundaryPartition, Grid2D, graph_norm
 from .poisson import ScalarField
-from .rng import Xorshift64Star
+from .rng import normals, uniforms
 
 
 @dataclass(frozen=True)
@@ -117,45 +118,39 @@ def trace_cauchy(exact: ExactSolution, partition: BoundaryPartition) -> CauchyDa
     return CauchyData(partition=partition, points=pts, f=f, g=g)
 
 
-def _draws(rng: Xorshift64Star, n: int, model: str) -> np.ndarray:
-    if model == "uniform":
-        return np.array([rng.uniform_symmetric() for _ in range(n)])
-    if model == "gaussian":
-        return np.array([rng.normal() for _ in range(n)])
-    raise ValidationError(f"unknown noise model {model!r}")
-
-
-def add_noise(data: CauchyData, level: float, seed: int,
-              model: str = "uniform") -> CauchyData:
+def add_noise(data: CauchyData, level: float, seed: int | list[int],
+              model: str = "uniform") -> CauchyData | list[CauchyData]:
     """Perturb both channels, scaled to ``level`` relative to each sup norm.
 
-    f draws come first in the stream, then g.  Uniform draws lie in [-1, 1)
-    (so the perturbation is bounded by level * sup|channel|); gaussian draws
-    are standard normals scaled the same way.  Deterministic in (seed, model).
-    The realized data error combines the graph norm of the f perturbation
-    with the plain quadrature norm of the g perturbation.
+    An int ``seed`` gives one CauchyData, a sequence of seeds a list.  f's
+    m draws come first in a seed's stream, then g's.  Uniform draws
+    ``2u - 1`` lie in [-1, 1) (so the perturbation is bounded by
+    level * sup|channel|); gaussian draws are standard normals, two uniforms
+    each, scaled the same way.  The realized data error combines the graph
+    norm of the f perturbation with the plain quadrature norm of the g one.
     """
+    if model not in ("uniform", "gaussian"):
+        raise ValidationError(f"unknown noise model {model!r}")
     if level < 0:
         raise ValidationError(f"noise level cannot be negative, got {level}")
     if data.partition is None:
         raise ValidationError("adding noise needs the data's partition, for the "
                               "realized data error's Γ quadrature")
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
     if level == 0:
-        return replace(data, noise_level=0.0, seed=seed, noise_model=model,
-                       realized_eps=0.0)
-    rng = Xorshift64Star(seed)
-    m = len(data.f)
-    df = level * np.abs(data.f).max(initial=0.0) * _draws(rng, m, model)
-    dg = level * np.abs(data.g).max(initial=0.0) * _draws(rng, m, model)
-    sigma = data.partition.gamma_sigma
-    realized = (graph_norm(sigma, data.partition.tangential_d1, df)
-                + np.sqrt(sigma @ (dg * dg)))
-    return replace(
-        data,
-        f=data.f + df,
-        g=data.g + dg,
-        noise_level=level,
-        seed=seed,
-        noise_model=model,
-        realized_eps=float(realized),
-    )
+        noisy = [replace(data, noise_level=0.0, seed=s, noise_model=model,
+                         realized_eps=0.0) for s in seeds]
+    else:
+        m = len(data.f)
+        draws = (2.0 * uniforms(seeds, 2 * m) - 1.0 if model == "uniform"
+                 else normals(seeds, 2 * m))
+        df = level * np.abs(data.f).max(initial=0.0) * draws[:, :m]
+        dg = level * np.abs(data.g).max(initial=0.0) * draws[:, m:]
+        sigma, d1 = data.partition.gamma_sigma, data.partition.tangential_d1
+        noisy = [replace(data, f=data.f + dfi, g=data.g + dgi, noise_level=level,
+                         seed=s, noise_model=model,
+                         realized_eps=float(graph_norm(sigma, d1, dfi)
+                                            + np.sqrt(sigma @ (dgi * dgi))))
+                 for s, dfi, dgi in zip(seeds, df, dg)]
+    return noisy[0] if single else noisy

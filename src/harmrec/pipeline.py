@@ -82,8 +82,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """One reconstruction; writes the artifact bundle when out_dir is given."""
     state = build_state(cfg)
     data, result = _reconstruct_for(state, cfg["noise_level"], cfg["seed"])
-    # Only run knows the hats: their traces V give n_basis and b.csv's b = V⁺w.
-    traces = compute_base_solutions(build_basis(state.grid), state.partition)
+    # Only run knows the hats: their count is n_basis; b.csv's b = V⁺w.
+    hats = build_basis(state.grid)
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
     err = ev.pointwise_error(result.u_star, exact_field)
     mask, contour = reliable_region(state.tau, cfg["threshold"])
@@ -104,12 +104,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     summary = {
         "config": cfg.to_dict(),
         "grid": {"nx": state.grid.nx, "ny": state.grid.ny, "h": state.grid.h},
-        "n_basis": traces.shape[1],
+        "n_basis": hats.n_boundary,
         "m": state.partition.m,
         "alpha_used": result.alpha_used,
         "condition_estimate": result.condition_estimate,
         "effective_rank": state.partition.n_boundary,
-        "discarded_directions": traces.shape[1] - state.partition.n_boundary,
+        "discarded_directions": hats.n_boundary - state.partition.n_boundary,
         "residual_f": result.residual_f,
         "residual_g": result.residual_g,
         "reg_norm": result.reg_norm,
@@ -138,7 +138,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         # A numerical failure must leave no partial bundle behind.  Fields
         # are finite by construction (ScalarField); vectors are not.
         hio.json_text(summary, "summary.json")
-        b = coefficients(traces, result.w)
+        b = coefficients(compute_base_solutions(hats, state.partition), result.w)
         if not all(np.isfinite(v).all() for v in (b, data.f, data.g)):
             raise SolverError("non-finite coefficients or boundary data")
         out = hio.out_dir(out_dir)
@@ -223,8 +223,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     reg_norms = {lv: [] for lv in levels}
     tik = tik_config(cfg)
     for lv in levels:
-        datas = [add_noise(state.clean_data, lv, seed, cfg["noise_model"])
-                 for seed in seeds]
+        datas = add_noise(state.clean_data, lv, seeds, cfg["noise_model"])
         results = reconstruct(state.system, datas, tik)
         err = np.abs(np.stack([r.u_star.values for r in results]) - exact_values)
         for vals in err[:, pj, pi]:  # seed by seed: a mean() would round differently

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmrec import (Constant, ExpCos, HarmonicPoly, Rect, ValidationError,
                      add_noise, boundary_partition, build_grid, sample_exact,
@@ -97,6 +99,33 @@ def test_negative_level_rejected():
         add_noise(data, -0.1, seed=1)
     with pytest.raises(ValidationError):
         add_noise(data, 0.1, seed=1, model="laplace")
+
+
+@pytest.mark.parametrize("level", [0.0, 0.1])
+@pytest.mark.parametrize("seed", [1, [1, 2]])
+def test_unknown_noise_model_rejected_at_every_level(level, seed):
+    # the level-0 shortcut must not let an unknown model through
+    data = trace_cauchy(Constant(1.0), _partition())
+    with pytest.raises(ValidationError, match="unknown noise model"):
+        add_noise(data, level, seed=seed, model="laplace")
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.sampled_from([1 / 4, 1 / 8, 1 / 16, 1 / 32]),
+       sides=st.sampled_from([("bottom",), ("left",), ("bottom", "top"),
+                              ("bottom", "right", "top", "left")]),
+       model=st.sampled_from(["uniform", "gaussian"]),
+       level=st.sampled_from([0.0, 1e-3, 0.1, 1.5]),
+       seeds=st.lists(st.integers(min_value=-2**70, max_value=2**70), max_size=5))
+def test_seed_list_equals_per_seed_calls(h, sides, model, level, seeds):
+    data = trace_cauchy(ExpCos(4.0, 0.2), _partition(h, sides))
+    together = add_noise(data, level, seeds, model)
+    assert len(together) == len(seeds)
+    for seed, a in zip(seeds, together):
+        b = add_noise(data, level, seed, model)
+        assert np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
+        assert (a.realized_eps, a.seed, a.noise_model, a.noise_level) == (
+            b.realized_eps, b.seed, b.noise_model, b.noise_level)
 
 
 def test_quadratic_harmonics_have_zero_stencil_residual():

@@ -17,6 +17,18 @@ intentional numerical change with
 and the contour by copying ``tau_contour.json`` from
 ``harmrec run --preset paper-sec5-one-side``.
 
+The noise file locks the noise stream byte for byte: ``%.17g`` values of
+the perturbations df and dg (noisy minus clean data) and of
+``realized_eps`` on the one-side preset's Γ at level 0.1, for both noise
+models and ``NOISE_SEEDS``.  It holds only integer and exact IEEE
+arithmetic for the uniform model; the gaussian rows also depend on libm's
+``log`` and ``cos``.  Regenerate (only for an intended change of the
+stream) with
+
+    PYTHONPATH=src:tests python -c "
+    import test_golden
+    test_golden.GOLDEN_NOISE.write_text(test_golden.noise_table())"
+
 The comparison tolerance is far below any physically meaningful scale but
 leaves room for LAPACK build differences; see the README if it trips on a
 new platform.
@@ -27,11 +39,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harmrec import resolve_config
+from harmrec import (add_noise, boundary_partition, build_grid, resolve_config,
+                     trace_cauchy)
 from harmrec.pipeline import run_experiment
 
 GOLDEN = Path(__file__).parent / "golden" / "u_star_one_side.csv"
 GOLDEN_CONTOUR = Path(__file__).parent / "golden" / "tau_contour_one_side.json"
+GOLDEN_NOISE = Path(__file__).parent / "golden" / "noise_one_side.csv"
+# 0x61C8864680B583EB is the seed whose splitmix64 state is zero; -1 and 2**70
+# are reduced mod 2**64, as the config lets them through.
+NOISE_SEEDS = [0, 1, 42, 2**32 - 1, -1, 2**70, 0x61C8864680B583EB]
 
 
 @pytest.fixture(scope="module")
@@ -48,3 +65,21 @@ def test_reference_reconstruction_matches_golden(one_side):
 
 def test_reference_contour_matches_golden_bytes(one_side):
     assert (one_side[1] / "tau_contour.json").read_bytes() == GOLDEN_CONTOUR.read_bytes()
+
+
+def noise_table() -> str:
+    cfg = resolve_config(preset="paper-sec5-one-side")
+    part = boundary_partition(build_grid(cfg.rect, cfg["h"]), cfg["gamma_sides"])
+    clean = trace_cauchy(cfg.exact_solution(), part)
+    lines = ["model,seed,k,df,dg,realized_eps"]
+    for model in ("uniform", "gaussian"):
+        for seed in NOISE_SEEDS:
+            noisy = add_noise(clean, 0.1, seed, model)
+            for k, (df, dg) in enumerate(zip(noisy.f - clean.f, noisy.g - clean.g)):
+                lines.append(f"{model},{seed},{k},{df:.17g},{dg:.17g},"
+                             f"{noisy.realized_eps:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_noise_stream_matches_golden_bytes():
+    assert noise_table().encode() == GOLDEN_NOISE.read_bytes()
