@@ -79,8 +79,9 @@ _KEYS: dict = {
     "tau0": (0.49, _number("a number in (0, 1)", lambda v: 0 < v < 1)),
     "eps_levels": ([1e-1, 1e-2, 1e-3], ("a list of distinct positive numbers", lambda v: (
         _list_of(lambda e: _finite(e) and e > 0)(v) and len(set(v)) == len(v)))),
-    "seeds": ([1, 2, 3], ("a nonempty list of integers",
-                          _list_of(lambda s: _finite(s, int), nonempty=True))),
+    "seeds": ([1, 2, 3], ("a nonempty list of integers, distinct modulo 2^64", lambda v: (
+        _list_of(lambda s: _finite(s, int), nonempty=True)(v)
+        and len({s % 2**64 for s in v}) == len(v)))),
     "tau_gamma_sets": (
         [["bottom"], ["bottom", "top"], ["bottom", "left"], ["bottom", "top", "left"]],
         (f"a nonempty list of side lists, no two the same set, each {_SIDE_LIST[0]}",

@@ -120,47 +120,11 @@ def solve_interior(u: np.ndarray) -> None:
     u[..., 1:-1, 1:-1] = sy @ coef @ sx
 
 
-# Not called here: perfbench/spans.py wraps `poisson.cg_dirichlet` by name.
+# The DST-I solve above is the only Laplace solver.  This stub keeps the name
+# that perfbench/spans.py looks up for its `kernels.cg` span; both go together.
 def cg_dirichlet(u: np.ndarray, tol: float, max_iter: int) -> tuple[int, float]:
-    """Run CG on the interior of ``u`` in place; the rim holds the data.
-
-    The system is the h²-scaled interior stencil
-    ``4*u[j,i] - u[j,i-1] - u[j,i+1] - u[j-1,i] - u[j+1,i] = 0``; ``u``
-    arrives with its interior zeroed.  Iteration stops once the l2 residual
-    drops below ``tol * max(1, |b|_inf)``, with ``b`` the initial residual
-    (the boundary-data load vector).  Returns (iterations, achieved l2
-    residual); the caller decides whether the residual is acceptable.
-    """
-    inner = (slice(1, -1), slice(1, -1))
-    r = np.zeros_like(u)
-    r[inner] = (
-        u[1:-1, :-2] + u[1:-1, 2:] + u[:-2, 1:-1] + u[2:, 1:-1] - 4.0 * u[inner]
-    )
-    stop = tol * max(1.0, np.abs(r).max())
-    rs = float(np.dot(r.ravel(), r.ravel()))
-    if np.sqrt(rs) <= stop:
-        return 0, np.sqrt(rs)
-    p = r.copy()
-    ap = np.zeros_like(u)
-    it = 0
-    while it < max_iter:
-        it += 1
-        ap[inner] = (
-            4.0 * p[inner] - p[1:-1, :-2] - p[1:-1, 2:] - p[:-2, 1:-1] - p[2:, 1:-1]
-        )
-        pap = float(np.dot(ap.ravel(), p.ravel()))
-        if pap <= 0.0:
-            break
-        alpha = rs / pap
-        u[inner] += alpha * p[inner]
-        r -= alpha * ap
-        rs_new = float(np.dot(r.ravel(), r.ravel()))
-        if np.sqrt(rs_new) <= stop:
-            return it, np.sqrt(rs_new)
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
-    return it, np.sqrt(rs)
+    """Not a solver: every Dirichlet problem goes through :func:`solve_dirichlet`."""
+    raise NotImplementedError("harmrec has no CG solver; use solve_dirichlet")
 
 
 def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> ScalarField | list[ScalarField]:

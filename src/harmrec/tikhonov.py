@@ -190,21 +190,17 @@ def _batch(sys: DiscreteSystem, datas: list[CauchyData],
     return cfg.resolve_alpha(datas[0].noise_level, sys.h), f, g
 
 
-def _channel_weights(sys: DiscreteSystem, weights: tuple[float, float]) -> list:
-    """(channel, L) for the f (0) and g (1) channels of nonzero weight, L the
-    (m, m) matrix with |L r| the channel's weighted norm of a residual r:
-    for f, sqrt(w_f) times the graph norm, as the triangular factor of
-    [sqrt(sigma); sqrt(sigma) D1] (no Gram matrix formed); for g,
-    sqrt(w_g) times the sigma-weighted norm."""
+def _channel_weights(sys: DiscreteSystem,
+                     weights: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """(L_f, L_g), the (m, m) matrices with |L r| a channel's weighted norm
+    of a residual r: for f, sqrt(w_f) times the graph norm, as the
+    triangular factor of [sqrt(sigma); sqrt(sigma) D1] (no Gram matrix
+    formed); for g, sqrt(w_g) times the sigma-weighted norm.  A zero weight
+    gives a zero matrix, which cancels its channel's rows in the fit."""
     w_f, w_g = weights
     s12 = np.sqrt(sys.sigma)
-    out = []
-    if w_f > 0:
-        graph = np.linalg.qr(np.vstack([np.diag(s12), s12[:, None] * sys.D1]), mode="r")
-        out.append((0, np.sqrt(w_f) * graph))
-    if w_g > 0:
-        out.append((1, np.diag(np.sqrt(w_g) * s12)))
-    return out
+    graph = np.linalg.qr(np.vstack([np.diag(s12), s12[:, None] * sys.D1]), mode="r")
+    return np.sqrt(w_f) * graph, np.diag(np.sqrt(w_g) * s12)
 
 
 @dataclass(frozen=True)
@@ -236,16 +232,14 @@ def _standard_form(sys: DiscreteSystem, weights: tuple[float, float]) -> _Standa
     """Factor the system for the data weights once; later calls reuse it."""
     if weights in sys._fits:
         return sys._fits[weights]
-    channels = _channel_weights(sys, weights)
-    m0 = np.vstack([lc @ (sys.A, sys.B)[c] for c, lc in channels])  # the data block
+    lf, lg = _channel_weights(sys, weights)
+    m0 = np.vstack([lf @ sys.A, lg @ sys.B])  # the data block
     root = _penalty_factor(sys)
     try:
         p, s, wt = np.linalg.svd(_solve_penalty(root, m0.T).T, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"factorising the fit failed: {exc}") from exc
-    p_t = np.zeros((len(s), 2 * sys.m))  # P^T acting on the data rows, as on [f; g]
-    for i, (c, lc) in enumerate(channels):
-        p_t[:, c * sys.m:(c + 1) * sys.m] = p.T[:, i * sys.m:(i + 1) * sys.m] @ lc
+    p_t = np.hstack([p.T[:, :sys.m] @ lf, p.T[:, sys.m:] @ lg])  # P^T on [f; g]
     fit = _StandardForm(p_t=p_t, s=s, to_w=_solve_penalty(root, wt.T))
     sys._fits[weights] = fit
     return fit

@@ -480,6 +480,21 @@ def test_cli_repeated_eps_level_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# rng reduces a seed mod 2^64, so seeds equal there draw the same noise.
+@pytest.mark.parametrize("command", ["run", "tau", "sweep"])
+@pytest.mark.parametrize("seeds", [[1, 1, 2], [0, 2**70, 3], [-1, 2**64 - 1, 5]])
+def test_cli_coinciding_seeds_exit_2(tmp_path, capsys, command, seeds):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, "seeds": seeds}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err, parse_constant=pytest.fail)["error"]
+    assert error["type"] == "validation" and "seeds" in error["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, raw, message", [
     ("run", {"alpha_c": -1}, "alpha_c"),
     ("sweep", {"alpha_c": 0}, "alpha_c"),

@@ -6,7 +6,7 @@ import pytest
 from harmrec import (HarmonicPoly, Rect, SolverError, ValidationError,
                      boundary_partition, build_grid, laplacian_residual,
                      sample_exact, solve_dirichlet)
-from harmrec.poisson import (ScalarField, _dst_matrix, cg_dirichlet, normal_stencil,
+from harmrec.poisson import (ScalarField, _dst_matrix, normal_stencil,
                              solve_interior)
 
 
@@ -214,16 +214,6 @@ def test_mirror_symmetric_data_gives_mirror_symmetric_field():
     bv = np.sin(np.pi * x) * (1.0 + y)  # symmetric under x -> 1-x
     sol = solve_dirichlet(g, bv).values
     assert np.abs(sol - sol[:, ::-1]).max() < 1e-10
-
-
-def test_cg_reports_iterations_and_residual():
-    xg, yg = build_grid(Rect(0, 0, 1, 1), 1 / 16).meshgrid()
-    u = np.exp(xg) * np.sin(yg)
-    u[1:-1, 1:-1] = 0.0  # rim holds the data
-    iters, res = cg_dirichlet(u.copy(), 1e-10, max_iter=2)
-    assert iters == 2 and res > 1e-10
-    iters, res = cg_dirichlet(u.copy(), 1e-10, max_iter=5000)
-    assert res <= 1e-10 * max(1.0, np.abs(u).max()) * 3
 
 
 def test_field_validation():

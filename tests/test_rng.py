@@ -94,6 +94,19 @@ def test_normals_equal_the_scalar_oracle(seeds, n):
     assert got.tolist() == expected
 
 
+def test_normals_clamp_a_zero_u1(monkeypatch):
+    # u1 = 0 would make log(u1) raise; the clamp at 2^-53 gives the largest
+    # normal the stream can produce.  A stream draws 0 only when an output's
+    # top 53 bits are all zero, so the case needs a patched stream.
+    import harmrec.rng
+
+    row = np.array([[0.0, 0.125, 0.0, 0.6]])
+    monkeypatch.setattr(harmrec.rng, "uniforms", lambda seeds, n: row[:, :n])
+    r = math.sqrt(-2.0 * math.log(2.0 ** -53))
+    expected = [r * math.cos(2.0 * math.pi * u2) for u2 in (0.125, 0.6)]
+    assert normals([1], 2).tolist() == [expected]
+
+
 def test_streams_deterministic_and_seed_dependent():
     a, b, c = uniforms([7, 7, 8], 16)
     assert (a == b).all()

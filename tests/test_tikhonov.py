@@ -316,6 +316,24 @@ def test_batch_needs_one_noise_level():
         reconstruct(sys, [], TikhonovConfig())
 
 
+@pytest.mark.parametrize("sides", [["bottom"], ["bottom", "top"]])
+@pytest.mark.parametrize("weights, channel", [((0.0, 1.0), "f"), ((1.0, 0.0), "g")])
+def test_zero_weighted_channel_cannot_move_the_fit(sides, weights, channel):
+    # a zero weight zeroes its channel's rows, so its data enter the fit only
+    # through exact products with 0
+    part, sys = _system(build_grid(Rect(0, 0, 1, 1), 1 / 8), sides)
+    datas = _noisy_batch(part)
+    rng = np.random.default_rng(5)
+    junk = [rng.normal(size=sys.m) * 1e6, np.full(sys.m, -1e100),
+            rng.uniform(-1.0, 1.0, size=sys.m) * 1e-300]
+    moved = [replace(d, **{channel: x}) for d, x in zip(datas, junk)]
+    cfg = TikhonovConfig(data_weights=weights)
+    for a, b in zip(reconstruct(sys, datas, cfg), reconstruct(sys, moved, cfg)):
+        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.u_star.values, b.u_star.values)
+        assert a.reg_norm == b.reg_norm
+
+
 def test_sweep_factors_once_and_filters_once_per_noise_level(monkeypatch):
     import harmrec.tikhonov as tik
 
