@@ -7,6 +7,8 @@ sidecar holding noise metadata.  Vector CSV (the coefficients b): header
 
 All writers format floats with ``%.17g`` and emit strict JSON (no NaN or
 Infinity) with sorted keys, so identical inputs produce byte-identical files.
+A grid CSV is filled row by row: each row's template holds its x and y
+strings, each formatted once, and one ``%`` over the row's values fills it.
 """
 
 from __future__ import annotations
@@ -54,19 +56,23 @@ def json_text(obj, name: str) -> str:
         raise SolverError(f"{name}: {exc}") from exc
 
 
-def dump_json(path, obj) -> None:
-    """Write strict JSON (see :func:`json_text`)."""
-    Path(path).write_text(json_text(obj, Path(path).name))
+def dump_json(path, obj, text: str | None = None) -> None:
+    """Write strict JSON (see :func:`json_text`).  ``text``, when given, is
+    ``obj``'s :func:`json_text`, already encoded by a caller that checked it
+    before writing anything."""
+    Path(path).write_text(json_text(obj, Path(path).name) if text is None else text)
 
 
 def field_csv_text(fld: ScalarField) -> str:
+    """Grid CSV text of ``fld``: per row, one ``%`` fills a ``%.17g`` slot
+    per node, so no string is built per node."""
     g = fld.grid
-    xs = [_fmt(x) + "," for x in g.xs.tolist()]
-    lines = ["x,y,value"]
-    for y, row in zip(g.ys.tolist(), fld.values.tolist()):
-        y_col = _fmt(y) + ","
-        lines.extend(f"{x}{y_col}{v:.17g}" for x, v in zip(xs, row))
-    return "\n".join(lines) + "\n"
+    xs = [_fmt(x) for x in g.xs.tolist()]
+    rows = ["x,y,value\n"]
+    for y, row in zip(g.ys.tolist(), fld.values):
+        tail = f",{_fmt(y)},%.17g\n"
+        rows.append((tail.join(xs) + tail) % tuple(row.tolist()))
+    return "".join(rows)
 
 
 def write_field_csv(path, fld: ScalarField) -> None:

@@ -137,7 +137,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     if out_dir is not None:
         # A numerical failure must leave no partial bundle behind.  Fields
         # are finite by construction (ScalarField); vectors are not.
-        hio.json_text(summary, "summary.json")
+        summary_text = hio.json_text(summary, "summary.json")
         b = coefficients(compute_base_solutions(hats, state.partition), result.w)
         if not all(np.isfinite(v).all() for v in (b, data.f, data.g)):
             raise SolverError("non-finite coefficients or boundary data")
@@ -152,7 +152,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         svg.render_heatmap(result.u_star, out / "u_star.svg", title="reconstruction")
         svg.render_heatmap(err, out / "error.svg", contours=contour,
                            title="absolute error")
-        hio.dump_json(out / "summary.json", summary)
+        hio.dump_json(out / "summary.json", summary, summary_text)
 
     return {
         "summary": summary,
@@ -273,11 +273,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
         "reg_norm_log_slope": reg_slope,
     }
     if out_dir is not None:
-        hio.json_text(summary, "sweep.json")  # probes.csv holds the same values
+        sweep_text = hio.json_text(summary, "sweep.json")  # probes.csv holds the same values
         out = hio.out_dir(out_dir)
         lines = ["x,y,tau,err,slope"]
         for p in probes:
             lines.append(",".join(f"{p[k]:.17g}" for k in ("x", "y", "tau", "err", "slope")))
         (out / "probes.csv").write_text("\n".join(lines) + "\n")
-        hio.dump_json(out / "sweep.json", summary)
+        hio.dump_json(out / "sweep.json", summary, sweep_text)
     return summary

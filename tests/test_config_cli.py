@@ -210,6 +210,18 @@ def test_cli_non_finite_json_artifact_exit_3(tmp_path, capsys, monkeypatch):
     assert not (out / "sweep.json").exists()
 
 
+def test_cli_run_non_finite_summary_exit_3(tmp_path, capsys, monkeypatch):
+    import harmrec.evaluate
+
+    monkeypatch.setattr(harmrec.evaluate, "reliability_summary",
+                        lambda *a: {"median_ratio": float("nan")})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write_cfg(tmp_path)), "--out", str(out)]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "numerical" and "summary.json" in error["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_numerical_failure_leaves_no_artifacts(tmp_path, capsys):
     # exp(400 x) overflows the fit: the run must fail before writing anything

@@ -1,7 +1,10 @@
 import json
 import math
+import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -238,3 +241,51 @@ def test_svg_range_beyond_float_span(tmp_path):
              if line.startswith("<rect")]
     assert fills[0] == "#313695" and fills[-1] == "#a50026"
     assert set(fills[1:-1]) == {"#ffffbf"}
+
+
+def test_svg_title_is_escaped(tmp_path):
+    g = build_grid(Rect(0, 0, 1, 1), 0.5)
+    fld = sample_exact(Constant(3.0), g)
+    render_heatmap(fld, tmp_path / "t.svg", title="a<b & c>d")
+    root = ET.parse(tmp_path / "t.svg").getroot()
+    title = root.find("{http://www.w3.org/2000/svg}title")
+    assert title.text == "a<b & c>d [range 3 .. 3]"
+
+
+@pytest.fixture(scope="module")
+def tau_128():
+    """The one-side exponent field at h = 1/128 (129 x 129 nodes) and its
+    threshold contour."""
+    ind = compute_indicate(boundary_partition(build_grid(Rect(0, 0, 1, 1), 1 / 128),
+                                              ["bottom"]))
+    _, contour = reliable_region(ind, 0.5)
+    return ind, contour
+
+
+def test_full_size_field_matches_reference_bytes(tmp_path, tau_128):
+    ind, contour = tau_128
+    assert ind.values.shape == (129, 129) and contour.polylines
+    hio.write_field_csv(tmp_path / "tau.csv", ind)
+    render_heatmap(ind, tmp_path / "tau.svg", contours=contour, title="tau")
+    assert (tmp_path / "tau.csv").read_text() == _oracle_csv(ind)
+    assert (tmp_path / "tau.svg").read_text() == _oracle_svg(ind, contour, title="tau")
+
+
+def _traced_peak(write) -> int:
+    write()  # first call: lazy imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_peak_memory_is_a_small_multiple_of_the_file(tmp_path, tau_128):
+    # the writers hold no per-node string: the peak stays near the file's size
+    ind, contour = tau_128
+    csv, svg = tmp_path / "tau.csv", tmp_path / "tau.svg"
+    peak = _traced_peak(lambda: hio.write_field_csv(csv, ind))
+    assert peak <= 3.0 * csv.stat().st_size, (peak, csv.stat().st_size)
+    peak = _traced_peak(lambda: render_heatmap(ind, svg, contours=contour, title="tau"))
+    assert peak <= 3.5 * svg.stat().st_size, (peak, svg.stat().st_size)
