@@ -76,7 +76,6 @@ _KEYS: dict = {
     "w_f": (1.0, _NONNEGATIVE),
     "w_g": (1.0, _NONNEGATIVE),
     "threshold": (0.5, _number("a number in (0, 1]", lambda v: 0 < v <= 1)),
-    "tau0": (0.49, _number("a number in (0, 1)", lambda v: 0 < v < 1)),
     "eps_levels": ([1e-1, 1e-2, 1e-3], ("a list of distinct positive numbers", lambda v: (
         _list_of(lambda e: _finite(e) and e > 0)(v) and len(set(v)) == len(v)))),
     "seeds": ([1, 2, 3], ("a nonempty list of integers, distinct modulo 2^64", lambda v: (

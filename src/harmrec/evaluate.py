@@ -98,17 +98,15 @@ def envelope_c_fit(err_values: np.ndarray, tau_values: np.ndarray,
     return ratio.max(axis=(-2, -1), initial=0.0)
 
 
-def envelope_check(err: ScalarField, tau: ScalarField, eps: float,
-                   m_used: float | None = None) -> dict:
+def envelope_check(err: ScalarField, tau: ScalarField, eps: float) -> dict:
     """Fit the envelope constant C = max |err| / eps^tau over interior nodes.
 
     Requires eps in (0, 1): otherwise eps^tau is not decreasing in tau and
     the envelope carries no information.  Returns the ``envelope`` object of
-    ``summary.json``: ``eps``, ``c_fit``, ``c_ref`` (the constant checked,
-    ``c_fit`` itself), ``violations`` (interior nodes whose ratio exceeds
-    ``c_ref``, so 0), ``violation_locations`` (so empty), ``probes`` (x, y,
-    tau, err and the bound ``c_ref * eps^tau`` on the fixed interior lattice
-    PROBE_COORDS x PROBE_COORDS) and ``m_used``.
+    ``summary.json``: ``eps``, ``c_fit`` and ``probes`` (x, y, tau, err and
+    the bound ``c_fit * eps^tau`` on the lattice PROBE_COORDS x PROBE_COORDS).
+    No interior node exceeds its bound at this eps, by construction; whether
+    one C serves every eps shows in the sweep's ``envelope_c_fits``.
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError(f"envelope needs eps in (0, 1), got {eps}")
@@ -122,8 +120,7 @@ def envelope_check(err: ScalarField, tau: ScalarField, eps: float,
     probes = [{"x": float(g.xs[i]), "y": float(g.ys[j]),
                "tau": float(t[j, i]), "err": float(e[j, i]), "bound": float(b)}
               for i, j, b in zip(pi, pj, bounds)]
-    return {"eps": eps, "c_fit": c_fit, "c_ref": c_fit, "violations": 0,
-            "violation_locations": [], "probes": probes, "m_used": m_used}
+    return {"eps": eps, "c_fit": c_fit, "probes": probes}
 
 
 def check_level_span(levels) -> None:

@@ -1,14 +1,14 @@
 """Deterministic artifact writers (CSV and JSON contracts).
 
 Grid field CSV: header ``x,y,value``, one node per row, row-major by j then
-i, 17 significant digits.  Boundary data CSV: header ``x,y,f,g`` with a JSON
-sidecar holding noise metadata.  Vector CSV (the coefficients b): header
-``b``, then one value per row.
+i, 17 significant digits.  Table CSVs, written by one writer: boundary data
+(header ``x,y,f,g``, with a JSON sidecar holding noise metadata), the
+coefficients b (header ``b``, one value per row) and the sweep's probes.
 
 All writers format floats with ``%.17g`` and emit strict JSON (no NaN or
 Infinity) with sorted keys, so identical inputs produce byte-identical files.
-A grid CSV is filled row by row: each row's template holds its x and y
-strings, each formatted once, and one ``%`` over the row's values fills it.
+Each CSV row is written as soon as one ``%`` fills its template, so no
+file's whole text exists; a grid row's template holds its x and y strings.
 """
 
 from __future__ import annotations
@@ -63,27 +63,31 @@ def dump_json(path, obj, text: str | None = None) -> None:
     Path(path).write_text(json_text(obj, Path(path).name) if text is None else text)
 
 
-def field_csv_text(fld: ScalarField) -> str:
-    """Grid CSV text of ``fld``: per row, one ``%`` fills a ``%.17g`` slot
-    per node, so no string is built per node."""
+def write_field_csv(path, fld: ScalarField) -> None:
+    """Grid CSV of ``fld``, written row by row: one ``%`` fills a row's
+    ``%.17g`` slots, so neither a string per node nor the whole text exists."""
     g = fld.grid
     xs = [_fmt(x) for x in g.xs.tolist()]
-    rows = ["x,y,value\n"]
-    for y, row in zip(g.ys.tolist(), fld.values):
-        tail = f",{_fmt(y)},%.17g\n"
-        rows.append((tail.join(xs) + tail) % tuple(row.tolist()))
-    return "".join(rows)
+    with open(path, "w") as fh:
+        fh.write("x,y,value\n")
+        for y, row in zip(g.ys.tolist(), fld.values):
+            tail = f",{_fmt(y)},%.17g\n"
+            fh.write((tail.join(xs) + tail) % tuple(row.tolist()))
 
 
-def write_field_csv(path, fld: ScalarField) -> None:
-    Path(path).write_text(field_csv_text(fld))
+def write_table_csv(path, columns, rows) -> None:
+    """Table CSV: the header ``columns``, then each row of floats in
+    ``rows``, filled by one ``%.17g`` template and written as it is filled."""
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(template % tuple(row))
 
 
 def write_cauchy_csv(path, data: CauchyData, sidecar_path) -> None:
-    lines = ["x,y,f,g"]
-    for (x, y), fv, gv in zip(data.points, data.f, data.g):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(fv)},{_fmt(gv)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table_csv(path, ("x", "y", "f", "g"),
+                    np.column_stack([data.points, data.f, data.g]).tolist())
     dump_json(sidecar_path, {
         "noise_level": data.noise_level,
         "seed": data.seed,
@@ -93,5 +97,4 @@ def write_cauchy_csv(path, data: CauchyData, sidecar_path) -> None:
 
 
 def write_vector_csv(path, vec: np.ndarray) -> None:
-    lines = ["b"] + [_fmt(v) for v in np.asarray(vec, dtype=float)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table_csv(path, ("b",), np.asarray(vec, dtype=float).reshape(-1, 1).tolist())

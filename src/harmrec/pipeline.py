@@ -91,13 +91,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     sup_exact = float(np.abs(exact_field.values).max())
 
     level = cfg["noise_level"]
-    envelope = envelope_degraded = None
-    if 0.0 < level < 1.0:
-        envelope = ev.envelope_check(err, state.tau, level, m_used=sup_exact)
-        eps_tilde = level ** cfg["tau0"]
-        if 0.0 < eps_tilde < 1.0:
-            envelope_degraded = ev.envelope_check(err, state.tau, eps_tilde,
-                                                  m_used=sup_exact)
+    envelope = ev.envelope_check(err, state.tau, level) if 0.0 < level < 1.0 else None
 
     ci, cj = state.grid.nearest_node(
         0.5 * (cfg.rect.x0 + cfg.rect.x1), 0.5 * (cfg.rect.y0 + cfg.rect.y1))
@@ -129,9 +123,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         "reliable_fraction": float(mask.mean()),
         "reliability": region,
         "envelope": envelope,
-        "envelope_degraded": (
-            {"tau0": cfg["tau0"], **envelope_degraded} if envelope_degraded else None
-        ),
     }
 
     if out_dir is not None:
@@ -275,9 +266,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     if out_dir is not None:
         sweep_text = hio.json_text(summary, "sweep.json")  # probes.csv holds the same values
         out = hio.out_dir(out_dir)
-        lines = ["x,y,tau,err,slope"]
-        for p in probes:
-            lines.append(",".join(f"{p[k]:.17g}" for k in ("x", "y", "tau", "err", "slope")))
-        (out / "probes.csv").write_text("\n".join(lines) + "\n")
+        cols = ("x", "y", "tau", "err", "slope")
+        hio.write_table_csv(out / "probes.csv", cols, [[p[k] for k in cols] for p in probes])
         hio.dump_json(out / "sweep.json", summary, sweep_text)
     return summary

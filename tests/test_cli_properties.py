@@ -94,7 +94,6 @@ configs = st.fixed_dictionaries({
     "w_f": st.sampled_from([1.0, 0.0, 1.0, 0.5]),
     "w_g": st.sampled_from([1.0, 0.0, 2.0, 1.0]),
     "threshold": st.sampled_from([0.5, 1.0, 0.25]),
-    "tau0": st.sampled_from([0.49, 0.9]),
     "eps_levels": st.lists(st.sampled_from([1e-1, 1e-2, 1e-3]), min_size=2, max_size=4),
     "seeds": st.lists(st.sampled_from([1, 2, -3, 7]), min_size=1, max_size=3),
     "tau_gamma_sets": st.lists(st.sampled_from(SIDE_LISTS[:-1]), min_size=1, max_size=3),
@@ -130,15 +129,16 @@ def test_cli_contract_on_generated_configs(command, raw):
 
 # Keys that no longer exist: the penalty is always the factored smoothness
 # norm, the normal difference always second order, the exponent field
-# always the exact DST-I solve, and the basis always the hats one layer
-# around the domain.
+# always the exact DST-I solve, the basis always the hats one layer
+# around the domain, and the envelope is fitted at noise_level alone.
 @pytest.mark.parametrize("command", ["run", "tau", "sweep"])
 @pytest.mark.parametrize("raw", [{"reg_mode": "gram"}, {"reg_mode": "diagonal"},
                                  {"norm_order": 2}, {"norm_order": 1},
                                  {"solver": "cg"}, {"solver": "direct"},
                                  {"solver_tol": 1e-10}, {"basis_kind": "hat"},
                                  {"basis_kind": "indicator", "arcs_per_side": 3},
-                                 {"arcs_per_side": 1}, {"padding_layers": 1}])
+                                 {"arcs_per_side": 1}, {"padding_layers": 1},
+                                 {"tau0": 0.49}])
 def test_removed_keys_exit_2(command, raw):
     assert _check_contract(command, raw) == 2
 
