@@ -22,8 +22,7 @@ from .measure import (LevelContour, annulus_tau, compute_indicate,
                       rectangle_series_tau, reliable_region, two_constants_bound)
 from .pipeline import build_state, run_experiment, run_sweep, run_tau
 from .poisson import ScalarField, laplacian_residual, solve_dirichlet
-from .tikhonov import (DiscreteSystem, ReconstructionResult, TikhonovConfig,
-                       assemble_system, minimize, reconstruct, reconstruct_field,
-                       select_alpha)
+from .tikhonov import (DiscreteSystem, ReconstructionResult, assemble_system,
+                       minimize, reconstruct, reconstruct_field)
 
 __version__ = "0.1.0"

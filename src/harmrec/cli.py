@@ -33,13 +33,14 @@ def _parser() -> argparse.ArgumentParser:
         ("run", "reconstruct once and emit the artifact bundle"),
         ("tau", "emit reliability-exponent artifacts per side set"),
         ("sweep", "noise sweep: per-probe decay rates and envelope fits"),
-        ("check", "run the fast invariant suite"),
     ):
         cmd = sub.add_parser(name, help=desc)
         cmd.add_argument("--config", help="path to a flat JSON config")
         cmd.add_argument("--preset", help="named preset to start from")
         cmd.add_argument("--out", default="out", help="artifact directory")
-        cmd.add_argument("--seed", type=int, help="override the config seed")
+        if name == "run":  # tau draws no noise and sweep draws it from seeds
+            cmd.add_argument("--seed", type=int, help="override the config seed")
+    sub.add_parser("check", help="run the fast invariant suite")  # fixed inputs, no flags
     return p
 
 
@@ -55,7 +56,7 @@ def _run_checks() -> int:
     from .measure import annulus_tau, compute_indicate, rectangle_series_tau, two_constants_bound
     from .poisson import laplacian_residual, solve_dirichlet
     from .forward import HarmonicPoly, sample_exact
-    from .tikhonov import DiscreteSystem, TikhonovConfig, minimize
+    from .tikhonov import DiscreteSystem, minimize
     from .forward import CauchyData
 
     failures = 0
@@ -108,8 +109,8 @@ def _run_checks() -> int:
                             sigma=np.array([1.0]), D1=np.array([[0.0]]), h=1.0)
     data_1d = CauchyData(partition=None, points=np.zeros((1, 2)),
                          f=np.array([1.0]), g=np.array([0.0]))
-    w = minimize(sys_1d, data_1d,
-                 TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha))
+    w = minimize(sys_1d, data_1d, resolve_config(
+        overrides={"alpha_rule": "fixed", "alpha_fixed": alpha}))
     check("scalar ridge solution is 1/(1+alpha)",
           abs(w[0] - 1.0 / (1.0 + alpha)) < 1e-12, f"w={w[0]:.15g}")
 
@@ -125,11 +126,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         if args.command == "check":
             return _run_checks()
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
         cfg = resolve_config(preset=args.preset, config_path=args.config,
-                             overrides=overrides)
+                             overrides={"seed": getattr(args, "seed", None)})
         # Overflow is not reported where it happens: the finiteness checks of
         # fields, fits and JSON turn any non-finite result into exit 3, and
         # stderr holds only the one-line error.

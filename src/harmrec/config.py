@@ -5,6 +5,7 @@ has a default, a preset may override defaults, a config file overrides the
 preset, and CLI flags override everything, one key at a time.  The output
 directory is a runtime parameter, not part of the experiment config, so two
 runs of one config into different directories emit byte-identical artifacts.
+It is also the fit's settings: ``alpha(eps, h)`` and ``data_weights``.
 """
 
 from __future__ import annotations
@@ -178,6 +179,27 @@ class ExperimentConfig:
         if kind == "constant":
             return Constant(c=self.raw["exact_value"])
         raise ValidationError(f"unknown exact solution kind {kind!r}")
+
+    @property
+    def data_weights(self) -> tuple[float, float]:
+        """(w_f, w_g), the fit's weights of the Dirichlet and Neumann data."""
+        return self.raw["w_f"], self.raw["w_g"]
+
+    def alpha(self, eps: float, h: float) -> float:
+        """The fit's regularization weight at noise level eps and spacing h:
+        alpha_fixed, or alpha_c * (eps^2 + h^2) under the a-priori rule.  The
+        basis truncation term of the full rule is not observable, so it is
+        dropped and compensated by tying the basis size to h in the presets.
+        A tiny alpha_c can still underflow to alpha = 0, rejected here."""
+        if eps < 0:
+            raise ValidationError(f"need eps >= 0, got eps={eps}")
+        if self.raw["alpha_rule"] == "fixed":
+            alpha = float(self.raw["alpha_fixed"])
+        else:
+            alpha = self.raw["alpha_c"] * (eps * eps + h * h)
+        if alpha <= 0:
+            raise ValidationError(f"resolved alpha must be positive, got {alpha}")
+        return alpha
 
 
 def validate_config(raw: dict) -> ExperimentConfig:

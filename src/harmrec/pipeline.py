@@ -24,8 +24,7 @@ from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
 from .measure import compute_indicate, reliable_region
 from .poisson import ScalarField
-from .tikhonov import (DiscreteSystem, ReconstructionResult, TikhonovConfig,
-                       assemble_system, reconstruct)
+from .tikhonov import DiscreteSystem, ReconstructionResult, assemble_system, reconstruct
 
 
 @dataclass
@@ -38,15 +37,6 @@ class PipelineState:
     system: DiscreteSystem
     tau: ScalarField
     clean_data: CauchyData
-
-
-def tik_config(cfg: ExperimentConfig) -> TikhonovConfig:
-    return TikhonovConfig(
-        alpha_rule=cfg["alpha_rule"],
-        alpha_c=cfg["alpha_c"],
-        alpha_fixed=cfg["alpha_fixed"],
-        data_weights=(cfg["w_f"], cfg["w_g"]),
-    )
 
 
 def build_state(cfg: ExperimentConfig) -> PipelineState:
@@ -63,7 +53,7 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
 def _reconstruct_for(state: PipelineState, level: float, seed: int) -> tuple[CauchyData, ReconstructionResult]:
     cfg = state.cfg
     data = add_noise(state.clean_data, level, seed, cfg["noise_model"])
-    result, = reconstruct(state.system, [data], tik_config(cfg))
+    result, = reconstruct(state.system, [data], cfg)
     return data, result
 
 
@@ -212,10 +202,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     err_by_level = {lv: np.zeros(len(probe_nodes)) for lv in levels}
     c_fits = []
     reg_norms = {lv: [] for lv in levels}
-    tik = tik_config(cfg)
     for lv in levels:
         datas = add_noise(state.clean_data, lv, seeds, cfg["noise_model"])
-        results = reconstruct(state.system, datas, tik)
+        results = reconstruct(state.system, datas, cfg)
         err = np.abs(np.stack([r.u_star.values for r in results]) - exact_values)
         for vals in err[:, pj, pi]:  # seed by seed: a mean() would round differently
             err_by_level[lv] += vals / len(seeds)

@@ -29,9 +29,9 @@ per data set.  The condition estimate reported is that of
 ``[M0 L^-1; sqrt(alpha) I]``, and a fit's field is the harmonic extension of
 w on the domain's grid, one :func:`poisson.solve_dirichlet` for a batch.
 
-The a-priori regularization weight follows alpha = c * (eps^2 + h^2): the
-basis truncation term of the full rule is not observable, so it is dropped
-and compensated by tying the basis size to h in the presets.
+A fit's settings come from the experiment's
+:class:`~harmrec.config.ExperimentConfig`: its ``data_weights`` and its
+``alpha(eps, h)``, resolved at the data's noise level and the system's h.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import SolverError, ValidationError
 from .forward import CauchyData
 from .grid import BoundaryPartition, Grid2D, graph_norm
@@ -106,47 +107,6 @@ def assemble_system(partition: BoundaryPartition) -> DiscreteSystem:
     return system
 
 
-def select_alpha(eps: float, h: float, rule: str = "a_priori",
-                 c: float = 1.0, fixed: float | None = None) -> float:
-    """Resolve the regularization weight.
-
-    rule "a_priori": alpha = c * (eps^2 + h^2); rule "fixed": passthrough of
-    ``fixed``.  The resolved value must be positive.
-    """
-    if rule == "a_priori":
-        if eps < 0 or h <= 0:
-            raise ValidationError(f"need eps >= 0 and h > 0, got eps={eps}, h={h}")
-        alpha = c * (eps * eps + h * h)
-    elif rule == "fixed":
-        if fixed is None:
-            raise ValidationError("rule 'fixed' needs an explicit alpha value")
-        alpha = float(fixed)
-    else:
-        raise ValidationError(f"unknown alpha rule {rule!r}")
-    if alpha <= 0:
-        raise ValidationError(f"resolved alpha must be positive, got {alpha}")
-    return alpha
-
-
-@dataclass(frozen=True)
-class TikhonovConfig:
-    alpha_rule: str = "a_priori"
-    alpha_c: float = 1.0
-    alpha_fixed: float | None = None
-    data_weights: tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self):
-        w_f, w_g = self.data_weights
-        if w_f < 0 or w_g < 0 or (w_f == 0 and w_g == 0):
-            raise ValidationError(
-                f"data weights must be nonnegative and not both zero, got {self.data_weights}"
-            )
-
-    def resolve_alpha(self, eps: float, h: float) -> float:
-        return select_alpha(eps, h, rule=self.alpha_rule, c=self.alpha_c,
-                            fixed=self.alpha_fixed)
-
-
 def _penalty_factor(sys: DiscreteSystem) -> np.ndarray:
     """(K,) eigenvalues of the circulant penalty factor L on the walk's modes
     t = 2 pi j / K: ``sqrt(h (1 + (sin t / h)^2 + (4 sin^2(t/2) / h^2)^2))``,
@@ -167,7 +127,7 @@ def _solve_penalty(root: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _batch(sys: DiscreteSystem, datas: list[CauchyData],
-           cfg: TikhonovConfig) -> tuple[float, np.ndarray, np.ndarray]:
+           cfg: ExperimentConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Alpha and the (m, k) data matrices f, g of a batch of k data sets.
 
     The a-priori rule makes alpha a function of the noise level, so a batch
@@ -187,7 +147,7 @@ def _batch(sys: DiscreteSystem, datas: list[CauchyData],
             )
     f = np.column_stack([data.f for data in datas])
     g = np.column_stack([data.g for data in datas])
-    return cfg.resolve_alpha(datas[0].noise_level, sys.h), f, g
+    return cfg.alpha(datas[0].noise_level, sys.h), f, g
 
 
 def _channel_weights(sys: DiscreteSystem,
@@ -245,7 +205,7 @@ def _standard_form(sys: DiscreteSystem, weights: tuple[float, float]) -> _Standa
     return fit
 
 
-def minimize(sys: DiscreteSystem, data: CauchyData, cfg: TikhonovConfig) -> np.ndarray:
+def minimize(sys: DiscreteSystem, data: CauchyData, cfg: ExperimentConfig) -> np.ndarray:
     """The (K,) traces minimizing the regularized cost.
 
     The a-priori alpha rule is resolved with the data's configured noise
@@ -282,7 +242,7 @@ def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> ScalarField | list[
 
 
 def reconstruct(sys: DiscreteSystem, datas: list[CauchyData],
-                cfg: TikhonovConfig) -> list[ReconstructionResult]:
+                cfg: ExperimentConfig) -> list[ReconstructionResult]:
     """Full solve for data sets sharing one noise level: per data set the
     traces, the field on the system's grid, and the fit diagnostics."""
     alpha, f, g = _batch(sys, datas, cfg)

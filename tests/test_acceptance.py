@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from harmrec import (CauchyData, DiscreteSystem, Rect, TikhonovConfig,
-                     annulus_tau, boundary_partition, build_grid,
-                     compute_indicate, minimize, rectangle_series_tau,
-                     resolve_config, solve_dirichlet, two_constants_bound)
+from harmrec import (CauchyData, DiscreteSystem, Rect, annulus_tau,
+                     boundary_partition, build_grid, compute_indicate,
+                     minimize, rectangle_series_tau, resolve_config,
+                     solve_dirichlet, two_constants_bound, validate_config)
 from harmrec.pipeline import run_experiment, run_sweep
 
 
@@ -108,7 +108,7 @@ def test_criterion_5_ridge_closed_form():
     sys1d = DiscreteSystem(A=np.array([[1.0]]), B=np.array([[0.0]]),
                            sigma=np.array([1.0]), D1=np.array([[0.0]]), h=1.0)
     alpha = 1e-3
-    cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
+    cfg = validate_config({"alpha_rule": "fixed", "alpha_fixed": alpha})
     b1 = minimize(sys1d, CauchyData(partition=None, points=np.zeros((1, 2)),
                                     f=np.array([1.0]), g=np.array([0.0])), cfg)
     b0 = minimize(sys1d, CauchyData(partition=None, points=np.zeros((1, 2)),

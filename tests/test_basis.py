@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from harmrec import (ExpCos, Rect, TikhonovConfig, ValidationError, add_noise,
-                     assemble_system, boundary_partition, build_basis,
-                     build_grid, compute_base_solutions, reconstruct,
-                     reconstruct_field, trace_cauchy)
+from harmrec import (ExpCos, Rect, ValidationError, add_noise, assemble_system,
+                     boundary_partition, build_basis, build_grid,
+                     compute_base_solutions, reconstruct, reconstruct_field,
+                     trace_cauchy, validate_config)
 from harmrec.grid import SIDES, graph_norm
 from harmrec.poisson import normal_stencil, rim_extension
 
@@ -118,7 +118,8 @@ def test_penalty_factor_gives_closed_polyline_trace_norm():
     part = boundary_partition(grid, ["bottom"])
     sys = assemble_system(part)
     data = add_noise(trace_cauchy(ExpCos(2.0, 0.1), part), 0.2, seed=5)
-    r, = reconstruct(sys, [data], TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-3))
+    r, = reconstruct(sys, [data],
+                     validate_config({"alpha_rule": "fixed", "alpha_fixed": 1e-3}))
     t = [r.u_star.values[j, i] for i, j in _closed_walk(9, 7)]
     k = len(t)
     norm2 = 0.0

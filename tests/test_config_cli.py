@@ -13,7 +13,7 @@ from harmrec.cli import main
 from harmrec.config import (MAX_ARRAY_BYTES, _grid_bytes, _stacked_bytes, check_stacked_size,
                             check_sweep_size)
 from harmrec.grid import Rect, boundary_partition, build_grid
-from harmrec.pipeline import build_state, tik_config
+from harmrec.pipeline import build_state
 from harmrec.tikhonov import reconstruct
 
 FAST = {
@@ -247,14 +247,38 @@ def test_cli_overflow_is_numerical_exit_3(tmp_path, capsys, command):
     assert not out.exists() or not any(out.iterdir())
 
 
+# check reads no config, and tau and sweep no config seed, so they take no
+# flag for them
 @pytest.mark.parametrize("argv", [["run", "--threads", "2"], ["run", "--bogus"],
-                                  ["run", "--seed", "x"], ["frob"]])
+                                  ["run", "--seed", "x"], ["frob"],
+                                  ["check", "--config", "c.json"], ["tau", "--seed", "5"],
+                                  ["sweep", "--seed", "5"]])
 def test_cli_bad_flags_print_json_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     error = json.loads(err, parse_constant=pytest.fail)["error"]
     assert error["type"] == "validation"
+
+
+@pytest.mark.parametrize("command, code", [("run", 2), ("sweep", 2), ("tau", 0)])
+def test_cli_alpha_underflow(tmp_path, capsys, command, code):
+    # alpha_c = 5e-324 passes validation, but alpha_c (eps^2 + h^2) underflows
+    # to 0: run and sweep reject it when they resolve alpha, before writing
+    # anything; tau never resolves alpha
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, "alpha_c": 5e-324}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.count("\n") == 1
+        error = json.loads(err, parse_constant=pytest.fail)["error"]
+        assert error == {"type": "validation",
+                         "message": "resolved alpha must be positive, got 0.0"}
+        assert not out.exists()
+    else:
+        assert err == "" and (out / "tau_summary.json").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "tau", "sweep"])
@@ -390,7 +414,7 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
         monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
     state = build_state(cfg)
     sys = state.system
-    result, = reconstruct(sys, [state.clean_data], tik_config(cfg))
+    result, = reconstruct(sys, [state.clean_data], cfg)
     traces = compute_base_solutions(build_basis(state.grid), state.partition)
     b = coefficients(traces, result.w)
     fit, = sys._fits.values()

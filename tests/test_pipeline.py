@@ -10,7 +10,7 @@ from harmrec import pipeline
 from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
 from harmrec.forward import add_noise, sample_exact
 from harmrec.pipeline import (_reconstruct_for, build_state, run_experiment,
-                              run_sweep, run_tau, tik_config)
+                              run_sweep, run_tau)
 from harmrec.tikhonov import reconstruct
 
 FAST = {
@@ -79,11 +79,9 @@ def test_run_tau_panel_summaries():
 def test_alpha_follows_noise_level(fast_state):
     data_big = add_noise(fast_state.clean_data, 0.1, 1)
     data_small = add_noise(fast_state.clean_data, 0.001, 1)
-    from harmrec.pipeline import tik_config
-
-    tc = tik_config(fast_state.cfg)
-    a_big = tc.resolve_alpha(data_big.noise_level, fast_state.system.h)
-    a_small = tc.resolve_alpha(data_small.noise_level, fast_state.system.h)
+    cfg = fast_state.cfg
+    a_big = cfg.alpha(data_big.noise_level, fast_state.system.h)
+    a_small = cfg.alpha(data_small.noise_level, fast_state.system.h)
     assert a_big > a_small > 0
 
 
@@ -100,7 +98,7 @@ def test_sweep_matches_per_seed_evaluation():
     c_fits = []
     for lv in cfg["eps_levels"]:
         datas = [add_noise(state.clean_data, lv, s, cfg["noise_model"]) for s in seeds]
-        results = reconstruct(state.system, datas, tik_config(cfg))
+        results = reconstruct(state.system, datas, cfg)
         mean = np.zeros(len(nodes))
         for seed, r in zip(seeds, results):
             err = pointwise_error(r.u_star, exact_field)

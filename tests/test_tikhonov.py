@@ -6,43 +6,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, Rect,
-                     TikhonovConfig, ValidationError, add_noise,
-                     assemble_system, boundary_partition, build_basis,
-                     build_grid, compute_base_solutions,
-                     minimize, reconstruct, reconstruct_field, run_sweep,
-                     select_alpha, trace_cauchy, validate_config)
+                     ValidationError, add_noise, assemble_system,
+                     boundary_partition, build_basis, build_grid,
+                     compute_base_solutions, minimize, reconstruct,
+                     reconstruct_field, run_sweep, trace_cauchy,
+                     validate_config)
 from harmrec.basis import coefficients
 from harmrec.grid import SIDES, graph_norm
 from harmrec.tikhonov import _penalty_factor, _standard_form
 
 
-def test_select_alpha_a_priori():
-    a = select_alpha(0.01, 1 / 64, rule="a_priori", c=1.0)
+def _fixed(alpha):
+    return validate_config({"alpha_rule": "fixed", "alpha_fixed": alpha})
+
+
+def test_alpha_a_priori():
+    a = validate_config({"alpha_rule": "a_priori", "alpha_c": 1.0}).alpha(0.01, 1 / 64)
     assert abs(a - (1e-4 + (1 / 64) ** 2)) < 1e-18
     assert abs(a - 3.4414e-4) < 1e-8
     # limit: alpha -> 0 as both inputs shrink
     for h in (1e-2, 1e-4, 1e-6):
-        assert select_alpha(0.0, h) == h * h
-    assert select_alpha(0.0, 1e-6) < 1e-11
+        assert validate_config({}).alpha(0.0, h) == h * h
+    assert validate_config({}).alpha(0.0, 1e-6) < 1e-11
 
 
-def test_select_alpha_fixed_and_errors():
-    assert select_alpha(0.5, 0.1, rule="fixed", fixed=1e-6) == 1e-6
+def test_alpha_fixed_and_errors():
+    assert _fixed(1e-6).alpha(0.5, 0.1) == 1e-6
     with pytest.raises(ValidationError):
-        select_alpha(0.5, 0.1, rule="fixed", fixed=None)
+        _fixed(None)
     with pytest.raises(ValidationError):
-        select_alpha(0.5, 0.1, rule="fixed", fixed=0.0)
+        _fixed(0.0)
     with pytest.raises(ValidationError):
-        select_alpha(-1.0, 0.1)
+        validate_config({}).alpha(-1.0, 0.1)
     with pytest.raises(ValidationError):
-        select_alpha(0.1, 0.1, rule="bayes")
+        validate_config({"alpha_rule": "bayes"})
+    # a positive alpha_c that passes validation can still underflow to 0
+    with pytest.raises(ValidationError, match="resolved alpha must be positive"):
+        validate_config({"alpha_c": 5e-324}).alpha(0.01, 1 / 64)
 
 
 def test_config_weight_validation():
     with pytest.raises(ValidationError):
-        TikhonovConfig(data_weights=(0.0, 0.0))
+        validate_config({"w_f": 0.0, "w_g": 0.0})
     with pytest.raises(ValidationError):
-        TikhonovConfig(data_weights=(-1.0, 1.0))
+        validate_config({"w_f": -1.0, "w_g": 1.0})
+    assert validate_config({"w_f": 0.0, "w_g": 2.0}).data_weights == (0.0, 2.0)
 
 
 def _scalar_system():
@@ -57,13 +65,13 @@ def _scalar_data(f, g):
 
 def test_scalar_ridge_closed_form():
     for alpha in (1e-3, 1e-1, 1.0):
-        cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
+        cfg = _fixed(alpha)
         b = minimize(_scalar_system(), _scalar_data(1.0, 0.0), cfg)
         assert abs(b[0] - 1.0 / (1.0 + alpha)) < 1e-12
 
 
 def test_zero_data_gives_zero_coefficients():
-    cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-4)
+    cfg = _fixed(1e-4)
     b = minimize(_scalar_system(), _scalar_data(0.0, 0.0), cfg)
     assert abs(b[0]) < 1e-12
 
@@ -99,7 +107,7 @@ def test_noiseless_constant_reconstruction():
     grid, part, sys = _pipeline_pieces()
     data = trace_cauchy(Constant(1.0), part)
     alpha = 1e-6
-    cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
+    cfg = _fixed(alpha)
     result, = reconstruct(sys, [data], cfg)
     # cost at the all-ones comparison vector bounds the optimum:
     # penalty of the constant-one trace is the perimeter (value term only)
@@ -108,8 +116,7 @@ def test_noiseless_constant_reconstruction():
     # deviation there reflects the operator's ~1e16 conditioning, not alpha
     assert np.abs(result.u_star.values - 1.0).max() < 5e-3
     # near-zero regularization tightens toward the direct solve limit
-    tight, = reconstruct(sys, [data],
-                         TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-12))
+    tight, = reconstruct(sys, [data], _fixed(1e-12))
     assert np.abs(tight.u_star.values - 1.0).max() < 1e-3
     # close to the measured side the fit is sharp
     assert np.abs(tight.u_star.values[:3, :] - 1.0).max() < 1e-6
@@ -119,7 +126,7 @@ def test_first_order_optimality():
     grid, part, sys = _pipeline_pieces()
     data = trace_cauchy(Constant(2.0), part)
     alpha = 1e-5
-    cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
+    cfg = _fixed(alpha)
     w = minimize(sys, data, cfg)
     s = sys.sigma
     rf = sys.A @ w - data.f
@@ -228,7 +235,7 @@ def test_residuals_monotone_in_alpha():
                        g=data.g.copy(), noise_level=0.05)
     prev_res, prev_reg = -1.0, np.inf
     for alpha in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
-        cfg = TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha)
+        cfg = _fixed(alpha)
         r, = reconstruct(sys, [noisy], cfg)
         res = r.residual_f**2 + r.residual_g**2
         assert res >= prev_res - 1e-12
@@ -242,7 +249,7 @@ def test_residual_decay_with_grid_refinement():
     for h in (1 / 8, 1 / 16, 1 / 32):
         grid, part, sys = _pipeline_pieces(h=h)
         data = trace_cauchy(ExpCos(2.0, 0.1), part)
-        cfg = TikhonovConfig(alpha_rule="a_priori", alpha_c=1.0)
+        cfg = validate_config({"alpha_rule": "a_priori", "alpha_c": 1.0})
         r, = reconstruct(sys, [data], cfg)
         totals.append(r.residual_f + r.residual_g)
     assert totals[0] > totals[1] > totals[2]
@@ -264,7 +271,7 @@ def test_data_length_mismatch_rejected():
     bad = CauchyData(partition=part, points=np.zeros((3, 2)),
                      f=np.zeros(3), g=np.zeros(3))
     with pytest.raises(ValidationError):
-        minimize(sys, bad, TikhonovConfig(alpha_rule="fixed", alpha_fixed=1e-6))
+        minimize(sys, bad, _fixed(1e-6))
 
 
 def _noisy_batch(part, level=0.05, seeds=(1, 2, 3)):
@@ -279,7 +286,7 @@ def _rel(a, b):
 def test_batched_fit_matches_single_fits():
     grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
-    cfg = TikhonovConfig()
+    cfg = validate_config({})
     batch = reconstruct(sys, datas, cfg)
     assert len(batch) == len(datas)
     for data, r in zip(datas, batch):
@@ -297,7 +304,7 @@ def test_batched_norms_match_discrete_norms():
     grid, part, sys = _pipeline_pieces()
     datas = _noisy_batch(part)
     ell = _dense_penalty_factor(sys)
-    for data, r in zip(datas, reconstruct(sys, datas, TikhonovConfig())):
+    for data, r in zip(datas, reconstruct(sys, datas, validate_config({}))):
         res_f = graph_norm(part.gamma_sigma, part.tangential_d1, sys.A @ r.w - data.f)
         r_g = sys.B @ r.w - data.g
         res_g = np.sqrt(np.sum(part.gamma_sigma * r_g**2))
@@ -311,9 +318,9 @@ def test_batch_needs_one_noise_level():
     grid, part, sys = _pipeline_pieces()
     mixed = _noisy_batch(part, level=0.05) + _noisy_batch(part, level=0.01)
     with pytest.raises(ValidationError, match="one noise level"):
-        reconstruct(sys, mixed, TikhonovConfig())
+        reconstruct(sys, mixed, validate_config({}))
     with pytest.raises(ValidationError):
-        reconstruct(sys, [], TikhonovConfig())
+        reconstruct(sys, [], validate_config({}))
 
 
 @pytest.mark.parametrize("sides", [["bottom"], ["bottom", "top"]])
@@ -327,7 +334,7 @@ def test_zero_weighted_channel_cannot_move_the_fit(sides, weights, channel):
     junk = [rng.normal(size=sys.m) * 1e6, np.full(sys.m, -1e100),
             rng.uniform(-1.0, 1.0, size=sys.m) * 1e-300]
     moved = [replace(d, **{channel: x}) for d, x in zip(datas, junk)]
-    cfg = TikhonovConfig(data_weights=weights)
+    cfg = validate_config({"w_f": weights[0], "w_g": weights[1]})
     for a, b in zip(reconstruct(sys, datas, cfg), reconstruct(sys, moved, cfg)):
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.u_star.values, b.u_star.values)
@@ -433,8 +440,7 @@ def test_condition_estimate_is_that_of_the_standard_form(sides):
     # A, D1 A and B.  One side has fewer data rows (2m) than K, two do not.
     part, sys = _system(build_grid(Rect(0, 0, 1, 1), 1 / 8), sides)
     alpha = 1e-8
-    r, = reconstruct(sys, [trace_cauchy(ExpCos(2.0, 0.1), part)],
-                     TikhonovConfig(alpha_rule="fixed", alpha_fixed=alpha))
+    r, = reconstruct(sys, [trace_cauchy(ExpCos(2.0, 0.1), part)], _fixed(alpha))
     s12 = np.sqrt(sys.sigma)[:, None]
     m0 = np.vstack([s12 * sys.A, s12 * (sys.D1 @ sys.A), s12 * sys.B])
     std = np.vstack([m0 @ np.linalg.inv(_dense_penalty_factor(sys)),
