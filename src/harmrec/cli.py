@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` (one reconstruction with artifacts), ``tau`` (exponent
 fields for the configured side sets), ``sweep`` (noise-level/seed decay
-study), ``check`` (fast invariant suite).  Exit codes: 0 success,
-2 configuration/validation failure, 3 numerical failure.
+study), ``check`` (fast invariant suite).  Exit codes: 0 success, 2 invalid
+configuration or an artifact that cannot be written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             command(cfg, out_dir=args.out)
         return 0
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an artifact cannot be written
         return _fail("validation", exc, 2)
     except (SolverError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return _fail("numerical", exc, 3)

@@ -252,12 +252,12 @@ def resolve_config(preset: str | None = None, config_path=None,
         raw.update(PRESETS[preset])
     if config_path is not None:
         try:
-            text = Path(config_path).read_text()
+            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ValidationError(f"cannot read config file: {exc}") from exc
-        try:
-            loaded = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # not UTF-8, not JSON, an integer past Python's digit limit, or
+        # nesting deeper than the parser's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValidationError("config file must hold a JSON object")

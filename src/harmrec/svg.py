@@ -1,23 +1,22 @@
 """Self-contained SVG heatmaps with optional contour overlay.
 
-Fixed 512x512 viewport, one ``<rect>`` per grid node.  Values map linearly
-onto a three-anchor color ramp (low -> #313695, mid -> #ffffbf, high ->
-#a50026): ``t = (v - vmin) / (vmax - vmin)`` (0.5 for a constant field),
-clamped to [0, 1], interpolated between the two anchors of its half and
-rounded half to even per channel.  Geometry is formatted ``%.2f``.  The data
-range used for the mapping is printed in the image metadata.  The y axis
-points up (grid row 0 is drawn at the bottom).
-
-The colors of all nodes come from one array pass, as uint8 RGB.  Each
-column x and row y is formatted once, and the ``<rect>`` lines are built
-once per call as ASCII, with a fixed-width ``#rrggbb`` fill slot per node;
-a 16-entry hex table scatters the channels' digits into the slots.  The
-title is XML-escaped (``&``, ``<``, ``>``).
+Fixed 512x512 viewport holding one ``<image>``: a PNG with one pixel per
+grid node, stretched over the viewport without smoothing, grid row 0 at the
+bottom.  Values map linearly onto a three-anchor color ramp (low -> #313695,
+mid -> #ffffbf, high -> #a50026): ``t = (v - vmin) / (vmax - vmin)`` (0.5
+for a constant field), clamped to [0, 1], interpolated between the two
+anchors of its half and rounded half to even per channel.  The XML-escaped
+title prints the data range; contour coordinates are formatted ``%.2f``.
+The PNG's 8-bit RGB rows (filter byte 0) sit in *stored* deflate blocks, so
+its bytes do not depend on the zlib build.
 """
 
 from __future__ import annotations
 
+import base64
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -28,7 +27,6 @@ VIEW = 512
 
 _ANCHORS = np.array([(0x31, 0x36, 0x95), (0xFF, 0xFF, 0xBF), (0xA5, 0x00, 0x26)],
                     dtype=float)
-_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
 def _fills(v: np.ndarray, vmin: float, vmax: float) -> np.ndarray:
@@ -45,34 +43,23 @@ def _fills(v: np.ndarray, vmin: float, vmax: float) -> np.ndarray:
     return np.rint(lo + (hi - lo) * s).astype(np.uint8)  # half to even, as round()
 
 
-def _rects(fld: ScalarField, vmin: float, vmax: float) -> bytearray:
-    """The ``<rect>`` lines of every node as ASCII.  Each row is one join of
-    its column strings; a fill slot sits a fixed distance before its line's
-    end, and the line ends are a cumulative sum of the line lengths."""
-    g = fld.grid
-    cw = VIEW / g.nx
-    ch = VIEW / g.ny
-    xs = [f"{i * cw:.2f}" for i in range(g.nx)]
-    size = f'" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" fill="#'
-    end = '000000"/>\n'
-    tails = [f'" y="{VIEW - (j + 1) * ch:.2f}{size}{end}' for j in range(g.ny)]
-    head = '<rect x="'
-    line_len = np.add.outer([len(t) for t in tails], [len(head) + len(x) for x in xs])
-    line_end = np.cumsum(line_len)
-    # before the buffer exists, so that the ramp's float temporaries are freed
-    rgb = _fills(fld.values, vmin, vmax).reshape(-1, 3)
-    out = bytearray(int(line_end[-1]))
-    row_end = line_end.reshape(g.shape)[:, -1].tolist()
-    start = 0
-    for tail, stop in zip(tails, row_end):
-        out[start:stop] = (head + (tail + head).join(xs) + tail).encode("ascii")
-        start = stop
-    slots = np.frombuffer(out, dtype=np.uint8)
-    first = line_end - len(end)
-    for c in range(3):
-        slots[first + 2 * c] = _HEX[rgb[:, c] >> 4]
-        slots[first + 2 * c + 1] = _HEX[rgb[:, c] & 15]
-    return out
+def _chunk(kind: bytes, data: bytes) -> bytes:
+    crc = zlib.crc32(data, zlib.crc32(kind))
+    return struct.pack(">I", len(data)) + kind + data + struct.pack(">I", crc)
+
+
+def _png(rgb: np.ndarray) -> bytes:
+    """PNG of an (rows, columns, 3) uint8 array, row 0 at the top."""
+    rows, cols, _ = rgb.shape
+    # filter byte 0 before each row; a stored block holds at most 65535 bytes
+    raw = np.pad(rgb.reshape(rows, -1), ((0, 0), (1, 0))).tobytes()
+    blocks = [raw[k:k + 0xFFFF] for k in range(0, len(raw), 0xFFFF)]
+    deflate = b"".join(struct.pack("<BHH", k == len(blocks) - 1, len(b), len(b) ^ 0xFFFF) + b
+                       for k, b in enumerate(blocks))
+    header = struct.pack(">IIBBBBB", cols, rows, 8, 2, 0, 0, 0)  # 8-bit RGB
+    idat = b"\x78\x01" + deflate + struct.pack(">I", zlib.adler32(raw))
+    return (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", header) + _chunk(b"IDAT", idat)
+            + _chunk(b"IEND", b""))
 
 
 def render_heatmap(fld: ScalarField, path, contours: LevelContour | None = None,
@@ -85,11 +72,16 @@ def render_heatmap(fld: ScalarField, path, contours: LevelContour | None = None,
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW}" height="{VIEW}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'xmlns:xlink="http://www.w3.org/1999/xlink" width="{VIEW}" height="{VIEW}" '
         f'viewBox="0 0 {VIEW} {VIEW}">\n'
         f"<title>{title} [range {vmin:.6g} .. {vmax:.6g}]</title>\n"
+        f'<image width="{VIEW}" height="{VIEW}" preserveAspectRatio="none" '
+        f'image-rendering="optimizeSpeed" style="image-rendering:pixelated" '
+        f'xlink:href="data:image/png;base64,'
     )
-    out = []
+    png = base64.b64encode(_png(_fills(v, vmin, vmax)[::-1]))
+    out = ['"/>\n']
     if contours is not None:
         for line in contours.polylines:
             pts = []
@@ -104,5 +96,5 @@ def render_heatmap(fld: ScalarField, path, contours: LevelContour | None = None,
     out.append("</svg>\n")
     with open(path, "wb") as f:
         f.write(head.encode())
-        f.write(_rects(fld, vmin, vmax))
+        f.write(png)
         f.write("".join(out).encode())

@@ -116,6 +116,15 @@ def test_cli_validation_failure_exit_2(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "validation"
 
 
+# config files that json.loads cannot take: not UTF-8, nested deeper than
+# the parser's recursion limit, an integer past Python's 4300-digit limit
+UNPARSABLE = [
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+    pytest.param(b"[" * 100000, id="deep-nesting"),
+    pytest.param(b'{"seed": ' + b"9" * 5000 + b"}", id="5000-digit-int"),
+]
+
+
 def test_cli_missing_config_file_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
@@ -124,6 +133,13 @@ def test_cli_missing_config_file_exit_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["run", "--config", str(broken), "--out", str(tmp_path / "o")]) == 2
+    for case in UNPARSABLE:
+        capsys.readouterr()
+        broken.write_bytes(case.values[0])
+        assert main(["run", "--config", str(broken), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "validation"
 
 
 def test_cli_tau_emits_per_side_artifacts(tmp_path):
@@ -261,6 +277,21 @@ def test_cli_bad_flags_print_json_error(capsys, argv):
     assert error["type"] == "validation"
 
 
+@pytest.mark.parametrize("command, last", [("run", "summary.json"),
+                                           ("tau", "tau_summary.json"),
+                                           ("sweep", "sweep.json")])
+def test_cli_unwritable_artifact_exit_2(tmp_path, capsys, command, last):
+    # a directory where the command's last artifact goes
+    out = tmp_path / "out"
+    (out / last).mkdir(parents=True)
+    argv = [command, "--config", str(_write_cfg(tmp_path)), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err, parse_constant=pytest.fail)["error"]
+    assert error["type"] == "validation" and last in error["message"]
+
+
 @pytest.mark.parametrize("command, code", [("run", 2), ("sweep", 2), ("tau", 0)])
 def test_cli_alpha_underflow(tmp_path, capsys, command, code):
     # alpha_c = 5e-324 passes validation, but alpha_c (eps^2 + h^2) underflows
@@ -289,10 +320,11 @@ def test_cli_alpha_underflow(tmp_path, capsys, command, code):
     '{"gamma_sides": ["bottom", [1]]}',
     '{"x1": 1e308}',
     '{"x0": -1e308, "x1": 1e308}',
+    *UNPARSABLE,
 ])
 def test_cli_bad_list_keys_exit_2(tmp_path, capsys, command, text):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"

@@ -1,7 +1,10 @@
+import base64
 import json
 import math
+import struct
 import tracemalloc
 import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
@@ -9,17 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmrec import (Constant, Rect, boundary_partition, build_grid,
-                     compute_indicate, reliable_region, sample_exact,
-                     trace_cauchy)
+                     compute_indicate, reliable_region, resolve_config,
+                     run_experiment, run_tau, sample_exact, trace_cauchy)
 from harmrec import io as hio
 from harmrec.measure import LevelContour
 from harmrec.poisson import ScalarField
 from harmrec.svg import VIEW, render_heatmap
 
-# Reference writers: the per-node loops the array writers replaced.  The
-# array writers must reproduce their bytes on every field.
+# Reference writers: per-node loops that share no code with the array
+# writers.  A heatmap's document must equal the reference text around its
+# PNG, and the PNG must decode to the reference color of every node.
 
 _ANCHORS = [(0x31, 0x36, 0x95), (0xFF, 0xFF, 0xBF), (0xA5, 0x00, 0x26)]
+_SVG = "{http://www.w3.org/2000/svg}"
+_HREF = "{http://www.w3.org/1999/xlink}href"
+_PNG_URI = "data:image/png;base64,"
 
 
 def _oracle_color(t: float) -> str:
@@ -32,26 +39,30 @@ def _oracle_color(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
+def _oracle_colors(v) -> list[list[str]]:
+    """The color of every node of the values ``v[j, i]``, row j = 0 first."""
+    vmin, vmax = float(v.min()), float(v.max())
+    span = vmax - vmin
+    return [[_oracle_color(0.5 if span == 0 else (v[j, i] - vmin) / span)
+             for i in range(v.shape[1])] for j in range(v.shape[0])]
+
+
 def _oracle_svg(fld, contours=None, title=""):
+    """The document's text, with ``{png}`` where the PNG's base64 goes."""
     g = fld.grid
     v = fld.values
     vmin, vmax = float(v.min()), float(v.max())
-    span = vmax - vmin
     cw = VIEW / g.nx
     ch = VIEW / g.ny
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW}" height="{VIEW}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'xmlns:xlink="http://www.w3.org/1999/xlink" width="{VIEW}" height="{VIEW}" '
         f'viewBox="0 0 {VIEW} {VIEW}">',
         f"<title>{title} [range {vmin:.6g} .. {vmax:.6g}]</title>",
+        f'<image width="{VIEW}" height="{VIEW}" preserveAspectRatio="none" '
+        f'image-rendering="optimizeSpeed" style="image-rendering:pixelated" '
+        f'xlink:href="{_PNG_URI}{{png}}"/>',
     ]
-    for j in range(g.ny):
-        y_pix = VIEW - (j + 1) * ch
-        for i in range(g.nx):
-            t = 0.5 if span == 0 else (v[j, i] - vmin) / span
-            out.append(
-                f'<rect x="{i * cw:.2f}" y="{y_pix:.2f}" '
-                f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" fill="{_oracle_color(t)}"/>'
-            )
     if contours is not None:
         for line in contours.polylines:
             pts = []
@@ -65,6 +76,70 @@ def _oracle_svg(fld, contours=None, title=""):
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _inflate_stored(stream: bytes) -> bytes:
+    """The data of a zlib stream that holds only stored deflate blocks."""
+    assert stream[:2] == b"\x78\x01"
+    out, pos, final = bytearray(), 2, False
+    while not final:
+        assert stream[pos] >> 1 == 0  # block type 0 (stored), zero padding
+        final = bool(stream[pos] & 1)
+        n, n_inv = struct.unpack("<HH", stream[pos + 1:pos + 5])
+        assert n ^ n_inv == 0xFFFF
+        out += stream[pos + 5:pos + 5 + n]
+        pos += 5 + n
+    assert stream[pos:] == struct.pack(">I", zlib.adler32(out))
+    return bytes(out)
+
+
+def _decode_png(png: bytes) -> np.ndarray:
+    """(rows, columns, 3) pixels of an 8-bit RGB PNG, top row first; every
+    chunk's CRC is checked."""
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(png):
+        n, = struct.unpack(">I", png[pos:pos + 4])
+        kind, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + n]
+        assert png[pos + 8 + n:pos + 12 + n] == struct.pack(">I", zlib.crc32(kind + data))
+        chunks.append((kind, data))
+        pos += 12 + n
+    kinds = [kind for kind, _ in chunks]
+    assert kinds[0] == b"IHDR" and kinds[-1] == b"IEND" and set(kinds[1:-1]) == {b"IDAT"}
+    cols, rows, *layout = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert layout == [8, 2, 0, 0, 0]  # 8-bit RGB, deflate, no interlace
+    raw = _inflate_stored(b"".join(data for kind, data in chunks if kind == b"IDAT"))
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(rows, 1 + 3 * cols)
+    assert not lines[:, 0].any()  # filter byte 0: each row holds the pixels
+    return lines[:, 1:].reshape(rows, cols, 3)
+
+
+def _node_colors(pixels: np.ndarray) -> list[list[str]]:
+    """'#rrggbb' of decoded pixels, bottom row (grid row 0) first."""
+    return [["#{:02x}{:02x}{:02x}".format(*p) for p in row]
+            for row in pixels[::-1].tolist()]
+
+
+def _svg_colors(path) -> list[list[str]]:
+    """Parse a heatmap, check that it holds exactly one image, and return
+    the decoded color of every node."""
+    images = list(ET.parse(path).getroot().iter(f"{_SVG}image"))
+    assert len(images) == 1
+    href = images[0].get(_HREF)
+    assert href.startswith(_PNG_URI)
+    return _node_colors(_decode_png(base64.b64decode(href[len(_PNG_URI):], validate=True)))
+
+
+def _check_svg(path, fld, contours=None, title=""):
+    """The heatmap is the reference text around its PNG, and the PNG holds
+    the reference color of every node."""
+    text = path.read_text()
+    head, tail = _oracle_svg(fld, contours, title).split("{png}")
+    assert text.startswith(head) and text.endswith(tail)
+    payload = text[len(head):len(text) - len(tail)]
+    pixels = _decode_png(base64.b64decode(payload, validate=True))
+    assert pixels.shape == fld.values.shape + (3,)
+    assert _node_colors(pixels) == _oracle_colors(fld.values)
 
 
 def _oracle_csv(fld):
@@ -190,7 +265,8 @@ def test_svg_renders_heatmap_with_contour(tmp_path):
     assert text.startswith("<svg")
     assert 'width="512"' in text
     assert "<polyline" in text
-    assert text.count("<rect") == g.nx * g.ny
+    assert text.count("<image") == 1
+    assert len(sum(_svg_colors(out), [])) == g.nx * g.ny
     # repeat is byte-identical
     out2 = tmp_path / "tau2.svg"
     render_heatmap(ind, out2, contours=contour, title="tau")
@@ -211,7 +287,7 @@ def test_svg_matches_reference_bytes(tmp_path_factory, data):
     contours = data.draw(st.none() | _contours(fld.grid))
     path = tmp_path_factory.mktemp("svg") / "f.svg"
     render_heatmap(fld, path, contours=contours, title="t")
-    assert path.read_text() == _oracle_svg(fld, contours, title="t")
+    _check_svg(path, fld, contours, title="t")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -229,7 +305,7 @@ def test_half_values_round_half_to_even(tmp_path):
     values = np.resize(np.array([0.0, 1.0] + HALF_TS), g.shape)
     fld = ScalarField(grid=g, values=values)
     render_heatmap(fld, tmp_path / "h.svg")
-    assert (tmp_path / "h.svg").read_text() == _oracle_svg(fld)
+    _check_svg(tmp_path / "h.svg", fld)
 
 
 def test_svg_range_beyond_float_span(tmp_path):
@@ -238,9 +314,7 @@ def test_svg_range_beyond_float_span(tmp_path):
     values = np.zeros(g.shape)
     values[0, 0], values[-1, -1] = -1.5e308, 1.5e308
     render_heatmap(ScalarField(grid=g, values=values), tmp_path / "w.svg")
-    fills = [line.rsplit('fill="', 1)[1][:7]
-             for line in (tmp_path / "w.svg").read_text().splitlines()
-             if line.startswith("<rect")]
+    fills = sum(_svg_colors(tmp_path / "w.svg"), [])
     assert fills[0] == "#313695" and fills[-1] == "#a50026"
     assert set(fills[1:-1]) == {"#ffffbf"}
 
@@ -270,8 +344,29 @@ def test_full_size_field_matches_reference_bytes(tmp_path, tau_128):
     hio.write_field_csv(tmp_path / "tau.csv", ind)
     render_heatmap(ind, tmp_path / "tau.svg", contours=contour, title="tau")
     assert (tmp_path / "tau.csv").read_text() == _oracle_csv(ind)
-    assert (tmp_path / "tau.svg").read_text() == _oracle_svg(ind, contour, title="tau")
+    _check_svg(tmp_path / "tau.svg", ind, contour, title="tau")
 
+
+
+@pytest.mark.parametrize("nx, ny", [(85, 254), (85, 255), (85, 256), (85, 510)])
+def test_png_rows_fill_stored_blocks(tmp_path, nx, ny):
+    # a row is 3 nx + 1 = 256 bytes, so the pixel data ends just short of,
+    # at, just past and at twice the 65535 bytes of one stored block
+    g = build_grid(Rect(0, 0, nx - 1, ny - 1), 1.0)
+    fld = ScalarField(grid=g, values=np.random.default_rng(ny).normal(size=g.shape))
+    render_heatmap(fld, tmp_path / "f.svg")
+    _check_svg(tmp_path / "f.svg", fld)
+
+
+def test_heatmaps_agree_with_their_csvs(tmp_path):
+    cfg = resolve_config(preset="paper-sec5-one-side")
+    run_experiment(cfg, out_dir=tmp_path / "run")
+    run_tau(cfg, out_dir=tmp_path / "tau")
+    for stem in (tmp_path / "run" / "tau", tmp_path / "run" / "error",
+                 tmp_path / "tau" / "tau_bottom"):
+        x, y, v = np.loadtxt(stem.with_suffix(".csv"), delimiter=",", skiprows=1).T
+        values = v.reshape(len(np.unique(y)), len(np.unique(x)))
+        assert _svg_colors(stem.with_suffix(".svg")) == _oracle_colors(values)
 
 def _traced_peak(write) -> int:
     write()  # first call: lazy imports and caches stay out of the peak
@@ -285,10 +380,12 @@ def _traced_peak(write) -> int:
 
 def test_writers_peak_memory_is_a_small_multiple_of_the_file(tmp_path, tau_128):
     # the writers hold no per-node string, and the CSV writer not even the
-    # file's text: each row is written as it is filled
+    # file's text: each row is written as it is filled.  The heatmap's peak
+    # is the color ramp's float temporaries, so it is bounded by the field's
+    # own array; the per-node <rect> writer peaked at 16.97 times it
     ind, contour = tau_128
     csv, svg = tmp_path / "tau.csv", tmp_path / "tau.svg"
     peak = _traced_peak(lambda: hio.write_field_csv(csv, ind))
     assert peak <= 0.25 * csv.stat().st_size, (peak, csv.stat().st_size)
     peak = _traced_peak(lambda: render_heatmap(ind, svg, contours=contour, title="tau"))
-    assert peak <= 3.5 * svg.stat().st_size, (peak, svg.stat().st_size)
+    assert peak <= 16 * ind.values.nbytes, (peak, ind.values.nbytes)
