@@ -135,7 +135,7 @@ def _check_size(what: str, size: float) -> None:
 
 
 # Reference experiment presets: unit square, exp_cos(4, 0.2) truth, 1% noise,
-# h = 1/64, so that the 256 rim traces are carried by 264 hats.
+# h = 1/64, so that the fit solves for the 256 traces on the rim.
 # alpha_c = 0.01 keeps the penalty-norm trend flat across noise levels while
 # leaving the decay window open below the 1% level.
 _SEC5_BASE = {

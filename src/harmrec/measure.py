@@ -40,7 +40,7 @@ class LevelContour:
     polylines: list = field(default_factory=list)
 
     def to_jsonable(self) -> list:
-        return [[[float(x), float(y)] for x, y in line] for line in self.polylines]
+        return [line.tolist() for line in self.polylines]
 
 
 def compute_indicate(partition: BoundaryPartition) -> ScalarField:

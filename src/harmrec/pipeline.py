@@ -72,8 +72,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """One reconstruction; writes the artifact bundle when out_dir is given."""
     state = build_state(cfg)
     data, result = _reconstruct_for(state, cfg["noise_level"], cfg["seed"])
-    # Only run knows the hats: their count is n_basis; b.csv's b = V⁺w.
-    hats = build_basis(state.grid)
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
     err = ev.pointwise_error(result.u_star, exact_field)
     mask, contour = reliable_region(state.tau, cfg["threshold"])
@@ -88,12 +86,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     summary = {
         "config": cfg.to_dict(),
         "grid": {"nx": state.grid.nx, "ny": state.grid.ny, "h": state.grid.h},
-        "n_basis": hats.n_boundary,
         "m": state.partition.m,
         "alpha_used": result.alpha_used,
         "condition_estimate": result.condition_estimate,
-        "effective_rank": state.partition.n_boundary,
-        "discarded_directions": hats.n_boundary - state.partition.n_boundary,
         "residual_f": result.residual_f,
         "residual_g": result.residual_g,
         "reg_norm": result.reg_norm,
@@ -119,6 +114,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         # A numerical failure must leave no partial bundle behind.  Fields
         # are finite by construction (ScalarField); vectors are not.
         summary_text = hio.json_text(summary, "summary.json")
+        hats = build_basis(state.grid)
         b = coefficients(compute_base_solutions(hats, state.partition), result.w)
         if not all(np.isfinite(v).all() for v in (b, data.f, data.g)):
             raise SolverError("non-finite coefficients or boundary data")

@@ -27,6 +27,7 @@ VIEW = 512
 
 _ANCHORS = np.array([(0x31, 0x36, 0x95), (0xFF, 0xFF, 0xBF), (0xA5, 0x00, 0x26)],
                     dtype=float)
+_STEPS = np.diff(_ANCHORS, axis=0)  # hi - lo of each half, exact integers
 
 
 def _fills(v: np.ndarray, vmin: float, vmax: float) -> np.ndarray:
@@ -36,11 +37,10 @@ def _fills(v: np.ndarray, vmin: float, vmax: float) -> np.ndarray:
         v, vmin, span = v * 0.5, vmin * 0.5, vmax * 0.5 - vmin * 0.5
     t = np.full(v.shape, 0.5) if span == 0 else (v - vmin) / span
     t = np.clip(t, 0.0, 1.0)
-    low = (t <= 0.5)[..., None]
-    s = np.where(low, t[..., None] * 2.0, (t[..., None] - 0.5) * 2.0)
-    lo = np.where(low, _ANCHORS[0], _ANCHORS[1])
-    hi = np.where(low, _ANCHORS[1], _ANCHORS[2])
-    return np.rint(lo + (hi - lo) * s).astype(np.uint8)  # half to even, as round()
+    half = (t > 0.5).astype(np.intp)
+    rgb = _STEPS[half] * ((t - 0.5 * half) * 2.0)[..., None]
+    rgb += _ANCHORS[half]  # lo + (hi - lo) * s
+    return np.rint(rgb, out=rgb).astype(np.uint8)  # half to even, as round()
 
 
 def _chunk(kind: bytes, data: bytes) -> bytes:

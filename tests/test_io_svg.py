@@ -382,10 +382,10 @@ def test_writers_peak_memory_is_a_small_multiple_of_the_file(tmp_path, tau_128):
     # the writers hold no per-node string, and the CSV writer not even the
     # file's text: each row is written as it is filled.  The heatmap's peak
     # is the color ramp's float temporaries, so it is bounded by the field's
-    # own array; the per-node <rect> writer peaked at 16.97 times it
+    # own array: 9.5 times it here
     ind, contour = tau_128
     csv, svg = tmp_path / "tau.csv", tmp_path / "tau.svg"
     peak = _traced_peak(lambda: hio.write_field_csv(csv, ind))
     assert peak <= 0.25 * csv.stat().st_size, (peak, csv.stat().st_size)
     peak = _traced_peak(lambda: render_heatmap(ind, svg, contours=contour, title="tau"))
-    assert peak <= 16 * ind.values.nbytes, (peak, ind.values.nbytes)
+    assert peak <= 12 * ind.values.nbytes, (peak, ind.values.nbytes)
