@@ -201,7 +201,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     for lv in levels:
         datas = add_noise(state.clean_data, lv, seeds, cfg["noise_model"])
         results = reconstruct(state.system, datas, cfg)
-        err = np.abs(np.stack([r.u_star.values for r in results]) - exact_values)
+        err = np.stack([r.u_star.values for r in results])
+        err -= exact_values
+        np.abs(err, out=err)
         for vals in err[:, pj, pi]:  # seed by seed: a mean() would round differently
             err_by_level[lv] += vals / len(seeds)
         reg_norms[lv] += [r.reg_norm for r in results]

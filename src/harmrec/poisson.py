@@ -6,8 +6,9 @@ type-I discrete sine basis diagonalises it (Hockney, J. ACM 12, 1965;
 Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).  Both direct
 solvers apply that basis as products with one cached dense matrix per side
 length (:func:`_dst_matrix`): :func:`solve_interior` solves exactly for a
-batch of fields, and :func:`rim_extension` samples every rim node's
-harmonic extension at given nodes without forming a field.
+batch of fields, its rim load transformed as a rank-4 product, and
+:func:`rim_extension` samples every rim node's harmonic extension at given
+nodes without forming a field.
 :func:`solve_dirichlet` is the one rim solve of the pipeline: it writes
 walk-ordered rim values onto a grid and fills the interior through
 :func:`solve_interior`, one field or a batch.  The reconstruction u* (the
@@ -105,19 +106,27 @@ def solve_interior(u: np.ndarray) -> None:
     """Fill the interior of ``u`` (..., ny, nx) in place from its rim data.
 
     Exact up to rounding: the 5-point system is solved in the DST-I basis,
-    one orthonormal transform each way (``Sy @ load @ Sx``, both matrices
-    their own inverse), over every leading batch index.
+    one orthonormal transform each way (both matrices their own inverse),
+    over every leading batch index.  The load sits on the four edges of the
+    interior: with a, b its bottom and top rows and c, d its left and right
+    columns, ``Sy @ load @ Sx`` is the rank-4 product ``L @ R`` of
+    ``L = [Sy[:, 0], Sy[:, -1], Sy c, Sy d]`` and
+    ``R = [a Sx; b Sx; Sx[0]; Sx[-1]]``, so the forward transform costs
+    O(n²) per field.  The inverse transform is written straight into ``u``.
+    Every product is taken per field, so a field rounds in a batch exactly
+    as it does alone.
     """
     my, mx = u.shape[-2] - 2, u.shape[-1] - 2
     sy, sx = _dst_matrix(my), _dst_matrix(mx)
-    rhs = np.zeros(u.shape[:-2] + (my, mx))
-    rhs[..., 0, :] += u[..., 0, 1:-1]
-    rhs[..., -1, :] += u[..., -1, 1:-1]
-    rhs[..., :, 0] += u[..., 1:-1, 0]
-    rhs[..., :, -1] += u[..., 1:-1, -1]
-    coef = sy @ rhs @ sx
+    left = np.empty(u.shape[:-2] + (my, 4))
+    left[..., :2] = sy[:, [0, -1]]
+    left[..., 2:] = sy @ u[..., 1:-1, ::mx + 1]
+    right = np.empty(u.shape[:-2] + (4, mx))
+    right[..., :2, :] = u[..., ::my + 1, 1:-1] @ sx
+    right[..., 2:, :] = sx[[0, -1]]
+    coef = left @ right
     coef /= _dst_eigenvalues(my, mx)
-    u[..., 1:-1, 1:-1] = sy @ coef @ sx
+    np.matmul(sy @ coef, sx, out=u[..., 1:-1, 1:-1])
 
 
 # The DST-I solve above is the only Laplace solver.  This stub keeps the name
