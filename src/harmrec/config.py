@@ -97,7 +97,7 @@ DEFAULTS: dict = {key: default for key, (default, _) in _KEYS.items()}
 # command); the largest array of a build and a fit (checked by
 # check_stacked_size, so only where there is a fit); and a sweep level's
 # stack of fields, one per seed (checked by check_sweep_size).  The presets'
-# largest arrays take 8.5 MB at h = 1/256.
+# largest arrays take 8.4 MB at h = 1/256.
 MAX_ARRAY_BYTES = 4e9
 
 
@@ -116,15 +116,13 @@ def _grid_bytes(r: dict) -> float:
 
 
 def _stacked_bytes(r: dict) -> float:
-    """The largest array of a build, a fit and run's b.csv, 8 B an entry:
-    the traces V that run samples for b (K x (K + 8), K nodes on the
-    domain's rim and K + 8 hats one layer out), or the data block and the rows B is built from (2m x K, m Γ
-    nodes).  The system's A and B (m rows), the standard form's factors and
-    b's QR of V^T are no larger, and neither is a field or DST-I matrix of
-    the grid the hats live on: with nx, ny >= 3 nodes, K (K + 8) =
-    4 (nx + ny)^2 - 16 exceeds both (nx + 2)(ny + 2) and max(nx, ny)^2."""
+    """The largest array of a build and a fit, 8 B an entry: the data block
+    and the rows B is built from, 2m x K (m Γ nodes, K on the domain's rim).
+    The system's A, B and D1 (m rows, m <= K), the standard form's P^T and
+    L^-1 W (q = min(2m, K) rows or columns) and run's b (K + 8 values) are
+    no larger."""
     m, k = boundary_counts(*_nodes(r), r["gamma_sides"])
-    return 8.0 * k * max(k + 8, 2 * m)
+    return 8.0 * 2 * m * k
 
 
 def _check_size(what: str, size: float) -> None:
@@ -229,7 +227,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 def check_stacked_size(cfg: ExperimentConfig) -> None:
     """Reject, before any allocation, a config whose largest array of a
     build and a fit would exceed MAX_ARRAY_BYTES."""
-    _check_size("the largest array of the fit (K x max(K + 8, 2m) x 8 B)",
+    _check_size("the largest array of the fit (2m x K x 8 B)",
                 _stacked_bytes(cfg.raw))
 
 

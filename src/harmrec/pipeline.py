@@ -5,6 +5,10 @@
 sets; ``run_sweep`` reuses one assembled system across a noise-level/seed
 grid and fits per-probe decay rates.
 
+Only ``run_experiment``'s writer builds the hats, and it reads their
+coefficients ``b.csv`` off u* (:func:`basis.coefficients`): no command
+samples the hats' traces V.
+
 All artifacts are deterministic functions of the configuration.
 """
 
@@ -17,7 +21,9 @@ import numpy as np
 from . import evaluate as ev
 from . import io as hio
 from . import svg
-from .basis import build_basis, coefficients, compute_base_solutions
+from .basis import build_basis, coefficients
+# Not called here: perfbench/spans.py wraps `pipeline.compute_base_solutions` by name.
+from .basis import compute_base_solutions  # noqa: F401
 from .config import ExperimentConfig, check_stacked_size, check_sweep_size
 from .errors import SolverError, ValidationError
 from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
@@ -114,8 +120,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         # A numerical failure must leave no partial bundle behind.  Fields
         # are finite by construction (ScalarField); vectors are not.
         summary_text = hio.json_text(summary, "summary.json")
-        hats = build_basis(state.grid)
-        b = coefficients(compute_base_solutions(hats, state.partition), result.w)
+        b = coefficients(build_basis(state.grid), result.u_star)
         if not all(np.isfinite(v).all() for v in (b, data.f, data.g)):
             raise SolverError("non-finite coefficients or boundary data")
         out = hio.out_dir(out_dir)

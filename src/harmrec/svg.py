@@ -84,13 +84,12 @@ def render_heatmap(fld: ScalarField, path, contours: LevelContour | None = None,
     out = ['"/>\n']
     if contours is not None:
         for line in contours.polylines:
-            pts = []
-            for x, y in line:
-                px = ((x - g.rect.x0) / g.h + 0.5) * cw
-                py = VIEW - ((y - g.rect.y0) / g.h + 0.5) * ch
-                pts.append(f"{px:.2f},{py:.2f}")
+            pts = np.empty(line.shape)
+            pts[:, 0] = ((line[:, 0] - g.rect.x0) / g.h + 0.5) * cw
+            pts[:, 1] = VIEW - ((line[:, 1] - g.rect.y0) / g.h + 0.5) * ch
+            points = " ".join(["%.2f,%.2f"] * len(line)) % tuple(pts.ravel().tolist())
             out.append(
-                f'<polyline points="{" ".join(pts)}" fill="none" '
+                f'<polyline points="{points}" fill="none" '
                 f'stroke="black" stroke-width="1.5"/>\n'
             )
     out.append("</svg>\n")

@@ -50,6 +50,19 @@ def base_solution_fields():
     return _base_solution_fields
 
 
+def _min_norm_coefficients(traces, w):
+    """The minimum-norm b with ``V b = w`` for the (K, n) traces V of full
+    row rank, by one QR of Vᵀ: ``b = Q R^-T w``; ``w`` (K,) or (K, k)."""
+    q, r = np.linalg.qr(traces.T)
+    return q @ np.linalg.solve(r.T, w)
+
+
+@pytest.fixture(scope="session")
+def min_norm_coefficients():
+    """Reference for the hat coefficients b = V⁺w of ``b.csv``."""
+    return _min_norm_coefficients
+
+
 # Node layers around each Γ endpoint skipped when comparing against the series
 # oracle: the boundary data jump there and pointwise accuracy degrades.
 ORACLE_EXCLUSION_BAND = 3

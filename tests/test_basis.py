@@ -2,13 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmrec import (ExpCos, Rect, ValidationError, add_noise, assemble_system,
                      boundary_partition, build_basis, build_grid,
                      compute_base_solutions, reconstruct, reconstruct_field,
                      trace_cauchy, validate_config)
+from harmrec.basis import coefficients
 from harmrec.grid import SIDES, graph_norm
-from harmrec.poisson import normal_stencil, rim_extension
+from harmrec.poisson import normal_stencil, rim_extension, solve_dirichlet
 
 
 def test_hat_count_matches_reference_setup():
@@ -136,6 +139,38 @@ def test_misaligned_grids_rejected():
                                  ["bottom"])
     with pytest.raises(ValidationError):
         compute_base_solutions(hats, shifted)
+    with pytest.raises(ValidationError, match="grown by one node"):
+        coefficients(hats, solve_dirichlet(shifted.grid, np.zeros(shifted.n_boundary)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(shape=st.tuples(st.integers(2, 29), st.integers(2, 29)),
+       h=st.sampled_from([1 / 64, 0.1, 0.3, 1.0, 7.5]),
+       origin=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+       seed=st.integers(0, 2**32 - 1))
+def test_coefficients_are_the_min_norm_solution(min_norm_coefficients, shape, h, origin, seed):
+    # b read off u*'s 5-point residual is V+ w, the QR's minimum-norm
+    # solution of V b = w; the four corner hats of the grown grid, whose
+    # columns of V are zero, take exactly 0, and the two hats beside a
+    # domain corner, whose columns are equal, take equal halves
+    (ix, iy), (i0, j0) = shape, origin
+    grid = build_grid(Rect(i0 * h, j0 * h, (i0 + ix) * h, (j0 + iy) * h), h)
+    part = boundary_partition(grid, SIDES)
+    hats = build_basis(grid)
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=part.n_boundary) * 10.0 ** rng.uniform(-3, 3, part.n_boundary)
+    b = coefficients(hats, solve_dirichlet(grid, w))
+    traces = compute_base_solutions(hats, part)
+    ref = min_norm_coefficients(traces, w)
+    assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(traces @ b - w).max() <= 1e-13 * np.abs(w).max()
+    hi, hj = hats.nodes.T
+    nx, ny = hats.grid.nx, hats.grid.ny
+    corner = np.isin(hi, [0, nx - 1]) & np.isin(hj, [0, ny - 1])
+    assert corner.sum() == 4 and not b[corner].any()
+    for ci, cj in ((1, 1), (nx - 2, 1), (nx - 2, ny - 2), (1, ny - 2)):
+        pair = b[(np.abs(hi - ci) + np.abs(hj - cj) == 1) & ~corner]
+        assert len(pair) == 2 and pair[0] == pair[1]
 
 
 def _graph_norm(part, v):

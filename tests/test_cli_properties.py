@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmrec import (DEFAULTS, SIDES, ValidationError, build_basis, build_grid,
+from harmrec import (DEFAULTS, SIDES, ValidationError, boundary_partition, build_grid,
                      validate_config)
 from harmrec.cli import main
-from harmrec.config import _grid_bytes, _stacked_bytes, check_stacked_size, check_sweep_size
+from harmrec.config import _stacked_bytes, check_stacked_size, check_sweep_size
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -32,7 +32,7 @@ json_values = st.recursive(
 @given(st.dictionaries(st.sampled_from(sorted(DEFAULTS)), json_values, max_size=4))
 @example({"x1": 1e308})
 @example({"x0": -1e308, "x1": 1e308})
-@example({"h": 1 / 8192})  # the grid fits, the traces V (8.6 GB) do not
+@example({"h": 1 / 8192})  # the grid fits, the data block (4.3 GB) does not
 def test_validate_config_returns_or_raises_validation_error(raw):
     # and so do the size checks that run and sweep add
     try:
@@ -43,11 +43,10 @@ def test_validate_config_returns_or_raises_validation_error(raw):
         pass
 
 
-# The hats' grid, the domain grown by one node a side, is bounded by the
-# stacked guard alone: with nx, ny >= 3, K (K + 8) = 4 (nx + ny)^2 - 16
-# exceeds its (nx + 2)(ny + 2) nodes and its DST-I matrix's max(nx, ny)^2
-# entries.  Extents run up to 20000 intervals, where validate_config still
-# accepts the grid.
+# The stacked guard is the fit's data block, 2m x K x 8 B, of the partition
+# the fit builds, counted from the keys alone in floats; it bounds the
+# system's m x m D1 too.  Extents run up to 20000 intervals, where
+# validate_config still accepts the grid.
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.integers(2, 20000), st.integers(2, 20000),
        st.sampled_from([1 / 1024, 1 / 64, 0.1, 0.3, 1.0, 7.5]),
@@ -56,17 +55,15 @@ def test_validate_config_returns_or_raises_validation_error(raw):
 @example(2, 2, 1 / 64, 0, 0, ["bottom"])
 @example(2, 20000, 0.3, -50, 50, ["left"])
 @example(20000, 20000, 1 / 1024, 0, 0, ["bottom", "right", "top"])
-def test_stacked_guard_bounds_the_hats_grid(ix, iy, h, i0, j0, sides):
+def test_stacked_guard_is_the_data_block(ix, iy, h, i0, j0, sides):
     x0, y0 = i0 * h, j0 * h
     cfg = validate_config({"x0": x0, "y0": y0, "x1": x0 + ix * h, "y1": y0 + iy * h,
                            "h": h, "gamma_sides": sides})
-    hats_grid = build_basis(build_grid(cfg.rect, h)).grid
-    assert (hats_grid.nx, hats_grid.ny) == (ix + 3, iy + 3)
-    nx, ny = hats_grid.nx, hats_grid.ny
-    exact = 8.0 * max(nx * ny, (max(nx, ny) - 2) ** 2)
-    grown = {**cfg.raw, "x0": x0 - h, "y0": y0 - h,
-             "x1": cfg["x1"] + h, "y1": cfg["y1"] + h}
-    assert max(exact, _grid_bytes(grown)) <= _stacked_bytes(cfg.raw)
+    part = boundary_partition(build_grid(cfg.rect, h), sides)
+    assert (part.grid.nx, part.grid.ny) == (ix + 1, iy + 1)
+    m, k = part.m, part.n_boundary
+    assert _stacked_bytes(cfg.raw) == pytest.approx(8.0 * 2 * m * k, rel=1e-12)
+    assert m <= k
 
 
 SIDE_LISTS = [["bottom"], ["bottom", "top"], ["left"], ["bottom", "left", "top"],

@@ -350,10 +350,9 @@ def test_cli_rejects_unbuildable_grid_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("raw", [
-    {"x1": 256.0},  # V: 32896 rim nodes x 32904 hats, 8.7 GB
-    {"h": 1 / 8192},  # V: 32768 rim nodes x 32776 hats, 8.6 GB; one field 0.54 GB
-    # V would fit (3.0 GB), the data block (2m = 38404 rows x K = 19328) not (5.9 GB)
-    {"x1": 150.0, "gamma_sides": ["bottom", "top"]},
+    {"x1": 256.0},  # the data block: 2m = 32770 rows x K = 32896, 8.6 GB
+    {"h": 1 / 8192},  # the data block: 2m = 16386 x K = 32768, 4.3 GB; one field 0.54 GB
+    {"x1": 150.0, "gamma_sides": ["bottom", "top"]},  # 2m = 38404 x K = 19328, 5.9 GB
 ])
 def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, raw):
     _expect_size_error(tmp_path, capsys, command, raw)
@@ -361,7 +360,7 @@ def test_cli_rejects_oversized_stack_exit_2(tmp_path, capsys, command, raw):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_rejects_stacked_matrix_over_limit_exit_2(tmp_path, capsys, command):
-    # every grid array would fit (2.1 GB), the traces V would not (8.7 GB)
+    # every grid array would fit (2.1 GB), the data block would not (8.6 GB)
     r = validate_config({"x1": 256.0}).raw
     assert _grid_bytes(r) < MAX_ARRAY_BYTES < _stacked_bytes(r)
     _expect_size_error(tmp_path, capsys, command, {"x1": 256.0})
@@ -372,8 +371,8 @@ def test_arrays_over_limit_rejected_from_the_config_alone():
     # would be 29999^2 x 8 B, 7.2 GB; nothing is solved here
     with pytest.raises(ValidationError, match="sine-transform matrix of the grid"):
         validate_config({"x1": 3000.0, "y1": 0.2, "h": 0.1})
-    # and for the fit: at h = 1/8192 one field is 0.54 GB, but the traces V
-    # would be 32768 x 32776 x 8 B, 8.6 GB
+    # and for the fit: at h = 1/8192 one field is 0.54 GB, but the data
+    # block would be 16386 x 32768 x 8 B, 4.3 GB
     cfg = validate_config({"h": 1 / 8192})
     assert _grid_bytes(cfg.raw) < 1e9
     with pytest.raises(ValidationError, match="largest array of the fit"):
@@ -386,8 +385,8 @@ def test_arrays_over_limit_rejected_from_the_config_alone():
 
 def test_cli_tau_builds_no_stack(tmp_path, capsys, monkeypatch):
     # under a 0.1 MB limit every array of the grid fits (34 kB) and the
-    # traces V (256 x 264 x 8 B, 0.54 MB) do not: run stops before its
-    # build, while tau, which builds no V, runs
+    # data block (130 x 256 x 8 B, 0.27 MB) does not: run stops before its
+    # build, while tau, which fits nothing, runs
     monkeypatch.setattr("harmrec.config.MAX_ARRAY_BYTES", 1e5)
     raw = {"tau_gamma_sets": [["bottom"]]}
     cfg = tmp_path / "cfg.json"
@@ -412,8 +411,9 @@ def test_traces_keep_full_rank_at_the_padding_bound(h):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_presets_validate_at_h_256(preset):
     cfg = resolve_config(preset=preset, overrides={"h": 1 / 256})
-    # V: 1024 rim nodes by 1032 hats, more than 2m (514 or 1028)
-    assert _stacked_bytes(cfg.raw) == 8.0 * 1024 * 1032
+    # the data block: 2m = 514 or 1028 rows by K = 1024 rim nodes
+    two_m = {"paper-sec5-one-side": 514, "paper-sec5-two-sides": 1028}[preset]
+    assert _stacked_bytes(cfg.raw) == 8.0 * two_m * 1024
     check_stacked_size(cfg)
 
 
@@ -421,15 +421,14 @@ def test_presets_validate_at_h_256(preset):
     {"h": 0.25},
     {"h": 0.125, "x1": 1.5, "y0": -0.25},
     {"h": 0.125, "x1": 0.25},  # the narrowest grid, 3 nodes across
-    {"h": 0.25, "x1": 3.0, "gamma_sides": ["bottom", "top"]},  # 2m > K + 8
+    {"h": 0.25, "x1": 3.0, "gamma_sides": ["bottom", "top"]},  # 2m > K
     {"h": 0.125, "x1": 1.5, "gamma_sides": ["left", "bottom", "right"]},
     {"h": 0.125, "y1": 1.5, "gamma_sides": ["top", "left"]},
 ])
 def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
-    # check_stacked_size's estimate, the larger of the traces V and the
-    # data block, bounds every array the build, the fit and b allocate: the
-    # system, every input and output of their SVDs, QRs and stacks, and the
-    # factorisation kept on the system
+    # check_stacked_size's estimate, the data block, bounds every array the
+    # build, the fit and b allocate: the system, every input and output of
+    # their SVDs, QRs and stacks, and the factorisation kept on the system
     cfg = validate_config(extra)
     sizes = []
 
@@ -447,10 +446,9 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     state = build_state(cfg)
     sys = state.system
     result, = reconstruct(sys, [state.clean_data], cfg)
-    traces = compute_base_solutions(build_basis(state.grid), state.partition)
-    b = coefficients(traces, result.w)
+    b = coefficients(build_basis(state.grid), result.u_star)
     fit, = sys._fits.values()
-    held = [sys.A, sys.B, traces, sys.D1, fit.p_t, fit.s, fit.to_w, b]
+    held = [sys.A, sys.B, sys.D1, fit.p_t, fit.s, fit.to_w, b]
     sizes += [a.nbytes for a in held]
     assert len(sizes) > len(held)
     assert max(sizes) <= _stacked_bytes(cfg.raw)

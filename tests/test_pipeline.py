@@ -164,9 +164,9 @@ def test_b_csv_reproduces_the_traces(sides, tmp_path):
 
 
 def test_only_run_builds_the_hats(monkeypatch, tmp_path):
-    # the fit knows no hats: only run's writer of b.csv builds them and
-    # samples their traces V
-    calls = []
+    # the fit knows no hats: only run's writer of b.csv builds them, and it
+    # reads b off u*, so no command samples their traces V or takes a QR of V
+    calls, qr_rows = [], []
 
     def spy(name, fn):
         def wrapped(*args):
@@ -176,12 +176,24 @@ def test_only_run_builds_the_hats(monkeypatch, tmp_path):
 
     for name in ("build_basis", "compute_base_solutions"):
         monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
+    qr = np.linalg.qr
+
+    def qr_spy(a, *args, **kwargs):
+        qr_rows.append(a.shape[0])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
     cfg = validate_config({**FAST, "eps_levels": [1e-1, 1e-2, 1e-3], "seeds": [1, 2]})
     pipeline.run_sweep(cfg, tmp_path / "sweep")
+    pipeline.run_sweep(cfg)
+    pipeline.run_tau(cfg, tmp_path / "tau")
     pipeline.run_tau(cfg)
     assert calls == []
     bare = pipeline.run_experiment(cfg)["summary"]
     assert calls == []
     written = pipeline.run_experiment(cfg, tmp_path / "run")["summary"]
-    assert calls == ["build_basis", "compute_base_solutions"]
+    assert calls == ["build_basis"]
     assert written == bare
+    # the fit's one QR is of the graph norm's 2m x m rows; Vᵀ has K + 8
+    n_hats = build_basis(build_state(cfg).grid).n_boundary
+    assert qr_rows and n_hats not in qr_rows
