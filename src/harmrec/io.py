@@ -5,8 +5,11 @@ i, 17 significant digits.  Table CSVs, written by one writer: boundary data
 (header ``x,y,f,g``, with a JSON sidecar holding noise metadata), the
 coefficients b (header ``b``, one value per row) and the sweep's probes.
 
-All writers format floats with ``%.17g`` and emit strict JSON (no NaN or
-Infinity) with sorted keys, so identical inputs produce byte-identical files.
+All CSV writers format floats with ``%.17g``, and every JSON file is strict
+(no NaN or Infinity), indented by 2 with sorted keys, so identical inputs
+produce byte-identical files.  A contour's JSON is filled from templates
+(:func:`contour_json_text`), since ``json`` encodes in pure Python when it
+indents.
 Each CSV row is written as soon as one ``%`` fills its template, so no
 file's whole text exists; a grid row's template holds its x and y strings.
 """
@@ -54,6 +57,23 @@ def json_text(obj, name: str) -> str:
                           default=_json_default) + "\n"
     except ValueError as exc:
         raise SolverError(f"{name}: {exc}") from exc
+
+
+def contour_json_text(level: float, polylines: list[np.ndarray], name: str) -> str:
+    """:func:`json_text` of ``{"level": level, "polylines": ...}`` for the
+    (k, 2) point arrays ``polylines``, byte for byte, with one ``%r``
+    template per polyline (a float's ``repr`` is what ``json`` writes).  A
+    non-finite point is a numerical failure of the artifact ``name``."""
+    if not all(np.isfinite(line).all() for line in polylines):
+        raise SolverError(f"{name}: Out of range float values are not JSON compliant")
+    point = "      [\n        %r,\n        %r\n      ]"
+    texts = []
+    for line in polylines:
+        xy = tuple(np.ravel(line).tolist())
+        body = ",\n".join([point] * len(line)) % xy
+        texts.append(f"    [\n{body}\n    ]" if xy else "    []")
+    lines = "[\n" + ",\n".join(texts) + "\n  ]" if texts else "[]"
+    return f'{{\n  "level": {json_text(level, name)[:-1]},\n  "polylines": {lines}\n}}\n'
 
 
 def dump_json(path, obj, text: str | None = None) -> None:

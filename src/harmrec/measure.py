@@ -39,9 +39,6 @@ class LevelContour:
     level: float
     polylines: list = field(default_factory=list)
 
-    def to_jsonable(self) -> list:
-        return [line.tolist() for line in self.polylines]
-
 
 def compute_indicate(partition: BoundaryPartition) -> ScalarField:
     """Solve for the exponent field of the partition's Γ on its grid: the

@@ -3,7 +3,9 @@
 ``run_experiment`` produces one reconstruction with its full artifact bundle;
 ``run_tau`` emits exponent-field artifacts for a list of measurement-side
 sets; ``run_sweep`` reuses one assembled system across a noise-level/seed
-grid and fits per-probe decay rates.
+grid and fits per-probe decay rates.  A sweep level's fields are one
+(seeds, ny, nx) array from the fit's solve to its errors, turned into the
+errors in place and dropped before the next level is fitted.
 
 Only ``run_experiment``'s writer builds the hats, and it reads their
 coefficients ``b.csv`` off u* (:func:`basis.coefficients`): no command
@@ -59,7 +61,7 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
 def _reconstruct_for(state: PipelineState, level: float, seed: int) -> tuple[CauchyData, ReconstructionResult]:
     cfg = state.cfg
     data = add_noise(state.clean_data, level, seed, cfg["noise_model"])
-    result, = reconstruct(state.system, [data], cfg)
+    result = reconstruct(state.system, [data], cfg)
     return data, result
 
 
@@ -68,18 +70,23 @@ def _write_tau(out, stem: str, tau: ScalarField, contour, title: str) -> list[st
     ``stem``; returns their file names."""
     names = [f"{stem}.csv", f"{stem}_contour.json", f"{stem}.svg"]
     hio.write_field_csv(out / names[0], tau)
-    hio.dump_json(out / names[1],
-                  {"level": contour.level, "polylines": contour.to_jsonable()})
+    hio.dump_json(out / names[1], None,
+                  hio.contour_json_text(contour.level, contour.polylines, names[1]))
     svg.render_heatmap(tau, out / names[2], contours=contour, title=title)
     return names
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """One reconstruction; writes the artifact bundle when out_dir is given."""
+    """One reconstruction; writes the artifact bundle when out_dir is given.
+
+    Returns the summary and the run's pieces, among them ``result``, the fit
+    as a batch of one, and ``u_star``, its row 0 as a :class:`ScalarField`.
+    """
     state = build_state(cfg)
     data, result = _reconstruct_for(state, cfg["noise_level"], cfg["seed"])
+    u_star = ScalarField(state.grid, result.u_star[0])
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
-    err = ev.pointwise_error(result.u_star, exact_field)
+    err = ev.pointwise_error(u_star, exact_field)
     mask, contour = reliable_region(state.tau, cfg["threshold"])
     region = ev.reliability_summary(err, state.tau, cfg["threshold"])
     sup_exact = float(np.abs(exact_field.values).max())
@@ -95,9 +102,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         "m": state.partition.m,
         "alpha_used": result.alpha_used,
         "condition_estimate": result.condition_estimate,
-        "residual_f": result.residual_f,
-        "residual_g": result.residual_g,
-        "reg_norm": result.reg_norm,
+        "residual_f": float(result.residual_f[0]),
+        "residual_g": float(result.residual_g[0]),
+        "reg_norm": float(result.reg_norm[0]),
         "noise": {
             "level": data.noise_level,
             "seed": data.seed,
@@ -120,18 +127,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         # A numerical failure must leave no partial bundle behind.  Fields
         # are finite by construction (ScalarField); vectors are not.
         summary_text = hio.json_text(summary, "summary.json")
-        b = coefficients(build_basis(state.grid), result.u_star)
+        b = coefficients(build_basis(state.grid), u_star)
         if not all(np.isfinite(v).all() for v in (b, data.f, data.g)):
             raise SolverError("non-finite coefficients or boundary data")
         out = hio.out_dir(out_dir)
-        hio.write_field_csv(out / "u_star.csv", result.u_star)
+        hio.write_field_csv(out / "u_star.csv", u_star)
         hio.write_field_csv(out / "error.csv", err)
         hio.write_field_csv(out / "exact.csv", exact_field)
         _write_tau(out, "tau", state.tau, contour, "reliability exponent")
         hio.write_vector_csv(out / "b.csv", b)
         hio.write_cauchy_csv(out / "cauchy.csv", data, out / "cauchy.json")
         svg.render_heatmap(exact_field, out / "exact.svg", title="exact solution")
-        svg.render_heatmap(result.u_star, out / "u_star.svg", title="reconstruction")
+        svg.render_heatmap(u_star, out / "u_star.svg", title="reconstruction")
         svg.render_heatmap(err, out / "error.svg", contours=contour,
                            title="absolute error")
         hio.dump_json(out / "summary.json", summary, summary_text)
@@ -140,6 +147,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         "summary": summary,
         "state": state,
         "result": result,
+        "u_star": u_star,
         "error_field": err,
         "exact_field": exact_field,
         "region_mask": mask,
@@ -198,24 +206,26 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     probe_nodes = ev.auto_probe_nodes(state.tau)
     pi, pj = np.array(probe_nodes).T
 
-    # The error fields of all seeds of a level are one (seeds, ny, nx) stack.
+    # The fields of all seeds of a level are one (seeds, ny, nx) array,
+    # which becomes their error fields in place.
     exact_values = sample_exact(cfg.exact_solution(), g).values
     err_by_level = {lv: np.zeros(len(probe_nodes)) for lv in levels}
     c_fits = []
-    reg_norms = {lv: [] for lv in levels}
+    reg_norms = {}
     for lv in levels:
         datas = add_noise(state.clean_data, lv, seeds, cfg["noise_model"])
-        results = reconstruct(state.system, datas, cfg)
-        err = np.stack([r.u_star.values for r in results])
+        result = reconstruct(state.system, datas, cfg)
+        reg_norms[lv] = result.reg_norm.tolist()
+        err = result.u_star
         err -= exact_values
         np.abs(err, out=err)
         for vals in err[:, pj, pi]:  # seed by seed: a mean() would round differently
             err_by_level[lv] += vals / len(seeds)
-        reg_norms[lv] += [r.reg_norm for r in results]
         if 0.0 < lv < 1.0:
             c_fit = ev.envelope_c_fit(err, t, lv)
             c_fits += [{"eps": lv, "seed": seed, "c_fit": c}
                        for seed, c in zip(seeds, c_fit.tolist())]
+        del result, err  # the next level's fit starts without this level's stack
 
     probes = []
     for k, (i, j) in enumerate(probe_nodes):

@@ -11,7 +11,9 @@ batch of fields, its rim load transformed as a rank-4 product, and
 nodes without forming a field.
 :func:`solve_dirichlet` is the one rim solve of the pipeline: it writes
 walk-ordered rim values onto a grid and fills the interior through
-:func:`solve_interior`, one field or a batch.  The reconstruction u* (the
+:func:`solve_interior`, one field or a batch, which it returns as one
+(k, ny, nx) array.  Besides that array, the solve needs one scratch stack of
+its interior.  The reconstruction u* (the
 harmonic extension of the fitted traces) and the exponent field (that of Γ's
 indicator) are both such solves.
 """
@@ -40,10 +42,14 @@ class ScalarField:
             raise ValidationError(
                 f"field shape {v.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.isfinite(v).all():
-            raise SolverError("field contains non-finite values")
+        _check_finite(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise SolverError("field contains non-finite values")
 
 
 @lru_cache(maxsize=8)
@@ -112,9 +118,10 @@ def solve_interior(u: np.ndarray) -> None:
     columns, ``Sy @ load @ Sx`` is the rank-4 product ``L @ R`` of
     ``L = [Sy[:, 0], Sy[:, -1], Sy c, Sy d]`` and
     ``R = [a Sx; b Sx; Sx[0]; Sx[-1]]``, so the forward transform costs
-    O(n²) per field.  The inverse transform is written straight into ``u``.
-    Every product is taken per field, so a field rounds in a batch exactly
-    as it does alone.
+    O(n²) per field.  The inverse pair needs one scratch stack, ``coef``:
+    ``Sy @ coef`` is written into the interior of ``u``, that interior
+    ``@ Sx`` back into ``coef``, and ``coef`` copied in.  Every product is
+    taken per field, so a field rounds in a batch exactly as it does alone.
     """
     my, mx = u.shape[-2] - 2, u.shape[-1] - 2
     sy, sx = _dst_matrix(my), _dst_matrix(mx)
@@ -126,7 +133,10 @@ def solve_interior(u: np.ndarray) -> None:
     right[..., 2:, :] = sx[[0, -1]]
     coef = left @ right
     coef /= _dst_eigenvalues(my, mx)
-    np.matmul(sy @ coef, sx, out=u[..., 1:-1, 1:-1])
+    inner = u[..., 1:-1, 1:-1]
+    np.matmul(sy, coef, out=inner)
+    np.matmul(inner, sx, out=coef)
+    inner[...] = coef
 
 
 # The DST-I solve above is the only Laplace solver.  This stub keeps the name
@@ -136,10 +146,11 @@ def cg_dirichlet(u: np.ndarray, tol: float, max_iter: int) -> tuple[int, float]:
     raise NotImplementedError("harmrec has no CG solver; use solve_dirichlet")
 
 
-def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> ScalarField | list[ScalarField]:
+def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> ScalarField | np.ndarray:
     """The discrete harmonic field on ``grid`` whose rim data are ``values``
-    in walk order: (K,) gives one field, (k, K) a list of k from one batched
-    :func:`solve_interior`.
+    in walk order: (K,) gives one :class:`ScalarField`, (k, K) one writable
+    (k, ny, nx) array of k fields from one batched :func:`solve_interior`,
+    checked finite as a :class:`ScalarField` is.
 
     Rim nodes of the result carry the data exactly; interior nodes satisfy
     the 5-point stencil to rounding.
@@ -155,7 +166,8 @@ def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> ScalarField | list[Scal
     solve_interior(u)
     if bv.ndim == 1:
         return ScalarField(grid=grid, values=u)
-    return [ScalarField(grid=grid, values=v) for v in u]
+    _check_finite(u)
+    return u
 
 
 def laplacian_residual(fld: ScalarField) -> float:

@@ -28,6 +28,9 @@ costs one factorisation, then per level two small products with one column
 per data set.  The condition estimate reported is that of
 ``[M0 L^-1; sqrt(alpha) I]``, and a fit's field is the harmonic extension of
 w on the domain's grid, one :func:`poisson.solve_dirichlet` for a batch.
+:func:`reconstruct` returns a batch as one :class:`ReconstructionResult`:
+row k of each array is data set k, and its fields are one (k, ny, nx) array
+that the caller owns and may overwrite.
 
 A fit's settings come from the experiment's
 :class:`~harmrec.config.ExperimentConfig`: its ``data_weights`` and its
@@ -219,11 +222,14 @@ def minimize(sys: DiscreteSystem, data: CauchyData, cfg: ExperimentConfig) -> np
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    w: np.ndarray = field(repr=False)  # (K,) fitted traces on the boundary walk
-    u_star: ScalarField
-    residual_f: float
-    residual_g: float
-    reg_norm: float
+    """The fit of a batch of k data sets of one noise level; row k of every
+    array belongs to data set k."""
+
+    w: np.ndarray = field(repr=False)  # (k, K) fitted traces on the boundary walk
+    u_star: np.ndarray = field(repr=False)  # (k, ny, nx) fields, finite, the caller's
+    residual_f: np.ndarray  # (k,) graph norms of the f residuals
+    residual_g: np.ndarray  # (k,) quadrature norms of the g residuals
+    reg_norm: np.ndarray  # (k,) penalty norms |L w|
     alpha_used: float
     condition_estimate: float
 
@@ -231,10 +237,10 @@ class ReconstructionResult:
         self.w.setflags(write=False)
 
 
-def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> ScalarField | list[ScalarField]:
+def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> ScalarField | np.ndarray:
     """The harmonic field on the system's grid whose rim data, in walk order,
-    are the traces w, one batched solve for all.  ``w`` (K,) gives one field,
-    (k, K) a list of k.
+    are the traces w, one batched solve for all.  ``w`` (K,) gives one
+    :class:`ScalarField`, (k, K) one (k, ny, nx) array.
     """
     if sys.grid is None:
         raise ValidationError("a system without a grid has no field to rebuild")
@@ -242,27 +248,17 @@ def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> ScalarField | list[
 
 
 def reconstruct(sys: DiscreteSystem, datas: list[CauchyData],
-                cfg: ExperimentConfig) -> list[ReconstructionResult]:
-    """Full solve for data sets sharing one noise level: per data set the
-    traces, the field on the system's grid, and the fit diagnostics."""
+                cfg: ExperimentConfig) -> ReconstructionResult:
+    """Full solve for k data sets sharing one noise level: the traces, the
+    fields on the system's grid and the fit diagnostics, one row each."""
     alpha, f, g = _batch(sys, datas, cfg)
     fit = _standard_form(sys, cfg.data_weights)
     w, reg = fit.solve(f, g, alpha)
-    u_stars = reconstruct_field(w, sys)
     # Graph norm of the f residual and quadrature norm of the g residual,
     # one column per data set.
     r_g = sys.B @ w.T - g
     res_f = graph_norm(sys.sigma, sys.D1, sys.A @ w.T - f)
     res_g = np.sqrt(sys.sigma @ (r_g * r_g))
-    return [
-        ReconstructionResult(
-            w=w[k],
-            u_star=u_stars[k],
-            residual_f=float(res_f[k]),
-            residual_g=float(res_g[k]),
-            reg_norm=float(reg[k]),
-            alpha_used=alpha,
-            condition_estimate=fit.condition(alpha),
-        )
-        for k in range(len(datas))
-    ]
+    return ReconstructionResult(w=w, u_star=reconstruct_field(w, sys),
+                                residual_f=res_f, residual_g=res_g, reg_norm=reg,
+                                alpha_used=alpha, condition_estimate=fit.condition(alpha))

@@ -14,6 +14,7 @@ from harmrec.config import (MAX_ARRAY_BYTES, _grid_bytes, _stacked_bytes, check_
                             check_sweep_size)
 from harmrec.grid import Rect, boundary_partition, build_grid
 from harmrec.pipeline import build_state
+from harmrec.poisson import ScalarField
 from harmrec.tikhonov import reconstruct
 
 FAST = {
@@ -238,6 +239,29 @@ def test_cli_run_non_finite_summary_exit_3(tmp_path, capsys, monkeypatch):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_non_finite_fitted_field_exit_3(tmp_path, capsys, monkeypatch, command):
+    # a NaN trace makes a non-finite batch of fields: the solve's one check
+    # raises before any artifact is written
+    import harmrec.tikhonov as tik
+
+    solve = tik._StandardForm.solve
+
+    def poisoned(self, f, g, alpha):
+        w, reg = solve(self, f, g, alpha)
+        w = w.copy()
+        w[-1, 0] = np.nan
+        return w, reg
+
+    monkeypatch.setattr(tik._StandardForm, "solve", poisoned)
+    cfg = _write_cfg(tmp_path, eps_levels=[1e-1, 1e-2, 1e-3], seeds=[1, 2])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "numerical", "message": "field contains non-finite values"}
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_numerical_failure_leaves_no_artifacts(tmp_path, capsys):
     # exp(400 x) overflows the fit: the run must fail before writing anything
@@ -445,8 +469,8 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
         monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
     state = build_state(cfg)
     sys = state.system
-    result, = reconstruct(sys, [state.clean_data], cfg)
-    b = coefficients(build_basis(state.grid), result.u_star)
+    result = reconstruct(sys, [state.clean_data], cfg)
+    b = coefficients(build_basis(state.grid), ScalarField(state.grid, result.u_star[0]))
     fit, = sys._fits.values()
     held = [sys.A, sys.B, sys.D1, fit.p_t, fit.s, fit.to_w, b]
     sizes += [a.nbytes for a in held]

@@ -11,8 +11,7 @@ intentional numerical change with
     from harmrec import resolve_config, io
     from harmrec.pipeline import run_experiment
     res = run_experiment(resolve_config(preset='paper-sec5-one-side'))
-    io.write_field_csv('tests/golden/u_star_one_side.csv',
-                       res['result'].u_star)"
+    io.write_field_csv('tests/golden/u_star_one_side.csv', res['u_star'])"
 
 and the contour by copying ``tau_contour.json`` from
 ``harmrec run --preset paper-sec5-one-side``.
@@ -58,7 +57,7 @@ def one_side(tmp_path_factory):
 
 
 def test_reference_reconstruction_matches_golden(one_side):
-    u_star = one_side[0]["result"].u_star
+    u_star = one_side[0]["u_star"]
     golden = np.loadtxt(GOLDEN, delimiter=",", skiprows=1)[:, 2]
     assert np.abs(u_star.values.ravel() - golden).max() <= 1e-9
 

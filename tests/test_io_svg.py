@@ -15,6 +15,7 @@ from harmrec import (Constant, Rect, boundary_partition, build_grid,
                      compute_indicate, reliable_region, resolve_config,
                      run_experiment, run_tau, sample_exact, trace_cauchy)
 from harmrec import io as hio
+from harmrec.errors import SolverError
 from harmrec.measure import LevelContour
 from harmrec.poisson import ScalarField
 from harmrec.svg import VIEW, render_heatmap
@@ -252,6 +253,30 @@ def test_json_handles_numpy_scalars(tmp_path):
                    "c": np.array([1.0, 2.0])})
     loaded = json.loads((tmp_path / "x.json").read_text())
     assert loaded == {"a": 1.5, "b": 2, "c": [1.0, 2.0]}
+
+
+_COORDS = st.one_of(
+    st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-300, 299)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(level=st.one_of(st.just(1), st.just(0.5), st.floats(1e-300, 1.0), st.integers(0, 3)),
+       lines=st.lists(st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6),
+                      max_size=4))
+def test_contour_json_text_is_json_text(level, lines):
+    # the templated contour writer against the json module's indented text:
+    # negative zero, magnitudes 1e-300 to 1e300, integer levels, no lines
+    polylines = [np.array(line, dtype=float) for line in lines]
+    expected = hio.json_text({"level": level,
+                              "polylines": [line.tolist() for line in polylines]}, "c.json")
+    assert hio.contour_json_text(level, polylines, "c.json") == expected
+
+
+@pytest.mark.parametrize("level, bad", [(0.5, math.nan), (0.5, math.inf), (math.nan, 0.0)])
+def test_contour_json_text_rejects_non_finite(level, bad):
+    with pytest.raises(SolverError, match="c.json"):
+        hio.contour_json_text(level, [np.array([[0.0, 1.0], [bad, 0.5]])], "c.json")
 
 
 def test_svg_renders_heatmap_with_contour(tmp_path):

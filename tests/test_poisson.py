@@ -80,9 +80,10 @@ def test_batched_dst_solve_matches_sparse_reference(spsolve_dirichlet, entry):
         # to the bit
         rims = batch[..., p.nodes[:, 1], p.nodes[:, 0]].reshape(6, p.n_boundary)
         fields = solve_dirichlet(g, rims)
+        assert fields.shape == (6,) + g.shape
         for fld, rim in zip(fields, rims):
-            assert np.array_equal(fld.values, solve_dirichlet(g, rim).values)
-        batch = np.stack([fld.values for fld in fields]).reshape(batch.shape)
+            assert np.array_equal(fld, solve_dirichlet(g, rim).values)
+        batch = fields.reshape(batch.shape)
     assert np.abs(batch - ref).max() <= 1e-12
     single = solve_dirichlet(g, boundary_values(ScalarField(g, ref[1, 2]), p))
     assert np.abs(single.values - ref[1, 2]).max() <= 1e-12
@@ -111,8 +112,9 @@ def test_dst_solve_any_shape_and_batch_matches_sparse_reference(spsolve_dirichle
 
 def test_solve_interior_peak_memory():
     # a sweep level's batch: the rim load is transformed as a rank-4 product
-    # and the inverse transform is written into the field, so the only
-    # full-size temporaries are the coefficients and one product
+    # and the inverse pair passes through the field's interior, so the only
+    # full-size temporary is the one coefficient stack (1.19x here; 2.13x
+    # with a second stack for the first product)
     u = np.random.default_rng(5).uniform(-1, 1, (32, 65, 65))
     solve_interior(u.copy())  # caches the DST tables
     tracemalloc.start()
@@ -121,7 +123,7 @@ def test_solve_interior_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * u[:, 1:-1, 1:-1].nbytes
+    assert peak <= 1.3 * u[:, 1:-1, 1:-1].nbytes
 
 
 def _dst_oracle(n):
