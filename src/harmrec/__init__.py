@@ -18,10 +18,9 @@ from .forward import (CauchyData, Constant, ExactSolution, ExpCos,
                       HarmonicPoly, add_noise, sample_exact, trace_cauchy)
 from .grid import (SIDES, BoundaryPartition, Grid2D, Rect, boundary_partition,
                    build_grid)
-from .measure import (LevelContour, annulus_tau, compute_indicate,
-                      rectangle_series_tau, reliable_region, two_constants_bound)
+from .measure import LevelContour, compute_indicate, reliable_region
 from .pipeline import build_state, run_experiment, run_sweep, run_tau
-from .poisson import ScalarField, laplacian_residual, solve_dirichlet
+from .poisson import ScalarField, solve_dirichlet
 from .tikhonov import (DiscreteSystem, ReconstructionResult, assemble_system,
                        minimize, reconstruct, reconstruct_field)
 

@@ -170,15 +170,6 @@ def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> ScalarField | np.ndarra
     return u
 
 
-def laplacian_residual(fld: ScalarField) -> float:
-    """Max interior residual of the h²-scaled 5-point stencil, |4u - Σ neighbors|."""
-    if fld.grid.nx < 3 or fld.grid.ny < 3:
-        raise ValidationError("need nx, ny >= 3 to evaluate the interior stencil")
-    v = fld.values
-    return float(np.abs(4.0 * v[1:-1, 1:-1] - v[1:-1, :-2] - v[1:-1, 2:]
-                        - v[:-2, 1:-1] - v[2:, 1:-1]).max())
-
-
 def normal_stencil(partition: BoundaryPartition):
     """Second-order one-sided outward normal difference at every Γ node:
     (m, 3) column and row indices stepping into the domain, and the weights

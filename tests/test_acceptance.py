@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from harmrec import (CauchyData, DiscreteSystem, Rect, annulus_tau,
-                     boundary_partition, build_grid, compute_indicate,
-                     minimize, rectangle_series_tau, resolve_config,
-                     solve_dirichlet, two_constants_bound, validate_config)
+from harmrec import (CauchyData, DiscreteSystem, Rect, boundary_partition,
+                     build_grid, compute_indicate, minimize, resolve_config,
+                     solve_dirichlet, validate_config)
 from harmrec.pipeline import run_experiment, run_sweep
+from oracles import annulus_tau, rectangle_series_tau, two_constants_bound
 
 
 def report(criterion: int, ok: bool, detail: str):

@@ -181,10 +181,6 @@ def test_cli_sweep_emits_probe_table(tmp_path):
     assert len(sweep["envelope_c_fits"]) == 3 * 2
 
 
-def test_cli_check_passes():
-    assert main(["check"]) == 0
-
-
 def test_summary_json_sorted_and_deterministic(tmp_path):
     cfg = _write_cfg(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -287,10 +283,10 @@ def test_cli_overflow_is_numerical_exit_3(tmp_path, capsys, command):
     assert not out.exists() or not any(out.iterdir())
 
 
-# check reads no config, and tau and sweep no config seed, so they take no
-# flag for them
+# check is no command, with or without flags; tau and sweep read no config
+# seed, so they take no flag for it
 @pytest.mark.parametrize("argv", [["run", "--threads", "2"], ["run", "--bogus"],
-                                  ["run", "--seed", "x"], ["frob"],
+                                  ["run", "--seed", "x"], ["frob"], ["check"],
                                   ["check", "--config", "c.json"], ["tau", "--seed", "5"],
                                   ["sweep", "--seed", "5"]])
 def test_cli_bad_flags_print_json_error(capsys, argv):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from harmrec import (Constant, ExpCos, HarmonicPoly, Rect, ValidationError,
                      add_noise, boundary_partition, build_grid, sample_exact,
                      trace_cauchy)
-from harmrec.poisson import laplacian_residual
+from oracles import laplacian_residual
 
 
 def _partition(h=1 / 16, sides=("bottom",)):

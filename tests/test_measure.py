@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from harmrec import (Rect, ValidationError, annulus_tau, boundary_partition,
-                     build_grid, compute_indicate, rectangle_series_tau,
-                     reliable_region, two_constants_bound)
+from harmrec import (Rect, ValidationError, boundary_partition, build_grid,
+                     compute_indicate, reliable_region)
+from oracles import annulus_tau, rectangle_series_tau, two_constants_bound
 
 # frozen from a 60-digit evaluation of the bottom-side series; the partial
 # sum is already converged to this value at 200 terms
