@@ -4,12 +4,11 @@ data, with a pointwise reliability certificate.
 Given noisy values and normal derivatives on part of the boundary, the
 library fits the field's traces on the whole boundary by regularized least
 squares with a smoothness penalty, rebuilds the interior field as their
-discrete harmonic extension, writes the equivalent hat density on the
-rectangle grown by one grid layer, and certifies where the result can be
-trusted through the harmonic measure of the measurement arc.
+discrete harmonic extension, and certifies where the result can be trusted
+through the harmonic measure of the measurement arc.  ``run`` also writes
+the equivalent hat density one grid layer out (:mod:`harmrec.basis`).
 """
 
-from .basis import build_basis, compute_base_solutions
 from .config import DEFAULTS, PRESETS, ExperimentConfig, resolve_config, validate_config
 from .errors import SolverError, ValidationError
 from .evaluate import (envelope_check, pointwise_error, rate_fit,
@@ -22,6 +21,6 @@ from .measure import LevelContour, compute_indicate, reliable_region
 from .pipeline import build_state, run_experiment, run_sweep, run_tau
 from .poisson import ScalarField, solve_dirichlet
 from .tikhonov import (DiscreteSystem, ReconstructionResult, assemble_system,
-                       minimize, reconstruct, reconstruct_field)
+                       reconstruct, reconstruct_field)
 
 __version__ = "0.1.0"

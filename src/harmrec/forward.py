@@ -3,7 +3,7 @@
 Exact solutions are harmonic by construction; their traces and outward
 normal derivatives come from closed-form differentiation, never from grid
 differences, so data error and discretization error stay decoupled.
-A list of seeds is drawn in one pass of :mod:`rng`, bit for bit as seed by seed.
+:func:`add_noise` draws a list of seeds in one pass of :mod:`rng`, each as if alone.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ def trace_cauchy(exact: ExactSolution, partition: BoundaryPartition) -> CauchyDa
     return CauchyData(partition=partition, points=pts, f=f, g=g)
 
 
-def add_noise(data: CauchyData, level: float, seed: int | list[int],
-              model: str = "uniform") -> CauchyData | list[CauchyData]:
-    """Perturb both channels, scaled to ``level`` relative to each sup norm.
+def add_noise(data: CauchyData, level: float, seeds: list[int],
+              model: str = "uniform") -> list[CauchyData]:
+    """Perturb both channels, scaled to ``level`` relative to each sup norm,
+    once per seed: one CauchyData per entry of ``seeds``, in order.
 
-    An int ``seed`` gives one CauchyData, a sequence of seeds a list.  f's
-    m draws come first in a seed's stream, then g's.  Uniform draws
+    f's m draws come first in a seed's stream, then g's.  Uniform draws
     ``2u - 1`` lie in [-1, 1) (so the perturbation is bounded by
     level * sup|channel|); gaussian draws are standard normals, two uniforms
     each, scaled the same way.  The realized data error combines the graph
@@ -136,21 +136,17 @@ def add_noise(data: CauchyData, level: float, seed: int | list[int],
     if data.partition is None:
         raise ValidationError("adding noise needs the data's partition, for the "
                               "realized data error's Γ quadrature")
-    single = np.ndim(seed) == 0
-    seeds = [seed] if single else list(seed)
     if level == 0:
-        noisy = [replace(data, noise_level=0.0, seed=s, noise_model=model,
-                         realized_eps=0.0) for s in seeds]
-    else:
-        m = len(data.f)
-        draws = (2.0 * uniforms(seeds, 2 * m) - 1.0 if model == "uniform"
-                 else normals(seeds, 2 * m))
-        df = level * np.abs(data.f).max(initial=0.0) * draws[:, :m]
-        dg = level * np.abs(data.g).max(initial=0.0) * draws[:, m:]
-        sigma, d1 = data.partition.gamma_sigma, data.partition.tangential_d1
-        noisy = [replace(data, f=data.f + dfi, g=data.g + dgi, noise_level=level,
-                         seed=s, noise_model=model,
-                         realized_eps=float(graph_norm(sigma, d1, dfi)
-                                            + np.sqrt(sigma @ (dgi * dgi))))
-                 for s, dfi, dgi in zip(seeds, df, dg)]
-    return noisy[0] if single else noisy
+        return [replace(data, noise_level=0.0, seed=s, noise_model=model,
+                        realized_eps=0.0) for s in seeds]
+    m = len(data.f)
+    draws = (2.0 * uniforms(seeds, 2 * m) - 1.0 if model == "uniform"
+             else normals(seeds, 2 * m))
+    df = level * np.abs(data.f).max(initial=0.0) * draws[:, :m]
+    dg = level * np.abs(data.g).max(initial=0.0) * draws[:, m:]
+    sigma, d1 = data.partition.gamma_sigma, data.partition.tangential_d1
+    return [replace(data, f=data.f + dfi, g=data.g + dgi, noise_level=level,
+                    seed=s, noise_model=model,
+                    realized_eps=float(graph_norm(sigma, d1, dfi)
+                                       + np.sqrt(sigma @ (dgi * dgi))))
+            for s, dfi, dgi in zip(seeds, df, dg)]

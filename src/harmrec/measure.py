@@ -40,7 +40,8 @@ def compute_indicate(partition: BoundaryPartition) -> ScalarField:
             "Γ covering the whole boundary is degenerate (tau would be "
             "identically 1 and the problem well-posed)"
         )
-    fld = solve_dirichlet(partition.grid, partition.gamma_mask.astype(float))
+    fld = ScalarField(partition.grid,
+                      solve_dirichlet(partition.grid, [partition.gamma_mask.astype(float)])[0])
     _check_indicate(fld, partition)
     return fld
 

@@ -3,9 +3,11 @@
 ``run_experiment`` produces one reconstruction with its full artifact bundle;
 ``run_tau`` emits exponent-field artifacts for a list of measurement-side
 sets; ``run_sweep`` reuses one assembled system across a noise-level/seed
-grid and fits per-probe decay rates.  A sweep level's fields are one
-(seeds, ny, nx) array from the fit's solve to its errors, turned into the
-errors in place and dropped before the next level is fitted.
+grid and fits per-probe decay rates.  ``run_experiment`` is a sweep level of
+one seed: the same batch calls ``add_noise``, ``reconstruct`` and
+``tikhonov.reconstruct_field``.  A sweep level's fields are one (seeds, ny,
+nx) array from their solve to their errors, turned into the errors in place
+and dropped before the next level is fitted.
 
 Only ``run_experiment``'s writer builds the hats, and it reads their
 coefficients ``b.csv`` off u* (:func:`basis.coefficients`): no command
@@ -22,7 +24,8 @@ import numpy as np
 
 from . import evaluate as ev
 from . import io as hio
-from . import svg
+# Fields go through `tikhonov.reconstruct_field`: perfbench/spans.py wraps it in place.
+from . import svg, tikhonov
 from .basis import build_basis, coefficients
 # Not called here: perfbench/spans.py wraps `pipeline.compute_base_solutions` by name.
 from .basis import compute_base_solutions  # noqa: F401
@@ -32,7 +35,7 @@ from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
 from .measure import compute_indicate, reliable_region
 from .poisson import ScalarField
-from .tikhonov import DiscreteSystem, ReconstructionResult, assemble_system, reconstruct
+from .tikhonov import DiscreteSystem, assemble_system, reconstruct
 
 
 @dataclass
@@ -58,13 +61,6 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
                          system=system, tau=tau, clean_data=clean)
 
 
-def _reconstruct_for(state: PipelineState, level: float, seed: int) -> tuple[CauchyData, ReconstructionResult]:
-    cfg = state.cfg
-    data = add_noise(state.clean_data, level, seed, cfg["noise_model"])
-    result = reconstruct(state.system, [data], cfg)
-    return data, result
-
-
 def _write_tau(out, stem: str, tau: ScalarField, contour, title: str) -> list[str]:
     """Write an exponent field's CSV, contour JSON and heatmap SVG under
     ``stem``; returns their file names."""
@@ -80,11 +76,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """One reconstruction; writes the artifact bundle when out_dir is given.
 
     Returns the summary and the run's pieces, among them ``result``, the fit
-    as a batch of one, and ``u_star``, its row 0 as a :class:`ScalarField`.
+    as a batch of one, and ``u_star``, its row 0's field as a :class:`ScalarField`.
     """
     state = build_state(cfg)
-    data, result = _reconstruct_for(state, cfg["noise_level"], cfg["seed"])
-    u_star = ScalarField(state.grid, result.u_star[0])
+    datas = add_noise(state.clean_data, cfg["noise_level"], [cfg["seed"]], cfg["noise_model"])
+    result = reconstruct(state.system, datas, cfg)
+    u_star = ScalarField(state.grid, tikhonov.reconstruct_field(result.w, state.system)[0])
+    data = datas[0]
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
     err = ev.pointwise_error(u_star, exact_field)
     mask, contour = reliable_region(state.tau, cfg["threshold"])
@@ -216,7 +214,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
         datas = add_noise(state.clean_data, lv, seeds, cfg["noise_model"])
         result = reconstruct(state.system, datas, cfg)
         reg_norms[lv] = result.reg_norm.tolist()
-        err = result.u_star
+        err = tikhonov.reconstruct_field(result.w, state.system)
         err -= exact_values
         np.abs(err, out=err)
         for vals in err[:, pj, pi]:  # seed by seed: a mean() would round differently

@@ -10,12 +10,12 @@ batch of fields, its rim load transformed as a rank-4 product, and
 :func:`rim_extension` samples every rim node's harmonic extension at given
 nodes without forming a field.
 :func:`solve_dirichlet` is the one rim solve of the pipeline: it writes
-walk-ordered rim values onto a grid and fills the interior through
-:func:`solve_interior`, one field or a batch, which it returns as one
+(k, K) walk-ordered rim values onto a grid and fills the interior of all k
+fields through one :func:`solve_interior`, returning them as one
 (k, ny, nx) array.  Besides that array, the solve needs one scratch stack of
-its interior.  The reconstruction u* (the
-harmonic extension of the fitted traces) and the exponent field (that of Γ's
-indicator) are both such solves.
+its interior.  The reconstruction u* (the harmonic extension of the fitted
+traces) and the exponent field (that of Γ's indicator) are both such
+solves, the latter a batch of one.
 """
 
 from __future__ import annotations
@@ -146,11 +146,11 @@ def cg_dirichlet(u: np.ndarray, tol: float, max_iter: int) -> tuple[int, float]:
     raise NotImplementedError("harmrec has no CG solver; use solve_dirichlet")
 
 
-def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> ScalarField | np.ndarray:
-    """The discrete harmonic field on ``grid`` whose rim data are ``values``
-    in walk order: (K,) gives one :class:`ScalarField`, (k, K) one writable
-    (k, ny, nx) array of k fields from one batched :func:`solve_interior`,
-    checked finite as a :class:`ScalarField` is.
+def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> np.ndarray:
+    """The k discrete harmonic fields on ``grid`` whose rim data are the rows
+    of the (k, K) ``values``, in walk order: one writable (k, ny, nx) array
+    from one batched :func:`solve_interior`, checked finite as a
+    :class:`ScalarField` is.
 
     Rim nodes of the result carry the data exactly; interior nodes satisfy
     the 5-point stencil to rounding.
@@ -159,13 +159,11 @@ def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> ScalarField | np.ndarra
         raise ValidationError("grid must be at least 3x3 for an interior solve")
     walk, _ = _boundary_walk(grid.nx, grid.ny)
     bv = np.asarray(values, dtype=float)
-    if bv.shape[-1:] != (len(walk),) or bv.ndim > 2:
-        raise ValidationError(f"expected {len(walk)} rim values, got {bv.shape}")
-    u = np.zeros(bv.shape[:-1] + grid.shape)
-    u[..., walk[:, 1], walk[:, 0]] = bv
+    if bv.ndim != 2 or bv.shape[1] != len(walk):
+        raise ValidationError(f"expected (k, {len(walk)}) rim values, got {bv.shape}")
+    u = np.zeros(bv.shape[:1] + grid.shape)
+    u[:, walk[:, 1], walk[:, 0]] = bv
     solve_interior(u)
-    if bv.ndim == 1:
-        return ScalarField(grid=grid, values=u)
     _check_finite(u)
     return u
 

@@ -26,15 +26,17 @@ equations nor L^T L is formed.  The pair depends only on the system and the
 data weights, so it is built once and kept on the system: a noise sweep
 costs one factorisation, then per level two small products with one column
 per data set.  The condition estimate reported is that of
-``[M0 L^-1; sqrt(alpha) I]``, and a fit's field is the harmonic extension of
-w on the domain's grid, one :func:`poisson.solve_dirichlet` for a batch.
-:func:`reconstruct` returns a batch as one :class:`ReconstructionResult`:
-row k of each array is data set k, and its fields are one (k, ny, nx) array
-that the caller owns and may overwrite.
+``[M0 L^-1; sqrt(alpha) I]``.  :func:`reconstruct` returns a batch's fit,
+row k of each array data set k; it reads no grid, so it fits a hand-built
+system too.  :func:`reconstruct_field` turns (k, K) traces into their
+(k, ny, nx) harmonic extensions on the domain's grid, one
+:func:`poisson.solve_dirichlet`.
 
 A fit's settings come from the experiment's
 :class:`~harmrec.config.ExperimentConfig`: its ``data_weights`` and its
-``alpha(eps, h)``, resolved at the data's noise level and the system's h.
+``alpha(eps, h)``, resolved at the data's configured noise level (the
+realized graph-norm error grows like level/h and would over-regularize) and
+the system's h.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .config import ExperimentConfig
 from .errors import SolverError, ValidationError
 from .forward import CauchyData
 from .grid import BoundaryPartition, Grid2D, graph_norm
-from .poisson import ScalarField, normal_stencil, rim_extension, solve_dirichlet
+from .poisson import normal_stencil, rim_extension, solve_dirichlet
 
 
 @dataclass(frozen=True)
@@ -208,25 +210,12 @@ def _standard_form(sys: DiscreteSystem, weights: tuple[float, float]) -> _Standa
     return fit
 
 
-def minimize(sys: DiscreteSystem, data: CauchyData, cfg: ExperimentConfig) -> np.ndarray:
-    """The (K,) traces minimizing the regularized cost.
-
-    The a-priori alpha rule is resolved with the data's configured noise
-    level (the realized graph-norm error grows like level/h and would
-    over-regularize) and the system's grid spacing.
-    """
-    alpha, f, g = _batch(sys, [data], cfg)
-    w, _ = _standard_form(sys, cfg.data_weights).solve(f, g, alpha)
-    return w[0]
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
     """The fit of a batch of k data sets of one noise level; row k of every
     array belongs to data set k."""
 
     w: np.ndarray = field(repr=False)  # (k, K) fitted traces on the boundary walk
-    u_star: np.ndarray = field(repr=False)  # (k, ny, nx) fields, finite, the caller's
     residual_f: np.ndarray  # (k,) graph norms of the f residuals
     residual_g: np.ndarray  # (k,) quadrature norms of the g residuals
     reg_norm: np.ndarray  # (k,) penalty norms |L w|
@@ -237,11 +226,9 @@ class ReconstructionResult:
         self.w.setflags(write=False)
 
 
-def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> ScalarField | np.ndarray:
-    """The harmonic field on the system's grid whose rim data, in walk order,
-    are the traces w, one batched solve for all.  ``w`` (K,) gives one
-    :class:`ScalarField`, (k, K) one (k, ny, nx) array.
-    """
+def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> np.ndarray:
+    """The (k, ny, nx) harmonic fields on the system's grid whose rim data,
+    in walk order, are the (k, K) traces w, one batched solve for all."""
     if sys.grid is None:
         raise ValidationError("a system without a grid has no field to rebuild")
     return solve_dirichlet(sys.grid, w)
@@ -249,8 +236,8 @@ def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> ScalarField | np.nd
 
 def reconstruct(sys: DiscreteSystem, datas: list[CauchyData],
                 cfg: ExperimentConfig) -> ReconstructionResult:
-    """Full solve for k data sets sharing one noise level: the traces, the
-    fields on the system's grid and the fit diagnostics, one row each."""
+    """Fit k data sets sharing one noise level: the traces and the fit
+    diagnostics, one row each."""
     alpha, f, g = _batch(sys, datas, cfg)
     fit = _standard_form(sys, cfg.data_weights)
     w, reg = fit.solve(f, g, alpha)
@@ -259,6 +246,5 @@ def reconstruct(sys: DiscreteSystem, datas: list[CauchyData],
     r_g = sys.B @ w.T - g
     res_f = graph_norm(sys.sigma, sys.D1, sys.A @ w.T - f)
     res_g = np.sqrt(sys.sigma @ (r_g * r_g))
-    return ReconstructionResult(w=w, u_star=reconstruct_field(w, sys),
-                                residual_f=res_f, residual_g=res_g, reg_norm=reg,
+    return ReconstructionResult(w=w, residual_f=res_f, residual_g=res_g, reg_norm=reg,
                                 alpha_used=alpha, condition_estimate=fit.condition(alpha))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from harmrec import (CauchyData, DiscreteSystem, Rect, boundary_partition,
-                     build_grid, compute_indicate, minimize, resolve_config,
+                     build_grid, compute_indicate, reconstruct, resolve_config,
                      solve_dirichlet, validate_config)
 from harmrec.pipeline import run_experiment, run_sweep
 from oracles import annulus_tau, rectangle_series_tau, two_constants_bound
@@ -59,8 +59,8 @@ def test_criterion_1_fdm_second_order():
         xg, yg = g.meshgrid()
         exact = np.exp(xg) * np.sin(yg)
         bv = exact[p.nodes[:, 1], p.nodes[:, 0]]
-        sol = solve_dirichlet(g, bv)
-        errs[h] = np.abs(sol.values - exact).max()
+        sol, = solve_dirichlet(g, [bv])
+        errs[h] = np.abs(sol - exact).max()
     ratio = errs[1 / 32] / errs[1 / 64]
     elapsed = time.time() - t0
     report(1, 3.5 <= ratio <= 4.5 and elapsed < 30.0,
@@ -109,10 +109,10 @@ def test_criterion_5_ridge_closed_form():
                            sigma=np.array([1.0]), D1=np.array([[0.0]]), h=1.0)
     alpha = 1e-3
     cfg = validate_config({"alpha_rule": "fixed", "alpha_fixed": alpha})
-    b1 = minimize(sys1d, CauchyData(partition=None, points=np.zeros((1, 2)),
-                                    f=np.array([1.0]), g=np.array([0.0])), cfg)
-    b0 = minimize(sys1d, CauchyData(partition=None, points=np.zeros((1, 2)),
-                                    f=np.array([0.0]), g=np.array([0.0])), cfg)
+    b1 = reconstruct(sys1d, [CauchyData(partition=None, points=np.zeros((1, 2)),
+                                        f=np.array([1.0]), g=np.array([0.0]))], cfg).w[0]
+    b0 = reconstruct(sys1d, [CauchyData(partition=None, points=np.zeros((1, 2)),
+                                        f=np.array([0.0]), g=np.array([0.0]))], cfg).w[0]
     err_ridge = abs(b1[0] - 1.0 / (1.0 + alpha))
     ok = err_ridge <= 1e-12 and abs(b0[0]) <= 1e-12
     report(5, ok, f"|b - 1/(1+a)| = {err_ridge:.2e}, |b(0)| = {abs(b0[0]):.2e}")

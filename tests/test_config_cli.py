@@ -15,7 +15,7 @@ from harmrec.config import (MAX_ARRAY_BYTES, _grid_bytes, _stacked_bytes, check_
 from harmrec.grid import Rect, boundary_partition, build_grid
 from harmrec.pipeline import build_state
 from harmrec.poisson import ScalarField
-from harmrec.tikhonov import reconstruct
+from harmrec.tikhonov import reconstruct, reconstruct_field
 
 FAST = {
     "h": 1 / 8,
@@ -466,7 +466,8 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     state = build_state(cfg)
     sys = state.system
     result = reconstruct(sys, [state.clean_data], cfg)
-    b = coefficients(build_basis(state.grid), ScalarField(state.grid, result.u_star[0]))
+    u_star, = reconstruct_field(result.w, sys)
+    b = coefficients(build_basis(state.grid), ScalarField(state.grid, u_star))
     fit, = sys._fits.values()
     held = [sys.A, sys.B, sys.D1, fit.p_t, fit.s, fit.to_w, b]
     sizes += [a.nbytes for a in held]

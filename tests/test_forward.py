@@ -52,7 +52,7 @@ def test_trace_uses_side_normals():
 
 def test_noise_level_zero_is_identity():
     data = trace_cauchy(ExpCos(4.0, 0.2), _partition())
-    noisy = add_noise(data, 0.0, seed=9)
+    noisy, = add_noise(data, 0.0, [9])
     assert np.array_equal(noisy.f, data.f)
     assert np.array_equal(noisy.g, data.g)
     assert noisy.realized_eps == 0.0
@@ -64,24 +64,24 @@ def test_noise_needs_the_partition(level):
     # realized data error: a validation error, not an AttributeError
     data = replace(trace_cauchy(ExpCos(4.0, 0.2), _partition()), partition=None)
     with pytest.raises(ValidationError, match="partition"):
-        add_noise(data, level, seed=5)
+        add_noise(data, level, [5])
 
 
 def test_noise_deterministic_given_seed_and_model():
     data = trace_cauchy(ExpCos(4.0, 0.2), _partition())
-    a = add_noise(data, 0.01, seed=5, model="uniform")
-    b = add_noise(data, 0.01, seed=5, model="uniform")
+    a, = add_noise(data, 0.01, [5], model="uniform")
+    b, = add_noise(data, 0.01, [5], model="uniform")
     assert np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
     assert a.realized_eps == b.realized_eps
-    c = add_noise(data, 0.01, seed=6, model="uniform")
+    c, = add_noise(data, 0.01, [6], model="uniform")
     assert not np.array_equal(a.f, c.f)
-    d = add_noise(data, 0.01, seed=5, model="gaussian")
+    d, = add_noise(data, 0.01, [5], model="gaussian")
     assert not np.array_equal(a.f, d.f)
 
 
 def test_uniform_noise_bounded_by_level_times_sup():
     data = trace_cauchy(ExpCos(4.0, 0.2), _partition())
-    noisy = add_noise(data, 0.01, seed=11, model="uniform")
+    noisy, = add_noise(data, 0.01, [11], model="uniform")
     assert np.abs(noisy.f - data.f).max() <= 0.01 * np.abs(data.f).max()
     assert np.abs(noisy.g - data.g).max() <= 0.01 * np.abs(data.g).max()
     assert noisy.realized_eps > 0
@@ -89,25 +89,25 @@ def test_uniform_noise_bounded_by_level_times_sup():
 
 def test_realized_eps_monotone_in_level():
     data = trace_cauchy(ExpCos(4.0, 0.2), _partition())
-    eps = [add_noise(data, lv, seed=3).realized_eps for lv in (0.001, 0.01, 0.1)]
+    eps = [add_noise(data, lv, [3])[0].realized_eps for lv in (0.001, 0.01, 0.1)]
     assert eps[0] < eps[1] < eps[2]
 
 
 def test_negative_level_rejected():
     data = trace_cauchy(Constant(1.0), _partition())
     with pytest.raises(ValidationError):
-        add_noise(data, -0.1, seed=1)
+        add_noise(data, -0.1, [1])
     with pytest.raises(ValidationError):
-        add_noise(data, 0.1, seed=1, model="laplace")
+        add_noise(data, 0.1, [1], model="laplace")
 
 
 @pytest.mark.parametrize("level", [0.0, 0.1])
-@pytest.mark.parametrize("seed", [1, [1, 2]])
-def test_unknown_noise_model_rejected_at_every_level(level, seed):
+@pytest.mark.parametrize("seeds", [[1], [1, 2]], ids=["1", "seed1"])
+def test_unknown_noise_model_rejected_at_every_level(level, seeds):
     # the level-0 shortcut must not let an unknown model through
     data = trace_cauchy(Constant(1.0), _partition())
     with pytest.raises(ValidationError, match="unknown noise model"):
-        add_noise(data, level, seed=seed, model="laplace")
+        add_noise(data, level, seeds, model="laplace")
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,7 +122,7 @@ def test_seed_list_equals_per_seed_calls(h, sides, model, level, seeds):
     together = add_noise(data, level, seeds, model)
     assert len(together) == len(seeds)
     for seed, a in zip(seeds, together):
-        b = add_noise(data, level, seed, model)
+        b, = add_noise(data, level, [seed], model)
         assert np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
         assert (a.realized_eps, a.seed, a.noise_model, a.noise_level) == (
             b.realized_eps, b.seed, b.noise_model, b.noise_level)

@@ -73,7 +73,7 @@ def noise_table() -> str:
     lines = ["model,seed,k,df,dg,realized_eps"]
     for model in ("uniform", "gaussian"):
         for seed in NOISE_SEEDS:
-            noisy = add_noise(clean, 0.1, seed, model)
+            noisy, = add_noise(clean, 0.1, [seed], model)
             for k, (df, dg) in enumerate(zip(noisy.f - clean.f, noisy.g - clean.g)):
                 lines.append(f"{model},{seed},{k},{df:.17g},{dg:.17g},"
                              f"{noisy.realized_eps:.17g}")

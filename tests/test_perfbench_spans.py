@@ -61,6 +61,10 @@ def test_traced_run_and_sweep_give_every_layer_metric(spans, tmp_path):
         # rows, though the fit never forms it
         assert metrics["tikhonov.reconstructs"][0] == (1 if op_id == 0 else 3)
         assert metrics["tikhonov.stack_rows"][0] > metrics["tikhonov.stack_cols"][0] > 0
+        # the pipeline builds its fields through `tikhonov.reconstruct_field`,
+        # the attribute the span wraps, and solves for the exponent field once
+        assert metrics["tikhonov.field_s"][0] > 0
+        assert metrics["poisson.solve_calls.measure"][0] == 1
     # the library is left unwrapped
     for mod_name, attr, name, _ in spans.TARGETS:
         assert getattr(getattr(importlib.import_module(mod_name), attr),

@@ -5,14 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harmrec import build_basis, compute_base_solutions, resolve_config, validate_config
-from harmrec import pipeline
+from harmrec import pipeline, resolve_config, validate_config
+from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
 from harmrec.forward import add_noise, sample_exact
-from harmrec.pipeline import (_reconstruct_for, build_state, run_experiment,
-                              run_sweep, run_tau)
+from harmrec.pipeline import build_state, run_experiment, run_sweep, run_tau
 from harmrec.poisson import ScalarField
-from harmrec.tikhonov import reconstruct
+from harmrec.tikhonov import reconstruct, reconstruct_field
 
 FAST = {
     "h": 1 / 16,
@@ -52,8 +51,10 @@ def test_envelope_constant_stable_across_ten_seeds(fast_state):
     exact_field = sample_exact(cfg.exact_solution(), fast_state.grid)
     c_fits = []
     for seed in range(1, 11):
-        _, result = _reconstruct_for(fast_state, 0.02, seed)
-        err = pointwise_error(ScalarField(fast_state.grid, result.u_star[0]), exact_field)
+        datas = add_noise(fast_state.clean_data, 0.02, [seed], cfg["noise_model"])
+        w = reconstruct(fast_state.system, datas, cfg).w
+        u_star, = reconstruct_field(w, fast_state.system)
+        err = pointwise_error(ScalarField(fast_state.grid, u_star), exact_field)
         rep = envelope_check(err, fast_state.tau, 0.02)
         c_fits.append(rep["c_fit"])
     assert max(c_fits) / min(c_fits) < 10.0
@@ -82,8 +83,8 @@ def test_run_tau_panel_summaries():
 
 
 def test_alpha_follows_noise_level(fast_state):
-    data_big = add_noise(fast_state.clean_data, 0.1, 1)
-    data_small = add_noise(fast_state.clean_data, 0.001, 1)
+    data_big, = add_noise(fast_state.clean_data, 0.1, [1])
+    data_small, = add_noise(fast_state.clean_data, 0.001, [1])
     cfg = fast_state.cfg
     a_big = cfg.alpha(data_big.noise_level, fast_state.system.h)
     a_small = cfg.alpha(data_small.noise_level, fast_state.system.h)
@@ -102,10 +103,10 @@ def test_sweep_matches_per_seed_evaluation():
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
     c_fits = []
     for lv in cfg["eps_levels"]:
-        datas = [add_noise(state.clean_data, lv, s, cfg["noise_model"]) for s in seeds]
+        datas = [add_noise(state.clean_data, lv, [s], cfg["noise_model"])[0] for s in seeds]
         result = reconstruct(state.system, datas, cfg)
         mean = np.zeros(len(nodes))
-        for seed, u_star in zip(seeds, result.u_star):
+        for seed, u_star in zip(seeds, reconstruct_field(result.w, state.system)):
             err = pointwise_error(ScalarField(state.grid, u_star), exact_field)
             mean += np.array([err.values[j, i] for i, j in nodes]) / len(seeds)
             if 0 < lv < 1:
@@ -113,6 +114,25 @@ def test_sweep_matches_per_seed_evaluation():
                                "c_fit": envelope_check(err, state.tau, lv)["c_fit"]})
     assert sweep["envelope_c_fits"] == c_fits
     assert [p["err"] for p in sweep["probes"]] == mean.tolist()
+
+
+def test_run_is_a_sweep_of_one_seed():
+    # run makes the calls a sweep level makes, with one seed: a one-seed
+    # sweep's envelope constants are run's at each level, and its last
+    # level's probe errors are run's error field at the probes, bit for bit
+    seed = 7
+    cfg = resolve_config(preset="paper-sec5-one-side",
+                         overrides={"h": 1 / 32, "seeds": [seed]})
+    sweep = run_sweep(cfg)
+    runs = [run_experiment(validate_config({**cfg.raw, "noise_level": lv, "seed": seed}))
+            for lv in cfg["eps_levels"]]
+    assert sweep["envelope_c_fits"] == [
+        {"eps": r["summary"]["envelope"]["eps"], "seed": seed,
+         "c_fit": r["summary"]["envelope"]["c_fit"]} for r in runs]
+    last = runs[-1]
+    err = last["error_field"].values
+    nodes = auto_probe_nodes(last["state"].tau)
+    assert [p["err"] for p in sweep["probes"]] == [err[j, i] for i, j in nodes]
 
 
 def test_sweep_keys_every_level_apart():

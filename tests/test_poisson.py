@@ -23,9 +23,10 @@ def normal_derivative(fld, part):
 @pytest.fixture(params=["direct", "batch"])
 def solve(request):
     """The two entry points of the one DST-I solve: ``solve_dirichlet`` on
-    one field, and ``solve_interior`` on that field inside a batch of two."""
+    a batch of one field, and ``solve_interior`` on that field inside a batch
+    of two."""
     if request.param == "direct":
-        return lambda g, p, bv: solve_dirichlet(g, bv)
+        return lambda g, p, bv: ScalarField(grid=g, values=solve_dirichlet(g, [bv])[0])
 
     def batched(g, p, bv):
         u = np.zeros((2,) + g.shape)
@@ -83,11 +84,11 @@ def test_batched_dst_solve_matches_sparse_reference(spsolve_dirichlet, entry):
         fields = solve_dirichlet(g, rims)
         assert fields.shape == (6,) + g.shape
         for fld, rim in zip(fields, rims):
-            assert np.array_equal(fld, solve_dirichlet(g, rim).values)
+            assert np.array_equal(fld, solve_dirichlet(g, [rim])[0])
         batch = fields.reshape(batch.shape)
     assert np.abs(batch - ref).max() <= 1e-12
-    single = solve_dirichlet(g, boundary_values(ScalarField(g, ref[1, 2]), p))
-    assert np.abs(single.values - ref[1, 2]).max() <= 1e-12
+    single, = solve_dirichlet(g, [boundary_values(ScalarField(g, ref[1, 2]), p)])
+    assert np.abs(single - ref[1, 2]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("lead", [(), (5,), (2, 3), (32,)])
@@ -156,7 +157,7 @@ def test_laplacian_residual_examples():
     p = boundary_partition(g, ["bottom"])
     exact = sample_exact(HarmonicPoly(coeffs=(0, 0, 1.0)), g)
     assert laplacian_residual(exact) < 1e-12
-    sol = solve_dirichlet(g, boundary_values(exact, p))
+    sol = ScalarField(grid=g, values=solve_dirichlet(g, [boundary_values(exact, p)])[0])
     assert laplacian_residual(sol) <= 1e-10
     xg, _ = g.meshgrid()
     quartic = ScalarField(grid=g, values=xg**4)
@@ -231,7 +232,7 @@ def test_mirror_symmetric_data_gives_mirror_symmetric_field():
     x = g.rect.x0 + p.nodes[:, 0] * g.h
     y = g.rect.y0 + p.nodes[:, 1] * g.h
     bv = np.sin(np.pi * x) * (1.0 + y)  # symmetric under x -> 1-x
-    sol = solve_dirichlet(g, bv).values
+    sol, = solve_dirichlet(g, [bv])
     assert np.abs(sol - sol[:, ::-1]).max() < 1e-10
 
 

@@ -58,9 +58,9 @@ def test_solve_is_linear_and_obeys_the_maximum_principle(grid, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(-1.0, 1.0, (2, part.n_boundary)) * rng.uniform(0.1, 10.0, 2)[:, None]
     ca, cb = rng.normal(size=2)
-    ua = solve_dirichlet(grid, a).values
-    ub = solve_dirichlet(grid, b).values
-    uab = solve_dirichlet(grid, ca * a + cb * b).values
+    ua, = solve_dirichlet(grid, [a])
+    ub, = solve_dirichlet(grid, [b])
+    uab, = solve_dirichlet(grid, [ca * a + cb * b])
     scale = abs(ca) * np.abs(a).max() + abs(cb) * np.abs(b).max()
     assert np.abs(uab - (ca * ua + cb * ub)).max() <= 1e-12 * scale
     for data, u in ((a, ua), (b, ub)):
@@ -80,7 +80,7 @@ def test_solve_reproduces_harmonic_cubics_from_their_rim(grid, seed):
     # the 5-point stencil annihilates harmonic polynomials through degree 3
     part = boundary_partition(grid, ["bottom"])
     u = sample_exact(_harmonic_poly(seed, 3), grid).values
-    sol = solve_dirichlet(grid, u[part.nodes[:, 1], part.nodes[:, 0]]).values
+    sol, = solve_dirichlet(grid, [u[part.nodes[:, 1], part.nodes[:, 0]]])
     assert np.abs(sol - u).max() <= 1e-12 * np.abs(u).max()
 
 

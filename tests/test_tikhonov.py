@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, Rect,
                      ValidationError, add_noise, assemble_system,
-                     boundary_partition, build_basis, build_grid,
-                     compute_base_solutions, minimize, reconstruct,
+                     boundary_partition, build_grid, reconstruct,
                      reconstruct_field, run_sweep, trace_cauchy,
                      validate_config)
+from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.grid import SIDES, graph_norm
 from harmrec.tikhonov import _penalty_factor, _standard_form
 
@@ -65,13 +65,13 @@ def _scalar_data(f, g):
 def test_scalar_ridge_closed_form():
     for alpha in (1e-3, 1e-1, 1.0):
         cfg = _fixed(alpha)
-        b = minimize(_scalar_system(), _scalar_data(1.0, 0.0), cfg)
+        b = reconstruct(_scalar_system(), [_scalar_data(1.0, 0.0)], cfg).w[0]
         assert abs(b[0] - 1.0 / (1.0 + alpha)) < 1e-12
 
 
 def test_zero_data_gives_zero_coefficients():
     cfg = _fixed(1e-4)
-    b = minimize(_scalar_system(), _scalar_data(0.0, 0.0), cfg)
+    b = reconstruct(_scalar_system(), [_scalar_data(0.0, 0.0)], cfg).w[0]
     assert abs(b[0]) < 1e-12
 
 
@@ -113,12 +113,12 @@ def test_noiseless_constant_reconstruction():
     assert result.residual_f[0]**2 + result.residual_g[0]**2 <= 4.0 * alpha * 1.01
     # far from Γ the constant is only conditionally determined; the
     # deviation there reflects the operator's ~1e16 conditioning, not alpha
-    assert np.abs(result.u_star - 1.0).max() < 5e-3
+    assert np.abs(reconstruct_field(result.w, sys) - 1.0).max() < 5e-3
     # near-zero regularization tightens toward the direct solve limit
-    tight = reconstruct(sys, [data], _fixed(1e-12))
-    assert np.abs(tight.u_star - 1.0).max() < 1e-3
+    tight = reconstruct_field(reconstruct(sys, [data], _fixed(1e-12)).w, sys)
+    assert np.abs(tight - 1.0).max() < 1e-3
     # close to the measured side the fit is sharp
-    assert np.abs(tight.u_star[0, :3, :] - 1.0).max() < 1e-6
+    assert np.abs(tight[0, :3, :] - 1.0).max() < 1e-6
 
 
 def test_first_order_optimality():
@@ -126,7 +126,7 @@ def test_first_order_optimality():
     data = trace_cauchy(Constant(2.0), part)
     alpha = 1e-5
     cfg = _fixed(alpha)
-    w = minimize(sys, data, cfg)
+    w = reconstruct(sys, [data], cfg).w[0]
     s = sys.sigma
     rf = sys.A @ w - data.f
     rg = sys.B @ w - data.g
@@ -140,12 +140,12 @@ def test_first_order_optimality():
 def test_reconstruct_field_unit_vector_and_ones(base_solution_fields):
     grid = build_grid(Rect(0, 0, 1, 1), 0.125)
     part, sys = _system(grid, ["bottom"])
-    e0 = reconstruct_field(_traces(part)[:, 0], sys)
+    e0, = reconstruct_field(_traces(part)[:, :1].T, sys)
     # the domain is the hats' grid less one layer a side
-    assert np.abs(e0.values - base_solution_fields(build_basis(grid))[
+    assert np.abs(e0 - base_solution_fields(build_basis(grid))[
         0, 1:-1, 1:-1]).max() <= 1e-12
-    ones = reconstruct_field(np.ones(part.n_boundary), sys)
-    assert np.abs(ones.values - 1.0).max() < 1e-12
+    ones = reconstruct_field(np.ones((1, part.n_boundary)), sys)
+    assert np.abs(ones - 1.0).max() < 1e-12
 
 
 def test_reconstruct_field_matches_sparse_reference(base_solution_fields):
@@ -161,8 +161,8 @@ def test_reconstruct_field_matches_sparse_reference(base_solution_fields):
     traces = _traces(part)
     for fld, r in zip(reconstruct_field(b @ traces.T, sys), ref):
         assert np.abs(fld - r).max() <= 1e-12 * np.abs(r).max()
-    single = reconstruct_field(traces @ b[1], sys)
-    assert np.abs(single.values - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
+    single, = reconstruct_field([traces @ b[1]], sys)
+    assert np.abs(single - ref[1]).max() <= 1e-12 * np.abs(ref[1]).max()
 
 
 def test_reconstruct_field_validation():
@@ -172,9 +172,12 @@ def test_reconstruct_field_validation():
         reconstruct_field(np.zeros(3), sys)
     with pytest.raises(ValidationError, match="rim values"):
         reconstruct_field(np.zeros((2, 2, k)), sys)
+    # one field is a batch of one: (K,) traces are rejected, naming (k, K)
+    with pytest.raises(ValidationError, match=rf"expected \(k, {k}\) rim values"):
+        reconstruct_field(np.zeros(k), sys)
     by_hand = DiscreteSystem(A=sys.A, B=sys.B, sigma=sys.sigma, D1=sys.D1, h=sys.h)
     with pytest.raises(ValidationError, match="without a grid"):
-        reconstruct_field(np.zeros(k), by_hand)
+        reconstruct_field(np.zeros((1, k)), by_hand)
 
 
 _SHAPES = {"A": (2, 3), "B": (2, 3), "sigma": (2,), "D1": (2, 2)}
@@ -204,9 +207,9 @@ def test_reconstruct_field_lives_on_the_assembled_grid():
     grid = build_grid(Rect(0, 0, 1, 0.75), 1 / 8)
     part, sys = _system(grid, ["bottom"])
     assert sys.grid == grid
-    fld = reconstruct_field(np.ones(part.n_boundary), sys)
-    assert fld.grid == grid and fld.values.shape == (7, 9)
-    assert np.abs(fld.values - 1.0).max() < 1e-12
+    fld = reconstruct_field(np.ones((1, part.n_boundary)), sys)
+    assert fld.shape == (1,) + grid.shape == (1, 7, 9)
+    assert np.abs(fld - 1.0).max() < 1e-12
 
 
 def test_a_system_grid_cannot_be_swapped():
@@ -218,7 +221,7 @@ def test_a_system_grid_cannot_be_swapped():
     transposed = build_grid(Rect(0, 0, 0.75, 1), 1 / 8)
     assert transposed.shape == (9, 7)
     with pytest.raises(ValueError, match="init=False"):
-        reconstruct_field(np.ones(part.n_boundary), replace(sys, grid=transposed))
+        reconstruct_field(np.ones((1, part.n_boundary)), replace(sys, grid=transposed))
     with pytest.raises(TypeError):
         DiscreteSystem(A=sys.A, B=sys.B, sigma=sys.sigma, D1=sys.D1, h=sys.h,
                        grid=transposed)
@@ -270,12 +273,12 @@ def test_data_length_mismatch_rejected():
     bad = CauchyData(partition=part, points=np.zeros((3, 2)),
                      f=np.zeros(3), g=np.zeros(3))
     with pytest.raises(ValidationError):
-        minimize(sys, bad, _fixed(1e-6))
+        reconstruct(sys, [bad], _fixed(1e-6))
 
 
 def _noisy_batch(part, level=0.05, seeds=(1, 2, 3)):
     clean = trace_cauchy(ExpCos(2.0, 0.1), part)
-    return [add_noise(clean, level, seed) for seed in seeds]
+    return add_noise(clean, level, list(seeds))
 
 
 def _rel(a, b):
@@ -287,18 +290,20 @@ def test_batched_fit_matches_single_fits():
     datas = _noisy_batch(part)
     cfg = validate_config({})
     batch = reconstruct(sys, datas, cfg)
+    fields = reconstruct_field(batch.w, sys)
     k = len(datas)
     assert batch.w.shape == (k, part.n_boundary)
-    assert batch.u_star.shape == (k,) + grid.shape and batch.u_star.flags.writeable
+    assert fields.shape == (k,) + grid.shape and fields.flags.writeable
     for row, data in enumerate(datas):
         # every row of the batch is the single fit; the filtered solve's
         # product rounds by the number of columns, so w agrees to rounding,
         # and each row's field is the single solve of its w, bit for bit
         single = reconstruct(sys, [data], cfg)
-        for name in ("w", "u_star", "residual_f", "residual_g", "reg_norm"):
+        for name in ("w", "residual_f", "residual_g", "reg_norm"):
             assert getattr(batch, name).shape[0] == k
             assert _rel(getattr(batch, name)[row], getattr(single, name)[0]) <= 1e-12, name
-        assert np.array_equal(batch.u_star[row], reconstruct_field(batch.w[row], sys).values)
+        assert _rel(fields[row], reconstruct_field(single.w, sys)[0]) <= 1e-12
+        assert np.array_equal(fields[row], reconstruct_field(batch.w[row:row + 1], sys)[0])
         assert batch.alpha_used == single.alpha_used
         assert batch.condition_estimate == single.condition_estimate
     # distinct data give distinct fits: the columns are not mixed up
@@ -344,7 +349,7 @@ def test_zero_weighted_channel_cannot_move_the_fit(sides, weights, channel):
     cfg = validate_config({"w_f": weights[0], "w_g": weights[1]})
     a, b = reconstruct(sys, datas, cfg), reconstruct(sys, moved, cfg)
     assert np.array_equal(a.w, b.w)
-    assert np.array_equal(a.u_star, b.u_star)
+    assert np.array_equal(reconstruct_field(a.w, sys), reconstruct_field(b.w, sys))
     assert np.array_equal(a.reg_norm, b.reg_norm)
 
 
