@@ -129,6 +129,9 @@ def add_noise(data: CauchyData, level: float, seeds: list[int],
     each, scaled the same way.  The realized data error combines the graph
     norm of the f perturbation with the plain quadrature norm of the g one.
     """
+    if not isinstance(seeds, list) or not all(
+            isinstance(s, int) and not isinstance(s, bool) for s in seeds):
+        raise ValidationError(f"seeds must be a list of integers, got {seeds!r}")
     if model not in ("uniform", "gaussian"):
         raise ValidationError(f"unknown noise model {model!r}")
     if level < 0:

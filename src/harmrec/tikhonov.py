@@ -18,18 +18,26 @@ terms are |M0 w - d|^2 with M0 = [L_f A; L_g B], d = [L_f f; L_g g], L_f
 sqrt(w_f) times the triangular factor of [sqrt(sigma); sqrt(sigma) D1] (the
 graph norm in 2m rows, not 3m) and L_g = diag(sqrt(w_g sigma)).  In the
 standard form (Eldén, BIT 17, 1977; Hansen, *Rank-Deficient and Discrete
-Ill-Posed Problems*, SIAM 1998) y = L w, the penalty is |y|, and one SVD
-``M0 L^-1 = P s W^T`` turns every fit into the filter factors
-s / (s^2 + alpha): ``w = L^-1 W diag(s / (s^2 + alpha)) P^T d``, whose
-penalty norm is |diag(s / (s^2 + alpha)) P^T d|.  Neither the normal
-equations nor L^T L is formed.  The pair depends only on the system and the
-data weights, so it is built once and kept on the system: a noise sweep
-costs one factorisation, then per level two small products with one column
-per data set.  The condition estimate reported is that of
-``[M0 L^-1; sqrt(alpha) I]``.  :func:`reconstruct` returns a batch's fit,
-row k of each array data set k; it reads no grid, so it fits a hand-built
-system too.  :func:`reconstruct_field` turns (k, K) traces into their
-(k, ny, nx) harmonic extensions on the domain's grid, one
+Ill-Posed Problems*, SIAM 1998) y = L w, the penalty is |y|, and the fit of
+data d is ``y = (M^T M + alpha I)^-1 M^T d = M^T (M M^T + alpha I)^-1 d``
+for the data block ``M = M0 L^-1`` (2m x K).  One eigendecomposition of M's
+smaller Gram matrix G, ``M M^T`` when 2m <= K and ``M^T M`` otherwise,
+gives ``(G + alpha I)^-1`` for every alpha; G's eigenvalues are M's squared
+singular values s^2.  G carries rounding of about eps s_1^2, so that
+inverse is accurate to about eps s_1^2 / alpha, and each solve refines it
+on the residual taken through M itself (corrected seminormal equations,
+Björck, Linear Algebra Appl. 88/89, 1987) until the fit is as accurate as
+one from an SVD of M, about eps s_1 / sqrt(alpha).  Below alpha = 16 eps
+s_1^2 the refinement cannot be trusted to contract, and the fit raises
+:class:`~harmrec.errors.SolverError`.  The factorisation depends only on
+the system and the data weights, so it is built once and kept on the
+system: a noise sweep costs one factorisation, then per level a few
+products with M and G's eigenvectors, with one column per data set.  The
+condition estimate reported is that of ``[M0 L^-1; sqrt(alpha) I]``, read
+off the eigenvalues.  :func:`reconstruct` returns a batch's fit, row k of
+each array data set k; it reads no grid, so it fits a hand-built system
+too.  :func:`reconstruct_field` turns (k, K) traces into their (k, ny, nx)
+harmonic extensions on the domain's grid, one
 :func:`poisson.solve_dirichlet`.
 
 A fit's settings come from the experiment's
@@ -157,40 +165,98 @@ def _batch(sys: DiscreteSystem, datas: list[CauchyData],
 
 def _channel_weights(sys: DiscreteSystem,
                      weights: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """(L_f, L_g), the (m, m) matrices with |L r| a channel's weighted norm
-    of a residual r: for f, sqrt(w_f) times the graph norm, as the
+    """(L_f, diag(L_g)): |L_f r| and |L_g r| are the channels' weighted norms
+    of a residual r.  For f, L_f is sqrt(w_f) times the graph norm's (m, m)
     triangular factor of [sqrt(sigma); sqrt(sigma) D1] (no Gram matrix
-    formed); for g, sqrt(w_g) times the sigma-weighted norm.  A zero weight
-    gives a zero matrix, which cancels its channel's rows in the fit."""
+    formed); for g, L_g is sqrt(w_g) times the sigma-weighted norm, diagonal,
+    so only its (m,) diagonal is returned.  A zero weight gives a zero
+    factor, which cancels its channel's rows in the fit."""
     w_f, w_g = weights
     s12 = np.sqrt(sys.sigma)
     graph = np.linalg.qr(np.vstack([np.diag(s12), s12[:, None] * sys.D1]), mode="r")
-    return np.sqrt(w_f) * graph, np.diag(np.sqrt(w_g) * s12)
+    return np.sqrt(w_f) * graph, np.sqrt(w_g) * s12
+
+
+# One refinement step shrinks the fit's error by at most
+# _CONTRACTION * eps * s_1^2 / alpha: the measured shrink factor reached
+# 6 eps s_1^2 / alpha on one to three sides of the unit square at h = 1/64
+# to 1/256 (K up to 1024).
+_CONTRACTION = 8.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _refinement_steps(alpha: float, lam1: float) -> int:
+    """Refinement steps of a fit at alpha when M's largest squared singular
+    value is lam1: at least one, and enough for the error, shrinking by
+    q = _CONTRACTION * eps * lam1 / alpha per step from q after the first
+    solve, to fall below an SVD fit's own, eps * sqrt(lam1 / alpha).  The
+    count depends on alpha and lam1 alone, so a batch and a single data set
+    take the same steps.
+
+    Where q > 1/2, alpha < 16 eps lam1 (about 3.6e-15 lam1), the refinement
+    cannot be trusted to contract: alpha is below what the fit resolves,
+    and a SolverError says so.
+    """
+    q = _CONTRACTION * _EPS * lam1 / alpha
+    if not q <= 0.5:
+        raise SolverError(
+            f"alpha = {alpha:.3g} is below the fit's precision floor "
+            f"16 eps s_1^2 = {2 * _CONTRACTION * _EPS * lam1:.3g} (s_1^2 = {lam1:.3g})")
+    target = _EPS * np.sqrt(lam1 / alpha)
+    steps, err = 1, q * q
+    while err > target:
+        steps, err = steps + 1, err * q
+    return steps
 
 
 @dataclass(frozen=True)
 class _StandardForm:
     """The cost of one system and one pair of data weights, factored for
-    every alpha.  For the stacked data fg = [f; g] of k data sets, the
-    filtered coordinates are ``z = s / (s^2 + alpha) * (p_t @ fg)``, the
-    traces ``w = to_w @ z`` and the penalty norms |z|."""
+    every alpha.  The fit of data d = [L_f f; L_g g], one column per data set,
+    is y = (M^T M + alpha I)^-1 M^T d = M^T (M M^T + alpha I)^-1 d, w = L^-1 y
+    and the penalty norm |y|.  G is the smaller Gram matrix of M: M M^T when
+    2m <= K (the dual form, solved for u with y = M^T u), M^T M otherwise
+    (the primal form, solved for y).  Its eigenvalues are M's squared
+    singular values, the s^2 of an SVD of M."""
 
-    p_t: np.ndarray  # (q, 2m) left singular vectors of M, transposed, on [f; g]
-    s: np.ndarray  # (q,) singular values of M, descending
-    to_w: np.ndarray  # (K, q) L^-1 applied to the right singular vectors of M
+    block: np.ndarray  # (2m, K) the data block M = M0 L^-1
+    lf: np.ndarray  # (m, m) L_f
+    lg: np.ndarray  # (m,) the diagonal of L_g
+    root: np.ndarray  # (K,) eigenvalues of L
+    lam: np.ndarray  # (n,) eigenvalues of G, ascending, clipped at 0
+    vecs: np.ndarray  # (n, n) eigenvectors of G, one per column
 
     def solve(self, f: np.ndarray, g: np.ndarray,
               alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """(k, K) minimizers and their (k,) penalty norms for the (m, k) data
-        f and g."""
-        z = (self.s / (self.s * self.s + alpha))[:, None] * (self.p_t @ np.vstack([f, g]))
-        return (self.to_w @ z).T, np.linalg.norm(z, axis=0)
+        f and g.  (G + alpha I)^-1 from the eigendecomposition is accurate
+        to about eps s_1^2 / alpha, so it is refined on the residual taken
+        through M itself (corrected seminormal equations)."""
+        steps = _refinement_steps(alpha, self.lam[-1])
+        mat, vecs = self.block, self.vecs
+        filt = (1.0 / (self.lam + alpha))[:, None]
+
+        def inverse(r):  # (G + alpha I)^-1 r
+            return vecs @ (filt * (vecs.T @ r))
+
+        d = np.vstack([self.lf @ f, self.lg[:, None] * g])
+        if mat.shape[0] <= mat.shape[1]:  # dual: (M M^T + alpha I) u = d
+            u = inverse(d)
+            y = mat.T @ u
+            for _ in range(steps):
+                u += inverse(d - mat @ y - alpha * u)
+                y = mat.T @ u
+        else:  # primal: (M^T M + alpha I) y = M^T d
+            y = inverse(mat.T @ d)
+            for _ in range(steps):
+                y += inverse(mat.T @ (d - mat @ y) - alpha * y)
+        return _solve_penalty(self.root, y).T, np.linalg.norm(y, axis=0)
 
     def condition(self, alpha: float) -> float:
         """Condition number of [M; sqrt(alpha) I]: its smallest singular
         value is sqrt(alpha) when M has fewer than K of its own."""
-        s_min = self.s[-1] if self.s.size == self.to_w.shape[0] else 0.0
-        return float(np.sqrt((self.s[0] ** 2 + alpha) / (s_min ** 2 + alpha)))
+        lam_min = self.lam[0] if self.lam.size == self.block.shape[1] else 0.0
+        return float(np.sqrt((self.lam[-1] + alpha) / (lam_min + alpha)))
 
 
 def _standard_form(sys: DiscreteSystem, weights: tuple[float, float]) -> _StandardForm:
@@ -198,14 +264,16 @@ def _standard_form(sys: DiscreteSystem, weights: tuple[float, float]) -> _Standa
     if weights in sys._fits:
         return sys._fits[weights]
     lf, lg = _channel_weights(sys, weights)
-    m0 = np.vstack([lf @ sys.A, lg @ sys.B])  # the data block
     root = _penalty_factor(sys)
+    # M = M0 L^-1 = (L^-1 M0^T)^T, L being symmetric
+    mat = _solve_penalty(root, np.vstack([lf @ sys.A, lg[:, None] * sys.B]).T).T
     try:
-        p, s, wt = np.linalg.svd(_solve_penalty(root, m0.T).T, full_matrices=False)
+        lam, vecs = np.linalg.eigh(mat @ mat.T if mat.shape[0] <= mat.shape[1]
+                                   else mat.T @ mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"factorising the fit failed: {exc}") from exc
-    p_t = np.hstack([p.T[:, :sys.m] @ lf, p.T[:, sys.m:] @ lg])  # P^T on [f; g]
-    fit = _StandardForm(p_t=p_t, s=s, to_w=_solve_penalty(root, wt.T))
+    fit = _StandardForm(block=mat, lf=lf, lg=lg, root=root,
+                        lam=np.maximum(lam, 0.0), vecs=vecs)
     sys._fits[weights] = fit
     return fit
 

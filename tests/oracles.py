@@ -13,6 +13,10 @@ Independent closed forms used as oracles:
 :func:`laplacian_residual` is the h²-scaled 5-point stencil written
 directly, for checking that a sampled or solved field is discretely
 harmonic.
+
+:func:`svd_filtered_fit` is the standard-form fit by one SVD of the data
+block and its filter factors, the reference for the library's
+eigendecomposition of the smaller Gram matrix.
 """
 
 import math
@@ -20,6 +24,7 @@ import math
 import numpy as np
 
 from harmrec import SIDES, ScalarField, ValidationError
+from harmrec.tikhonov import _channel_weights, _penalty_factor, _solve_penalty
 
 
 def rectangle_series_tau(x: float, y: float, gamma_sides, terms: int = 200) -> float:
@@ -90,3 +95,19 @@ def laplacian_residual(fld: ScalarField) -> float:
     v = fld.values
     return float(np.abs(4.0 * v[1:-1, 1:-1] - v[1:-1, :-2] - v[1:-1, 2:]
                         - v[:-2, 1:-1] - v[2:, 1:-1]).max())
+
+
+def svd_filtered_fit(sys, weights, f, g, alpha):
+    """The fit of the (m, k) data f, g by one SVD of the data block
+    ``M = M0 L^-1 = P s W^T``: ``w = L^-1 W diag(s / (s^2 + alpha)) P^T d``
+    with d = [L_f f; L_g g].  Returns the (k, K) traces, their (k,) penalty
+    norms |y|, the condition number of [M; sqrt(alpha) I] and the singular
+    values s, descending."""
+    lf, lg = _channel_weights(sys, weights)
+    root = _penalty_factor(sys)
+    m_blk = _solve_penalty(root, np.vstack([lf @ sys.A, lg[:, None] * sys.B]).T).T
+    p, s, wt = np.linalg.svd(m_blk, full_matrices=False)
+    z = (s / (s * s + alpha))[:, None] * (p.T @ np.vstack([lf @ f, lg[:, None] * g]))
+    s_min = s[-1] if s.size == m_blk.shape[1] else 0.0
+    cond = math.sqrt((s[0] ** 2 + alpha) / (s_min ** 2 + alpha))
+    return _solve_penalty(root, wt.T @ z).T, np.linalg.norm(z, axis=0), cond, s

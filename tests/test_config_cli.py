@@ -258,6 +258,20 @@ def test_cli_non_finite_fitted_field_exit_3(tmp_path, capsys, monkeypatch, comma
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_alpha_below_the_precision_floor_exit_3(tmp_path, capsys, command):
+    # a fixed alpha far below 16 eps s_1^2 is beyond what the fit resolves:
+    # a numerical failure before any artifact is written
+    cfg = _write_cfg(tmp_path, alpha_rule="fixed", alpha_fixed=1e-300)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "numerical" and "precision floor" in error["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_numerical_failure_leaves_no_artifacts(tmp_path, capsys):
     # exp(400 x) overflows the fit: the run must fail before writing anything
@@ -448,7 +462,8 @@ def test_presets_validate_at_h_256(preset):
 def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     # check_stacked_size's estimate, the data block, bounds every array the
     # build, the fit and b allocate: the system, every input and output of
-    # their SVDs, QRs and stacks, and the factorisation kept on the system
+    # their eigendecompositions, QRs and stacks (the Gram matrix among
+    # them), and the factorisation kept on the system
     cfg = validate_config(extra)
     sizes = []
 
@@ -461,7 +476,7 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
             return out
         return wrapped
 
-    for mod, name in ((np, "vstack"), (np.linalg, "svd"), (np.linalg, "qr")):
+    for mod, name in ((np, "vstack"), (np.linalg, "eigh"), (np.linalg, "qr")):
         monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
     state = build_state(cfg)
     sys = state.system
@@ -469,7 +484,7 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     u_star, = reconstruct_field(result.w, sys)
     b = coefficients(build_basis(state.grid), ScalarField(state.grid, u_star))
     fit, = sys._fits.values()
-    held = [sys.A, sys.B, sys.D1, fit.p_t, fit.s, fit.to_w, b]
+    held = [sys.A, sys.B, sys.D1, fit.block, fit.lf, fit.lg, fit.root, fit.lam, fit.vecs, b]
     sizes += [a.nbytes for a in held]
     assert len(sizes) > len(held)
     assert max(sizes) <= _stacked_bytes(cfg.raw)

@@ -110,6 +110,17 @@ def test_unknown_noise_model_rejected_at_every_level(level, seeds):
         add_noise(data, level, seeds, model="laplace")
 
 
+@pytest.mark.parametrize("level", [0.0, 0.1])
+@pytest.mark.parametrize("seeds", [5, (1, 2), [1.0], [True], [1, "2"], "12", None],
+                         ids=["int", "tuple", "float", "bool", "str-item", "str", "none"])
+def test_seeds_must_be_a_list_of_ints_at_every_level(level, seeds):
+    # the single-seed int form of add_noise is gone: it and any other
+    # non-list are rejected as a validation error, not a TypeError
+    data = trace_cauchy(Constant(1.0), _partition())
+    with pytest.raises(ValidationError, match="seeds must be a list of integers"):
+        add_noise(data, level, seeds)
+
+
 @settings(max_examples=40, deadline=None)
 @given(h=st.sampled_from([1 / 4, 1 / 8, 1 / 16, 1 / 32]),
        sides=st.sampled_from([("bottom",), ("left",), ("bottom", "top"),

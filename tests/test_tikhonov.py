@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, Rect,
-                     ValidationError, add_noise, assemble_system,
+                     SolverError, ValidationError, add_noise, assemble_system,
                      boundary_partition, build_grid, reconstruct,
                      reconstruct_field, run_sweep, trace_cauchy,
                      validate_config)
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.grid import SIDES, graph_norm
 from harmrec.tikhonov import _penalty_factor, _standard_form
+from oracles import svd_filtered_fit
 
 
 def _fixed(alpha):
@@ -367,20 +368,20 @@ def test_sweep_factors_once_and_filters_once_per_noise_level(monkeypatch):
         columns.append(f.shape[1])
         return solve(self, f, g, alpha)
 
-    built, svd = [], np.linalg.svd
+    built, eigh = [], np.linalg.eigh
 
-    def counting_svd(a, *args, **kwargs):
+    def counting_eigh(a, *args, **kwargs):
         built.append(a.shape)
-        return svd(a, *args, **kwargs)
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(tik, "_standard_form", counting_standard_form)
     monkeypatch.setattr(tik._StandardForm, "solve", counting_solve)
-    monkeypatch.setattr(tik.np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(tik.np.linalg, "eigh", counting_eigh)
     cfg = validate_config({"h": 1 / 16,
                            "eps_levels": [1e-1, 1e-2, 1e-3],
                            "seeds": [1, 2, 3, 4]})
     run_sweep(cfg)
-    # every level looks the factorisation up; its one SVD runs once
+    # every level looks the factorisation up; its one eigh runs once
     assert len(factorisations) == 3 and len(built) == 1
     assert columns == [4, 4, 4]
 
@@ -446,6 +447,55 @@ def test_filtered_fit_matches_stacked_lstsq(min_norm_coefficients, k, shape, sid
     assert np.linalg.matrix_rank(traces) == part.n_boundary
     _check_against_oracle(sys, traces, weights, 10.0**log_alpha, np.random.default_rng(seed),
                           min_norm_coefficients)
+
+
+# (rectangle, h, measured sides) of a data block M with fewer rows than
+# columns (2m = 18 < K = 32, the dual form), more (2m = 50 > K = 32, the
+# primal form), and as many (2m = K = 36)
+_GRAM_FORMS = {
+    "dual": (Rect(0, 0, 1, 1), 1 / 8, ["bottom"]),
+    "primal": (Rect(0, 0, 1, 1), 1 / 8, ["left", "bottom", "right"]),
+    "square": (Rect(0, 0, 1, 1.25), 1 / 8, ["bottom", "top"]),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_GRAM_FORMS))
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 2.0), (0.0, 1.0), (1.0, 0.0)])
+def test_gram_fit_matches_the_svd_filter_factors(form, weights):
+    # the eigendecomposition of the smaller Gram matrix, refined, gives the
+    # SVD's fit to the SVD's own accuracy, C eps s_1 / sqrt(alpha) relative,
+    # for alpha / s_1^2 from 1 down to 1e-13; the condition estimate, read
+    # off the eigenvalues, to C eps s_1^2 / alpha.  Unrefined, the fit is
+    # off by about eps s_1^2 / alpha.
+    rect, h, sides = _GRAM_FORMS[form]
+    part, sys = _system(build_grid(rect, h), sides)
+    two_m, k = 2 * sys.m, part.n_boundary
+    assert {"dual": two_m < k, "primal": two_m > k, "square": two_m == k}[form]
+    f, g = np.random.default_rng(11).normal(size=(2, sys.m, 3))
+    fit = _standard_form(sys, weights)
+    c, eps = 200.0, np.finfo(float).eps
+    for p in range(14):
+        alpha = 10.0**-p * fit.lam[-1]
+        w_ref, reg_ref, cond_ref, s = svd_filtered_fit(sys, weights, f, g, alpha)
+        assert fit.lam[-1] == pytest.approx(s[0] ** 2, rel=1e-12)
+        w, reg = fit.solve(f, g, alpha)
+        tol = c * eps * s[0] / np.sqrt(alpha)
+        assert np.abs(w - w_ref).max() <= tol * np.abs(w_ref).max(), p
+        assert np.abs(reg - reg_ref).max() <= tol * np.abs(reg_ref).max(), p
+        assert fit.condition(alpha) == pytest.approx(cond_ref, rel=c * eps * s[0] ** 2 / alpha)
+
+
+def test_alpha_below_the_precision_floor_is_a_solver_error():
+    # below alpha = 16 eps s_1^2 the refinement cannot be trusted to
+    # contract, so the fit refuses rather than return a wrong w
+    _, sys = _system(build_grid(Rect(0, 0, 1, 1), 1 / 8), ["bottom"])
+    f, g = np.random.default_rng(3).normal(size=(2, sys.m, 2))
+    fit = _standard_form(sys, (1.0, 1.0))
+    floor = 16 * np.finfo(float).eps * fit.lam[-1]
+    assert np.isfinite(fit.solve(f, g, 1.01 * floor)[0]).all()
+    for alpha in (0.99 * floor, 1e-300, 5e-324):
+        with pytest.raises(SolverError, match="precision floor"):
+            fit.solve(f, g, alpha)
 
 
 @pytest.mark.parametrize("sides", [["bottom"], ["bottom", "top"]])
