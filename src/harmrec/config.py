@@ -119,8 +119,9 @@ def _stacked_bytes(r: dict) -> float:
     """The largest array of a build and a fit, 8 B an entry: the data block
     and the rows B is built from, 2m x K (m Γ nodes, K on the domain's rim).
     The system's A, B and D1 (m rows, m <= K), the standard form's Gram
-    matrix and its eigenvectors (min(2m, K) square) and run's b (K + 8
-    values) are no larger."""
+    matrix and its eigenvectors (min(2m, K) square), its factors of M in
+    those eigen-coordinates (at most 2m x K) and run's b (K + 8 values) are
+    no larger."""
     m, k = boundary_counts(*_nodes(r), r["gamma_sides"])
     return 8.0 * 2 * m * k
 

@@ -151,5 +151,5 @@ def add_noise(data: CauchyData, level: float, seeds: list[int],
     return [replace(data, f=data.f + dfi, g=data.g + dgi, noise_level=level,
                     seed=s, noise_model=model,
                     realized_eps=float(graph_norm(sigma, d1, dfi)
-                                       + np.sqrt(sigma @ (dgi * dgi))))
+                                       + np.sqrt((sigma * dgi * dgi).sum())))
             for s, dfi, dgi in zip(seeds, df, dg)]

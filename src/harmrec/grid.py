@@ -226,9 +226,11 @@ class BoundaryPartition:
 def graph_norm(sigma: np.ndarray, d1: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Γ graph norm ``sqrt(σ·v² + σ·(D1 v)²)`` of ``v`` (m,), or of each
     column of ``v`` (m, k), with σ the Γ quadrature weights and D1 the
-    tangential difference operator."""
+    tangential difference operator.  The σ-weighted sums are numpy
+    reductions, not BLAS dot products, so they round alike under every
+    BLAS kernel."""
     dv = d1 @ v
-    return np.sqrt(sigma @ (v * v) + sigma @ (dv * dv))
+    return np.sqrt((sigma * (v * v).T).sum(axis=-1) + (sigma * (dv * dv).T).sum(axis=-1))
 
 
 def boundary_partition(grid: Grid2D, gamma_sides) -> BoundaryPartition:

@@ -20,23 +20,25 @@ graph norm in 2m rows, not 3m) and L_g = diag(sqrt(w_g sigma)).  In the
 standard form (Eldén, BIT 17, 1977; Hansen, *Rank-Deficient and Discrete
 Ill-Posed Problems*, SIAM 1998) y = L w, the penalty is |y|, and the fit of
 data d is ``y = (M^T M + alpha I)^-1 M^T d = M^T (M M^T + alpha I)^-1 d``
-for the data block ``M = M0 L^-1`` (2m x K).  One eigendecomposition of M's
-smaller Gram matrix G, ``M M^T`` when 2m <= K and ``M^T M`` otherwise,
-gives ``(G + alpha I)^-1`` for every alpha; G's eigenvalues are M's squared
-singular values s^2.  G carries rounding of about eps s_1^2, so that
-inverse is accurate to about eps s_1^2 / alpha, and each solve refines it
-on the residual taken through M itself (corrected seminormal equations,
-Björck, Linear Algebra Appl. 88/89, 1987) until the fit is as accurate as
-one from an SVD of M, about eps s_1 / sqrt(alpha).  Below alpha = 16 eps
-s_1^2 the refinement cannot be trusted to contract, and the fit raises
+for the data block ``M = M0 L^-1`` (2m x K).  One eigendecomposition
+``G = Q diag(s^2) Q^T`` of M's smaller Gram matrix, ``M M^T`` when 2m <= K
+and ``M^T M`` otherwise, factors ``M = left right^T`` in G's
+eigen-coordinates, where the fit is diagonal for every alpha.  G carries
+rounding of about eps s_1^2, so that diagonal solve is accurate to about
+eps s_1^2 / alpha, and each solve refines it on the residual taken through
+M itself (corrected seminormal equations, Björck, Linear Algebra Appl.
+88/89, 1987) until the fit is as accurate as one from an SVD of M, about
+eps s_1 / sqrt(alpha).  Below alpha = 16 eps s_1^2 the refinement cannot be
+trusted to contract, and the fit raises
 :class:`~harmrec.errors.SolverError`.  The factorisation depends only on
 the system and the data weights, so it is built once and kept on the
-system: a noise sweep costs one factorisation, then per level a few
-products with M and G's eigenvectors, with one column per data set.  The
-condition estimate reported is that of ``[M0 L^-1; sqrt(alpha) I]``, read
-off the eigenvalues.  :func:`reconstruct` returns a batch's fit, row k of
-each array data set k; it reads no grid, so it fits a hand-built system
-too.  :func:`reconstruct_field` turns (k, K) traces into their (k, ny, nx)
+system: a noise sweep costs one factorisation, then per level five
+products with M and its two factors (one refinement step), with one column
+per data set.  The condition estimate reported is that of
+``[M0 L^-1; sqrt(alpha) I]``, read off the eigenvalues.
+:func:`reconstruct` returns a batch's fit, row k of each array data set k;
+it reads no grid, so it fits a hand-built system too.
+:func:`reconstruct_field` turns (k, K) traces into their (k, ny, nx)
 harmonic extensions on the domain's grid, one
 :func:`poisson.solve_dirichlet`.
 
@@ -190,8 +192,8 @@ def _refinement_steps(alpha: float, lam1: float) -> int:
     value is lam1: at least one, and enough for the error, shrinking by
     q = _CONTRACTION * eps * lam1 / alpha per step from q after the first
     solve, to fall below an SVD fit's own, eps * sqrt(lam1 / alpha).  The
-    count depends on alpha and lam1 alone, so a batch and a single data set
-    take the same steps.
+    count depends on alpha and lam1 alone, so a batch and a single data set,
+    and either Gram form, take the same steps.
 
     Where q > 1/2, alpha < 16 eps lam1 (about 3.6e-15 lam1), the refinement
     cannot be trusted to contract: alpha is below what the fit resolves,
@@ -214,42 +216,33 @@ class _StandardForm:
     """The cost of one system and one pair of data weights, factored for
     every alpha.  The fit of data d = [L_f f; L_g g], one column per data set,
     is y = (M^T M + alpha I)^-1 M^T d = M^T (M M^T + alpha I)^-1 d, w = L^-1 y
-    and the penalty norm |y|.  G is the smaller Gram matrix of M: M M^T when
-    2m <= K (the dual form, solved for u with y = M^T u), M^T M otherwise
-    (the primal form, solved for y).  Its eigenvalues are M's squared
-    singular values, the s^2 of an SVD of M."""
+    and the penalty norm |y|.  G = Q diag(lam) Q^T is the smaller Gram matrix
+    of M, its eigenvalues M's squared singular values, the s^2 of an SVD of
+    M.  M = left right^T in G's eigen-coordinates: left = Q and right = M^T Q
+    when G = M M^T (2m <= K), left = M Q and right = Q when G = M^T M."""
 
     block: np.ndarray  # (2m, K) the data block M = M0 L^-1
     lf: np.ndarray  # (m, m) L_f
     lg: np.ndarray  # (m,) the diagonal of L_g
     root: np.ndarray  # (K,) eigenvalues of L
     lam: np.ndarray  # (n,) eigenvalues of G, ascending, clipped at 0
-    vecs: np.ndarray  # (n, n) eigenvectors of G, one per column
+    left: np.ndarray  # (2m, n) Q or M Q
+    right: np.ndarray  # (K, n) M^T Q or Q
 
     def solve(self, f: np.ndarray, g: np.ndarray,
               alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """(k, K) minimizers and their (k,) penalty norms for the (m, k) data
-        f and g.  (G + alpha I)^-1 from the eigendecomposition is accurate
-        to about eps s_1^2 / alpha, so it is refined on the residual taken
-        through M itself (corrected seminormal equations)."""
+        f and g: y = right z for z = F left^T d, F = 1 / (lam + alpha),
+        refined by z += F (left^T (d - M y) - alpha z) on the residual
+        taken through M itself.  That is the refinement of u = Q z when
+        G = M M^T and of y = Q z when G = M^T M."""
         steps = _refinement_steps(alpha, self.lam[-1])
-        mat, vecs = self.block, self.vecs
         filt = (1.0 / (self.lam + alpha))[:, None]
-
-        def inverse(r):  # (G + alpha I)^-1 r
-            return vecs @ (filt * (vecs.T @ r))
-
         d = np.vstack([self.lf @ f, self.lg[:, None] * g])
-        if mat.shape[0] <= mat.shape[1]:  # dual: (M M^T + alpha I) u = d
-            u = inverse(d)
-            y = mat.T @ u
-            for _ in range(steps):
-                u += inverse(d - mat @ y - alpha * u)
-                y = mat.T @ u
-        else:  # primal: (M^T M + alpha I) y = M^T d
-            y = inverse(mat.T @ d)
-            for _ in range(steps):
-                y += inverse(mat.T @ (d - mat @ y) - alpha * y)
+        z = filt * (self.left.T @ d)
+        for _ in range(steps):
+            z += filt * (self.left.T @ (d - self.block @ (self.right @ z)) - alpha * z)
+        y = self.right @ z
         return _solve_penalty(self.root, y).T, np.linalg.norm(y, axis=0)
 
     def condition(self, alpha: float) -> float:
@@ -267,13 +260,14 @@ def _standard_form(sys: DiscreteSystem, weights: tuple[float, float]) -> _Standa
     root = _penalty_factor(sys)
     # M = M0 L^-1 = (L^-1 M0^T)^T, L being symmetric
     mat = _solve_penalty(root, np.vstack([lf @ sys.A, lg[:, None] * sys.B]).T).T
+    dual = mat.shape[0] <= mat.shape[1]
     try:
-        lam, vecs = np.linalg.eigh(mat @ mat.T if mat.shape[0] <= mat.shape[1]
-                                   else mat.T @ mat)
+        lam, vecs = np.linalg.eigh(mat @ mat.T if dual else mat.T @ mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"factorising the fit failed: {exc}") from exc
+    left, right = (vecs, mat.T @ vecs) if dual else (mat @ vecs, vecs)
     fit = _StandardForm(block=mat, lf=lf, lg=lg, root=root,
-                        lam=np.maximum(lam, 0.0), vecs=vecs)
+                        lam=np.maximum(lam, 0.0), left=left, right=right)
     sys._fits[weights] = fit
     return fit
 

@@ -16,12 +16,15 @@ harmonic.
 
 :func:`svd_filtered_fit` is the standard-form fit by one SVD of the data
 block and its filter factors, the reference for the library's
-eigendecomposition of the smaller Gram matrix.
+eigendecomposition of the smaller Gram matrix.  :func:`qr_fit` is the same
+fit by a Householder QR of the stacked ``[M; sqrt(alpha) I]``, which never
+squares M's conditioning: the reference where M is nearly singular.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from harmrec import SIDES, ScalarField, ValidationError
 from harmrec.tikhonov import _channel_weights, _penalty_factor, _solve_penalty
@@ -97,17 +100,36 @@ def laplacian_residual(fld: ScalarField) -> float:
                         - v[:-2, 1:-1] - v[2:, 1:-1]).max())
 
 
+def _standard_form_data(sys, weights, f, g):
+    """The data block M = M0 L^-1 (2m x K), the data d = [L_f f; L_g g]
+    and L's eigenvalues."""
+    lf, lg = _channel_weights(sys, weights)
+    root = _penalty_factor(sys)
+    m_blk = _solve_penalty(root, np.vstack([lf @ sys.A, lg[:, None] * sys.B]).T).T
+    return m_blk, np.vstack([lf @ f, lg[:, None] * g]), root
+
+
 def svd_filtered_fit(sys, weights, f, g, alpha):
     """The fit of the (m, k) data f, g by one SVD of the data block
     ``M = M0 L^-1 = P s W^T``: ``w = L^-1 W diag(s / (s^2 + alpha)) P^T d``
     with d = [L_f f; L_g g].  Returns the (k, K) traces, their (k,) penalty
     norms |y|, the condition number of [M; sqrt(alpha) I] and the singular
     values s, descending."""
-    lf, lg = _channel_weights(sys, weights)
-    root = _penalty_factor(sys)
-    m_blk = _solve_penalty(root, np.vstack([lf @ sys.A, lg[:, None] * sys.B]).T).T
+    m_blk, d, root = _standard_form_data(sys, weights, f, g)
     p, s, wt = np.linalg.svd(m_blk, full_matrices=False)
-    z = (s / (s * s + alpha))[:, None] * (p.T @ np.vstack([lf @ f, lg[:, None] * g]))
+    z = (s / (s * s + alpha))[:, None] * (p.T @ d)
     s_min = s[-1] if s.size == m_blk.shape[1] else 0.0
     cond = math.sqrt((s[0] ** 2 + alpha) / (s_min ** 2 + alpha))
     return _solve_penalty(root, wt.T @ z).T, np.linalg.norm(z, axis=0), cond, s
+
+
+def qr_fit(sys, weights, f, g, alpha):
+    """The fit of the (m, k) data f, g as the least-squares solution of
+    ``[M; sqrt(alpha) I] y = [d; 0]`` by a Householder QR of the stacked
+    matrix, ``y = R^-1 Q^T [d; 0]``.  Returns the (k, K) traces L^-1 y and
+    their (k,) penalty norms |y|."""
+    m_blk, d, root = _standard_form_data(sys, weights, f, g)
+    k = m_blk.shape[1]
+    q, r = np.linalg.qr(np.vstack([m_blk, math.sqrt(alpha) * np.eye(k)]))
+    y = solve_triangular(r, q[:len(d)].T @ d)
+    return _solve_penalty(root, y).T, np.linalg.norm(y, axis=0)

@@ -463,7 +463,7 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     # check_stacked_size's estimate, the data block, bounds every array the
     # build, the fit and b allocate: the system, every input and output of
     # their eigendecompositions, QRs and stacks (the Gram matrix among
-    # them), and the factorisation kept on the system
+    # them), and the factorisation kept on the system with M's two factors
     cfg = validate_config(extra)
     sizes = []
 
@@ -484,7 +484,8 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     u_star, = reconstruct_field(result.w, sys)
     b = coefficients(build_basis(state.grid), ScalarField(state.grid, u_star))
     fit, = sys._fits.values()
-    held = [sys.A, sys.B, sys.D1, fit.block, fit.lf, fit.lg, fit.root, fit.lam, fit.vecs, b]
+    held = [sys.A, sys.B, sys.D1, fit.block, fit.lf, fit.lg, fit.root, fit.lam, fit.left,
+            fit.right, b]
     sizes += [a.nbytes for a in held]
     assert len(sizes) > len(held)
     assert max(sizes) <= _stacked_bytes(cfg.raw)

@@ -13,7 +13,7 @@ from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, Rect,
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.grid import SIDES, graph_norm
 from harmrec.tikhonov import _penalty_factor, _standard_form
-from oracles import svd_filtered_fit
+from oracles import qr_fit, svd_filtered_fit
 
 
 def _fixed(alpha):
@@ -483,6 +483,23 @@ def test_gram_fit_matches_the_svd_filter_factors(form, weights):
         assert np.abs(w - w_ref).max() <= tol * np.abs(w_ref).max(), p
         assert np.abs(reg - reg_ref).max() <= tol * np.abs(reg_ref).max(), p
         assert fit.condition(alpha) == pytest.approx(cond_ref, rel=c * eps * s[0] ** 2 / alpha)
+
+
+def test_square_nearly_singular_fit_matches_householder_qr():
+    # 2m = K = 20 with s_min / s_1 about 5e-9: at alpha = 1e-13 s_1^2 the fit
+    # stays within 1000 eps s_1 / sqrt(alpha) of a QR of [M; sqrt(alpha) I],
+    # relative, as the SVD does (about 300 here).  The same recurrence run in
+    # u = Q z, with y = M^T u, is about 3000 off.
+    part, sys = _system(build_grid(Rect(0, 0, 1, 1.5), 1 / 4), ["bottom", "top"])
+    assert 2 * sys.m == part.n_boundary == 20
+    f, g = np.random.default_rng(11).normal(size=(2, sys.m, 3))
+    fit = _standard_form(sys, (1.0, 1.0))
+    alpha = 1e-13 * fit.lam[-1]
+    w_ref, reg_ref = qr_fit(sys, (1.0, 1.0), f, g, alpha)
+    w, reg = fit.solve(f, g, alpha)
+    tol = 1000.0 * np.finfo(float).eps * np.sqrt(fit.lam[-1] / alpha)
+    assert np.abs(w - w_ref).max() <= tol * np.abs(w_ref).max()
+    assert np.abs(reg - reg_ref).max() <= tol * np.abs(reg_ref).max()
 
 
 def test_alpha_below_the_precision_floor_is_a_solver_error():
