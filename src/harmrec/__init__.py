@@ -14,7 +14,7 @@ from .errors import SolverError, ValidationError
 from .evaluate import (envelope_check, pointwise_error, rate_fit,
                        reliability_summary, spearman_rank)
 from .forward import (CauchyData, Constant, ExactSolution, ExpCos,
-                      HarmonicPoly, add_noise, sample_exact, trace_cauchy)
+                      HarmonicPoly, NoisyBatch, add_noise, sample_exact, trace_cauchy)
 from .grid import (SIDES, BoundaryPartition, Grid2D, Rect, boundary_partition,
                    build_grid)
 from .measure import LevelContour, compute_indicate, reliable_region

@@ -3,12 +3,15 @@
 Exact solutions are harmonic by construction; their traces and outward
 normal derivatives come from closed-form differentiation, never from grid
 differences, so data error and discretization error stay decoupled.
-:func:`add_noise` draws a list of seeds in one pass of :mod:`rng`, each as if alone.
+:func:`draw_noise` draws a list of seeds in one pass of :mod:`rng`, each as
+if alone and free of any level; :func:`noisy_batch` scales the draws to one
+level's data, and :func:`add_noise` takes both steps for a list of records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,22 +121,51 @@ def trace_cauchy(exact: ExactSolution, partition: BoundaryPartition) -> CauchyDa
     return CauchyData(partition=partition, points=pts, f=f, g=g)
 
 
-def add_noise(data: CauchyData, level: float, seeds: list[int],
-              model: str = "uniform") -> list[CauchyData]:
-    """Perturb both channels, scaled to ``level`` relative to each sup norm,
-    once per seed: one CauchyData per entry of ``seeds``, in order.
+class NoisyBatch(NamedTuple):
+    """k data sets of one noise level: row i of the (k, m) f and g is set i's."""
 
-    f's m draws come first in a seed's stream, then g's.  Uniform draws
-    ``2u - 1`` lie in [-1, 1) (so the perturbation is bounded by
-    level * sup|channel|); gaussian draws are standard normals, two uniforms
-    each, scaled the same way.  The realized data error combines the graph
-    norm of the f perturbation with the plain quadrature norm of the g one.
-    """
+    level: float
+    f: np.ndarray
+    g: np.ndarray
+
+
+def draw_noise(seeds: list[int], m: int, model: str = "uniform") -> np.ndarray:
+    """The (k, 2m) unit draws of the k ``seeds``, free of any level: f's m
+    draws come first in a seed's stream, then g's.  Uniform draws ``2u - 1``
+    lie in [-1, 1); gaussian draws are standard normals, two uniforms each."""
     if not isinstance(seeds, list) or not all(
             isinstance(s, int) and not isinstance(s, bool) for s in seeds):
         raise ValidationError(f"seeds must be a list of integers, got {seeds!r}")
     if model not in ("uniform", "gaussian"):
         raise ValidationError(f"unknown noise model {model!r}")
+    return (2.0 * uniforms(seeds, 2 * m) - 1.0 if model == "uniform"
+            else normals(seeds, 2 * m))
+
+
+def _perturbations(data: CauchyData, level: float, draws: np.ndarray):
+    """(k, m) perturbations of f and g: the draws times level * sup|channel|."""
+    m = len(data.f)
+    return (level * np.abs(data.f).max(initial=0.0) * draws[:, :m],
+            level * np.abs(data.g).max(initial=0.0) * draws[:, m:])
+
+
+def noisy_batch(data: CauchyData, level: float, draws: np.ndarray) -> NoisyBatch:
+    """The clean ``data`` perturbed at ``level`` by each row of
+    :func:`draw_noise`'s draws, bit for bit :func:`add_noise`'s f and g."""
+    df, dg = _perturbations(data, level, draws)
+    return NoisyBatch(level, data.f + df, data.g + dg)
+
+
+def add_noise(data: CauchyData, level: float, seeds: list[int],
+              model: str = "uniform") -> list[CauchyData]:
+    """Perturb both channels, scaled to ``level`` relative to each sup norm,
+    once per seed: one CauchyData per entry of ``seeds``, in order, with the
+    f and g of :func:`noisy_batch`.  The realized data error, which only
+    ``run`` reports, combines the graph norm of the f perturbation with the
+    plain quadrature norm of the g one.
+    """
+    # no level draws nothing, but the seeds and the model are checked at any level
+    draws = draw_noise(seeds, 0 if level == 0 else len(data.f), model)
     if level < 0:
         raise ValidationError(f"noise level cannot be negative, got {level}")
     if data.partition is None:
@@ -142,11 +174,7 @@ def add_noise(data: CauchyData, level: float, seeds: list[int],
     if level == 0:
         return [replace(data, noise_level=0.0, seed=s, noise_model=model,
                         realized_eps=0.0) for s in seeds]
-    m = len(data.f)
-    draws = (2.0 * uniforms(seeds, 2 * m) - 1.0 if model == "uniform"
-             else normals(seeds, 2 * m))
-    df = level * np.abs(data.f).max(initial=0.0) * draws[:, :m]
-    dg = level * np.abs(data.g).max(initial=0.0) * draws[:, m:]
+    df, dg = _perturbations(data, level, draws)
     sigma, d1 = data.partition.gamma_sigma, data.partition.tangential_d1
     return [replace(data, f=data.f + dfi, g=data.g + dgi, noise_level=level,
                     seed=s, noise_model=model,

@@ -3,8 +3,10 @@
 ``run_experiment`` produces one reconstruction with its full artifact bundle;
 ``run_tau`` emits exponent-field artifacts for a list of measurement-side
 sets; ``run_sweep`` reuses one assembled system across a noise-level/seed
-grid and fits per-probe decay rates.  ``run_experiment`` is a sweep level of
-one seed: the same batch calls ``add_noise``, ``reconstruct`` and
+grid and fits per-probe decay rates.  A sweep draws its noise once and
+scales it per level into one batch of (seeds, m) data, with no per-seed
+record; ``run_experiment`` is a sweep level of one seed, whose ``add_noise``
+draws and scales alike.  Both fit through ``reconstruct`` and
 ``tikhonov.reconstruct_field``.  A sweep level's fields are one (seeds, ny,
 nx) array from their solve to their errors, turned into the errors in place
 and dropped before the next level is fitted.
@@ -31,7 +33,9 @@ from .basis import build_basis, coefficients
 from .basis import compute_base_solutions  # noqa: F401
 from .config import ExperimentConfig, check_stacked_size, check_sweep_size
 from .errors import SolverError, ValidationError
-from .forward import CauchyData, add_noise, sample_exact, trace_cauchy
+# perfbench/spans.py wraps `pipeline.add_noise` and `pipeline.reconstruct` by name.
+from .forward import (CauchyData, NoisyBatch, add_noise, draw_noise, noisy_batch,
+                      sample_exact, trace_cauchy)
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
 from .measure import compute_indicate, reliable_region
 from .poisson import ScalarField
@@ -79,17 +83,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     as a batch of one, and ``u_star``, its row 0's field as a :class:`ScalarField`.
     """
     state = build_state(cfg)
-    datas = add_noise(state.clean_data, cfg["noise_level"], [cfg["seed"]], cfg["noise_model"])
-    result = reconstruct(state.system, datas, cfg)
+    level = cfg["noise_level"]
+    data, = add_noise(state.clean_data, level, [cfg["seed"]], cfg["noise_model"])
+    result = reconstruct(state.system, NoisyBatch(level, data.f[None], data.g[None]), cfg)
     u_star = ScalarField(state.grid, tikhonov.reconstruct_field(result.w, state.system)[0])
-    data = datas[0]
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
     err = ev.pointwise_error(u_star, exact_field)
     mask, contour = reliable_region(state.tau, cfg["threshold"])
     region = ev.reliability_summary(err, state.tau, cfg["threshold"])
     sup_exact = float(np.abs(exact_field.values).max())
 
-    level = cfg["noise_level"]
     envelope = ev.envelope_check(err, state.tau, level) if 0.0 < level < 1.0 else None
 
     ci, cj = state.grid.nearest_node(
@@ -210,9 +213,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     err_by_level = {lv: np.zeros(len(probe_nodes)) for lv in levels}
     c_fits = []
     reg_norms = {}
+    draws = draw_noise(seeds, state.partition.m, cfg["noise_model"])
     for lv in levels:
-        datas = add_noise(state.clean_data, lv, seeds, cfg["noise_model"])
-        result = reconstruct(state.system, datas, cfg)
+        result = reconstruct(state.system, noisy_batch(state.clean_data, lv, draws), cfg)
         reg_norms[lv] = result.reg_norm.tolist()
         err = tikhonov.reconstruct_field(result.w, state.system)
         err -= exact_values

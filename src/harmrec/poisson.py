@@ -161,7 +161,7 @@ def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     bv = np.asarray(values, dtype=float)
     if bv.ndim != 2 or bv.shape[1] != len(walk):
         raise ValidationError(f"expected (k, {len(walk)}) rim values, got {bv.shape}")
-    u = np.zeros(bv.shape[:1] + grid.shape)
+    u = np.empty(bv.shape[:1] + grid.shape)  # the walk and the solve write every node
     u[:, walk[:, 1], walk[:, 0]] = bv
     solve_interior(u)
     _check_finite(u)

@@ -36,8 +36,9 @@ system: a noise sweep costs one factorisation, then per level five
 products with M and its two factors (one refinement step), with one column
 per data set.  The condition estimate reported is that of
 ``[M0 L^-1; sqrt(alpha) I]``, read off the eigenvalues.
-:func:`reconstruct` returns a batch's fit, row k of each array data set k;
-it reads no grid, so it fits a hand-built system too.
+:func:`reconstruct` fits one noise level's batch, the (k, m) f and g of a
+:class:`~harmrec.forward.NoisyBatch`, row k of each array data set k; it
+reads no grid, so it fits a hand-built system too.
 :func:`reconstruct_field` turns (k, K) traces into their (k, ny, nx)
 harmonic extensions on the domain's grid, one
 :func:`poisson.solve_dirichlet`.
@@ -57,7 +58,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import SolverError, ValidationError
-from .forward import CauchyData
+from .forward import NoisyBatch
 from .grid import BoundaryPartition, Grid2D, graph_norm
 from .poisson import normal_stencil, rim_extension, solve_dirichlet
 
@@ -139,30 +140,6 @@ def _solve_penalty(root: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L^-1 x for the (K, c) columns x, L the circulant with eigenvalues root."""
     k = len(root)
     return np.fft.irfft(np.fft.rfft(x, axis=0) / root[:k // 2 + 1, None], n=k, axis=0)
-
-
-def _batch(sys: DiscreteSystem, datas: list[CauchyData],
-           cfg: ExperimentConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """Alpha and the (m, k) data matrices f, g of a batch of k data sets.
-
-    The a-priori rule makes alpha a function of the noise level, so a batch
-    must share one level to share one filter.
-    """
-    if not datas:
-        raise ValidationError("need at least one data set to fit")
-    levels = {data.noise_level for data in datas}
-    if len(levels) > 1:
-        raise ValidationError(
-            f"a batched fit needs one noise level, got {sorted(levels)}"
-        )
-    for data in datas:
-        if len(data.f) != sys.m:
-            raise ValidationError(
-                f"data has {len(data.f)} measurement points, system expects {sys.m}"
-            )
-    f = np.column_stack([data.f for data in datas])
-    g = np.column_stack([data.g for data in datas])
-    return cfg.alpha(datas[0].noise_level, sys.h), f, g
 
 
 def _channel_weights(sys: DiscreteSystem,
@@ -296,11 +273,17 @@ def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> np.ndarray:
     return solve_dirichlet(sys.grid, w)
 
 
-def reconstruct(sys: DiscreteSystem, datas: list[CauchyData],
+def reconstruct(sys: DiscreteSystem, batch: NoisyBatch,
                 cfg: ExperimentConfig) -> ReconstructionResult:
-    """Fit k data sets sharing one noise level: the traces and the fit
-    diagnostics, one row each."""
-    alpha, f, g = _batch(sys, datas, cfg)
+    """Fit the k data sets of one noise level, the rows of ``batch``'s (k, m)
+    f and g: the traces and the fit diagnostics, one row each.  The a-priori
+    rule makes alpha a function of the level, so a batch shares one filter."""
+    level, f, g = batch
+    if not len(f) or f.shape[1:] != (sys.m,) or g.shape != f.shape:
+        raise ValidationError(f"need (k, {sys.m}) data f and g with k > 0, "
+                              f"got {f.shape} and {g.shape}")
+    alpha = cfg.alpha(level, sys.h)
+    f, g = f.T, g.T  # one column per data set
     fit = _standard_form(sys, cfg.data_weights)
     w, reg = fit.solve(f, g, alpha)
     # Graph norm of the f residual and quadrature norm of the g residual,

@@ -19,6 +19,9 @@ block and its filter factors, the reference for the library's
 eigendecomposition of the smaller Gram matrix.  :func:`qr_fit` is the same
 fit by a Householder QR of the stacked ``[M; sqrt(alpha) I]``, which never
 squares M's conditioning: the reference where M is nearly singular.
+
+:func:`batch_of` stacks data records of one noise level into the batch the
+fit takes, for tests that build their data as records.
 """
 
 import math
@@ -26,7 +29,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from harmrec import SIDES, ScalarField, ValidationError
+from harmrec import SIDES, NoisyBatch, ScalarField, ValidationError
 from harmrec.tikhonov import _channel_weights, _penalty_factor, _solve_penalty
 
 
@@ -133,3 +136,10 @@ def qr_fit(sys, weights, f, g, alpha):
     q, r = np.linalg.qr(np.vstack([m_blk, math.sqrt(alpha) * np.eye(k)]))
     y = solve_triangular(r, q[:len(d)].T @ d)
     return _solve_penalty(root, y).T, np.linalg.norm(y, axis=0)
+
+
+def batch_of(datas) -> NoisyBatch:
+    """The fit's batch of the records ``datas``, which share one noise level:
+    row i of its f and g is record i's."""
+    level, = {d.noise_level for d in datas}
+    return NoisyBatch(level, np.array([d.f for d in datas]), np.array([d.g for d in datas]))

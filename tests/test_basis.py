@@ -11,6 +11,7 @@ from harmrec import (ExpCos, Rect, ValidationError, add_noise, assemble_system,
 from harmrec.basis import build_basis, coefficients, compute_base_solutions
 from harmrec.grid import SIDES, graph_norm
 from harmrec.poisson import ScalarField, normal_stencil, rim_extension, solve_dirichlet
+from oracles import batch_of
 
 
 def test_hat_count_matches_reference_setup():
@@ -120,7 +121,7 @@ def test_penalty_factor_gives_closed_polyline_trace_norm():
     part = boundary_partition(grid, ["bottom"])
     sys = assemble_system(part)
     datas = add_noise(trace_cauchy(ExpCos(2.0, 0.1), part), 0.2, [5])
-    r = reconstruct(sys, datas,
+    r = reconstruct(sys, batch_of(datas),
                     validate_config({"alpha_rule": "fixed", "alpha_fixed": 1e-3}))
     u_star, = reconstruct_field(r.w, sys)
     t = [u_star[j, i] for i, j in _closed_walk(9, 7)]

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmrec import pipeline, resolve_config, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
@@ -12,6 +14,7 @@ from harmrec.forward import add_noise, sample_exact
 from harmrec.pipeline import build_state, run_experiment, run_sweep, run_tau
 from harmrec.poisson import ScalarField
 from harmrec.tikhonov import reconstruct, reconstruct_field
+from oracles import batch_of
 
 FAST = {
     "h": 1 / 16,
@@ -52,7 +55,7 @@ def test_envelope_constant_stable_across_ten_seeds(fast_state):
     c_fits = []
     for seed in range(1, 11):
         datas = add_noise(fast_state.clean_data, 0.02, [seed], cfg["noise_model"])
-        w = reconstruct(fast_state.system, datas, cfg).w
+        w = reconstruct(fast_state.system, batch_of(datas), cfg).w
         u_star, = reconstruct_field(w, fast_state.system)
         err = pointwise_error(ScalarField(fast_state.grid, u_star), exact_field)
         rep = envelope_check(err, fast_state.tau, 0.02)
@@ -104,7 +107,7 @@ def test_sweep_matches_per_seed_evaluation():
     c_fits = []
     for lv in cfg["eps_levels"]:
         datas = [add_noise(state.clean_data, lv, [s], cfg["noise_model"])[0] for s in seeds]
-        result = reconstruct(state.system, datas, cfg)
+        result = reconstruct(state.system, batch_of(datas), cfg)
         mean = np.zeros(len(nodes))
         for seed, u_star in zip(seeds, reconstruct_field(result.w, state.system)):
             err = pointwise_error(ScalarField(state.grid, u_star), exact_field)
@@ -133,6 +136,65 @@ def test_run_is_a_sweep_of_one_seed():
     err = last["error_field"].values
     nodes = auto_probe_nodes(last["state"].tau)
     assert [p["err"] for p in sweep["probes"]] == [err[j, i] for i, j in nodes]
+
+
+@pytest.mark.parametrize("model", ["uniform", "gaussian"])
+@pytest.mark.parametrize("levels", [[1e-1, 1e-2, 1e-3], [2.0, 1e-1, 3e-2, 1e-2, 1e-3]],
+                         ids=["3-levels", "5-levels"])
+def test_sweep_draws_its_noise_once(monkeypatch, model, levels):
+    # one pass of the generator per sweep, whatever the number of levels,
+    # and a second sweep draws again: nothing is kept between calls
+    import harmrec.forward
+    import harmrec.rng
+
+    calls = []
+    originals = {name: getattr(harmrec.rng, name) for name in ("uniforms", "normals")}
+
+    def spy(name):
+        def wrapped(*args):
+            calls.append(name)
+            return originals[name](*args)
+        return wrapped
+
+    for mod in (harmrec.rng, harmrec.forward):
+        for name in originals:
+            monkeypatch.setattr(mod, name, spy(name))
+    cfg = validate_config({**FAST, "eps_levels": levels, "seeds": [1, 2, 3],
+                           "noise_model": model})
+    once = ["uniforms"] if model == "uniform" else ["normals", "uniforms"]
+    run_sweep(cfg)
+    assert calls == once
+    run_sweep(cfg)
+    assert calls == once * 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=st.sampled_from(["uniform", "gaussian"]),
+       top=st.floats(0.02, 2.0),
+       inner=st.lists(st.floats(0.011, 0.99), min_size=1, max_size=3, unique=True),
+       seeds=st.lists(st.integers(min_value=-2**70, max_value=2**70), min_size=1,
+                      max_size=5, unique_by=lambda s: s % 2**64))
+def test_sweep_levels_fit_add_noise_data(model, top, inner, seeds):
+    # each level's batch holds, row by row, the f and g that add_noise gives
+    # the same seeds at that level, bit for bit, though the sweep draws once
+    levels = [top, *(top * x for x in inner), top / 100]
+    cfg = validate_config({**FAST, "eps_levels": levels, "seeds": seeds,
+                           "noise_model": model})
+    batches = []
+
+    def spy(sys, batch, cfg):
+        batches.append(batch)
+        return reconstruct(sys, batch, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "reconstruct", spy)
+        run_sweep(cfg)
+    clean = build_state(cfg).clean_data
+    assert [b.level for b in batches] == levels
+    for batch in batches:
+        records = add_noise(clean, batch.level, seeds, model)
+        assert batch.f.tobytes() == np.array([r.f for r in records]).tobytes()
+        assert batch.g.tobytes() == np.array([r.g for r in records]).tobytes()
 
 
 def test_sweep_keys_every_level_apart():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from harmrec import (HarmonicPoly, Rect, SolverError, ValidationError,
-                     boundary_partition, build_grid, sample_exact,
+                     boundary_partition, build_grid, resolve_config, sample_exact,
                      solve_dirichlet)
+from harmrec import poisson
+from harmrec.grid import _boundary_walk
 from harmrec.poisson import (ScalarField, _dst_matrix, normal_stencil,
                              solve_interior)
 from oracles import laplacian_residual
@@ -126,6 +128,40 @@ def test_solve_interior_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * u[:, 1:-1, 1:-1].nbytes
+
+
+class _PoisonedNumpy:
+    """numpy as the solver module sees it, except that every ``np.empty``
+    comes back filled with NaN, so an entry the solve leaves unwritten shows."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        return np.full(shape, np.nan)
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid(Rect(0, 0, 1, 1), 1 / 2),  # 3 x 3 nodes
+    build_grid(Rect(0, 0, 1, 0.875), 1 / 8),  # odd x even: 9 x 8
+    *(build_grid(cfg.rect, cfg["h"]) for cfg in (
+        resolve_config(preset=name) for name in ("paper-sec5-one-side", "paper-sec5-two-sides"))),
+], ids=["3x3", "9x8", "one-side", "two-sides"])
+def test_dirichlet_stack_needs_no_zeroing(monkeypatch, grid):
+    # the rim walk writes every rim node and solve_interior every interior
+    # one, so the stack is allocated unset: with NaN for unset memory the
+    # solve still passes its finite check and equals the zero-filled stack's,
+    # bit for bit
+    walk, _ = _boundary_walk(grid.nx, grid.ny)
+    rims = np.random.default_rng(grid.nx * grid.ny).uniform(-1, 1, (3, len(walk)))
+    zeroed = np.zeros((3,) + grid.shape)
+    zeroed[:, walk[:, 1], walk[:, 0]] = rims
+    solve_interior(zeroed)
+    monkeypatch.setattr(poisson, "np", _PoisonedNumpy())
+    got = solve_dirichlet(grid, rims)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == zeroed.tobytes()
 
 
 def _dst_oracle(n):
