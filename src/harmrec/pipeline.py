@@ -7,9 +7,9 @@ grid and fits per-probe decay rates.  A sweep draws its noise once and
 scales it per level into one batch of (seeds, m) data, with no per-seed
 record; ``run_experiment`` is a sweep level of one seed, whose ``add_noise``
 draws and scales alike.  Both fit through ``reconstruct`` and
-``tikhonov.reconstruct_field``.  A sweep level's fields are one (seeds, ny,
-nx) array from their solve to their errors, turned into the errors in place
-and dropped before the next level is fitted.
+``tikhonov.reconstruct_field``.  A sweep's fields are one (seeds, ny, nx)
+array, allocated once per sweep: each level solves its fields into it and
+turns them into their errors in place, and the next level overwrites it.
 
 Only ``run_experiment``'s writer builds the hats, and it reads their
 coefficients ``b.csv`` off u* (:func:`basis.coefficients`): no command
@@ -208,8 +208,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     pi, pj = np.array(probe_nodes).T
 
     # The fields of all seeds of a level are one (seeds, ny, nx) array,
-    # which becomes their error fields in place.
+    # which becomes their error fields in place.  Every level solves into
+    # the same array, so no level allocates (and faults in) a stack afresh.
     exact_values = sample_exact(cfg.exact_solution(), g).values
+    fields = np.empty((len(seeds),) + g.shape)
     err_by_level = {lv: np.zeros(len(probe_nodes)) for lv in levels}
     c_fits = []
     reg_norms = {}
@@ -217,7 +219,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     for lv in levels:
         result = reconstruct(state.system, noisy_batch(state.clean_data, lv, draws), cfg)
         reg_norms[lv] = result.reg_norm.tolist()
-        err = tikhonov.reconstruct_field(result.w, state.system)
+        err = tikhonov.reconstruct_field(result.w, state.system, out=fields)
         err -= exact_values
         np.abs(err, out=err)
         for vals in err[:, pj, pi]:  # seed by seed: a mean() would round differently
@@ -226,7 +228,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
             c_fit = ev.envelope_c_fit(err, t, lv)
             c_fits += [{"eps": lv, "seed": seed, "c_fit": c}
                        for seed, c in zip(seeds, c_fit.tolist())]
-        del result, err  # the next level's fit starts without this level's stack
 
     probes = []
     for k, (i, j) in enumerate(probe_nodes):

@@ -12,10 +12,10 @@ nodes without forming a field.
 :func:`solve_dirichlet` is the one rim solve of the pipeline: it writes
 (k, K) walk-ordered rim values onto a grid and fills the interior of all k
 fields through one :func:`solve_interior`, returning them as one
-(k, ny, nx) array.  Besides that array, the solve needs one scratch stack of
-its interior.  The reconstruction u* (the harmonic extension of the fitted
-traces) and the exponent field (that of Γ's indicator) are both such
-solves, the latter a batch of one.
+(k, ny, nx) array, new or the caller's.  Besides that array, the solve
+needs one scratch stack of its interior.  The reconstruction u* (the
+harmonic extension of the fitted traces) and the exponent field (that of
+Γ's indicator) are both such solves, the latter a batch of one.
 """
 
 from __future__ import annotations
@@ -146,14 +146,17 @@ def cg_dirichlet(u: np.ndarray, tol: float, max_iter: int) -> tuple[int, float]:
     raise NotImplementedError("harmrec has no CG solver; use solve_dirichlet")
 
 
-def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> np.ndarray:
+def solve_dirichlet(grid: Grid2D, values: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """The k discrete harmonic fields on ``grid`` whose rim data are the rows
     of the (k, K) ``values``, in walk order: one writable (k, ny, nx) array
     from one batched :func:`solve_interior`, checked finite as a
     :class:`ScalarField` is.
 
     Rim nodes of the result carry the data exactly; interior nodes satisfy
-    the 5-point stencil to rounding.
+    the 5-point stencil to rounding.  The fields go into ``out`` when it is
+    given, a writable C-contiguous float64 (k, ny, nx) array whose every
+    node is overwritten, and ``out`` is returned; otherwise into a new array.
     """
     if grid.nx < 3 or grid.ny < 3:
         raise ValidationError("grid must be at least 3x3 for an interior solve")
@@ -161,11 +164,17 @@ def solve_dirichlet(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     bv = np.asarray(values, dtype=float)
     if bv.ndim != 2 or bv.shape[1] != len(walk):
         raise ValidationError(f"expected (k, {len(walk)}) rim values, got {bv.shape}")
-    u = np.empty(bv.shape[:1] + grid.shape)  # the walk and the solve write every node
-    u[:, walk[:, 1], walk[:, 0]] = bv
-    solve_interior(u)
-    _check_finite(u)
-    return u
+    shape = bv.shape[:1] + grid.shape
+    if out is None:
+        out = np.empty(shape)  # the walk and the solve write every node
+    elif not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ValidationError(
+            f"out must be a writable C-contiguous float64 array of shape {shape}")
+    out[:, walk[:, 1], walk[:, 0]] = bv
+    solve_interior(out)
+    _check_finite(out)
+    return out
 
 
 def normal_stencil(partition: BoundaryPartition):

@@ -41,7 +41,7 @@ per data set.  The condition estimate reported is that of
 reads no grid, so it fits a hand-built system too.
 :func:`reconstruct_field` turns (k, K) traces into their (k, ny, nx)
 harmonic extensions on the domain's grid, one
-:func:`poisson.solve_dirichlet`.
+:func:`poisson.solve_dirichlet`, into a new array or the caller's.
 
 A fit's settings come from the experiment's
 :class:`~harmrec.config.ExperimentConfig`: its ``data_weights`` and its
@@ -265,12 +265,15 @@ class ReconstructionResult:
         self.w.setflags(write=False)
 
 
-def reconstruct_field(w: np.ndarray, sys: DiscreteSystem) -> np.ndarray:
+def reconstruct_field(w: np.ndarray, sys: DiscreteSystem,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """The (k, ny, nx) harmonic fields on the system's grid whose rim data,
-    in walk order, are the (k, K) traces w, one batched solve for all."""
+    in walk order, are the (k, K) traces w, one batched solve for all.  With
+    ``out`` they overwrite that array and it is returned, as
+    :func:`~harmrec.poisson.solve_dirichlet` does."""
     if sys.grid is None:
         raise ValidationError("a system without a grid has no field to rebuild")
-    return solve_dirichlet(sys.grid, w)
+    return solve_dirichlet(sys.grid, w, out)
 
 
 def reconstruct(sys: DiscreteSystem, batch: NoisyBatch,

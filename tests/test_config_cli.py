@@ -182,13 +182,23 @@ def test_cli_sweep_emits_probe_table(tmp_path):
     assert len(sweep["envelope_c_fits"]) == 3 * 2
 
 
-def test_summary_json_sorted_and_deterministic(tmp_path):
-    cfg = _write_cfg(tmp_path)
+@pytest.mark.parametrize("command,extra", [
+    ("run", {}),
+    ("tau", {}),
+    ("sweep", {"eps_levels": [1e-1, 1e-2, 1e-3], "seeds": [1, 2]}),
+], ids=["run", "tau", "sweep"])
+def test_summary_json_sorted_and_deterministic(tmp_path, command, extra):
+    # two runs of one command into two directories write the same files,
+    # byte for byte
+    cfg = _write_cfg(tmp_path, **extra)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
-    for name in ("summary.json", "u_star.csv", "tau.svg", "tau_contour.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert main([command, "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert len(names) == {"run": 13, "tau": 13, "sweep": 2}[command]
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_numeric_keys_type_checked(tmp_path, capsys):

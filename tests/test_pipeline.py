@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmrec import pipeline, resolve_config, validate_config
+from harmrec import pipeline, resolve_config, tikhonov, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
 from harmrec.forward import add_noise, sample_exact
@@ -168,6 +168,29 @@ def test_sweep_draws_its_noise_once(monkeypatch, model, levels):
     assert calls == once * 2
 
 
+@pytest.mark.parametrize("levels", [[1e-1, 1e-2, 1e-3], [2.0, 1e-1, 3e-2, 1e-2, 1e-3]],
+                         ids=["3-levels", "5-levels"])
+def test_sweep_solves_every_level_into_one_stack(monkeypatch, levels):
+    # one (seeds, ny, nx) stack per sweep: every level's fields are solved
+    # into it and come back in it, so no level allocates a stack of its own
+    calls = []
+
+    def spy(w, sys, out=None):
+        got = reconstruct_field(w, sys, out=out)
+        calls.append((out, got))
+        return got
+
+    monkeypatch.setattr(tikhonov, "reconstruct_field", spy)
+    seeds = [1, 2, 3]
+    cfg = validate_config({**FAST, "eps_levels": levels, "seeds": seeds})
+    run_sweep(cfg)
+    assert len(calls) == len(levels)
+    stack = calls[0][0]
+    assert isinstance(stack, np.ndarray)
+    assert stack.shape == (len(seeds),) + build_state(cfg).grid.shape
+    assert all(out is stack and got is stack for out, got in calls)
+
+
 @settings(max_examples=20, deadline=None)
 @given(model=st.sampled_from(["uniform", "gaussian"]),
        top=st.floats(0.02, 2.0),
@@ -284,9 +307,9 @@ def test_only_run_builds_the_hats(monkeypatch, tmp_path):
 
 def test_sweep_peak_memory_is_a_few_level_stacks():
     # a level's fields are one (seeds, ny, nx) stack from the solve to its
-    # errors, and it is dropped before the next level is fitted: the peak is
+    # errors, and the next level solves into the same stack: the peak is
     # that stack, the solve's one scratch stack and the envelope's ratio
-    # (3.4 stacks here; 6.3 with a copy per step and the last level kept)
+    # (3.6 stacks here; 6.3 with a copy per step and the last level kept)
     seeds = list(range(1, 33))
     cfg = resolve_config(preset="paper-sec5-one-side",
                          overrides={"h": 1 / 32, "eps_levels": [1e-1, 1e-2, 1e-3],

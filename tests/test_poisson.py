@@ -162,6 +162,36 @@ def test_dirichlet_stack_needs_no_zeroing(monkeypatch, grid):
     got = solve_dirichlet(grid, rims)
     assert np.isfinite(got).all()
     assert got.tobytes() == zeroed.tobytes()
+    # a caller's stack is overwritten the same way, whatever it held
+    out = np.full((3,) + grid.shape, np.nan)
+    assert solve_dirichlet(grid, rims, out=out) is out
+    assert np.isfinite(out).all()
+    assert out.tobytes() == zeroed.tobytes()
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda shape: np.empty((2,) + shape[1:]),
+    lambda shape: np.empty(shape[:1] + shape[1:][::-1]),
+    lambda shape: np.empty(shape, dtype=np.float32),
+    lambda shape: np.empty(shape, dtype=complex),
+    lambda shape: np.empty(shape[::-1]).T,
+    lambda shape: np.empty(shape[:2] + (2 * shape[2],))[..., ::2],
+    lambda shape: _read_only(np.empty(shape)),
+    lambda shape: np.empty(shape).tolist(),
+], ids=["fields", "transposed-grid", "float32", "complex", "fortran", "strided",
+        "read-only", "list"])
+def test_dirichlet_out_must_be_a_writable_float64_stack(make_out):
+    grid = build_grid(Rect(0, 0, 1, 0.875), 1 / 8)  # 9 x 8
+    walk, _ = _boundary_walk(grid.nx, grid.ny)
+    rims = np.ones((3, len(walk)))
+    out = make_out((3,) + grid.shape)
+    with pytest.raises(ValidationError, match="out must be"):
+        solve_dirichlet(grid, rims, out=out)
 
 
 def _dst_oracle(n):
