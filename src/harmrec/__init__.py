@@ -7,14 +7,16 @@ squares with a smoothness penalty, rebuilds the interior field as their
 discrete harmonic extension, and certifies where the result can be trusted
 through the harmonic measure of the measurement arc.  ``run`` also writes
 the equivalent hat density one grid layer out (:mod:`harmrec.basis`).
+Noisy data are :func:`add_noise`'s scaling of :func:`draw_noise`'s draws, in
+``run`` and ``sweep`` alike.
 """
 
 from .config import DEFAULTS, PRESETS, ExperimentConfig, resolve_config, validate_config
 from .errors import SolverError, ValidationError
 from .evaluate import (envelope_check, pointwise_error, rate_fit,
                        reliability_summary, spearman_rank)
-from .forward import (CauchyData, Constant, ExactSolution, ExpCos,
-                      HarmonicPoly, NoisyBatch, add_noise, sample_exact, trace_cauchy)
+from .forward import (CauchyData, Constant, ExactSolution, ExpCos, HarmonicPoly,
+                      NoisyBatch, add_noise, draw_noise, sample_exact, trace_cauchy)
 from .grid import (SIDES, BoundaryPartition, Grid2D, Rect, boundary_partition,
                    build_grid)
 from .measure import LevelContour, compute_indicate, reliable_region

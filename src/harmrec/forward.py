@@ -4,13 +4,13 @@ Exact solutions are harmonic by construction; their traces and outward
 normal derivatives come from closed-form differentiation, never from grid
 differences, so data error and discretization error stay decoupled.
 :func:`draw_noise` draws a list of seeds in one pass of :mod:`rng`, each as
-if alone and free of any level; :func:`noisy_batch` scales the draws to one
-level's data, and :func:`add_noise` takes both steps for a list of records.
+if alone and free of any level, and :func:`add_noise` scales the draws to
+one level's data, for ``run`` and ``sweep`` alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -86,26 +86,15 @@ def sample_exact(exact: ExactSolution, grid: Grid2D) -> ScalarField:
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Sampled boundary pairs (trace f, outward normal derivative g) on Γ.
+    """Clean boundary pairs (trace f, outward normal derivative g) on Γ."""
 
-    partition may be None for hand-built systems; it is required by
-    add_noise (the realized data error needs the Γ quadrature).
-    """
-
-    partition: BoundaryPartition | None
     points: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
-    noise_level: float = 0.0
-    seed: int = 0
-    noise_model: str = "uniform"
-    realized_eps: float = 0.0
 
     def __post_init__(self):
         if not (len(self.points) == len(self.f) == len(self.g)):
             raise ValidationError("points, f, g length mismatch")
-        if self.realized_eps < 0:
-            raise ValidationError("realized data error cannot be negative")
         for arr in (self.points, self.f, self.g):
             arr.setflags(write=False)
 
@@ -116,9 +105,9 @@ def trace_cauchy(exact: ExactSolution, partition: BoundaryPartition) -> CauchyDa
     x, y = pts[:, 0], pts[:, 1]
     f = np.asarray(exact.value(x, y), dtype=float)
     ux, uy = exact.gradient(x, y)
-    _, normals = partition.gamma_normals()
+    normals = partition.gamma_normals()
     g = np.asarray(ux, dtype=float) * normals[:, 0] + np.asarray(uy, dtype=float) * normals[:, 1]
-    return CauchyData(partition=partition, points=pts, f=f, g=g)
+    return CauchyData(points=pts, f=f, g=g)
 
 
 class NoisyBatch(NamedTuple):
@@ -145,39 +134,33 @@ def draw_noise(seeds: list[int], m: int, model: str = "uniform") -> np.ndarray:
 def _perturbations(data: CauchyData, level: float, draws: np.ndarray):
     """(k, m) perturbations of f and g: the draws times level * sup|channel|."""
     m = len(data.f)
+    if level < 0:
+        raise ValidationError(f"noise level cannot be negative, got {level}")
+    if draws.ndim != 2 or draws.shape[1] != 2 * m:
+        raise ValidationError(f"noise draws must be (k, {2 * m}), got {draws.shape}")
     return (level * np.abs(data.f).max(initial=0.0) * draws[:, :m],
             level * np.abs(data.g).max(initial=0.0) * draws[:, m:])
 
 
-def noisy_batch(data: CauchyData, level: float, draws: np.ndarray) -> NoisyBatch:
+def add_noise(data: CauchyData, level: float, draws: np.ndarray) -> NoisyBatch:
     """The clean ``data`` perturbed at ``level`` by each row of
-    :func:`draw_noise`'s draws, bit for bit :func:`add_noise`'s f and g."""
+    :func:`draw_noise`'s draws.  Level 0 reads no draw and gives the clean f
+    and g bit for bit: adding 0 * draw would turn a -0.0 into +0.0."""
+    if level == 0:
+        k = len(draws)
+        return NoisyBatch(0.0, np.tile(data.f, (k, 1)), np.tile(data.g, (k, 1)))
     df, dg = _perturbations(data, level, draws)
     return NoisyBatch(level, data.f + df, data.g + dg)
 
 
-def add_noise(data: CauchyData, level: float, seeds: list[int],
-              model: str = "uniform") -> list[CauchyData]:
-    """Perturb both channels, scaled to ``level`` relative to each sup norm,
-    once per seed: one CauchyData per entry of ``seeds``, in order, with the
-    f and g of :func:`noisy_batch`.  The realized data error, which only
-    ``run`` reports, combines the graph norm of the f perturbation with the
-    plain quadrature norm of the g one.
-    """
-    # no level draws nothing, but the seeds and the model are checked at any level
-    draws = draw_noise(seeds, 0 if level == 0 else len(data.f), model)
-    if level < 0:
-        raise ValidationError(f"noise level cannot be negative, got {level}")
-    if data.partition is None:
-        raise ValidationError("adding noise needs the data's partition, for the "
-                              "realized data error's Γ quadrature")
+def realized_eps(partition: BoundaryPartition, data: CauchyData, level: float,
+                 draws: np.ndarray) -> np.ndarray:
+    """The realized data error of each row of :func:`add_noise`: the graph
+    norm of its f perturbation plus the plain quadrature norm of its g one,
+    taken from the perturbations, since noisy - clean rounds otherwise."""
     if level == 0:
-        return [replace(data, noise_level=0.0, seed=s, noise_model=model,
-                        realized_eps=0.0) for s in seeds]
+        return np.zeros(len(draws))
     df, dg = _perturbations(data, level, draws)
-    sigma, d1 = data.partition.gamma_sigma, data.partition.tangential_d1
-    return [replace(data, f=data.f + dfi, g=data.g + dgi, noise_level=level,
-                    seed=s, noise_model=model,
-                    realized_eps=float(graph_norm(sigma, d1, dfi)
-                                       + np.sqrt((sigma * dgi * dgi).sum())))
-            for s, dfi, dgi in zip(seeds, df, dg)]
+    sigma, d1 = partition.gamma_sigma, partition.tangential_d1
+    return np.array([graph_norm(sigma, d1, dfi) + np.sqrt((sigma * dgi * dgi).sum())
+                     for dfi, dgi in zip(df, dg)])

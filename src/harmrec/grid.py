@@ -194,9 +194,9 @@ class BoundaryPartition:
         seg = self.gamma_segments
         return seg[self.gamma_mask], np.roll(seg, 1)[self.gamma_mask]
 
-    def gamma_normals(self) -> tuple[np.ndarray, np.ndarray]:
-        """(side names, (m, 2) outward unit normals) of the Γ nodes."""
-        return np.array(SIDES)[self.normal_side], _NORMALS[self.normal_side]
+    def gamma_normals(self) -> np.ndarray:
+        """(m, 2) outward unit normals of the Γ nodes."""
+        return _NORMALS[self.normal_side]
 
     @cached_property
     def tangential_d1(self) -> np.ndarray:

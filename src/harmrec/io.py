@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .forward import CauchyData
 from .poisson import ScalarField
 
 
@@ -105,15 +104,9 @@ def write_table_csv(path, columns, rows) -> None:
             fh.write(template % tuple(row))
 
 
-def write_cauchy_csv(path, data: CauchyData, sidecar_path) -> None:
-    write_table_csv(path, ("x", "y", "f", "g"),
-                    np.column_stack([data.points, data.f, data.g]).tolist())
-    dump_json(sidecar_path, {
-        "noise_level": data.noise_level,
-        "seed": data.seed,
-        "model": data.noise_model,
-        "realized_eps": data.realized_eps,
-    })
+def write_cauchy_csv(path, points, f, g, sidecar_path, sidecar: dict) -> None:
+    write_table_csv(path, ("x", "y", "f", "g"), np.column_stack([points, f, g]).tolist())
+    dump_json(sidecar_path, sidecar)
 
 
 def write_vector_csv(path, vec: np.ndarray) -> None:

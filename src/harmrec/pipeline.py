@@ -4,12 +4,12 @@
 ``run_tau`` emits exponent-field artifacts for a list of measurement-side
 sets; ``run_sweep`` reuses one assembled system across a noise-level/seed
 grid and fits per-probe decay rates.  A sweep draws its noise once and
-scales it per level into one batch of (seeds, m) data, with no per-seed
-record; ``run_experiment`` is a sweep level of one seed, whose ``add_noise``
-draws and scales alike.  Both fit through ``reconstruct`` and
-``tikhonov.reconstruct_field``.  A sweep's fields are one (seeds, ny, nx)
-array, allocated once per sweep: each level solves its fields into it and
-turns them into their errors in place, and the next level overwrites it.
+``add_noise`` scales it per level into one batch of (seeds, m) data;
+``run_experiment`` is a sweep level of one seed, with the same calls.  Both
+fit through ``reconstruct`` and ``tikhonov.reconstruct_field``.  A sweep's
+fields are one (seeds, ny, nx) array, allocated once per sweep: each level
+solves its fields into it and turns them into their errors in place, and the
+next level overwrites it.
 
 Only ``run_experiment``'s writer builds the hats, and it reads their
 coefficients ``b.csv`` off u* (:func:`basis.coefficients`): no command
@@ -34,8 +34,8 @@ from .basis import compute_base_solutions  # noqa: F401
 from .config import ExperimentConfig, check_stacked_size, check_sweep_size
 from .errors import SolverError, ValidationError
 # perfbench/spans.py wraps `pipeline.add_noise` and `pipeline.reconstruct` by name.
-from .forward import (CauchyData, NoisyBatch, add_noise, draw_noise, noisy_batch,
-                      sample_exact, trace_cauchy)
+from .forward import (CauchyData, add_noise, draw_noise, realized_eps, sample_exact,
+                      trace_cauchy)
 from .grid import BoundaryPartition, Grid2D, boundary_partition, build_grid
 from .measure import compute_indicate, reliable_region
 from .poisson import ScalarField
@@ -83,9 +83,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     as a batch of one, and ``u_star``, its row 0's field as a :class:`ScalarField`.
     """
     state = build_state(cfg)
-    level = cfg["noise_level"]
-    data, = add_noise(state.clean_data, level, [cfg["seed"]], cfg["noise_model"])
-    result = reconstruct(state.system, NoisyBatch(level, data.f[None], data.g[None]), cfg)
+    level, seed, model = cfg["noise_level"], cfg["seed"], cfg["noise_model"]
+    # level 0 draws nothing, but the seed and the model are checked
+    draws = draw_noise([seed], state.partition.m if level else 0, model)
+    data = add_noise(state.clean_data, level, draws)
+    eps, = realized_eps(state.partition, state.clean_data, level, draws).tolist()
+    result = reconstruct(state.system, data, cfg)
     u_star = ScalarField(state.grid, tikhonov.reconstruct_field(result.w, state.system)[0])
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
     err = ev.pointwise_error(u_star, exact_field)
@@ -106,12 +109,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         "residual_f": float(result.residual_f[0]),
         "residual_g": float(result.residual_g[0]),
         "reg_norm": float(result.reg_norm[0]),
-        "noise": {
-            "level": data.noise_level,
-            "seed": data.seed,
-            "model": data.noise_model,
-            "realized_eps": data.realized_eps,
-        },
+        "noise": {"level": data.level, "seed": seed, "model": model, "realized_eps": eps},
         "error": {
             "max": float(err.values.max()),
             "median": float(np.median(err.values)),
@@ -137,7 +135,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         hio.write_field_csv(out / "exact.csv", exact_field)
         _write_tau(out, "tau", state.tau, contour, "reliability exponent")
         hio.write_vector_csv(out / "b.csv", b)
-        hio.write_cauchy_csv(out / "cauchy.csv", data, out / "cauchy.json")
+        sidecar = {"noise_level": data.level, "seed": seed, "model": model, "realized_eps": eps}
+        hio.write_cauchy_csv(out / "cauchy.csv", state.clean_data.points, data.f[0],
+                             data.g[0], out / "cauchy.json", sidecar)
         svg.render_heatmap(exact_field, out / "exact.svg", title="exact solution")
         svg.render_heatmap(u_star, out / "u_star.svg", title="reconstruction")
         svg.render_heatmap(err, out / "error.svg", contours=contour,
@@ -217,7 +217,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     reg_norms = {}
     draws = draw_noise(seeds, state.partition.m, cfg["noise_model"])
     for lv in levels:
-        result = reconstruct(state.system, noisy_batch(state.clean_data, lv, draws), cfg)
+        result = reconstruct(state.system, add_noise(state.clean_data, lv, draws), cfg)
         reg_norms[lv] = result.reg_norm.tolist()
         err = tikhonov.reconstruct_field(result.w, state.system, out=fields)
         err -= exact_values

@@ -181,7 +181,7 @@ def normal_stencil(partition: BoundaryPartition):
     """Second-order one-sided outward normal difference at every Γ node:
     (m, 3) column and row indices stepping into the domain, and the weights
     (3, -4, 1) / (2h)."""
-    _, normals = partition.gamma_normals()
+    normals = partition.gamma_normals()
     step = -normals.reshape(-1, 2).astype(np.int64)  # inward, one node
     p = np.arange(3)
     ii = partition.gamma_nodes[:, :1] + p * step[:, :1]

@@ -20,8 +20,8 @@ eigendecomposition of the smaller Gram matrix.  :func:`qr_fit` is the same
 fit by a Householder QR of the stacked ``[M; sqrt(alpha) I]``, which never
 squares M's conditioning: the reference where M is nearly singular.
 
-:func:`batch_of` stacks data records of one noise level into the batch the
-fit takes, for tests that build their data as records.
+:func:`clean_batch` is clean data as the batch of one that the fit takes,
+for tests that fit data without noise.
 """
 
 import math
@@ -138,8 +138,6 @@ def qr_fit(sys, weights, f, g, alpha):
     return _solve_penalty(root, y).T, np.linalg.norm(y, axis=0)
 
 
-def batch_of(datas) -> NoisyBatch:
-    """The fit's batch of the records ``datas``, which share one noise level:
-    row i of its f and g is record i's."""
-    level, = {d.noise_level for d in datas}
-    return NoisyBatch(level, np.array([d.f for d in datas]), np.array([d.g for d in datas]))
+def clean_batch(data) -> NoisyBatch:
+    """The f and g of the CauchyData ``data`` as a batch of one at level 0."""
+    return NoisyBatch(0.0, data.f[None], data.g[None])

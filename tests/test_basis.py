@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmrec import (ExpCos, Rect, ValidationError, add_noise, assemble_system,
-                     boundary_partition, build_grid, reconstruct, reconstruct_field,
-                     trace_cauchy, validate_config)
+                     boundary_partition, build_grid, draw_noise, reconstruct,
+                     reconstruct_field, trace_cauchy, validate_config)
 from harmrec.basis import build_basis, coefficients, compute_base_solutions
+from harmrec.forward import realized_eps
 from harmrec.grid import SIDES, graph_norm
 from harmrec.poisson import ScalarField, normal_stencil, rim_extension, solve_dirichlet
-from oracles import batch_of
 
 
 def test_hat_count_matches_reference_setup():
@@ -120,8 +120,8 @@ def test_penalty_factor_gives_closed_polyline_trace_norm():
     grid = build_grid(Rect(0, 0, 1, 0.75), h)  # non-square: 9 x 7 nodes
     part = boundary_partition(grid, ["bottom"])
     sys = assemble_system(part)
-    datas = add_noise(trace_cauchy(ExpCos(2.0, 0.1), part), 0.2, [5])
-    r = reconstruct(sys, batch_of(datas),
+    noisy = add_noise(trace_cauchy(ExpCos(2.0, 0.1), part), 0.2, draw_noise([5], part.m))
+    r = reconstruct(sys, noisy,
                     validate_config({"alpha_rule": "fixed", "alpha_fixed": 1e-3}))
     u_star, = reconstruct_field(r.w, sys)
     t = [u_star[j, i] for i, j in _closed_walk(9, 7)]
@@ -210,11 +210,13 @@ def test_discrete_norms_g_channel():
     # the plain quadrature norm of the g perturbation; f = 0 draws no f noise
     part = boundary_partition(build_grid(Rect(0, 0, 1, 1), 1 / 8), ["bottom"])
     clean = replace(trace_cauchy(ExpCos(2.0, 0.1), part), f=np.zeros(part.m))
-    noisy, = add_noise(clean, 0.05, [3])
-    dg = noisy.g - clean.g
-    assert np.array_equal(noisy.f, clean.f) and dg.any()
+    draws = draw_noise([3], part.m)
+    noisy = add_noise(clean, 0.05, draws)
+    dg = noisy.g[0] - clean.g
+    assert np.array_equal(noisy.f[0], clean.f) and dg.any()
     expected = np.sqrt(sum(s * d * d for s, d in zip(part.gamma_sigma, dg)))
-    assert abs(noisy.realized_eps - expected) <= 1e-14 * expected
+    eps, = realized_eps(part, clean, 0.05, draws)
+    assert abs(eps - expected) <= 1e-14 * expected
 
 
 def test_tangential_d1_constant_and_linear():

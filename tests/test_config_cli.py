@@ -16,7 +16,7 @@ from harmrec.grid import Rect, boundary_partition, build_grid
 from harmrec.pipeline import build_state
 from harmrec.poisson import ScalarField
 from harmrec.tikhonov import reconstruct, reconstruct_field
-from oracles import batch_of
+from oracles import clean_batch
 
 FAST = {
     "h": 1 / 8,
@@ -491,7 +491,7 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
         monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
     state = build_state(cfg)
     sys = state.system
-    result = reconstruct(sys, batch_of([state.clean_data]), cfg)
+    result = reconstruct(sys, clean_batch(state.clean_data), cfg)
     u_star, = reconstruct_field(result.w, sys)
     b = coefficients(build_basis(state.grid), ScalarField(state.grid, u_star))
     fit, = sys._fits.values()

@@ -1,14 +1,15 @@
 import math
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmrec import (Constant, ExpCos, HarmonicPoly, Rect, ValidationError,
-                     add_noise, boundary_partition, build_grid, sample_exact,
+from harmrec import (CauchyData, Constant, ExpCos, HarmonicPoly, Rect, ValidationError,
+                     add_noise, boundary_partition, build_grid, draw_noise, sample_exact,
                      trace_cauchy)
+from harmrec.forward import realized_eps
 from oracles import laplacian_residual
 
 
@@ -17,11 +18,19 @@ def _partition(h=1 / 16, sides=("bottom",)):
     return boundary_partition(g, sides)
 
 
+def _noisy(part, data, level, seeds, model="uniform"):
+    """The batch add_noise scales from one draw of ``seeds``, and its
+    realized data errors."""
+    draws = draw_noise(seeds, part.m, model)
+    return add_noise(data, level, draws), realized_eps(part, data, level, draws)
+
+
 def test_constant_trace():
     data = trace_cauchy(Constant(1.0), _partition())
     assert np.abs(data.f - 1.0).max() == 0.0
     assert np.abs(data.g).max() == 0.0
-    assert data.noise_level == 0.0
+    # clean data only: the noise level, seed, model and error live elsewhere
+    assert [fld.name for fld in fields(CauchyData)] == ["points", "f", "g"]
 
 
 def test_exp_cos_trace_bottom():
@@ -51,74 +60,90 @@ def test_trace_uses_side_normals():
 
 
 def test_noise_level_zero_is_identity():
-    data = trace_cauchy(ExpCos(4.0, 0.2), _partition())
-    noisy, = add_noise(data, 0.0, [9])
-    assert np.array_equal(noisy.f, data.f)
-    assert np.array_equal(noisy.g, data.g)
-    assert noisy.realized_eps == 0.0
+    # level 0 reads no draw: run draws none, a sweep's draws go unused, and
+    # either way the rows are the clean f and g bit for bit, -0.0 included
+    p = _partition()
+    for exact in (ExpCos(4.0, 0.2), Constant(-0.0)):
+        data = trace_cauchy(exact, p)
+        for draws in (draw_noise([9], 0), draw_noise([9, 10], p.m, "gaussian")):
+            noisy = add_noise(data, 0.0, draws)
+            assert noisy.level == 0.0 and noisy.f.shape == (len(draws), p.m)
+            for row_f, row_g in zip(noisy.f, noisy.g):
+                assert row_f.tobytes() == data.f.tobytes()
+                assert row_g.tobytes() == data.g.tobytes()
+            assert realized_eps(p, data, 0.0, draws).tolist() == [0.0] * len(draws)
+    assert np.signbit(add_noise(data, 0.0, draw_noise([9], 0)).f).all()
 
 
-@pytest.mark.parametrize("level", [0.0, 0.01])
-def test_noise_needs_the_partition(level):
-    # hand-built data carry no partition, so no Γ quadrature for the
-    # realized data error: a validation error, not an AttributeError
-    data = replace(trace_cauchy(ExpCos(4.0, 0.2), _partition()), partition=None)
-    with pytest.raises(ValidationError, match="partition"):
-        add_noise(data, level, [5])
+def test_noise_draws_must_be_two_per_node():
+    # a level above 0 reads f's m draws, then g's m: any other width is an error
+    p = _partition()
+    data = trace_cauchy(ExpCos(4.0, 0.2), p)
+    for bad in (draw_noise([5], 0), draw_noise([5], p.m)[:, 1:], draw_noise([5], p.m)[0]):
+        with pytest.raises(ValidationError, match="noise draws"):
+            add_noise(data, 0.01, bad)
+        with pytest.raises(ValidationError, match="noise draws"):
+            realized_eps(p, data, 0.01, bad)
 
 
 def test_noise_deterministic_given_seed_and_model():
-    data = trace_cauchy(ExpCos(4.0, 0.2), _partition())
-    a, = add_noise(data, 0.01, [5], model="uniform")
-    b, = add_noise(data, 0.01, [5], model="uniform")
+    p = _partition()
+    data = trace_cauchy(ExpCos(4.0, 0.2), p)
+    a, eps_a = _noisy(p, data, 0.01, [5], model="uniform")
+    b, eps_b = _noisy(p, data, 0.01, [5], model="uniform")
     assert np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
-    assert a.realized_eps == b.realized_eps
-    c, = add_noise(data, 0.01, [6], model="uniform")
+    assert eps_a.tolist() == eps_b.tolist()
+    c, _ = _noisy(p, data, 0.01, [6], model="uniform")
     assert not np.array_equal(a.f, c.f)
-    d, = add_noise(data, 0.01, [5], model="gaussian")
+    d, _ = _noisy(p, data, 0.01, [5], model="gaussian")
     assert not np.array_equal(a.f, d.f)
 
 
 def test_uniform_noise_bounded_by_level_times_sup():
-    data = trace_cauchy(ExpCos(4.0, 0.2), _partition())
-    noisy, = add_noise(data, 0.01, [11], model="uniform")
+    p = _partition()
+    data = trace_cauchy(ExpCos(4.0, 0.2), p)
+    noisy, eps = _noisy(p, data, 0.01, [11], model="uniform")
     assert np.abs(noisy.f - data.f).max() <= 0.01 * np.abs(data.f).max()
     assert np.abs(noisy.g - data.g).max() <= 0.01 * np.abs(data.g).max()
-    assert noisy.realized_eps > 0
+    assert eps[0] > 0
 
 
 def test_realized_eps_monotone_in_level():
-    data = trace_cauchy(ExpCos(4.0, 0.2), _partition())
-    eps = [add_noise(data, lv, [3])[0].realized_eps for lv in (0.001, 0.01, 0.1)]
+    p = _partition()
+    data = trace_cauchy(ExpCos(4.0, 0.2), p)
+    eps = [_noisy(p, data, lv, [3])[1][0] for lv in (0.001, 0.01, 0.1)]
     assert eps[0] < eps[1] < eps[2]
 
 
 def test_negative_level_rejected():
-    data = trace_cauchy(Constant(1.0), _partition())
+    p = _partition()
+    data = trace_cauchy(Constant(1.0), p)
     with pytest.raises(ValidationError):
-        add_noise(data, -0.1, [1])
+        add_noise(data, -0.1, draw_noise([1], p.m))
     with pytest.raises(ValidationError):
-        add_noise(data, 0.1, [1], model="laplace")
+        realized_eps(p, data, -0.1, draw_noise([1], p.m))
+    with pytest.raises(ValidationError):
+        draw_noise([1], p.m, model="laplace")
 
 
 @pytest.mark.parametrize("level", [0.0, 0.1])
 @pytest.mark.parametrize("seeds", [[1], [1, 2]], ids=["1", "seed1"])
 def test_unknown_noise_model_rejected_at_every_level(level, seeds):
-    # the level-0 shortcut must not let an unknown model through
-    data = trace_cauchy(Constant(1.0), _partition())
+    # run draws no node's noise at level 0, but the draw still checks the model
+    m = 0 if level == 0 else _partition().m
     with pytest.raises(ValidationError, match="unknown noise model"):
-        add_noise(data, level, seeds, model="laplace")
+        draw_noise(seeds, m, model="laplace")
 
 
 @pytest.mark.parametrize("level", [0.0, 0.1])
 @pytest.mark.parametrize("seeds", [5, (1, 2), [1.0], [True], [1, "2"], "12", None],
                          ids=["int", "tuple", "float", "bool", "str-item", "str", "none"])
 def test_seeds_must_be_a_list_of_ints_at_every_level(level, seeds):
-    # the single-seed int form of add_noise is gone: it and any other
-    # non-list are rejected as a validation error, not a TypeError
-    data = trace_cauchy(Constant(1.0), _partition())
+    # a single int and any other non-list are rejected as a validation
+    # error, not a TypeError, also where run draws no node's noise (level 0)
+    m = 0 if level == 0 else _partition().m
     with pytest.raises(ValidationError, match="seeds must be a list of integers"):
-        add_noise(data, level, seeds)
+        draw_noise(seeds, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,14 +154,17 @@ def test_seeds_must_be_a_list_of_ints_at_every_level(level, seeds):
        level=st.sampled_from([0.0, 1e-3, 0.1, 1.5]),
        seeds=st.lists(st.integers(min_value=-2**70, max_value=2**70), max_size=5))
 def test_seed_list_equals_per_seed_calls(h, sides, model, level, seeds):
-    data = trace_cauchy(ExpCos(4.0, 0.2), _partition(h, sides))
-    together = add_noise(data, level, seeds, model)
-    assert len(together) == len(seeds)
-    for seed, a in zip(seeds, together):
-        b, = add_noise(data, level, [seed], model)
-        assert np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
-        assert (a.realized_eps, a.seed, a.noise_model, a.noise_level) == (
-            b.realized_eps, b.seed, b.noise_model, b.noise_level)
+    # a sweep's one draw of every seed against run's draw of one seed (none
+    # at level 0): the same f, g and realized data error, bit for bit
+    p = _partition(h, sides)
+    data = trace_cauchy(ExpCos(4.0, 0.2), p)
+    together, eps = _noisy(p, data, level, seeds, model)
+    assert together.level == level and together.f.shape == (len(seeds), p.m)
+    for seed, f, g, e in zip(seeds, together.f, together.g, eps):
+        draws = draw_noise([seed], 0 if level == 0 else p.m, model)
+        b = add_noise(data, level, draws)
+        assert f.tobytes() == b.f[0].tobytes() and g.tobytes() == b.g[0].tobytes()
+        assert [e] == realized_eps(p, data, level, draws).tolist()
 
 
 def test_quadratic_harmonics_have_zero_stencil_residual():

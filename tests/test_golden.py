@@ -41,8 +41,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harmrec import (add_noise, boundary_partition, build_grid, resolve_config,
+from harmrec import (add_noise, boundary_partition, build_grid, draw_noise, resolve_config,
                      trace_cauchy)
+from harmrec.forward import realized_eps
 from harmrec.pipeline import run_experiment
 
 GOLDEN = Path(__file__).parent / "golden" / "u_star_one_side.csv"
@@ -76,10 +77,11 @@ def noise_table() -> str:
     lines = ["model,seed,k,df,dg,realized_eps"]
     for model in ("uniform", "gaussian"):
         for seed in NOISE_SEEDS:
-            noisy, = add_noise(clean, 0.1, [seed], model)
-            for k, (df, dg) in enumerate(zip(noisy.f - clean.f, noisy.g - clean.g)):
-                lines.append(f"{model},{seed},{k},{df:.17g},{dg:.17g},"
-                             f"{noisy.realized_eps:.17g}")
+            draws = draw_noise([seed], part.m, model)
+            noisy = add_noise(clean, 0.1, draws)
+            eps, = realized_eps(part, clean, 0.1, draws)
+            for k, (df, dg) in enumerate(zip(noisy.f[0] - clean.f, noisy.g[0] - clean.g)):
+                lines.append(f"{model},{seed},{k},{df:.17g},{dg:.17g},{eps:.17g}")
     return "\n".join(lines) + "\n"
 
 

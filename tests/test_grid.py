@@ -85,13 +85,13 @@ def test_gamma_normals_corner_tiebreak():
     g = build_grid(Rect(0, 0, 1, 1), 0.25)
     # corner (0,0) with only the left side measured: left normal
     p = boundary_partition(g, ["left"])
-    sides, normals = p.gamma_normals()
+    sides, normals = np.array(SIDES)[p.normal_side], p.gamma_normals()
     k = np.where((p.gamma_nodes[:, 0] == 0) & (p.gamma_nodes[:, 1] == 0))[0][0]
     assert sides[k] == "left"
     assert tuple(normals[k]) == (-1.0, 0.0)
     # both incident sides measured: the vertical-normal side wins
     p2 = boundary_partition(g, ["left", "bottom"])
-    sides2, normals2 = p2.gamma_normals()
+    sides2, normals2 = np.array(SIDES)[p2.normal_side], p2.gamma_normals()
     k2 = np.where((p2.gamma_nodes[:, 0] == 0) & (p2.gamma_nodes[:, 1] == 0))[0][0]
     assert sides2[k2] == "bottom"
     assert tuple(normals2[k2]) == (0.0, -1.0)
@@ -165,7 +165,7 @@ def test_partition_matches_node_by_node_oracle(nx, ny, h, sides):
     assert (grid.nx, grid.ny) == (nx, ny)
     part = boundary_partition(grid, sides)
     nodes, mask, sigma, normal_names, d1 = _oracle_partition(grid, sides)
-    names, normals = part.gamma_normals()
+    names, normals = np.array(SIDES)[part.normal_side], part.gamma_normals()
     assert np.array_equal(part.nodes, nodes)
     assert np.array_equal(part.gamma_mask, mask)
     assert np.array_equal(part.gamma_sigma, sigma)

@@ -233,13 +233,14 @@ def test_csv_writers_are_deterministic(tmp_path):
 def test_cauchy_csv_and_sidecar(tmp_path):
     part = boundary_partition(build_grid(Rect(0, 0, 1, 1), 0.25), ["bottom"])
     data = trace_cauchy(Constant(1.0), part)
-    hio.write_cauchy_csv(tmp_path / "d.csv", data, tmp_path / "d.json")
+    sidecar = {"noise_level": 0.0, "seed": 0, "model": "uniform", "realized_eps": 0.0}
+    hio.write_cauchy_csv(tmp_path / "d.csv", data.points, data.f, data.g,
+                         tmp_path / "d.json", sidecar)
     raw = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1)
     assert np.array_equal(raw[:, :2], data.points)
     assert np.array_equal(raw[:, 2], data.f)
     meta = json.loads((tmp_path / "d.json").read_text())
-    assert meta == {"noise_level": 0.0, "seed": 0, "model": "uniform",
-                    "realized_eps": 0.0}
+    assert meta == sidecar
 
 
 def test_vector_csv(tmp_path):

@@ -1,5 +1,7 @@
 """Integration checks of the orchestration layer on a fast configuration."""
 
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,11 +12,10 @@ from hypothesis import strategies as st
 from harmrec import pipeline, resolve_config, tikhonov, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
-from harmrec.forward import add_noise, sample_exact
+from harmrec.forward import add_noise, draw_noise, sample_exact
 from harmrec.pipeline import build_state, run_experiment, run_sweep, run_tau
 from harmrec.poisson import ScalarField
 from harmrec.tikhonov import reconstruct, reconstruct_field
-from oracles import batch_of
 
 FAST = {
     "h": 1 / 16,
@@ -54,8 +55,9 @@ def test_envelope_constant_stable_across_ten_seeds(fast_state):
     exact_field = sample_exact(cfg.exact_solution(), fast_state.grid)
     c_fits = []
     for seed in range(1, 11):
-        datas = add_noise(fast_state.clean_data, 0.02, [seed], cfg["noise_model"])
-        w = reconstruct(fast_state.system, batch_of(datas), cfg).w
+        draws = draw_noise([seed], fast_state.partition.m, cfg["noise_model"])
+        data = add_noise(fast_state.clean_data, 0.02, draws)
+        w = reconstruct(fast_state.system, data, cfg).w
         u_star, = reconstruct_field(w, fast_state.system)
         err = pointwise_error(ScalarField(fast_state.grid, u_star), exact_field)
         rep = envelope_check(err, fast_state.tau, 0.02)
@@ -86,11 +88,12 @@ def test_run_tau_panel_summaries():
 
 
 def test_alpha_follows_noise_level(fast_state):
-    data_big, = add_noise(fast_state.clean_data, 0.1, [1])
-    data_small, = add_noise(fast_state.clean_data, 0.001, [1])
+    draws = draw_noise([1], fast_state.partition.m)
+    data_big = add_noise(fast_state.clean_data, 0.1, draws)
+    data_small = add_noise(fast_state.clean_data, 0.001, draws)
     cfg = fast_state.cfg
-    a_big = cfg.alpha(data_big.noise_level, fast_state.system.h)
-    a_small = cfg.alpha(data_small.noise_level, fast_state.system.h)
+    a_big = cfg.alpha(data_big.level, fast_state.system.h)
+    a_small = cfg.alpha(data_small.level, fast_state.system.h)
     assert a_big > a_small > 0
 
 
@@ -105,9 +108,10 @@ def test_sweep_matches_per_seed_evaluation():
     nodes = auto_probe_nodes(state.tau)
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
     c_fits = []
+    m, model = state.partition.m, cfg["noise_model"]
+    draws = np.vstack([draw_noise([s], m, model) for s in seeds])
     for lv in cfg["eps_levels"]:
-        datas = [add_noise(state.clean_data, lv, [s], cfg["noise_model"])[0] for s in seeds]
-        result = reconstruct(state.system, batch_of(datas), cfg)
+        result = reconstruct(state.system, add_noise(state.clean_data, lv, draws), cfg)
         mean = np.zeros(len(nodes))
         for seed, u_star in zip(seeds, reconstruct_field(result.w, state.system)):
             err = pointwise_error(ScalarField(state.grid, u_star), exact_field)
@@ -170,6 +174,52 @@ def test_sweep_draws_its_noise_once(monkeypatch, model, levels):
 
 @pytest.mark.parametrize("levels", [[1e-1, 1e-2, 1e-3], [2.0, 1e-1, 3e-2, 1e-2, 1e-3]],
                          ids=["3-levels", "5-levels"])
+def test_run_and_sweep_share_one_noise_call(monkeypatch, levels):
+    # one noise path: a sweep draws once and makes one add_noise call per
+    # level, a run one of each, both through the names pipeline calls
+    calls = []
+
+    def spy(name):
+        fn = getattr(pipeline, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in ("draw_noise", "add_noise"):
+        monkeypatch.setattr(pipeline, name, spy(name))
+    cfg = validate_config({**FAST, "eps_levels": levels, "seeds": [1, 2, 3]})
+    run_sweep(cfg)
+    assert calls == ["draw_noise"] + ["add_noise"] * len(levels)
+    calls.clear()
+    run_experiment(cfg)
+    assert calls == ["draw_noise", "add_noise"]
+
+
+@pytest.mark.parametrize("level", [0.0, -0.0])
+def test_noiseless_run_writes_the_clean_data_bit_for_bit(level, tmp_path):
+    # level 0 perturbs nothing: a truth of -0.0 keeps its sign in cauchy.csv
+    # (adding 0 * draw would write 0), and both noise reports read level 0.0
+    cfg = validate_config({**FAST, "exact": "constant", "exact_value": -0.0,
+                           "noise_level": level})
+    run_experiment(cfg, tmp_path)
+    clean = build_state(cfg).clean_data
+    rows = np.column_stack([clean.points, clean.f, clean.g]).tolist()
+    expected = "x,y,f,g\n" + "".join("%.17g,%.17g,%.17g,%.17g\n" % tuple(r) for r in rows)
+    text = (tmp_path / "cauchy.csv").read_text()
+    assert text == expected
+    assert all(line.split(",")[2] == "-0" for line in text.splitlines()[1:])
+    noise = {"seed": 1, "model": "uniform", "realized_eps": 0.0}
+    for name, key in (("cauchy.json", "noise_level"), ("summary.json", "level")):
+        meta = json.loads((tmp_path / name).read_text())
+        meta = meta.get("noise", meta)
+        assert meta == {**noise, key: 0.0}
+        assert math.copysign(1.0, meta[key]) == math.copysign(1.0, meta["realized_eps"]) == 1.0
+
+
+@pytest.mark.parametrize("levels", [[1e-1, 1e-2, 1e-3], [2.0, 1e-1, 3e-2, 1e-2, 1e-3]],
+                         ids=["3-levels", "5-levels"])
 def test_sweep_solves_every_level_into_one_stack(monkeypatch, levels):
     # one (seeds, ny, nx) stack per sweep: every level's fields are solved
     # into it and come back in it, so no level allocates a stack of its own
@@ -199,7 +249,8 @@ def test_sweep_solves_every_level_into_one_stack(monkeypatch, levels):
                       max_size=5, unique_by=lambda s: s % 2**64))
 def test_sweep_levels_fit_add_noise_data(model, top, inner, seeds):
     # each level's batch holds, row by row, the f and g that add_noise gives
-    # the same seeds at that level, bit for bit, though the sweep draws once
+    # each seed's own draw at that level, as in run, bit for bit, though the
+    # sweep draws every seed at once
     levels = [top, *(top * x for x in inner), top / 100]
     cfg = validate_config({**FAST, "eps_levels": levels, "seeds": seeds,
                            "noise_model": model})
@@ -212,12 +263,13 @@ def test_sweep_levels_fit_add_noise_data(model, top, inner, seeds):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "reconstruct", spy)
         run_sweep(cfg)
-    clean = build_state(cfg).clean_data
+    state = build_state(cfg)
     assert [b.level for b in batches] == levels
     for batch in batches:
-        records = add_noise(clean, batch.level, seeds, model)
-        assert batch.f.tobytes() == np.array([r.f for r in records]).tobytes()
-        assert batch.g.tobytes() == np.array([r.g for r in records]).tobytes()
+        rows = [add_noise(state.clean_data, batch.level,
+                          draw_noise([s], state.partition.m, model)) for s in seeds]
+        assert batch.f.tobytes() == np.vstack([r.f for r in rows]).tobytes()
+        assert batch.g.tobytes() == np.vstack([r.g for r in rows]).tobytes()
 
 
 def test_sweep_keys_every_level_apart():

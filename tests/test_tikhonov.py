@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, NoisyBatch, Rect,
                      SolverError, ValidationError, add_noise, assemble_system,
-                     boundary_partition, build_grid, reconstruct,
+                     boundary_partition, build_grid, draw_noise, reconstruct,
                      reconstruct_field, run_sweep, trace_cauchy,
                      validate_config)
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.grid import SIDES, graph_norm
 from harmrec.tikhonov import _penalty_factor, _standard_form
-from oracles import batch_of, qr_fit, svd_filtered_fit
+from oracles import clean_batch, qr_fit, svd_filtered_fit
 
 
 def _fixed(alpha):
@@ -59,20 +59,20 @@ def _scalar_system():
 
 
 def _scalar_data(f, g):
-    return CauchyData(partition=None, points=np.zeros((1, 2)),
-                      f=np.array([float(f)]), g=np.array([float(g)]))
+    return CauchyData(points=np.zeros((1, 2)), f=np.array([float(f)]),
+                      g=np.array([float(g)]))
 
 
 def test_scalar_ridge_closed_form():
     for alpha in (1e-3, 1e-1, 1.0):
         cfg = _fixed(alpha)
-        b = reconstruct(_scalar_system(), batch_of([_scalar_data(1.0, 0.0)]), cfg).w[0]
+        b = reconstruct(_scalar_system(), clean_batch(_scalar_data(1.0, 0.0)), cfg).w[0]
         assert abs(b[0] - 1.0 / (1.0 + alpha)) < 1e-12
 
 
 def test_zero_data_gives_zero_coefficients():
     cfg = _fixed(1e-4)
-    b = reconstruct(_scalar_system(), batch_of([_scalar_data(0.0, 0.0)]), cfg).w[0]
+    b = reconstruct(_scalar_system(), clean_batch(_scalar_data(0.0, 0.0)), cfg).w[0]
     assert abs(b[0]) < 1e-12
 
 
@@ -108,7 +108,7 @@ def test_noiseless_constant_reconstruction():
     data = trace_cauchy(Constant(1.0), part)
     alpha = 1e-6
     cfg = _fixed(alpha)
-    result = reconstruct(sys, batch_of([data]), cfg)
+    result = reconstruct(sys, clean_batch(data), cfg)
     # cost at the all-ones comparison vector bounds the optimum:
     # penalty of the constant-one trace is the perimeter (value term only)
     assert result.residual_f[0]**2 + result.residual_g[0]**2 <= 4.0 * alpha * 1.01
@@ -116,7 +116,7 @@ def test_noiseless_constant_reconstruction():
     # deviation there reflects the operator's ~1e16 conditioning, not alpha
     assert np.abs(reconstruct_field(result.w, sys) - 1.0).max() < 5e-3
     # near-zero regularization tightens toward the direct solve limit
-    tight = reconstruct_field(reconstruct(sys, batch_of([data]), _fixed(1e-12)).w, sys)
+    tight = reconstruct_field(reconstruct(sys, clean_batch(data), _fixed(1e-12)).w, sys)
     assert np.abs(tight - 1.0).max() < 1e-3
     # close to the measured side the fit is sharp
     assert np.abs(tight[0, :3, :] - 1.0).max() < 1e-6
@@ -127,7 +127,7 @@ def test_first_order_optimality():
     data = trace_cauchy(Constant(2.0), part)
     alpha = 1e-5
     cfg = _fixed(alpha)
-    w = reconstruct(sys, batch_of([data]), cfg).w[0]
+    w = reconstruct(sys, clean_batch(data), cfg).w[0]
     s = sys.sigma
     rf = sys.A @ w - data.f
     rg = sys.B @ w - data.g
@@ -233,13 +233,12 @@ def test_a_system_grid_cannot_be_swapped():
 def test_residuals_monotone_in_alpha():
     grid, part, sys = _pipeline_pieces()
     data = trace_cauchy(Constant(1.0), part)
-    noisy = CauchyData(partition=part, points=data.points,
-                       f=data.f + 0.05 * np.sin(7 * data.points[:, 0]),
-                       g=data.g.copy(), noise_level=0.05)
+    noisy = NoisyBatch(0.05, (data.f + 0.05 * np.sin(7 * data.points[:, 0]))[None],
+                       data.g[None])
     prev_res, prev_reg = -1.0, np.inf
     for alpha in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
         cfg = _fixed(alpha)
-        r = reconstruct(sys, batch_of([noisy]), cfg)
+        r = reconstruct(sys, noisy, cfg)
         res = r.residual_f[0]**2 + r.residual_g[0]**2
         assert res >= prev_res - 1e-12
         assert r.reg_norm[0] <= prev_reg + 1e-9
@@ -253,7 +252,7 @@ def test_residual_decay_with_grid_refinement():
         grid, part, sys = _pipeline_pieces(h=h)
         data = trace_cauchy(ExpCos(2.0, 0.1), part)
         cfg = validate_config({"alpha_rule": "a_priori", "alpha_c": 1.0})
-        r = reconstruct(sys, batch_of([data]), cfg)
+        r = reconstruct(sys, clean_batch(data), cfg)
         totals.append(r.residual_f[0] + r.residual_g[0])
     assert totals[0] > totals[1] > totals[2]
 
@@ -271,15 +270,14 @@ def test_penalty_factor_consistency():
 
 def test_data_length_mismatch_rejected():
     grid, part, sys = _pipeline_pieces()
-    bad = CauchyData(partition=part, points=np.zeros((3, 2)),
-                     f=np.zeros(3), g=np.zeros(3))
+    bad = CauchyData(points=np.zeros((3, 2)), f=np.zeros(3), g=np.zeros(3))
     with pytest.raises(ValidationError):
-        reconstruct(sys, batch_of([bad]), _fixed(1e-6))
+        reconstruct(sys, clean_batch(bad), _fixed(1e-6))
 
 
 def _noisy_batch(part, level=0.05, seeds=(1, 2, 3)):
     clean = trace_cauchy(ExpCos(2.0, 0.1), part)
-    return add_noise(clean, level, list(seeds))
+    return add_noise(clean, level, draw_noise(list(seeds), part.m))
 
 
 def _rel(a, b):
@@ -288,18 +286,19 @@ def _rel(a, b):
 
 def test_batched_fit_matches_single_fits():
     grid, part, sys = _pipeline_pieces()
-    datas = _noisy_batch(part)
+    noisy = _noisy_batch(part)
     cfg = validate_config({})
-    batch = reconstruct(sys, batch_of(datas), cfg)
+    batch = reconstruct(sys, noisy, cfg)
     fields = reconstruct_field(batch.w, sys)
-    k = len(datas)
+    k = len(noisy.f)
     assert batch.w.shape == (k, part.n_boundary)
     assert fields.shape == (k,) + grid.shape and fields.flags.writeable
-    for row, data in enumerate(datas):
+    for row in range(k):
         # every row of the batch is the single fit; the filtered solve's
         # product rounds by the number of columns, so w agrees to rounding,
         # and each row's field is the single solve of its w, bit for bit
-        single = reconstruct(sys, batch_of([data]), cfg)
+        single = reconstruct(sys, noisy._replace(f=noisy.f[row:row + 1],
+                                                 g=noisy.g[row:row + 1]), cfg)
         for name in ("w", "residual_f", "residual_g", "reg_norm"):
             assert getattr(batch, name).shape[0] == k
             assert _rel(getattr(batch, name)[row], getattr(single, name)[0]) <= 1e-12, name
@@ -313,13 +312,13 @@ def test_batched_fit_matches_single_fits():
 
 def test_batched_norms_match_discrete_norms():
     grid, part, sys = _pipeline_pieces()
-    datas = _noisy_batch(part)
+    noisy = _noisy_batch(part)
     ell = _dense_penalty_factor(sys)
-    r = reconstruct(sys, batch_of(datas), validate_config({}))
-    for k, data in enumerate(datas):
+    r = reconstruct(sys, noisy, validate_config({}))
+    for k, (f, g) in enumerate(zip(noisy.f, noisy.g)):
         w = r.w[k]
-        res_f = graph_norm(part.gamma_sigma, part.tangential_d1, sys.A @ w - data.f)
-        r_g = sys.B @ w - data.g
+        res_f = graph_norm(part.gamma_sigma, part.tangential_d1, sys.A @ w - f)
+        r_g = sys.B @ w - g
         res_g = np.sqrt(np.sum(part.gamma_sigma * r_g**2))
         reg = np.sqrt(w @ (ell.T @ (ell @ w)))
         assert _rel(r.residual_f[k], res_f) <= 1e-12
@@ -334,7 +333,7 @@ def test_batch_needs_one_noise_level():
     grid, part, sys = _pipeline_pieces()
     cfg = validate_config({})
     for level in (0.05, 0.01):
-        batch = batch_of(_noisy_batch(part, level=level))
+        batch = _noisy_batch(part, level=level)
         assert reconstruct(sys, batch, cfg).alpha_used == cfg.alpha(level, sys.h)
     empty = NoisyBatch(0.05, np.zeros((0, sys.m)), np.zeros((0, sys.m)))
     with pytest.raises(ValidationError, match="k > 0"):
@@ -352,13 +351,13 @@ def test_zero_weighted_channel_cannot_move_the_fit(sides, weights, channel):
     # a zero weight zeroes its channel's rows, so its data enter the fit only
     # through exact products with 0
     part, sys = _system(build_grid(Rect(0, 0, 1, 1), 1 / 8), sides)
-    datas = _noisy_batch(part)
+    noisy = _noisy_batch(part)
     rng = np.random.default_rng(5)
     junk = [rng.normal(size=sys.m) * 1e6, np.full(sys.m, -1e100),
             rng.uniform(-1.0, 1.0, size=sys.m) * 1e-300]
-    moved = [replace(d, **{channel: x}) for d, x in zip(datas, junk)]
+    moved = noisy._replace(**{channel: np.array(junk)})
     cfg = validate_config({"w_f": weights[0], "w_g": weights[1]})
-    a, b = reconstruct(sys, batch_of(datas), cfg), reconstruct(sys, batch_of(moved), cfg)
+    a, b = reconstruct(sys, noisy, cfg), reconstruct(sys, moved, cfg)
     assert np.array_equal(a.w, b.w)
     assert np.array_equal(reconstruct_field(a.w, sys), reconstruct_field(b.w, sys))
     assert np.array_equal(a.reg_norm, b.reg_norm)
@@ -531,7 +530,7 @@ def test_condition_estimate_is_that_of_the_standard_form(sides):
     # A, D1 A and B.  One side has fewer data rows (2m) than K, two do not.
     part, sys = _system(build_grid(Rect(0, 0, 1, 1), 1 / 8), sides)
     alpha = 1e-8
-    r = reconstruct(sys, batch_of([trace_cauchy(ExpCos(2.0, 0.1), part)]), _fixed(alpha))
+    r = reconstruct(sys, clean_batch(trace_cauchy(ExpCos(2.0, 0.1), part)), _fixed(alpha))
     s12 = np.sqrt(sys.sigma)[:, None]
     m0 = np.vstack([s12 * sys.A, s12 * (sys.D1 @ sys.A), s12 * sys.B])
     std = np.vstack([m0 @ np.linalg.inv(_dense_penalty_factor(sys)),
