@@ -11,12 +11,15 @@ produce byte-identical files.  A contour's JSON is filled from templates
 (:func:`contour_json_text`), since ``json`` encodes in pure Python when it
 indents.
 Each CSV row is written as soon as one ``%`` fills its template, so no
-file's whole text exists; a grid row's template holds its x and y strings.
+file's whole text exists.  The grid CSVs of one grid share each row's
+``bytes`` template, its x and y strings (:func:`write_field_csvs`), and
+binary mode ends their lines in ``\n`` on every platform.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -83,15 +86,28 @@ def dump_json(path, obj, text: str | None = None) -> None:
 
 
 def write_field_csv(path, fld: ScalarField) -> None:
-    """Grid CSV of ``fld``, written row by row: one ``%`` fills a row's
-    ``%.17g`` slots, so neither a string per node nor the whole text exists."""
-    g = fld.grid
-    xs = [_fmt(x) for x in g.xs.tolist()]
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for y, row in zip(g.ys.tolist(), fld.values):
-            tail = f",{_fmt(y)},%.17g\n"
-            fh.write((tail.join(xs) + tail) % tuple(row.tolist()))
+    """Grid CSV of ``fld``: :func:`write_field_csvs` of one field."""
+    write_field_csvs([path], [fld])
+
+
+def write_field_csvs(paths, fields) -> None:
+    """Grid CSVs of ``fields``, all on one grid, at distinct ``paths``, in
+    lockstep: each row's template (its x and y strings around one ``%.17g``
+    slot per node) is built once and filled by one ``%`` per field."""
+    grids = {fld.grid for fld in fields}
+    if len(paths) != len(fields) or len(grids) != 1:
+        raise ValidationError(f"{len(paths)} paths for {len(fields)} fields on {len(grids)} grids")
+    g, = grids
+    xs = [_fmt(x).encode() for x in g.xs.tolist()]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(p, "wb")) for p in paths]
+        for fh in files:
+            fh.write(b"x,y,value\n")
+        for y, *rows in zip(g.ys.tolist(), *(fld.values for fld in fields)):
+            tail = f",{_fmt(y)},%.17g\n".encode()
+            template = tail.join(xs) + tail
+            for fh, row in zip(files, rows):
+                fh.write(template % tuple(row.tolist()))
 
 
 def write_table_csv(path, columns, rows) -> None:

@@ -66,10 +66,9 @@ def build_state(cfg: ExperimentConfig) -> PipelineState:
 
 
 def _write_tau(out, stem: str, tau: ScalarField, contour, title: str) -> list[str]:
-    """Write an exponent field's CSV, contour JSON and heatmap SVG under
-    ``stem``; returns their file names."""
+    """Write an exponent field's contour JSON and heatmap SVG under ``stem``;
+    returns their file names after that of its CSV, which the caller writes."""
     names = [f"{stem}.csv", f"{stem}_contour.json", f"{stem}.svg"]
-    hio.write_field_csv(out / names[0], tau)
     hio.dump_json(out / names[1], None,
                   hio.contour_json_text(contour.level, contour.polylines, names[1]))
     svg.render_heatmap(tau, out / names[2], contours=contour, title=title)
@@ -130,9 +129,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         if not all(np.isfinite(v).all() for v in (b, data.f, data.g)):
             raise SolverError("non-finite coefficients or boundary data")
         out = hio.out_dir(out_dir)
-        hio.write_field_csv(out / "u_star.csv", u_star)
-        hio.write_field_csv(out / "error.csv", err)
-        hio.write_field_csv(out / "exact.csv", exact_field)
+        names = ("u_star.csv", "error.csv", "exact.csv", "tau.csv")
+        hio.write_field_csvs([out / n for n in names], [u_star, err, exact_field, state.tau])
         _write_tau(out, "tau", state.tau, contour, "reliability exponent")
         hio.write_vector_csv(out / "b.csv", b)
         sidecar = {"noise_level": data.level, "seed": seed, "model": model, "realized_eps": eps}
@@ -160,26 +158,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
 def run_tau(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Exponent-field artifacts for every configured measurement-side set."""
     grid = build_grid(cfg.rect, cfg["h"])
-    panels = []
+    panels, fields = [], []
     out = None if out_dir is None else hio.out_dir(out_dir)
     ci, cj = grid.nearest_node(0.5 * (cfg.rect.x0 + cfg.rect.x1),
                                0.5 * (cfg.rect.y0 + cfg.rect.y1))
     for sides in cfg["tau_gamma_sets"]:
-        partition = boundary_partition(grid, sides)
-        tau = compute_indicate(partition)
+        tau = compute_indicate(boundary_partition(grid, sides))
         _, contour = reliable_region(tau, cfg["threshold"])
-        tag = "-".join(sorted(sides))
-        panel = {
-            "sides": sorted(sides),
-            "tau_center": float(tau.values[cj, ci]),
-            "n_polylines": len(contour.polylines),
-        }
-        if out is not None:
-            panel["files"] = _write_tau(out, f"tau_{tag}", tau, contour,
-                                        f"reliability exponent, measured: {tag}")
-        panels.append(panel)
+        fields.append(("-".join(sorted(sides)), tau, contour))
+        panels.append({"sides": sorted(sides), "tau_center": float(tau.values[cj, ci]),
+                       "n_polylines": len(contour.polylines)})
     summary = {"config": cfg.to_dict(), "panels": panels}
     if out is not None:
+        hio.write_field_csvs([out / f"tau_{tag}.csv" for tag, _, _ in fields],
+                             [tau for _, tau, _ in fields])
+        for panel, (tag, tau, contour) in zip(panels, fields):
+            panel["files"] = _write_tau(out, f"tau_{tag}", tau, contour,
+                                        f"reliability exponent, measured: {tag}")
         hio.dump_json(out / "tau_summary.json", summary)
     return summary
 

@@ -37,10 +37,15 @@ def _fills(v: np.ndarray, vmin: float, vmax: float) -> np.ndarray:
         v, vmin, span = v * 0.5, vmin * 0.5, vmax * 0.5 - vmin * 0.5
     t = np.full(v.shape, 0.5) if span == 0 else (v - vmin) / span
     t = np.clip(t, 0.0, 1.0)
-    half = (t > 0.5).astype(np.intp)
-    rgb = _STEPS[half] * ((t - 0.5 * half) * 2.0)[..., None]
-    rgb += _ANCHORS[half]  # lo + (hi - lo) * s
-    return np.rint(rgb, out=rgb).astype(np.uint8)  # half to even, as round()
+    half = t > 0.5
+    s = (t - 0.5 * half) * 2.0
+    rgb = np.empty(v.shape + (3,), dtype=np.uint8)
+    for c in range(3):  # lo + (hi - lo) * s, one channel at a time
+        ch = np.where(half, _STEPS[1, c], _STEPS[0, c])
+        ch *= s
+        ch += np.where(half, _ANCHORS[1, c], _ANCHORS[0, c])
+        rgb[..., c] = np.rint(ch, out=ch)  # half to even, as round()
+    return rgb
 
 
 def _chunk(kind: bytes, data: bytes) -> bytes:

@@ -15,7 +15,7 @@ from harmrec import (Constant, Rect, boundary_partition, build_grid,
                      compute_indicate, reliable_region, resolve_config,
                      run_experiment, run_tau, sample_exact, trace_cauchy)
 from harmrec import io as hio
-from harmrec.errors import SolverError
+from harmrec.errors import SolverError, ValidationError
 from harmrec.measure import LevelContour
 from harmrec.poisson import ScalarField
 from harmrec.svg import VIEW, render_heatmap
@@ -182,11 +182,15 @@ _values = st.one_of(
 
 
 @st.composite
-def _fields(draw):
-    nx, ny = draw(st.integers(3, 12)), draw(st.integers(3, 12))
-    h = draw(st.sampled_from([1.0, 0.25, 1 / 3, 0.1, 1e-3]))
-    x0, y0 = draw(st.sampled_from([0.0, -0.5, 0.1, 1e3])), draw(st.sampled_from([0.0, -2.0, 0.3]))
-    g = build_grid(Rect(x0, y0, x0 + (nx - 1) * h, y0 + (ny - 1) * h), h)
+def _fields(draw, g=None):
+    """A field on the grid ``g``, or on a drawn grid when ``g`` is None."""
+    if g is None:
+        nx, ny = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+        h = draw(st.sampled_from([1.0, 0.25, 1 / 3, 0.1, 1e-3]))
+        x0 = draw(st.sampled_from([0.0, -0.5, 0.1, 1e3]))
+        y0 = draw(st.sampled_from([0.0, -2.0, 0.3]))
+        g = build_grid(Rect(x0, y0, x0 + (nx - 1) * h, y0 + (ny - 1) * h), h)
+    nx, ny = g.nx, g.ny
     kind = draw(st.sampled_from(["free", "constant", "halves"]))
     if kind == "constant":
         values = np.full(g.shape, draw(_values))
@@ -324,6 +328,41 @@ def test_field_csv_matches_reference_bytes(tmp_path_factory, fld):
     assert path.read_text() == _oracle_csv(fld)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lockstep_field_csvs_match_reference_bytes(tmp_path_factory, data):
+    # 1-4 fields on one grid, written row by row in lockstep: each file holds
+    # exactly the reference bytes of its own field, with "\n" line ends
+    first = data.draw(_fields())
+    more = data.draw(st.integers(0, 3))
+    fields = [first] + [data.draw(_fields(first.grid)) for _ in range(more)]
+    out = tmp_path_factory.mktemp("csvs")
+    paths = [out / f"f{k}.csv" for k in range(len(fields))]
+    hio.write_field_csvs(paths, fields)
+    for path, fld in zip(paths, fields):
+        assert path.read_bytes() == _oracle_csv(fld).encode()
+
+
+def test_lockstep_field_csvs_reject_mismatched_arguments(tmp_path):
+    # a field on another grid would be written with the first grid's x and y
+    g = build_grid(Rect(0, 0, 1, 1), 0.25)
+    fld = ScalarField(grid=g, values=np.zeros(g.shape))
+    shifted = build_grid(Rect(0.5, 0, 1.5, 1), 0.25)
+    finer = build_grid(Rect(0, 0, 1, 1), 0.125)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    with pytest.raises(ValidationError, match="2 paths for 1 fields"):
+        hio.write_field_csvs([a, b], [fld])
+    with pytest.raises(ValidationError, match="1 paths for 2 fields"):
+        hio.write_field_csvs([a], [fld, fld])
+    with pytest.raises(ValidationError, match="0 paths for 0 fields"):
+        hio.write_field_csvs([], [])
+    for other in (shifted, finer):
+        elsewhere = ScalarField(grid=other, values=np.zeros(other.shape))
+        with pytest.raises(ValidationError, match="on 2 grids"):
+            hio.write_field_csvs([a, b], [fld, elsewhere])
+    assert not a.exists() and not b.exists()  # rejected before any file is opened
+
+
 def test_half_values_round_half_to_even(tmp_path):
     # every listed t lands a channel on a half; the ramp rounds it to even
     assert len(HALF_TS) > 1000
@@ -406,12 +445,19 @@ def _traced_peak(write) -> int:
 
 def test_writers_peak_memory_is_a_small_multiple_of_the_file(tmp_path, tau_128):
     # the writers hold no per-node string, and the CSV writer not even the
-    # file's text: each row is written as it is filled.  The heatmap's peak
-    # is the color ramp's float temporaries, so it is bounded by the field's
-    # own array: 9.5 times it here
+    # file's text: each row is written as it is filled, and the four panels
+    # of `tau` at h = 1/128, written in lockstep, hold one row each.  The
+    # heatmap's peak is the color ramp's float temporaries, one channel at a
+    # time, so it is bounded by the field's own array: 4.5 times it here
     ind, contour = tau_128
     csv, svg = tmp_path / "tau.csv", tmp_path / "tau.svg"
     peak = _traced_peak(lambda: hio.write_field_csv(csv, ind))
     assert peak <= 0.25 * csv.stat().st_size, (peak, csv.stat().st_size)
+    panels = [compute_indicate(boundary_partition(ind.grid, sides))
+              for sides in resolve_config()["tau_gamma_sets"]]
+    paths = [tmp_path / f"tau_{k}.csv" for k in range(len(panels))]
+    peak = _traced_peak(lambda: hio.write_field_csvs(paths, panels))
+    assert peak <= 0.25 * min(p.stat().st_size for p in paths), (
+        peak, [p.stat().st_size for p in paths])
     peak = _traced_peak(lambda: render_heatmap(ind, svg, contours=contour, title="tau"))
-    assert peak <= 12 * ind.values.nbytes, (peak, ind.values.nbytes)
+    assert peak <= 7 * ind.values.nbytes, (peak, ind.values.nbytes)

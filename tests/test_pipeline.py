@@ -3,12 +3,14 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmrec import io as hio
 from harmrec import pipeline, resolve_config, tikhonov, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
@@ -355,6 +357,28 @@ def test_only_run_builds_the_hats(monkeypatch, tmp_path):
     # the fit's one QR is of the graph norm's 2m x m rows; Vᵀ has K + 8
     n_hats = build_basis(build_state(cfg).grid).n_boundary
     assert qr_rows and n_hats not in qr_rows
+
+
+def test_each_command_writes_its_grid_csvs_in_one_call(monkeypatch, tmp_path):
+    # every grid CSV of a command lies on one grid, so one lockstep call
+    # writes them all, and no other call writes a grid CSV
+    calls = []
+    lockstep = hio.write_field_csvs
+
+    def spy(paths, fields):
+        calls.append([Path(p).name for p in paths])
+        lockstep(paths, fields)
+
+    monkeypatch.setattr(hio, "write_field_csvs", spy)
+    cfg = validate_config(FAST)
+    pipeline.run_experiment(cfg, tmp_path / "run")
+    pipeline.run_tau(cfg, tmp_path / "tau")
+    grid_csvs = [sorted(p.name for p in (tmp_path / out).glob("*.csv")
+                        if p.read_bytes().startswith(b"x,y,value\n"))
+                 for out in ("run", "tau")]
+    assert grid_csvs[0] == ["error.csv", "exact.csv", "tau.csv", "u_star.csv"]
+    assert len(grid_csvs[1]) == len(cfg["tau_gamma_sets"])
+    assert [sorted(names) for names in calls] == grid_csvs
 
 
 def test_sweep_peak_memory_is_a_few_level_stacks():
