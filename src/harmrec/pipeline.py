@@ -9,7 +9,8 @@ grid and fits per-probe decay rates.  A sweep draws its noise once and
 fit through ``reconstruct`` and ``tikhonov.reconstruct_field``.  A sweep's
 fields are one (seeds, ny, nx) array, allocated once per sweep: each level
 solves its fields into it and turns them into their errors in place, and the
-next level overwrites it.
+next level overwrites it.  What a level keeps goes into (level, seed) arrays:
+its probes' errors and its penalty norms, averaged over seeds at the end.
 
 Only ``run_experiment``'s writer builds the hats, and it reads their
 coefficients ``b.csv`` off u* (:func:`basis.coefficients`): no command
@@ -183,11 +184,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Noise-level/seed sweep reusing one assembled system.
 
     Probes are auto-selected to span the certified exponent band (see
-    evaluate.auto_probe_nodes).  Per probe: mean error across seeds at each
-    level, then the log-log decay slope.  Also reports the rank correlation
-    between slope and the exponent value over probes with exponent in
-    [0.3, 0.9], the fitted envelope constant per (level, seed), and the
-    penalty-norm trend across levels.
+    evaluate.auto_probe_nodes).  Each level fills one row of the (level, seed)
+    arrays of probe errors and penalty norms; their means over seeds give each
+    probe's log-log decay slope and the penalty norm's.  Also reports the rank
+    correlation between slope and exponent over probes with exponent in
+    [0.3, 0.9], and the fitted envelope constant per (level, seed).
     """
     levels = list(cfg["eps_levels"])
     seeds = list(cfg["seeds"])
@@ -207,32 +208,31 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     # the same array, so no level allocates (and faults in) a stack afresh.
     exact_values = sample_exact(cfg.exact_solution(), g).values
     fields = np.empty((len(seeds),) + g.shape)
-    err_by_level = {lv: np.zeros(len(probe_nodes)) for lv in levels}
+    probe_err = np.empty((len(levels), len(seeds), len(probe_nodes)))
+    reg = np.empty((len(levels), len(seeds)))
     c_fits = []
-    reg_norms = {}
     draws = draw_noise(seeds, state.partition.m, cfg["noise_model"])
-    for lv in levels:
+    for k, lv in enumerate(levels):
         result = reconstruct(state.system, add_noise(state.clean_data, lv, draws), cfg)
-        reg_norms[lv] = result.reg_norm.tolist()
+        reg[k] = result.reg_norm
         err = tikhonov.reconstruct_field(result.w, state.system, out=fields)
         err -= exact_values
         np.abs(err, out=err)
-        for vals in err[:, pj, pi]:  # seed by seed: a mean() would round differently
-            err_by_level[lv] += vals / len(seeds)
+        probe_err[k] = err[:, pj, pi]
         if 0.0 < lv < 1.0:
             c_fit = ev.envelope_c_fit(err, t, lv)
             c_fits += [{"eps": lv, "seed": seed, "c_fit": c}
                        for seed, c in zip(seeds, c_fit.tolist())]
+    # seed by seed, in order: a mean() would round differently
+    mean_err = np.add.accumulate(probe_err / len(seeds), axis=1)[:, -1]
 
     probes = []
-    for k, (i, j) in enumerate(probe_nodes):
-        pairs = [(lv, max(err_by_level[lv][k], 1e-300)) for lv in levels]
-        slope = ev.rate_fit(pairs)
+    for (i, j), errs in zip(probe_nodes, mean_err.T.tolist()):
         probes.append({
             "x": float(g.xs[i]), "y": float(g.ys[j]),
             "tau": float(t[j, i]),
-            "err": float(err_by_level[levels[-1]][k]),
-            "slope": slope,
+            "err": errs[-1],
+            "slope": ev.rate_fit([(lv, max(e, 1e-300)) for lv, e in zip(levels, errs)]),
         })
 
     in_range = [p for p in probes if 0.3 <= p["tau"] <= 0.9]
@@ -245,7 +245,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
         spearman = ev.spearman_rank(slopes, taus)
     target = min(probes, key=lambda p: abs(p["tau"] - 0.7))
 
-    mean_reg = [float(np.mean(reg_norms[lv])) for lv in levels]
+    mean_reg = reg.mean(axis=1).tolist()
     if min(mean_reg) <= 0.0:
         raise SolverError(
             "the penalty norm is zero at some noise level, so its log-slope "

@@ -114,9 +114,7 @@ def assemble_system(partition: BoundaryPartition) -> DiscreteSystem:
     steps = rim_extension(partition, ii[:, 1:].T.ravel(), jj[:, 1:].T.ravel())
     a_mat = np.zeros((m, k))
     a_mat[np.arange(m), np.flatnonzero(partition.gamma_mask)] = 1.0
-    b_mat = np.zeros((m, k))
-    for c, block in zip(coeffs, (a_mat, steps[:m], steps[m:])):
-        b_mat += c * block
+    b_mat = coeffs[0] * a_mat + coeffs[1] * steps[:m] + coeffs[2] * steps[m:]
     system = DiscreteSystem(A=a_mat, B=b_mat, sigma=partition.gamma_sigma.copy(),
                             D1=partition.tangential_d1, h=partition.grid.h)
     object.__setattr__(system, "grid", partition.grid)

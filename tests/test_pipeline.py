@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from harmrec import io as hio
 from harmrec import pipeline, resolve_config, tikhonov, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
-from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error
+from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error, rate_fit
 from harmrec.forward import add_noise, draw_noise, sample_exact
 from harmrec.pipeline import build_state, run_experiment, run_sweep, run_tau
 from harmrec.poisson import ScalarField
@@ -100,20 +100,22 @@ def test_alpha_follows_noise_level(fast_state):
 
 
 def test_sweep_matches_per_seed_evaluation():
-    # the sweep's (seeds, ny, nx) error stack against one pointwise_error and
-    # envelope_check per (level, seed); eps 2.0 has no envelope
+    # the sweep's (seeds, ny, nx) error stack and its (level, seed) arrays
+    # against one pointwise_error and envelope_check per (level, seed), bit
+    # for bit; eps 2.0 has no envelope
     seeds = [1, 2, 3]
-    cfg = validate_config({**FAST, "eps_levels": [0.1, 0.01, 0.001, 2.0],
-                           "seeds": seeds})
+    levels = [0.1, 0.01, 0.001, 2.0]
+    cfg = validate_config({**FAST, "eps_levels": levels, "seeds": seeds})
     sweep = run_sweep(cfg)
     state = build_state(cfg)
     nodes = auto_probe_nodes(state.tau)
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
-    c_fits = []
+    c_fits, means, reg_norms = [], [], {}
     m, model = state.partition.m, cfg["noise_model"]
     draws = np.vstack([draw_noise([s], m, model) for s in seeds])
-    for lv in cfg["eps_levels"]:
+    for lv in levels:
         result = reconstruct(state.system, add_noise(state.clean_data, lv, draws), cfg)
+        reg_norms[repr(lv)] = float(np.mean(result.reg_norm))
         mean = np.zeros(len(nodes))
         for seed, u_star in zip(seeds, reconstruct_field(result.w, state.system)):
             err = pointwise_error(ScalarField(state.grid, u_star), exact_field)
@@ -121,8 +123,14 @@ def test_sweep_matches_per_seed_evaluation():
             if 0 < lv < 1:
                 c_fits.append({"eps": lv, "seed": seed,
                                "c_fit": envelope_check(err, state.tau, lv)["c_fit"]})
+        means.append(mean.tolist())
     assert sweep["envelope_c_fits"] == c_fits
-    assert [p["err"] for p in sweep["probes"]] == mean.tolist()
+    assert [p["err"] for p in sweep["probes"]] == means[-1]
+    assert sweep["reg_norm_by_level"] == reg_norms
+    assert list(sweep["reg_norm_by_level"]) == list(reg_norms)
+    assert [p["slope"] for p in sweep["probes"]] == [
+        rate_fit([(lv, max(row[k], 1e-300)) for lv, row in zip(levels, means)])
+        for k in range(len(nodes))]
 
 
 def test_run_is_a_sweep_of_one_seed():
