@@ -259,7 +259,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
         "spearman_slope_tau": spearman,
         "probe_near_07": target,
         "envelope_c_fits": c_fits,
-        "reg_norm_by_level": {repr(lv): mean_reg[k] for k, lv in enumerate(levels)},
+        "reg_norm_by_level": [{"eps": lv, "reg_norm": r} for lv, r in zip(levels, mean_reg)],
         "reg_norm_log_slope": reg_slope,
     }
     if out_dir is not None:

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import struct
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 import zlib
@@ -260,6 +261,41 @@ def test_json_handles_numpy_scalars(tmp_path):
     assert loaded == {"a": 1.5, "b": 2, "c": [1.0, 2.0]}
 
 
+def _edge_values() -> list[float]:
+    """Values at which an exact ``%.17g`` can go wrong, each also negated:
+    exact ties of 17 digits (m 2^(e-17), m odd) with both neighbours; 1 to
+    20 ulps around powers of ten, where log10 can round across an integer;
+    the ends of fixed notation; zeros and the extreme doubles."""
+    out = [0.0, 5e-324, sys.float_info.max]
+    for e in range(-4, 16):
+        lo = math.ceil(10.0**e * 2.0 ** (17 - e)) | 1
+        for m in [*range(lo, lo + 40, 2), *range(lo, 10 * lo, 2 * (lo // 6) + 2)]:
+            x = m * 2.0 ** (e - 17)
+            out += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    for k in range(-6, 19):
+        for toward in (0.0, math.inf):
+            x = float(f"1e{k}")
+            for _ in range(20):
+                x = math.nextafter(x, toward)
+                out.append(x)
+    for x in (1e-4, 1e16, 1e17):
+        out += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return out + [-x for x in out]
+
+
+def test_g17_matches_percent_on_edge_values():
+    values = _edge_values()
+    assert len(values) > 7000
+    assert hio._g17(np.array(values)).tolist() == [b"%.17g" % x for x in values]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=300))
+def test_g17_matches_percent(values):
+    # one block mixes every path: exact digits, zeros and the % fallback
+    assert hio._g17(np.array(values, dtype=float)).tolist() == [b"%.17g" % x for x in values]
+
+
 _COORDS = st.one_of(
     st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0),
     st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-300, 299)))
@@ -444,11 +480,13 @@ def _traced_peak(write) -> int:
 
 
 def test_writers_peak_memory_is_a_small_multiple_of_the_file(tmp_path, tau_128):
-    # the writers hold no per-node string, and the CSV writer not even the
-    # file's text: each row is written as it is filled, and the four panels
-    # of `tau` at h = 1/128, written in lockstep, hold one row each.  The
-    # heatmap's peak is the color ramp's float temporaries, one channel at a
-    # time, so it is bounded by the field's own array: 4.5 times it here
+    # the CSV writer holds no file's text: it formats one block of about
+    # io._BLOCK values at a time (all four panels of `tau` at h = 1/128,
+    # written in lockstep, share a block of rows), frees the block's float
+    # and digit temporaries before it builds their text, and writes each
+    # row as it is filled.  The heatmap's peak is the color ramp's float
+    # temporaries, one channel at a time, so it is bounded by the field's
+    # own array: 4.5 times it here
     ind, contour = tau_128
     csv, svg = tmp_path / "tau.csv", tmp_path / "tau.svg"
     peak = _traced_peak(lambda: hio.write_field_csv(csv, ind))

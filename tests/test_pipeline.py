@@ -110,12 +110,12 @@ def test_sweep_matches_per_seed_evaluation():
     state = build_state(cfg)
     nodes = auto_probe_nodes(state.tau)
     exact_field = sample_exact(cfg.exact_solution(), state.grid)
-    c_fits, means, reg_norms = [], [], {}
+    c_fits, means, reg_norms = [], [], []
     m, model = state.partition.m, cfg["noise_model"]
     draws = np.vstack([draw_noise([s], m, model) for s in seeds])
     for lv in levels:
         result = reconstruct(state.system, add_noise(state.clean_data, lv, draws), cfg)
-        reg_norms[repr(lv)] = float(np.mean(result.reg_norm))
+        reg_norms.append({"eps": lv, "reg_norm": float(np.mean(result.reg_norm))})
         mean = np.zeros(len(nodes))
         for seed, u_star in zip(seeds, reconstruct_field(result.w, state.system)):
             err = pointwise_error(ScalarField(state.grid, u_star), exact_field)
@@ -127,7 +127,6 @@ def test_sweep_matches_per_seed_evaluation():
     assert sweep["envelope_c_fits"] == c_fits
     assert [p["err"] for p in sweep["probes"]] == means[-1]
     assert sweep["reg_norm_by_level"] == reg_norms
-    assert list(sweep["reg_norm_by_level"]) == list(reg_norms)
     assert [p["slope"] for p in sweep["probes"]] == [
         rate_fit([(lv, max(row[k], 1e-300)) for lv, row in zip(levels, means)])
         for k in range(len(nodes))]
@@ -282,12 +281,15 @@ def test_sweep_levels_fit_add_noise_data(model, top, inner, seeds):
         assert batch.g.tobytes() == np.vstack([r.g for r in rows]).tobytes()
 
 
-def test_sweep_keys_every_level_apart():
-    # two levels that agree to six significant digits still get a key each
-    levels = [0.1, 0.01, 0.001, 0.0010000001]
+def test_sweep_keys_every_level_apart(tmp_path):
+    # two levels that agree to six significant digits still get an entry
+    # each, and sweep.json lists them in config order, not as sorted keys
+    levels = [0.1, 0.001, 1e-05, 0.0010000001]
     cfg = validate_config({**FAST, "eps_levels": levels, "seeds": [1, 2]})
-    by_level = run_sweep(cfg)["reg_norm_by_level"]
-    assert list(by_level) == [repr(lv) for lv in levels]
+    by_level = run_sweep(cfg, tmp_path)["reg_norm_by_level"]
+    assert [entry["eps"] for entry in by_level] == levels
+    written = json.loads((tmp_path / "sweep.json").read_text())["reg_norm_by_level"]
+    assert written == by_level
 
 
 @pytest.mark.parametrize("preset", ["paper-sec5-one-side", "paper-sec5-two-sides"])
