@@ -2,9 +2,9 @@
 
 The central check: reconstruction error at an interior point x should behave
 like ``C * eps^tau(x)``, with tau the exponent field.  Fitting C over the
-interior, fitting per-point decay rates across noise levels, and comparing
-error statistics inside/outside the reliable region are the three views
-this module provides.  Every function takes the exponent field as the
+interior, fitting per-point decay rates across noise levels (one column per
+point, all in one fit), and comparing error statistics inside/outside the
+reliable region are the three views this module provides.  Every function takes the exponent field as the
 :class:`ScalarField` that :func:`measure.compute_indicate` returns, and the
 envelope and region reports are the dicts that ``summary.json`` writes.
 """
@@ -123,28 +123,31 @@ def envelope_check(err: ScalarField, tau: ScalarField, eps: float) -> dict:
     return {"eps": eps, "c_fit": c_fit, "probes": probes}
 
 
-def check_level_span(levels) -> None:
-    """Reject positive noise levels that span less than two decades, too
-    narrow a window for :func:`rate_fit` to read a slope from."""
+def check_levels(levels) -> None:
+    """Reject fewer than 3 noise levels, or positive levels spanning less
+    than two decades: too few or too narrow for :func:`rate_fit` to read a
+    slope from."""
+    if len(levels) < 3:
+        raise ValidationError("a rate fit needs at least 3 noise levels")
     if max(levels) / min(levels) < 100.0 * (1.0 - 1e-9):
         raise ValidationError("noise levels must span at least two decades")
 
 
-def rate_fit(errors_at_point: list[tuple[float, float]]) -> float:
-    """Least-squares slope of log err against log eps.
+def rate_fit(levels, errors) -> np.ndarray | float:
+    """Least-squares slope of log err against log eps, one per column.
 
-    Needs at least 3 levels spanning at least two decades, all errors
-    positive.
+    ``errors`` holds positive errors at the positive ``levels``, shape
+    (levels,) or (levels, n); the result is a scalar or has shape (n,).  One
+    fit serves every column.  Up to 7 levels it gives each column's own fit
+    bit for bit; from 8 on, the BLAS kernels that serve several columns at
+    once may round the last bits otherwise.
     """
-    if len(errors_at_point) < 3:
-        raise ValidationError("rate fit needs at least 3 noise levels")
-    eps = np.array([p[0] for p in errors_at_point], dtype=float)
-    err = np.array([p[1] for p in errors_at_point], dtype=float)
+    eps = np.asarray(levels, dtype=float)
+    err = np.asarray(errors, dtype=float)
     if (eps <= 0).any() or (err <= 0).any():
         raise ValidationError("rate fit needs positive noise levels and errors")
-    check_level_span(eps)
-    slope = np.polyfit(np.log(eps), np.log(err), 1)[0]
-    return float(slope)
+    check_levels(levels)
+    return np.polyfit(np.log(eps), np.log(err), 1)[0]
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -170,6 +173,14 @@ def spearman_rank(a, b) -> float:
     return float(np.clip(ra @ rb / norm, -1.0, 1.0))
 
 
+def error_stats(values: np.ndarray) -> dict:
+    """``{median, max, mean}`` of the errors ``values``, all None when empty."""
+    if values.size == 0:
+        return {"median": None, "max": None, "mean": None}
+    return {"median": float(np.median(values)), "max": float(values.max()),
+            "mean": float(values.mean())}
+
+
 def reliability_summary(err: ScalarField, tau: ScalarField, threshold: float) -> dict:
     """Error statistics split by the reliable region {tau >= threshold}, over
     all nodes.  Returns the ``reliability`` object of ``summary.json``:
@@ -179,14 +190,7 @@ def reliability_summary(err: ScalarField, tau: ScalarField, threshold: float) ->
     None when either side is empty or the outside median is 0)."""
     _check_same_grid(err, tau)
     inside = tau.values >= threshold
-
-    def _stats(v):
-        if v.size == 0:
-            return {"median": None, "max": None, "mean": None}
-        return {"median": float(np.median(v)), "max": float(v.max()),
-                "mean": float(v.mean())}
-
-    stats_in, stats_out = _stats(err.values[inside]), _stats(err.values[~inside])
+    stats_in, stats_out = error_stats(err.values[inside]), error_stats(err.values[~inside])
     ratio = None
     if stats_in["median"] is not None and stats_out["median"] not in (None, 0.0):
         ratio = stats_in["median"] / stats_out["median"]

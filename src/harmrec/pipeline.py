@@ -10,7 +10,8 @@ fit through ``reconstruct`` and ``tikhonov.reconstruct_field``.  A sweep's
 fields are one (seeds, ny, nx) array, allocated once per sweep: each level
 solves its fields into it and turns them into their errors in place, and the
 next level overwrites it.  What a level keeps goes into (level, seed) arrays:
-its probes' errors and its penalty norms, averaged over seeds at the end.
+its probes' errors, its penalty norms and its envelope constants; the report
+is built from them after the last level.
 
 Only ``run_experiment``'s writer builds the hats, and it reads their
 coefficients ``b.csv`` off u* (:func:`basis.coefficients`): no command
@@ -33,7 +34,7 @@ from .basis import build_basis, coefficients
 # Not called here: perfbench/spans.py wraps `pipeline.compute_base_solutions` by name.
 from .basis import compute_base_solutions  # noqa: F401
 from .config import ExperimentConfig, check_stacked_size, check_sweep_size
-from .errors import SolverError, ValidationError
+from .errors import SolverError
 # perfbench/spans.py wraps `pipeline.add_noise` and `pipeline.reconstruct` by name.
 from .forward import (CauchyData, add_noise, draw_noise, realized_eps, sample_exact,
                       trace_cauchy)
@@ -79,8 +80,8 @@ def _write_tau(out, stem: str, tau: ScalarField, contour, title: str) -> list[st
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """One reconstruction; writes the artifact bundle when out_dir is given.
 
-    Returns the summary and the run's pieces, among them ``result``, the fit
-    as a batch of one, and ``u_star``, its row 0's field as a :class:`ScalarField`.
+    Returns ``summary``, ``state``, ``result`` (the fit as a batch of one),
+    ``u_star`` (its row 0's field as a :class:`ScalarField`) and ``error_field``.
     """
     state = build_state(cfg)
     level, seed, model = cfg["noise_level"], cfg["seed"], cfg["noise_model"]
@@ -110,12 +111,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
         "residual_g": float(result.residual_g[0]),
         "reg_norm": float(result.reg_norm[0]),
         "noise": {"level": data.level, "seed": seed, "model": model, "realized_eps": eps},
-        "error": {
-            "max": float(err.values.max()),
-            "median": float(np.median(err.values)),
-            "mean": float(err.values.mean()),
-            "sup_exact": sup_exact,
-        },
+        "error": {**ev.error_stats(err.values), "sup_exact": sup_exact},
         "tau_center": float(state.tau.values[cj, ci]),
         "reliable_fraction": float(mask.mean()),
         "reliability": region,
@@ -143,17 +139,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
                            title="absolute error")
         hio.dump_json(out / "summary.json", summary, summary_text)
 
-    return {
-        "summary": summary,
-        "state": state,
-        "result": result,
-        "u_star": u_star,
-        "error_field": err,
-        "exact_field": exact_field,
-        "region_mask": mask,
-        "contour": contour,
-        "data": data,
-    }
+    return {"summary": summary, "state": state, "result": result, "u_star": u_star,
+            "error_field": err}
 
 
 def run_tau(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -185,32 +172,32 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
 
     Probes are auto-selected to span the certified exponent band (see
     evaluate.auto_probe_nodes).  Each level fills one row of the (level, seed)
-    arrays of probe errors and penalty norms; their means over seeds give each
-    probe's log-log decay slope and the penalty norm's.  Also reports the rank
-    correlation between slope and exponent over probes with exponent in
-    [0.3, 0.9], and the fitted envelope constant per (level, seed).
+    arrays of probe errors, penalty norms and envelope constants (NaN at a
+    level outside (0, 1)).  One :func:`evaluate.rate_fit` call fits the log-log
+    decay slope of every probe's mean error over seeds and of the mean penalty
+    norm.  The probes form one (probes, 5) table, x, y, tau, err and slope,
+    which ``probes.csv`` holds and ``sweep.json``'s probe reports are read
+    from: the probes, the rank correlation between slope and exponent over the
+    probes with exponent in [0.3, 0.9], and the probe nearest exponent 0.7.
     """
     levels = list(cfg["eps_levels"])
     seeds = list(cfg["seeds"])
-    if len(levels) < 3:
-        raise ValidationError("sweep needs at least 3 eps levels")
-    ev.check_level_span(levels)
+    ev.check_levels(levels)
     check_sweep_size(cfg)
     state = build_state(cfg)
     g = state.grid
     t = state.tau.values
 
-    probe_nodes = ev.auto_probe_nodes(state.tau)
-    pi, pj = np.array(probe_nodes).T
+    pi, pj = np.array(ev.auto_probe_nodes(state.tau)).T
 
     # The fields of all seeds of a level are one (seeds, ny, nx) array,
     # which becomes their error fields in place.  Every level solves into
     # the same array, so no level allocates (and faults in) a stack afresh.
     exact_values = sample_exact(cfg.exact_solution(), g).values
     fields = np.empty((len(seeds),) + g.shape)
-    probe_err = np.empty((len(levels), len(seeds), len(probe_nodes)))
+    probe_err = np.empty((len(levels), len(seeds), len(pi)))
     reg = np.empty((len(levels), len(seeds)))
-    c_fits = []
+    c_fit = np.full((len(levels), len(seeds)), np.nan)
     draws = draw_noise(seeds, state.partition.m, cfg["noise_model"])
     for k, lv in enumerate(levels):
         result = reconstruct(state.system, add_noise(state.clean_data, lv, draws), cfg)
@@ -220,52 +207,44 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
         np.abs(err, out=err)
         probe_err[k] = err[:, pj, pi]
         if 0.0 < lv < 1.0:
-            c_fit = ev.envelope_c_fit(err, t, lv)
-            c_fits += [{"eps": lv, "seed": seed, "c_fit": c}
-                       for seed, c in zip(seeds, c_fit.tolist())]
+            c_fit[k] = ev.envelope_c_fit(err, t, lv)
     # seed by seed, in order: a mean() would round differently
     mean_err = np.add.accumulate(probe_err / len(seeds), axis=1)[:, -1]
+    mean_reg = reg.mean(axis=1)
+    if mean_reg.min() <= 0.0:
+        raise SolverError(
+            "the penalty norm is zero at some noise level, so its log-slope "
+            f"is undefined (mean penalty norm by level: {mean_reg.tolist()})")
+    *slopes, reg_slope = ev.rate_fit(
+        levels, np.column_stack([np.maximum(mean_err, 1e-300), mean_reg])).tolist()
 
-    probes = []
-    for (i, j), errs in zip(probe_nodes, mean_err.T.tolist()):
-        probes.append({
-            "x": float(g.xs[i]), "y": float(g.ys[j]),
-            "tau": float(t[j, i]),
-            "err": errs[-1],
-            "slope": ev.rate_fit([(lv, max(e, 1e-300)) for lv, e in zip(levels, errs)]),
-        })
-
-    in_range = [p for p in probes if 0.3 <= p["tau"] <= 0.9]
-    slopes = [p["slope"] for p in in_range]
-    taus = [p["tau"] for p in in_range]
+    cols = ("x", "y", "tau", "err", "slope")
+    table = np.column_stack([g.xs[pi], g.ys[pj], t[pj, pi], mean_err[-1], slopes])
+    probes = [dict(zip(cols, row)) for row in table.tolist()]
+    band = (table[:, 2] >= 0.3) & (table[:, 2] <= 0.9)
+    slope_in, tau_in = table[band, 4].tolist(), table[band, 2].tolist()
     # A rank correlation needs two distinct values on each side: null when
     # fewer than two probes are in range or either side is constant.
     spearman = None
-    if len(set(slopes)) > 1 and len(set(taus)) > 1:
-        spearman = ev.spearman_rank(slopes, taus)
-    target = min(probes, key=lambda p: abs(p["tau"] - 0.7))
-
-    mean_reg = reg.mean(axis=1).tolist()
-    if min(mean_reg) <= 0.0:
-        raise SolverError(
-            "the penalty norm is zero at some noise level, so its log-slope "
-            f"is undefined (mean penalty norm by level: {mean_reg})")
-    reg_slope = float(np.polyfit(np.log(levels), np.log(mean_reg), 1)[0])
+    if len(set(slope_in)) > 1 and len(set(tau_in)) > 1:
+        spearman = ev.spearman_rank(slope_in, tau_in)
 
     summary = {
         "config": cfg.to_dict(),
         "probes": probes,
-        "probes_in_range": len(in_range),
+        "probes_in_range": int(band.sum()),
         "spearman_slope_tau": spearman,
-        "probe_near_07": target,
-        "envelope_c_fits": c_fits,
-        "reg_norm_by_level": [{"eps": lv, "reg_norm": r} for lv, r in zip(levels, mean_reg)],
+        "probe_near_07": probes[np.argmin(np.abs(table[:, 2] - 0.7))],
+        "envelope_c_fits": [{"eps": lv, "seed": seed, "c_fit": c}
+                            for lv, row in zip(levels, c_fit.tolist()) if 0.0 < lv < 1.0
+                            for seed, c in zip(seeds, row)],
+        "reg_norm_by_level": [{"eps": lv, "reg_norm": r}
+                              for lv, r in zip(levels, mean_reg.tolist())],
         "reg_norm_log_slope": reg_slope,
     }
     if out_dir is not None:
-        sweep_text = hio.json_text(summary, "sweep.json")  # probes.csv holds the same values
+        sweep_text = hio.json_text(summary, "sweep.json")
         out = hio.out_dir(out_dir)
-        cols = ("x", "y", "tau", "err", "slope")
-        hio.write_table_csv(out / "probes.csv", cols, [[p[k] for k in cols] for p in probes])
+        hio.write_table_csv(out / "probes.csv", cols, table)
         hio.dump_json(out / "sweep.json", summary, sweep_text)
     return summary

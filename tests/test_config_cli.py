@@ -614,6 +614,7 @@ def test_cli_coinciding_seeds_exit_2(tmp_path, capsys, command, seeds):
     ("sweep", {"alpha_c": 0}, "alpha_c"),
     ("sweep", {"eps_levels": [0.1, 0.05, 0.02]}, "two decades"),
     ("sweep", {"h": 1 / 1024, "seeds": list(range(500))}, "GB limit"),
+    ("sweep", {"eps_levels": [0.1, 0.001]}, "at least 3"),
 ])
 def test_cli_fit_only_inputs_fail_before_the_build(tmp_path, capsys, monkeypatch,
                                                    command, raw, message):

@@ -94,19 +94,42 @@ def test_fields_on_different_grids_rejected(tau16):
 
 def test_rate_fit_exact_power_law():
     eps = [1e-1, 1e-2, 1e-3]
-    pairs = [(e, e**0.6) for e in eps]
-    assert abs(rate_fit(pairs) - 0.6) < 1e-12
-    pairs_scaled = [(e, 7.3 * e**0.6) for e in eps]
-    assert abs(rate_fit(pairs_scaled) - 0.6) < 1e-12
+    errors = np.array([[e**0.6, 7.3 * e**0.6, e**-0.25] for e in eps])
+    assert abs(rate_fit(eps, errors[:, 0]) - 0.6) < 1e-12
+    assert np.allclose(rate_fit(eps, errors), [0.6, 0.6, -0.25], rtol=0, atol=1e-12)
 
 
 def test_rate_fit_preconditions():
-    with pytest.raises(ValidationError):
-        rate_fit([(1e-1, 1.0), (1e-2, 0.5)])
-    with pytest.raises(ValidationError):
-        rate_fit([(1e-1, 1.0), (5e-2, 0.5), (2e-2, 0.2)])  # < 2 decades
-    with pytest.raises(ValidationError):
-        rate_fit([(1e-1, 1.0), (1e-2, 0.0), (1e-3, 0.1)])
+    with pytest.raises(ValidationError, match="at least 3"):
+        rate_fit([1e-1, 1e-2], [1.0, 0.5])
+    with pytest.raises(ValidationError, match="two decades"):
+        rate_fit([1e-1, 5e-2, 2e-2], [1.0, 0.5, 0.2])
+    with pytest.raises(ValidationError, match="positive"):
+        rate_fit([1e-1, 1e-2, 1e-3], [[1.0, 1.0], [0.5, 0.0], [0.1, 0.1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-8.0, 0.0), min_size=3, max_size=12, unique=True)
+       .filter(lambda e: max(e) - min(e) >= 2.0),
+       st.integers(1, 14), st.integers(0, 2**32 - 1))
+def test_rate_fit_matches_one_fit_per_column(log10_eps, n, seed):
+    # one fit over n columns gives each column's own 1-D fit, bit for bit up
+    # to 7 levels.  From 8 levels on, the SkylakeX, Haswell and Zen OpenBLAS
+    # kernels round some columns otherwise when several are fitted at once,
+    # so the slopes agree only to rounding: within 4 L eps max|log err|
+    # sum|x - mean x| / |x - mean x|^2 with x = log eps, the rounding of
+    # the slope's weighted sum of L terms
+    levels = [10.0**e for e in log10_eps]
+    errors = np.exp(np.random.default_rng(seed).uniform(-690, 690, (len(levels), n)))
+    slopes = rate_fit(levels, errors)
+    x = np.log(levels)
+    cols = np.array([np.polyfit(x, np.log(errors[:, k]), 1)[0] for k in range(n)])
+    assert slopes.shape == (n,)
+    if len(levels) < 8:
+        assert slopes.tobytes() == cols.tobytes()
+    d = x - x.mean()
+    tol = 4 * len(levels) * np.finfo(float).eps * np.abs(d).sum() / (d @ d)
+    assert (np.abs(slopes - cols) <= tol * np.abs(np.log(errors)).max(axis=0)).all()
 
 
 def test_spearman_rank_basics():

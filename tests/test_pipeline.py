@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harmrec.evaluate
 from harmrec import io as hio
 from harmrec import pipeline, resolve_config, tikhonov, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
-from harmrec.evaluate import auto_probe_nodes, envelope_check, pointwise_error, rate_fit
+from harmrec.evaluate import (auto_probe_nodes, envelope_check, pointwise_error, rate_fit,
+                              spearman_rank)
 from harmrec.forward import add_noise, draw_noise, sample_exact
 from harmrec.pipeline import build_state, run_experiment, run_sweep, run_tau
 from harmrec.poisson import ScalarField
@@ -102,10 +104,11 @@ def test_alpha_follows_noise_level(fast_state):
 def test_sweep_matches_per_seed_evaluation():
     # the sweep's (seeds, ny, nx) error stack and its (level, seed) arrays
     # against one pointwise_error and envelope_check per (level, seed), bit
-    # for bit; eps 2.0 has no envelope
+    # for bit; eps 2.0 has no envelope.  At h = 1/32 the probes' exponents
+    # reach 0.81, so the band and the probe nearest 0.7 have a choice to make
     seeds = [1, 2, 3]
     levels = [0.1, 0.01, 0.001, 2.0]
-    cfg = validate_config({**FAST, "eps_levels": levels, "seeds": seeds})
+    cfg = validate_config({**FAST, "h": 1 / 32, "eps_levels": levels, "seeds": seeds})
     sweep = run_sweep(cfg)
     state = build_state(cfg)
     nodes = auto_probe_nodes(state.tau)
@@ -125,11 +128,35 @@ def test_sweep_matches_per_seed_evaluation():
                                "c_fit": envelope_check(err, state.tau, lv)["c_fit"]})
         means.append(mean.tolist())
     assert sweep["envelope_c_fits"] == c_fits
-    assert [p["err"] for p in sweep["probes"]] == means[-1]
     assert sweep["reg_norm_by_level"] == reg_norms
-    assert [p["slope"] for p in sweep["probes"]] == [
-        rate_fit([(lv, max(row[k], 1e-300)) for lv, row in zip(levels, means)])
-        for k in range(len(nodes))]
+    # one log-log fit per probe, floored at 1e-300, and one of the penalty norms
+    log_eps = np.log(levels)
+    probes = [{"x": float(state.grid.xs[i]), "y": float(state.grid.ys[j]),
+               "tau": float(state.tau.values[j, i]), "err": means[-1][k],
+               "slope": float(np.polyfit(log_eps, np.log([max(row[k], 1e-300)
+                                                          for row in means]), 1)[0])}
+              for k, (i, j) in enumerate(nodes)]
+    assert sweep["probes"] == probes
+    assert sweep["reg_norm_log_slope"] == float(np.polyfit(
+        log_eps, np.log([r["reg_norm"] for r in reg_norms]), 1)[0])
+    in_range = [p for p in probes if 0.3 <= p["tau"] <= 0.9]
+    assert sweep["probes_in_range"] == len(in_range) > 1
+    assert sweep["spearman_slope_tau"] == spearman_rank([p["slope"] for p in in_range],
+                                                        [p["tau"] for p in in_range])
+    assert sweep["probe_near_07"] == min(probes, key=lambda p: abs(p["tau"] - 0.7))
+
+
+def test_sweep_fits_every_slope_in_one_call(monkeypatch):
+    # the probes' decay slopes and the penalty norm's come from one fit
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return rate_fit(*args)
+
+    monkeypatch.setattr(harmrec.evaluate, "rate_fit", spy)
+    run_sweep(validate_config({**FAST, "seeds": [1, 2]}))
+    assert len(calls) == 1
 
 
 def test_run_is_a_sweep_of_one_seed():
