@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bundle_check import FILES, REPORTS, check_bundle
 from harmrec import DEFAULTS, PRESETS, ValidationError, resolve_config, validate_config
 from harmrec.basis import build_basis, coefficients, compute_base_solutions
 from harmrec.cli import main
@@ -90,12 +91,7 @@ def test_cli_run_emits_artifacts(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    for name in ("u_star.csv", "error.csv", "exact.csv", "tau.csv",
-                 "tau_contour.json", "b.csv", "cauchy.csv", "cauchy.json",
-                 "summary.json", "exact.svg", "u_star.svg", "error.svg",
-                 "tau.svg"):
-        assert (out / name).exists(), name
-    summary = json.loads((out / "summary.json").read_text())
+    summary = check_bundle(out)["summary.json"]
     assert summary["config"]["h"] == 1 / 8
     assert summary["m"] == 9
     assert summary["noise"]["seed"] == 1
@@ -174,11 +170,8 @@ def test_cli_sweep_emits_probe_table(tmp_path):
     cfg = _write_cfg(tmp_path, eps_levels=[1e-1, 1e-2, 1e-3], seeds=[1, 2])
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    lines = (out / "probes.csv").read_text().strip().splitlines()
-    assert lines[0] == "x,y,tau,err,slope"
-    assert len(lines) == 13
-    sweep = json.loads((out / "sweep.json").read_text())
-    assert "spearman_slope_tau" in sweep
+    sweep = check_bundle(out)["sweep.json"]
+    assert len(sweep["probes"]) == 12
     assert len(sweep["envelope_c_fits"]) == 3 * 2
 
 
@@ -196,7 +189,7 @@ def test_summary_json_sorted_and_deterministic(tmp_path, command, extra):
     assert main([command, "--config", str(cfg), "--out", str(out2)]) == 0
     names = sorted(p.name for p in out1.iterdir())
     assert names == sorted(p.name for p in out2.iterdir())
-    assert len(names) == {"run": 13, "tau": 13, "sweep": 2}[command]
+    assert set(names) == FILES[REPORTS[command]]
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
@@ -516,16 +509,18 @@ def test_cli_sweep_too_coarse_for_probes_exit_2(tmp_path, capsys):
 
 
 def test_library_and_cli_import_no_scipy():
-    # scipy is a test-only dependency: the library and its CLI must start on
-    # numpy alone (scipy.stats alone takes about a second to import)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys, harmrec.pipeline, harmrec.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    # scipy is a test-only dependency: the library, its CLI and the bundle
+    # check must start on numpy alone (scipy.stats alone takes about a second
+    # to import)
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))}
+    for modules in ("harmrec.pipeline, harmrec.cli", "bundle_check"):
+        code = (f"import sys, {modules}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]", modules
 
 
 def _cli_stderr_line(tmp_path, command, raw, out=None):

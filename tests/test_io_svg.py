@@ -1,17 +1,16 @@
 import base64
 import json
 import math
-import struct
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
-import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundle_check import decode_png, svg_pixels
 from harmrec import (Constant, Rect, boundary_partition, build_grid,
                      compute_indicate, reliable_region, resolve_config,
                      run_experiment, run_tau, sample_exact, trace_cauchy)
@@ -26,8 +25,6 @@ from harmrec.svg import VIEW, render_heatmap
 # PNG, and the PNG must decode to the reference color of every node.
 
 _ANCHORS = [(0x31, 0x36, 0x95), (0xFF, 0xFF, 0xBF), (0xA5, 0x00, 0x26)]
-_SVG = "{http://www.w3.org/2000/svg}"
-_HREF = "{http://www.w3.org/1999/xlink}href"
 _PNG_URI = "data:image/png;base64,"
 
 
@@ -80,42 +77,6 @@ def _oracle_svg(fld, contours=None, title=""):
     return "\n".join(out) + "\n"
 
 
-def _inflate_stored(stream: bytes) -> bytes:
-    """The data of a zlib stream that holds only stored deflate blocks."""
-    assert stream[:2] == b"\x78\x01"
-    out, pos, final = bytearray(), 2, False
-    while not final:
-        assert stream[pos] >> 1 == 0  # block type 0 (stored), zero padding
-        final = bool(stream[pos] & 1)
-        n, n_inv = struct.unpack("<HH", stream[pos + 1:pos + 5])
-        assert n ^ n_inv == 0xFFFF
-        out += stream[pos + 5:pos + 5 + n]
-        pos += 5 + n
-    assert stream[pos:] == struct.pack(">I", zlib.adler32(out))
-    return bytes(out)
-
-
-def _decode_png(png: bytes) -> np.ndarray:
-    """(rows, columns, 3) pixels of an 8-bit RGB PNG, top row first; every
-    chunk's CRC is checked."""
-    assert png[:8] == b"\x89PNG\r\n\x1a\n"
-    chunks, pos = [], 8
-    while pos < len(png):
-        n, = struct.unpack(">I", png[pos:pos + 4])
-        kind, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + n]
-        assert png[pos + 8 + n:pos + 12 + n] == struct.pack(">I", zlib.crc32(kind + data))
-        chunks.append((kind, data))
-        pos += 12 + n
-    kinds = [kind for kind, _ in chunks]
-    assert kinds[0] == b"IHDR" and kinds[-1] == b"IEND" and set(kinds[1:-1]) == {b"IDAT"}
-    cols, rows, *layout = struct.unpack(">IIBBBBB", chunks[0][1])
-    assert layout == [8, 2, 0, 0, 0]  # 8-bit RGB, deflate, no interlace
-    raw = _inflate_stored(b"".join(data for kind, data in chunks if kind == b"IDAT"))
-    lines = np.frombuffer(raw, dtype=np.uint8).reshape(rows, 1 + 3 * cols)
-    assert not lines[:, 0].any()  # filter byte 0: each row holds the pixels
-    return lines[:, 1:].reshape(rows, cols, 3)
-
-
 def _node_colors(pixels: np.ndarray) -> list[list[str]]:
     """'#rrggbb' of decoded pixels, bottom row (grid row 0) first."""
     return [["#{:02x}{:02x}{:02x}".format(*p) for p in row]
@@ -125,11 +86,7 @@ def _node_colors(pixels: np.ndarray) -> list[list[str]]:
 def _svg_colors(path) -> list[list[str]]:
     """Parse a heatmap, check that it holds exactly one image, and return
     the decoded color of every node."""
-    images = list(ET.parse(path).getroot().iter(f"{_SVG}image"))
-    assert len(images) == 1
-    href = images[0].get(_HREF)
-    assert href.startswith(_PNG_URI)
-    return _node_colors(_decode_png(base64.b64decode(href[len(_PNG_URI):], validate=True)))
+    return _node_colors(svg_pixels(path))
 
 
 def _check_svg(path, fld, contours=None, title=""):
@@ -139,7 +96,7 @@ def _check_svg(path, fld, contours=None, title=""):
     head, tail = _oracle_svg(fld, contours, title).split("{png}")
     assert text.startswith(head) and text.endswith(tail)
     payload = text[len(head):len(text) - len(tail)]
-    pixels = _decode_png(base64.b64decode(payload, validate=True))
+    pixels = decode_png(base64.b64decode(payload, validate=True))
     assert pixels.shape == fld.values.shape + (3,)
     assert _node_colors(pixels) == _oracle_colors(fld.values)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmrec.evaluate
+from bundle_check import SUMMARY_KEYS
 from harmrec import io as hio
 from harmrec import pipeline, resolve_config, tikhonov, validate_config
 from harmrec.basis import build_basis, compute_base_solutions
@@ -38,11 +39,10 @@ def fast_state():
 def test_run_summary_contents(fast_state):
     res = run_experiment(fast_state.cfg)
     s = res["summary"]
-    # every key is a value of this run: none is a count the grid fixes
-    assert set(s) == {
-        "alpha_used", "condition_estimate", "config", "envelope", "error",
-        "grid", "m", "noise", "reg_norm", "reliability", "reliable_fraction",
-        "residual_f", "residual_g", "tau_center"}
+    # the contract's keys: grid, m, tau_center, reliable_fraction and the
+    # reliability counts echo the geometry, the other values come of the
+    # truth, the noise or the fit
+    assert set(s) == SUMMARY_KEYS
     assert s["m"] == 17
     assert s["config"]["h"] == 1 / 16
     assert s["noise"]["realized_eps"] > 0
