@@ -31,11 +31,12 @@ M itself (corrected seminormal equations, Björck, Linear Algebra Appl.
 eps s_1 / sqrt(alpha).  Below alpha = 16 eps s_1^2 the refinement cannot be
 trusted to contract, and the fit raises
 :class:`~harmrec.errors.SolverError`.  The factorisation depends only on
-the system and the data weights, so it is built once and kept on the
-system: a noise sweep costs one factorisation, then per level five
-products with M and its two factors (one refinement step), with one column
-per data set.  The condition estimate reported is that of
-``[M0 L^-1; sqrt(alpha) I]``, read off the eigenvalues.
+the system and the data weights, so :func:`factor` builds it once as a
+:class:`Spectrum` kept on the system: a noise sweep costs one factorisation,
+then per level five products with M and its two factors (one refinement
+step), with one column per data set.  The Spectrum builds d and M0 with one
+member, ``weighted_data``, and applies L^-1 with another, ``penalty_inverse``.
+The condition estimate reported is that of ``[M0 L^-1; sqrt(alpha) I]``.
 :func:`reconstruct` fits one noise level's batch, the (k, m) f and g of a
 :class:`~harmrec.forward.NoisyBatch`, row k of each array data set k; it
 reads no grid, so it fits a hand-built system too.
@@ -52,7 +53,7 @@ the system's h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -78,8 +79,8 @@ class DiscreteSystem:
            hand-built system has none, so it can be fitted but not turned
            into a field.
 
-    The fit's factorisation of the system, one per pair of data weights, is
-    kept in the private ``_fits``.
+    :func:`factor` keeps the fit's :class:`Spectrum` of the system, one per
+    pair of data weights, on the system.
     """
 
     A: np.ndarray = field(repr=False)
@@ -134,26 +135,6 @@ def _penalty_factor(sys: DiscreteSystem) -> np.ndarray:
     return np.sqrt(h * (1 + (np.sin(t) / h) ** 2 + (4 * np.sin(t / 2) ** 2 / h**2) ** 2))
 
 
-def _solve_penalty(root: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L^-1 x for the (K, c) columns x, L the circulant with eigenvalues root."""
-    k = len(root)
-    return np.fft.irfft(np.fft.rfft(x, axis=0) / root[:k // 2 + 1, None], n=k, axis=0)
-
-
-def _channel_weights(sys: DiscreteSystem,
-                     weights: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """(L_f, diag(L_g)): |L_f r| and |L_g r| are the channels' weighted norms
-    of a residual r.  For f, L_f is sqrt(w_f) times the graph norm's (m, m)
-    triangular factor of [sqrt(sigma); sqrt(sigma) D1] (no Gram matrix
-    formed); for g, L_g is sqrt(w_g) times the sigma-weighted norm, diagonal,
-    so only its (m,) diagonal is returned.  A zero weight gives a zero
-    factor, which cancels its channel's rows in the fit."""
-    w_f, w_g = weights
-    s12 = np.sqrt(sys.sigma)
-    graph = np.linalg.qr(np.vstack([np.diag(s12), s12[:, None] * sys.D1]), mode="r")
-    return np.sqrt(w_f) * graph, np.sqrt(w_g) * s12
-
-
 # One refinement step shrinks the fit's error by at most
 # _CONTRACTION * eps * s_1^2 / alpha: the measured shrink factor reached
 # 6 eps s_1^2 / alpha on one to three sides of the unit square at h = 1/64
@@ -187,22 +168,51 @@ def _refinement_steps(alpha: float, lam1: float) -> int:
 
 
 @dataclass(frozen=True)
-class _StandardForm:
+class Spectrum:
     """The cost of one system and one pair of data weights, factored for
-    every alpha.  The fit of data d = [L_f f; L_g g], one column per data set,
-    is y = (M^T M + alpha I)^-1 M^T d = M^T (M M^T + alpha I)^-1 d, w = L^-1 y
+    every alpha: the data block of M0 = [L_f A; L_g B], which :func:`factor`
+    builds and keeps.  The fit of data d = [L_f f; L_g g], one column each, is
+    y = (M^T M + alpha I)^-1 M^T d = M^T (M M^T + alpha I)^-1 d, w = L^-1 y
     and the penalty norm |y|.  G = Q diag(lam) Q^T is the smaller Gram matrix
     of M, its eigenvalues M's squared singular values, the s^2 of an SVD of
     M.  M = left right^T in G's eigen-coordinates: left = Q and right = M^T Q
-    when G = M M^T (2m <= K), left = M Q and right = Q when G = M^T M."""
+    when G = M M^T (2m <= K), left = M Q and right = Q when G = M^T M.
+    Every array is read-only, since later fits share them."""
 
-    block: np.ndarray  # (2m, K) the data block M = M0 L^-1
     lf: np.ndarray  # (m, m) L_f
     lg: np.ndarray  # (m,) the diagonal of L_g
     root: np.ndarray  # (K,) eigenvalues of L
-    lam: np.ndarray  # (n,) eigenvalues of G, ascending, clipped at 0
-    left: np.ndarray  # (2m, n) Q or M Q
-    right: np.ndarray  # (K, n) M^T Q or Q
+    A: InitVar[np.ndarray]
+    B: InitVar[np.ndarray]
+    block: np.ndarray = field(init=False)  # (2m, K) the data block M = M0 L^-1
+    lam: np.ndarray = field(init=False)  # (n,) eigenvalues of G, ascending, clipped at 0
+    left: np.ndarray = field(init=False)  # (2m, n) Q or M Q
+    right: np.ndarray = field(init=False)  # (K, n) M^T Q or Q
+
+    def __post_init__(self, A, B):
+        # M = M0 L^-1 = (L^-1 M0^T)^T, L being symmetric
+        mat = self.penalty_inverse(self.weighted_data(A, B).T).T
+        dual = mat.shape[0] <= mat.shape[1]
+        try:
+            lam, vecs = np.linalg.eigh(mat @ mat.T if dual else mat.T @ mat)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise SolverError(f"factorising the fit failed: {exc}") from exc
+        left, right = (vecs, mat.T @ vecs) if dual else (mat @ vecs, vecs)
+        for name, arr in (("block", mat), ("lam", np.maximum(lam, 0.0)),
+                          ("left", left), ("right", right)):
+            object.__setattr__(self, name, arr)
+        for arr in (self.lf, self.lg, self.root, mat, self.lam, left, right):
+            arr.setflags(write=False)
+
+    def weighted_data(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """[L_f f; L_g g] for the (m, c) columns f and g: the fit's data d,
+        and M0 for f = A and g = B."""
+        return np.vstack([self.lf @ f, self.lg[:, None] * g])
+
+    def penalty_inverse(self, x: np.ndarray) -> np.ndarray:
+        """L^-1 x for the (K, c) columns x, by one rfft/irfft pair."""
+        k = len(self.root)
+        return np.fft.irfft(np.fft.rfft(x, axis=0) / self.root[:k // 2 + 1, None], n=k, axis=0)
 
     def solve(self, f: np.ndarray, g: np.ndarray,
               alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -213,12 +223,12 @@ class _StandardForm:
         G = M M^T and of y = Q z when G = M^T M."""
         steps = _refinement_steps(alpha, self.lam[-1])
         filt = (1.0 / (self.lam + alpha))[:, None]
-        d = np.vstack([self.lf @ f, self.lg[:, None] * g])
+        d = self.weighted_data(f, g)
         z = filt * (self.left.T @ d)
         for _ in range(steps):
             z += filt * (self.left.T @ (d - self.block @ (self.right @ z)) - alpha * z)
         y = self.right @ z
-        return _solve_penalty(self.root, y).T, np.linalg.norm(y, axis=0)
+        return self.penalty_inverse(y).T, np.linalg.norm(y, axis=0)
 
     def condition(self, alpha: float) -> float:
         """Condition number of [M; sqrt(alpha) I]: its smallest singular
@@ -227,24 +237,23 @@ class _StandardForm:
         return float(np.sqrt((self.lam[-1] + alpha) / (lam_min + alpha)))
 
 
-def _standard_form(sys: DiscreteSystem, weights: tuple[float, float]) -> _StandardForm:
-    """Factor the system for the data weights once; later calls reuse it."""
-    if weights in sys._fits:
-        return sys._fits[weights]
-    lf, lg = _channel_weights(sys, weights)
-    root = _penalty_factor(sys)
-    # M = M0 L^-1 = (L^-1 M0^T)^T, L being symmetric
-    mat = _solve_penalty(root, np.vstack([lf @ sys.A, lg[:, None] * sys.B]).T).T
-    dual = mat.shape[0] <= mat.shape[1]
-    try:
-        lam, vecs = np.linalg.eigh(mat @ mat.T if dual else mat.T @ mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SolverError(f"factorising the fit failed: {exc}") from exc
-    left, right = (vecs, mat.T @ vecs) if dual else (mat @ vecs, vecs)
-    fit = _StandardForm(block=mat, lf=lf, lg=lg, root=root,
-                        lam=np.maximum(lam, 0.0), left=left, right=right)
-    sys._fits[weights] = fit
-    return fit
+def factor(sys: DiscreteSystem, weights: tuple[float, float]) -> Spectrum:
+    """The system's :class:`Spectrum` for the data weights (w_f, w_g), built
+    on the first call and kept on the system for every later one.
+
+    |L_f r| and |L_g r| are the channels' weighted norms of a residual r.
+    L_f is sqrt(w_f) times the graph norm's (m, m) triangular factor of
+    [sqrt(sigma); sqrt(sigma) D1] (no Gram matrix formed); L_g is sqrt(w_g)
+    times the sigma-weighted norm, diagonal, so only its (m,) diagonal is
+    kept.  A zero weight gives a zero factor, which cancels its channel's
+    rows in the fit."""
+    if weights not in sys._fits:
+        w_f, w_g = weights
+        s12 = np.sqrt(sys.sigma)
+        graph = np.linalg.qr(np.vstack([np.diag(s12), s12[:, None] * sys.D1]), mode="r")
+        sys._fits[weights] = Spectrum(np.sqrt(w_f) * graph, np.sqrt(w_g) * s12,
+                                      _penalty_factor(sys), sys.A, sys.B)
+    return sys._fits[weights]
 
 
 @dataclass(frozen=True)
@@ -285,7 +294,7 @@ def reconstruct(sys: DiscreteSystem, batch: NoisyBatch,
                               f"got {f.shape} and {g.shape}")
     alpha = cfg.alpha(level, sys.h)
     f, g = f.T, g.T  # one column per data set
-    fit = _standard_form(sys, cfg.data_weights)
+    fit = factor(sys, cfg.data_weights)
     w, reg = fit.solve(f, g, alpha)
     # Graph norm of the f residual and quadrature norm of the g residual,
     # one column per data set.

@@ -3,10 +3,13 @@ that the numpy-only CI job writes keep it, and each break of it fails."""
 
 import base64
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
+import bundle_check
 from bundle_check import check, check_bundle, write
 from harmrec.cli import main
 
@@ -78,3 +81,13 @@ def test_check_catches_each_break(bundles, tmp_path, bundle, breaks, match):
     breaks(path)
     with pytest.raises(AssertionError, match=match):
         check_bundle(path)
+
+
+def test_readme_artifacts_name_every_key_and_file():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Artifacts\n", 1)[1].split("\n## ", 1)[0]
+    quoted = set(re.findall(r"`([^`]+)`", section))
+    for name in ("SUMMARY_KEYS", "NOISE_KEYS", "CAUCHY_KEYS", "TAU_SUMMARY_KEYS",
+                 "TAU_PANEL_KEYS", "SWEEP_KEYS", "REG_NORM_KEYS", "RUN_FILES", "SWEEP_FILES"):
+        missing = getattr(bundle_check, name) - quoted
+        assert not missing, f"README's Artifacts does not name {name} {sorted(missing)}"

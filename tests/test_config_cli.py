@@ -16,7 +16,7 @@ from harmrec.config import (MAX_ARRAY_BYTES, _grid_bytes, _stacked_bytes, check_
 from harmrec.grid import Rect, boundary_partition, build_grid
 from harmrec.pipeline import build_state
 from harmrec.poisson import ScalarField
-from harmrec.tikhonov import reconstruct, reconstruct_field
+from harmrec.tikhonov import factor, reconstruct, reconstruct_field
 from oracles import clean_batch
 
 FAST = {
@@ -245,7 +245,7 @@ def test_cli_non_finite_fitted_field_exit_3(tmp_path, capsys, monkeypatch, comma
     # raises before any artifact is written
     import harmrec.tikhonov as tik
 
-    solve = tik._StandardForm.solve
+    solve = tik.Spectrum.solve
 
     def poisoned(self, f, g, alpha):
         w, reg = solve(self, f, g, alpha)
@@ -253,7 +253,7 @@ def test_cli_non_finite_fitted_field_exit_3(tmp_path, capsys, monkeypatch, comma
         w[-1, 0] = np.nan
         return w, reg
 
-    monkeypatch.setattr(tik._StandardForm, "solve", poisoned)
+    monkeypatch.setattr(tik.Spectrum, "solve", poisoned)
     cfg = _write_cfg(tmp_path, eps_levels=[1e-1, 1e-2, 1e-3], seeds=[1, 2])
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
@@ -487,7 +487,7 @@ def test_stack_size_estimate_bounds_the_stack(extra, monkeypatch):
     result = reconstruct(sys, clean_batch(state.clean_data), cfg)
     u_star, = reconstruct_field(result.w, sys)
     b = coefficients(build_basis(state.grid), ScalarField(state.grid, u_star))
-    fit, = sys._fits.values()
+    fit = factor(sys, cfg.data_weights)
     held = [sys.A, sys.B, sys.D1, fit.block, fit.lf, fit.lg, fit.root, fit.lam, fit.left,
             fit.right, b]
     sizes += [a.nbytes for a in held]

@@ -12,7 +12,7 @@ from harmrec import (CauchyData, Constant, DiscreteSystem, ExpCos, NoisyBatch, R
                      validate_config)
 from harmrec.basis import build_basis, compute_base_solutions
 from harmrec.grid import SIDES, graph_norm
-from harmrec.tikhonov import _penalty_factor, _standard_form
+from harmrec.tikhonov import _penalty_factor, factor
 from oracles import clean_batch, qr_fit, svd_filtered_fit
 
 
@@ -367,11 +367,11 @@ def test_sweep_factors_once_and_filters_once_per_noise_level(monkeypatch):
     import harmrec.tikhonov as tik
 
     factorisations, columns = [], []
-    standard_form, solve = tik._standard_form, tik._StandardForm.solve
+    factor_, solve = tik.factor, tik.Spectrum.solve
 
-    def counting_standard_form(sys, weights):
+    def counting_factor(sys, weights):
         factorisations.append(weights)
-        return standard_form(sys, weights)
+        return factor_(sys, weights)
 
     def counting_solve(self, f, g, alpha):
         columns.append(f.shape[1])
@@ -383,8 +383,8 @@ def test_sweep_factors_once_and_filters_once_per_noise_level(monkeypatch):
         built.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(tik, "_standard_form", counting_standard_form)
-    monkeypatch.setattr(tik._StandardForm, "solve", counting_solve)
+    monkeypatch.setattr(tik, "factor", counting_factor)
+    monkeypatch.setattr(tik.Spectrum, "solve", counting_solve)
     monkeypatch.setattr(tik.np.linalg, "eigh", counting_eigh)
     cfg = validate_config({"h": 1 / 16,
                            "eps_levels": [1e-1, 1e-2, 1e-3],
@@ -429,7 +429,7 @@ def _stacked_lstsq(sys, traces, f, g, weights, alpha):
 
 def _check_against_oracle(sys, traces, weights, alpha, rng, min_norm_coefficients):
     f, g = rng.normal(size=(2, sys.m, 3))
-    w, _ = _standard_form(sys, weights).solve(f, g, alpha)
+    w, _ = factor(sys, weights).solve(f, g, alpha)
     b = min_norm_coefficients(traces, w.T).T
     ref, kappa = _stacked_lstsq(sys, traces, f, g, weights, alpha)
     # least squares moves b by up to about eps * kappa^2 under rounding,
@@ -481,7 +481,13 @@ def test_gram_fit_matches_the_svd_filter_factors(form, weights):
     two_m, k = 2 * sys.m, part.n_boundary
     assert {"dual": two_m < k, "primal": two_m > k, "square": two_m == k}[form]
     f, g = np.random.default_rng(11).normal(size=(2, sys.m, 3))
-    fit = _standard_form(sys, weights)
+    fit = factor(sys, weights)
+    # one construction of M, kept per weights: M0 = weighted_data(A, B) and
+    # M = (L^-1 M0^T)^T, bit for bit
+    m0 = fit.weighted_data(sys.A, sys.B)
+    assert np.array_equal(fit.penalty_inverse(m0.T).T, fit.block)
+    assert factor(sys, weights) is fit
+    assert factor(sys, (weights[0] + 1.0, weights[1])) is not fit
     c, eps = 200.0, np.finfo(float).eps
     for p in range(14):
         alpha = 10.0**-p * fit.lam[-1]
@@ -502,7 +508,7 @@ def test_square_nearly_singular_fit_matches_householder_qr():
     part, sys = _system(build_grid(Rect(0, 0, 1, 1.5), 1 / 4), ["bottom", "top"])
     assert 2 * sys.m == part.n_boundary == 20
     f, g = np.random.default_rng(11).normal(size=(2, sys.m, 3))
-    fit = _standard_form(sys, (1.0, 1.0))
+    fit = factor(sys, (1.0, 1.0))
     alpha = 1e-13 * fit.lam[-1]
     w_ref, reg_ref = qr_fit(sys, (1.0, 1.0), f, g, alpha)
     w, reg = fit.solve(f, g, alpha)
@@ -511,12 +517,22 @@ def test_square_nearly_singular_fit_matches_householder_qr():
     assert np.abs(reg - reg_ref).max() <= tol * np.abs(reg_ref).max()
 
 
+def test_spectrum_arrays_are_read_only():
+    # the Spectrum is kept on the system and shared by every later fit
+    _, sys = _system(build_grid(Rect(0, 0, 1, 1), 1 / 8), ["bottom"])
+    fit = factor(sys, (1.0, 1.0))
+    with pytest.raises(ValueError, match="read-only"):
+        fit.lam[0] = 0.0
+    for name in ("block", "lf", "lg", "root", "left", "right"):
+        assert not getattr(fit, name).flags.writeable, name
+
+
 def test_alpha_below_the_precision_floor_is_a_solver_error():
     # below alpha = 16 eps s_1^2 the refinement cannot be trusted to
     # contract, so the fit refuses rather than return a wrong w
     _, sys = _system(build_grid(Rect(0, 0, 1, 1), 1 / 8), ["bottom"])
     f, g = np.random.default_rng(3).normal(size=(2, sys.m, 2))
-    fit = _standard_form(sys, (1.0, 1.0))
+    fit = factor(sys, (1.0, 1.0))
     floor = 16 * np.finfo(float).eps * fit.lam[-1]
     assert np.isfinite(fit.solve(f, g, 1.01 * floor)[0]).all()
     for alpha in (0.99 * floor, 1e-300, 5e-324):
